@@ -2,7 +2,8 @@
 
 Subcommands: ``simulate`` (one run), ``sweep`` (seed range), ``path``
 (dump search paths), ``partition`` (dump Voronoi cells).  Exit codes:
-0 success, 1 configuration error, 2 invariant violation, 3 I/O error.
+0 success, 1 configuration error, 2 invariant violation (or, for
+``sweep``, any run that ended in an error row), 3 I/O error.
 ``BHSIM_LOG_LEVEL`` (error | info | debug) controls logging.
 """
 
@@ -15,8 +16,6 @@ import sys
 from pathlib import Path
 
 from .events import write_event_log
-from .fleet import voronoi_partition
-from .mission import generate_search_path
 from .scenario import (
     ParseError,
     Scenario,
@@ -24,7 +23,7 @@ from .scenario import (
     default_scenario,
     load_scenario,
 )
-from .sim import CSV_HEADER, InvariantViolation, run_simulation, sweep
+from .sim import CSV_HEADER, InvariantViolation, plan_cells, run_simulation, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -91,31 +90,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(line)
     for key, value in sorted(result.aggregate.items()):
         print(f"# {key} = {value:.6g}")
+    failed = [m.seed for m in result.rows if m.error is not None]
+    if failed:
+        print(f"sweep: {len(failed)} run(s) failed: seeds {failed}", file=sys.stderr)
+        return EXIT_INVARIANT
     return EXIT_OK
-
-
-def _agent_paths(scenario: Scenario):
-    footprint = scenario.arena.footprint
-    generators = []
-    for i in range(scenario.agents.count):
-        x, y, _ = scenario.agents.starts[i]
-        xmin, ymin, xmax, ymax = footprint
-        generators.append((i, (min(max(x, xmin), xmax), min(max(y, ymin), ymax))))
-    cells = voronoi_partition(footprint, generators)
-    paths = {}
-    for cell in cells:
-        paths[cell.agent_id] = generate_search_path(
-            cell.polygon,
-            scenario.mission.search_altitude,
-            scenario.mission.lane_spacing,
-            scenario.mission.wp_step,
-        )
-    return cells, paths
 
 
 def _cmd_path(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    _, paths = _agent_paths(scenario)
+    _, paths = plan_cells(scenario, range(scenario.agents.count))
     lines = []
     for agent_id in sorted(paths):
         path = paths[agent_id]
@@ -132,7 +116,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    cells, _ = _agent_paths(scenario)
+    cells, _ = plan_cells(scenario, range(scenario.agents.count))
     lines = []
     for cell in sorted(cells, key=lambda c: c.agent_id):
         gx, gy = cell.generator

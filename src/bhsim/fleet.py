@@ -24,10 +24,6 @@ class DuplicateGenerators(ValueError):
     """Two partition generators coincide."""
 
 
-class NoSurvivors(RuntimeError):
-    """Reassignment requested with no surviving agents."""
-
-
 class UnknownClaim(KeyError):
     """Claim id not present in the table."""
 
@@ -148,44 +144,6 @@ def nearest_generator(
             best = d
             best_id = agent_id
     return best_id
-
-
-def reassign_on_failure(
-    footprint: Rect,
-    cells: Sequence[PartitionCell],
-    failed: int,
-    mode: str = "repartition",
-) -> list[PartitionCell]:
-    """Redistribute a failed agent's area among the survivors.
-
-    ``repartition`` (default) recomputes the Voronoi partition over the
-    surviving generators.  ``nearest_neighbor`` hands the failed agent's
-    whole cell to the survivor with the nearest generator, so that
-    survivor then owns two polygons in the returned list.
-
-    Raises:
-        NoSurvivors: if the failed agent was the only one left.
-    """
-    if not any(c.agent_id == failed for c in cells):
-        raise KeyError(f"agent {failed} has no cell")
-    survivors = [(c.agent_id, c.generator) for c in cells if c.agent_id != failed]
-    if not survivors:
-        raise NoSurvivors("no surviving agents to reassign to")
-    if mode == "repartition":
-        return voronoi_partition(footprint, survivors)
-    if mode == "nearest_neighbor":
-        failed_cell = next(c for c in cells if c.agent_id == failed)
-        heir = nearest_generator(failed_cell.generator, survivors)
-        out = [c for c in cells if c.agent_id != failed]
-        out.append(
-            PartitionCell(
-                agent_id=heir,
-                generator=failed_cell.generator,
-                polygon=failed_cell.polygon,
-            )
-        )
-        return out
-    raise ValueError(f"unknown reassign mode {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -34,17 +34,6 @@ class PixelTarget:
             raise ValueError("focal length must be positive")
 
 
-@dataclass(frozen=True)
-class GuidanceCommand:
-    """One tick of guidance output, kept for logging."""
-
-    speed: float
-    v_camera: Vec3
-    psi_des: Optional[float]
-    v_vehicle: Vec3
-    yaw_rate: float
-
-
 def los_unit_vector(t: PixelTarget) -> Vec3:
     """Unit camera-frame vector pointing at the target pixel.
 

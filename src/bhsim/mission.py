@@ -27,9 +27,9 @@ import numpy as np
 
 from .fleet import ClaimResult, point_in_cell, polygon_area
 from .guidance import (
-    GuidanceCommand,
     PixelTarget,
     desired_yaw,
+    to_vehicle_frame,
     velocity_command_camera,
     yaw_rate_command,
 )
@@ -341,9 +341,9 @@ def estimate_world_position(
         float(track.x[1]) / focal_px * depth_m,
         depth_m,
     )
-    r2 = rotation_body_to_vehicle(uav.yaw)
-    v_ned = r2 @ (r_cam_to_body @ np.asarray(cam))
-    dx, dy, dz = ned_to_world((float(v_ned[0]), float(v_ned[1]), float(v_ned[2])))
+    dx, dy, dz = ned_to_world(
+        to_vehicle_frame(cam, r_cam_to_body, rotation_body_to_vehicle(uav.yaw))
+    )
     return (
         float(uav.position[0] + dx),
         float(uav.position[1] + dy),
@@ -392,8 +392,6 @@ class MissionStep:
     velocity_cmd: Vec3
     yaw_rate_cmd: float
     events: tuple[tuple[str, dict], ...]
-    # populated during APPROACH for per-tick command logging
-    guidance: Optional[GuidanceCommand] = None
 
 
 def step_mission(
@@ -704,25 +702,11 @@ def _step_approach(ms, tracks, uav, view, t, ctx) -> MissionStep:
 
     target = PixelTarget(float(track.x[0]), float(track.x[1]), ctx.focal_px)
     v_cam = velocity_command_camera(target, mp.v_approach)
-    r2 = rotation_body_to_vehicle(uav.yaw)
-    v_ned = r2 @ (ctx.r_cam_to_body @ np.asarray(v_cam))
-    v_vehicle = (float(v_ned[0]), float(v_ned[1]), float(v_ned[2]))
-    vel = ned_to_world(v_vehicle)
+    vel = ned_to_world(
+        to_vehicle_frame(v_cam, ctx.r_cam_to_body, rotation_body_to_vehicle(uav.yaw))
+    )
     yaw_rate = _yaw_cmd_offset_law(track, uav, ctx)
-    offset = desired_yaw(target, mp.yaw_mode)
-    psi_des = None if offset is None else (
-        wrap_angle(uav.yaw + offset)
-        if mp.yaw_mode == "horizontal_offset"
-        else offset
-    )
-    command = GuidanceCommand(
-        speed=mp.v_approach,
-        v_camera=v_cam,
-        psi_des=psi_des,
-        v_vehicle=v_vehicle,
-        yaw_rate=yaw_rate,
-    )
-    return MissionStep(ms, vel, yaw_rate, tuple(events), guidance=command)
+    return MissionStep(ms, vel, yaw_rate, tuple(events))
 
 
 def _step_revisit(ms, tracks, uav, view, t, ctx) -> MissionStep:

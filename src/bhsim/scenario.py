@@ -24,9 +24,6 @@ from .world import Arena, BalloonParams
 
 Vec3 = tuple[float, float, float]
 
-REASSIGN_MODES = ("repartition", "nearest_neighbor")
-
-
 class ParseError(ValueError):
     """Malformed scenario text or unknown key."""
 
@@ -62,7 +59,6 @@ class AgentSetup:
 class FleetParams:
     claim_radius: float = 5.0
     min_sep: float = 5.0
-    reassign_mode: str = "repartition"
     failures: tuple[tuple[int, float], ...] = ()
 
 
@@ -89,7 +85,10 @@ class Scenario:
 
 
 def _parse_float(raw: str) -> float:
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _parse_int(raw: str) -> int:
@@ -104,7 +103,7 @@ def _parse_vec3(raw: str) -> Vec3:
     parts = raw.replace(",", " ").split()
     if len(parts) != 3:
         raise ValueError(f"expected 3 numbers, got {len(parts)}")
-    return (float(parts[0]), float(parts[1]), float(parts[2]))
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_vec3_list(raw: str) -> tuple[Vec3, ...]:
@@ -121,7 +120,7 @@ def _parse_failures(raw: str) -> tuple[tuple[int, float], ...]:
         agent_s, _, time_s = chunk.partition(":")
         if not time_s:
             raise ValueError(f"expected agent:time, got {chunk!r}")
-        out.append((int(agent_s), float(time_s)))
+        out.append((int(agent_s), _parse_float(time_s)))
     return tuple(sorted(out, key=lambda p: p[1]))
 
 
@@ -180,7 +179,6 @@ SCHEMA: dict[str, Callable[[str], object]] = {
     "mission.yaw_mode": _parse_str,
     "fleet.claim_radius": _parse_float,
     "fleet.min_sep": _parse_float,
-    "fleet.reassign_mode": _parse_str,
     "fleet.failures": _parse_failures,
     "sim.tick_rate": _parse_float,
     "sim.duration_limit": _parse_float,
@@ -299,7 +297,6 @@ def build_scenario(values: dict[str, object]) -> Scenario:
     vd = UavParams()
     vehicle = UavParams(
         v_max=_get(values, "vehicle.v_max", vd.v_max),
-        v_approach=_get(values, "vehicle.v_approach", vd.v_approach),
         tau=_get(values, "vehicle.tau", vd.tau),
         yaw_rate_max=_get(values, "vehicle.yaw_rate_max", vd.yaw_rate_max),
     )
@@ -329,7 +326,7 @@ def build_scenario(values: dict[str, object]) -> Scenario:
             values, "mission.commit_range_max", md.commit_range_max
         ),
         v_search=vehicle.v_max,
-        v_approach=vehicle.v_approach,
+        v_approach=_get(values, "vehicle.v_approach", md.v_approach),
         d_standoff=_get(values, "mission.d_standoff", md.d_standoff),
         t_confirm=_get(values, "mission.t_confirm", md.t_confirm),
         tip_reach=_get(values, "mission.tip_reach", md.tip_reach),
@@ -350,6 +347,8 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         yaw_gain=_get(values, "mission.yaw_gain", md.yaw_gain),
         yaw_mode=_get(values, "mission.yaw_mode", md.yaw_mode),
     )
+    if not 0 < mission.v_approach <= vehicle.v_max:
+        raise ValidationError("vehicle.v_approach", "must be in (0, vehicle.v_max]")
     if mission.yaw_mode not in YAW_MODES:
         raise ValidationError("mission.yaw_mode", f"must be one of {YAW_MODES}")
     if mission.lane_spacing <= 0:
@@ -361,13 +360,8 @@ def build_scenario(values: dict[str, object]) -> Scenario:
     fleet = FleetParams(
         claim_radius=_get(values, "fleet.claim_radius", fd.claim_radius),
         min_sep=_get(values, "fleet.min_sep", fd.min_sep),
-        reassign_mode=_get(values, "fleet.reassign_mode", fd.reassign_mode),
         failures=_get(values, "fleet.failures", ()),
     )
-    if fleet.reassign_mode not in REASSIGN_MODES:
-        raise ValidationError(
-            "fleet.reassign_mode", f"must be one of {REASSIGN_MODES}"
-        )
     if fleet.claim_radius <= 0:
         raise ValidationError("fleet.claim_radius", "must be positive")
     if fleet.min_sep <= 0:

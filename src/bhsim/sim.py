@@ -60,10 +60,10 @@ from .world import (
     Balloon,
     WorldState,
     advance_world,
+    make_balloon,
     make_world,
     pop_balloon,
     sample_balloon_layout,
-    step_balloon_sway,
 )
 
 log = logging.getLogger("bhsim")
@@ -147,8 +147,6 @@ class _AgentRt:
     tracker: Tracker
     mission: MissionState
     rng: np.random.Generator
-    generator: tuple[float, float]
-    cam_rows: tuple[tuple[float, float, float], ...]
     ctx: MissionContext
     distance: float = 0.0
     failed: bool = False
@@ -170,28 +168,36 @@ def _build_balloons(scenario: Scenario, rng: np.random.Generator) -> list[Balloo
         return sample_balloon_layout(
             rng, scenario.arena, setup.count, setup.min_sep, setup.params
         )
-    balloons = []
-    for i, anchor in enumerate(setup.anchors):
-        p = setup.params
-        b = Balloon(
-            id=i,
-            anchor=anchor,
-            tether_length=p.tether_length,
-            diameter=p.diameter,
-            sway_amplitude=p.sway_amplitude,
-            sway_frequency=p.sway_frequency,
-            sway_phase=2.0 * math.pi * rng.random(),
-            sway_azimuth=2.0 * math.pi * rng.random(),
-        )
-        balloons.append(replace(b, center=step_balloon_sway(b, 0.0)))
-    return balloons
+    return [
+        make_balloon(i, anchor, setup.params, rng)
+        for i, anchor in enumerate(setup.anchors)
+    ]
 
 
-def _project_to_footprint(
-    p: Vec3, footprint: tuple[float, float, float, float]
-) -> tuple[float, float]:
+def plan_cells(
+    scenario: Scenario, agent_ids: Sequence[int]
+) -> tuple[list[PartitionCell], dict[int, SearchPath]]:
+    """Voronoi cells and full search paths for the given agents.
+
+    Each agent's generator is its start position projected onto the
+    search footprint.  Cells come back in ``agent_ids`` order; paths are
+    keyed by agent id.
+    """
+    footprint = scenario.arena.footprint
     xmin, ymin, xmax, ymax = footprint
-    return (min(max(p[0], xmin), xmax), min(max(p[1], ymin), ymax))
+    generators = []
+    for i in agent_ids:
+        x, y, _ = scenario.agents.starts[i]
+        generators.append((i, (min(max(x, xmin), xmax), min(max(y, ymin), ymax))))
+    cells = voronoi_partition(footprint, generators)
+    mp = scenario.mission
+    paths = {
+        c.agent_id: generate_search_path(
+            c.polygon, mp.search_altitude, mp.lane_spacing, mp.wp_step
+        )
+        for c in cells
+    }
+    return cells, paths
 
 
 def _prune_path(
@@ -242,7 +248,6 @@ def run_simulation(scenario: Scenario) -> RunResult:
     dt = 1.0 / scenario.sim.tick_rate
     fence = geofence_from_arena(scenario.arena)
     margin = scenario.arena.geofence_margin
-    footprint = scenario.arena.footprint
     mount = rotation_camera_to_body(scenario.camera_mount)
     cam_rows = tuple(tuple(float(v) for v in row) for row in mount)
 
@@ -260,21 +265,11 @@ def run_simulation(scenario: Scenario) -> RunResult:
     layout_rng = substream(seed, "layout")
     world = make_world(_build_balloons(scenario, layout_rng))
 
-    generators = [
-        (i, _project_to_footprint(scenario.agents.starts[i], footprint))
-        for i in range(scenario.agents.count)
-    ]
-    cells = voronoi_partition(footprint, generators)
+    cells, paths = plan_cells(scenario, range(scenario.agents.count))
     cells_by_agent = {c.agent_id: c for c in cells}
 
     agents: list[_AgentRt] = []
     for i in range(scenario.agents.count):
-        path = generate_search_path(
-            cells_by_agent[i].polygon,
-            scenario.mission.search_altitude,
-            scenario.mission.lane_spacing,
-            scenario.mission.wp_step,
-        )
         agents.append(
             _AgentRt(
                 id=i,
@@ -284,10 +279,8 @@ def run_simulation(scenario: Scenario) -> RunResult:
                     yaw=scenario.agents.start_yaw,
                 ),
                 tracker=Tracker(params=scenario.tracker),
-                mission=initial_mission_state(path),
+                mission=initial_mission_state(paths[i]),
                 rng=substream(seed, f"perception.{i}"),
-                generator=generators[i][1],
-                cam_rows=cam_rows,
                 ctx=MissionContext(
                     params=scenario.mission,
                     focal_px=scenario.camera.focal_px,
@@ -311,6 +304,15 @@ def run_simulation(scenario: Scenario) -> RunResult:
     hold_radius = scenario.fleet.min_sep + 2.0 * lag_reach
     strip_radius = scenario.fleet.min_sep + 2.0 * scenario.vehicle.v_max * scenario.vehicle.tau
 
+    def release(agent: _AgentRt, t: float, claim_id: int, reason: str) -> None:
+        release_claim(claims, claim_id, reason)
+        elog.emit(
+            t, agent.id, "claim",
+            {"action": "release", "claim_id": claim_id, "reason": reason},
+        )
+        if reason == "popped" and agent.mission.last_estimate is not None:
+            declared.append((agent.id, agent.mission.last_estimate))
+
     def view_for(agent: _AgentRt, t: float) -> FleetView:
         def try_claim(estimate: Vec3):
             result = claim_target(
@@ -329,24 +331,14 @@ def run_simulation(scenario: Scenario) -> RunResult:
             )
             return result
 
-        def release(claim_id: int, reason: str) -> None:
-            release_claim(claims, claim_id, reason)
-            elog.emit(
-                t, agent.id, "claim",
-                {"action": "release", "claim_id": claim_id, "reason": reason},
-            )
-            if reason == "popped" and agent.mission.last_estimate is not None:
-                declared.append((agent.id, agent.mission.last_estimate))
-
         cell = cells_by_agent.get(agent.id)
         return FleetView(
             claim_radius=scenario.fleet.claim_radius,
             try_claim=try_claim,
-            release=release,
+            release=lambda claim_id, reason: release(agent, t, claim_id, reason),
             cell=cell.polygon if cell is not None else (),
         )
 
-    debug_commands = log.isEnabledFor(logging.DEBUG)
     frame = 0
     t = 0.0
     last_time = -1.0
@@ -375,35 +367,21 @@ def run_simulation(scenario: Scenario) -> RunResult:
             agent.failed = True
             agent.uav = replace(agent.uav, alive=False, velocity=(0.0, 0.0, 0.0))
             if agent.mission.claim_id is not None:
-                release_claim(claims, agent.mission.claim_id, "abandoned")
-                elog.emit(
-                    t, failed_id, "claim",
-                    {
-                        "action": "release",
-                        "claim_id": agent.mission.claim_id,
-                        "reason": "abandoned",
-                    },
-                )
+                release(agent, t, agent.mission.claim_id, "abandoned")
             agent.mission = replace(
                 agent.mission, phase=Phase.DONE, entered_at=t,
                 claim_id=None, target_track_id=None,
             )
             elog.emit(t, failed_id, "failure", {"reason": "scripted"})
-            survivors = [(a.id, a.generator) for a in agents if not a.failed]
+            survivors = [a.id for a in agents if not a.failed]
             if survivors:
-                cells = voronoi_partition(footprint, survivors)
+                cells, paths = plan_cells(scenario, survivors)
                 cells_by_agent = {c.agent_id: c for c in cells}
                 for rt in agents:
                     if rt.failed:
                         continue
-                    full = generate_search_path(
-                        cells_by_agent[rt.id].polygon,
-                        scenario.mission.search_altitude,
-                        scenario.mission.lane_spacing,
-                        scenario.mission.wp_step,
-                    )
                     pruned = _prune_path(
-                        full, covered, scenario.mission.lane_spacing / 2.0
+                        paths[rt.id], covered, scenario.mission.lane_spacing / 2.0
                     )
                     rt.mission = replace(
                         rt.mission,
@@ -432,7 +410,7 @@ def run_simulation(scenario: Scenario) -> RunResult:
             pose = CameraPose(
                 position=agent.uav.position,
                 yaw=agent.uav.yaw,
-                r_cam_to_body=agent.cam_rows,
+                r_cam_to_body=cam_rows,
             )
             detections = generate_detections(
                 scenario.camera, pose, world, scenario.noise, agent.rng, frame
@@ -487,15 +465,6 @@ def run_simulation(scenario: Scenario) -> RunResult:
                 agent.ctx,
             )
             agent.mission = mstep.state
-            if debug_commands and mstep.guidance is not None:
-                g = mstep.guidance
-                log.debug(
-                    "t=%.2f agent=%d cmd v_cam=(%.3f,%.3f,%.3f) "
-                    "v_vehicle=(%.3f,%.3f,%.3f) psi_des=%s yaw_rate=%.3f",
-                    t, agent.id, *g.v_camera, *g.v_vehicle,
-                    "hold" if g.psi_des is None else f"{g.psi_des:.3f}",
-                    g.yaw_rate,
-                )
             for name, payload in mstep.events:
                 if name == "phase":
                     elog.emit(t, agent.id, "phase", payload)

@@ -31,7 +31,6 @@ class UnknownMount(ValueError):
 @dataclass(frozen=True)
 class UavParams:
     v_max: float = 2.0
-    v_approach: float = 1.5
     tau: float = 0.3
     yaw_rate_max: float = 1.5
 

@@ -151,6 +151,26 @@ def step_balloon_sway(balloon: Balloon, t: float) -> Vec3:
     )
 
 
+def make_balloon(
+    balloon_id: int, anchor: Vec3, params: BalloonParams, rng: np.random.Generator
+) -> Balloon:
+    """Balloon over ``anchor`` with random sway, centered at its t=0 pose.
+
+    Draws two values from ``rng``: the sway phase, then the azimuth.
+    """
+    balloon = Balloon(
+        id=balloon_id,
+        anchor=anchor,
+        tether_length=params.tether_length,
+        diameter=params.diameter,
+        sway_amplitude=params.sway_amplitude,
+        sway_frequency=params.sway_frequency,
+        sway_phase=2.0 * math.pi * rng.random(),
+        sway_azimuth=2.0 * math.pi * rng.random(),
+    )
+    return replace(balloon, center=step_balloon_sway(balloon, 0.0))
+
+
 def sample_balloon_layout(
     rng: np.random.Generator,
     arena: Arena,
@@ -193,22 +213,10 @@ def sample_balloon_layout(
                     f"{rejections} rejections (min_sep={min_sep})"
                 )
             continue
-        phase = 2.0 * math.pi * rng.random()
-        azimuth = 2.0 * math.pi * rng.random()
-        anchor = (x, y, params.pole_height)
-        balloon = Balloon(
-            id=len(balloons),
-            anchor=anchor,
-            tether_length=params.tether_length,
-            diameter=params.diameter,
-            sway_amplitude=params.sway_amplitude,
-            sway_frequency=params.sway_frequency,
-            sway_phase=phase,
-            sway_azimuth=azimuth,
-        )
-        balloon = replace(balloon, center=step_balloon_sway(balloon, 0.0))
         anchors.append((x, y))
-        balloons.append(balloon)
+        balloons.append(
+            make_balloon(len(balloons), (x, y, params.pole_height), params, rng)
+        )
     return balloons
 
 

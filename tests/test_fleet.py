@@ -7,7 +7,6 @@ import pytest
 from bhsim.fleet import (
     ClaimTable,
     DuplicateGenerators,
-    NoSurvivors,
     UnknownClaim,
     claim_target,
     deconflict,
@@ -15,7 +14,6 @@ from bhsim.fleet import (
     point_in_cell,
     polygon_area,
     rect_polygon,
-    reassign_on_failure,
     release_claim,
     voronoi_partition,
 )
@@ -84,53 +82,6 @@ def test_partition_correctness_up_to_eight_generators():
 def test_duplicate_generators_rejected():
     with pytest.raises(DuplicateGenerators):
         voronoi_partition(FOOTPRINT, [(0, (20.0, 20.0)), (1, (20.0, 20.0))])
-
-
-def test_failure_collapses_to_single_survivor():
-    cells = voronoi_partition(FOOTPRINT, [(0, (30.0, 20.0)), (1, (70.0, 20.0))])
-    out = reassign_on_failure(FOOTPRINT, cells, failed=1)
-    assert len(out) == 1
-    assert out[0].agent_id == 0
-    assert out[0].area == pytest.approx(AREA)
-
-
-def test_failure_repartition_conserves_area():
-    # Oracle: area sum after reassignment still tiles the footprint.
-    gens = [(0, (20.0, 10.0)), (1, (50.0, 25.0)), (2, (80.0, 12.0))]
-    cells = voronoi_partition(FOOTPRINT, gens)
-    out = reassign_on_failure(FOOTPRINT, cells, failed=1)
-    assert {c.agent_id for c in out} == {0, 2}
-    assert sum(c.area for c in out) == pytest.approx(AREA, rel=1e-9)
-    # Monte Carlo union check
-    polys = [c.polygon for c in out]
-    rng = np.random.default_rng(1)
-    hits = 0
-    for _ in range(20_000):
-        p = (float(rng.uniform(5, 95)), float(rng.uniform(5, 35)))
-        if any(point_in_cell(p, poly, margin=1e-9) for poly in polys):
-            hits += 1
-    assert hits / 20_000 == pytest.approx(1.0, abs=0.01)
-
-
-def test_failure_unknown_agent_raises():
-    cells = voronoi_partition(FOOTPRINT, [(0, (30.0, 20.0)), (1, (70.0, 20.0))])
-    with pytest.raises(KeyError):
-        reassign_on_failure(FOOTPRINT, cells, failed=9)
-
-
-def test_failure_no_survivors_raises():
-    cells = voronoi_partition(FOOTPRINT, [(0, (30.0, 20.0))])
-    with pytest.raises(NoSurvivors):
-        reassign_on_failure(FOOTPRINT, cells, failed=0)
-
-
-def test_failure_nearest_neighbor_mode_relabel():
-    gens = [(0, (20.0, 20.0)), (1, (50.0, 20.0)), (2, (80.0, 20.0))]
-    cells = voronoi_partition(FOOTPRINT, gens)
-    out = reassign_on_failure(FOOTPRINT, cells, failed=0, mode="nearest_neighbor")
-    owners = sorted(c.agent_id for c in out)
-    assert owners == [1, 1, 2]
-    assert sum(c.area for c in out) == pytest.approx(AREA, rel=1e-9)
 
 
 def test_claim_lifecycle():

@@ -12,12 +12,21 @@ from bhsim.events import (
     write_event_log,
 )
 from bhsim.scenario import (
+    SCHEMA,
     ParseError,
     ValidationError,
+    _parse_float,
+    _parse_vec3,
+    _parse_vec3_list,
     default_scenario,
     load_scenario,
     parse_scenario_text,
 )
+
+FLOAT_KEYS = [k for k, parse in SCHEMA.items() if parse is _parse_float]
+VECTOR_KEYS = [
+    k for k, parse in SCHEMA.items() if parse in (_parse_vec3, _parse_vec3_list)
+]
 
 
 def test_minimal_scenario_gets_full_defaults():
@@ -118,6 +127,25 @@ def test_default_scenario_helper():
 def test_unsupported_yaw_mode_rejected():
     with pytest.raises(ValidationError):
         parse_scenario_text("seed = 1\nmission.yaw_mode = compass\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS + VECTOR_KEYS + ["fleet.failures"])
+def test_non_finite_float_rejected(key, bad):
+    if key in VECTOR_KEYS:
+        value = f"1, {bad}, 2"
+    elif key == "fleet.failures":
+        value = f"0:{bad}"
+    else:
+        value = bad
+    with pytest.raises(ParseError) as err:
+        parse_scenario_text(f"seed = 1\n{key} = {value}\n")
+    assert key in str(err.value)
+
+
+def test_v_approach_lands_in_mission_params():
+    s = parse_scenario_text("seed = 1\nvehicle.v_max = 3\nvehicle.v_approach = 3\n")
+    assert s.mission.v_approach == 3.0
 
 
 # --- event log ---------------------------------------------------------------

@@ -1,12 +1,18 @@
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bhsim.cli import main as cli_main
 from bhsim.events import read_event_log, serialize_events
+from bhsim.fleet import point_in_cell
 from bhsim.perception import ZERO_NOISE
-from bhsim.scenario import default_scenario, parse_scenario_text
-from bhsim.sim import run_simulation, sweep
+from bhsim.scenario import default_scenario, load_scenario, parse_scenario_text
+from bhsim.sim import plan_cells, run_simulation, sweep
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+FOOTPRINT_AREA = 90.0 * 30.0
 
 
 def _quick_scenario(seed=0, **overrides):
@@ -120,6 +126,42 @@ def test_scripted_failure_kills_agent_and_repartitions():
     assert len(out.cells) == 1 and out.cells[0].agent_id == 0
 
 
+def test_plan_cells_single_survivor_owns_footprint():
+    s = parse_scenario_text("seed = 0\nagents.starts = 30, 20, 4; 70, 20, 4\n")
+    cells, paths = plan_cells(s, [0])
+    assert [c.agent_id for c in cells] == [0]
+    assert cells[0].area == pytest.approx(FOOTPRINT_AREA)
+    assert set(paths) == {0}
+
+
+def test_plan_cells_repartition_conserves_area():
+    # Oracle: the survivors' cells still tile the footprint.
+    s = parse_scenario_text(
+        "seed = 0\nagents.starts = 20, 10, 4; 50, 25, 4; 80, 12, 4\n"
+    )
+    cells, paths = plan_cells(s, [0, 2])
+    assert [c.agent_id for c in cells] == [0, 2]
+    assert set(paths) == {0, 2}
+    assert sum(c.area for c in cells) == pytest.approx(FOOTPRINT_AREA, rel=1e-9)
+    # Monte Carlo union check
+    xmin, ymin, xmax, ymax = s.arena.footprint
+    rng = np.random.default_rng(1)
+    hits = 0
+    for _ in range(20_000):
+        p = (float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax)))
+        if any(point_in_cell(p, c.polygon, margin=1e-9) for c in cells):
+            hits += 1
+    assert hits / 20_000 == pytest.approx(1.0, abs=0.01)
+
+
+def test_fleet3_final_cells_match_plan_cells():
+    # Agent 1 fails at t=120 s; the run must end on the survivors' plan.
+    s = load_scenario(SCENARIOS / "fleet3.cfg")
+    s = replace(s, sim=replace(s.sim, duration_limit=125.0))
+    out = run_simulation(s)
+    assert out.cells == plan_cells(s, [0, 2])[0]
+
+
 def test_mission_reaches_approach_and_pops_single_balloon():
     # One balloon dead ahead of the start: with zero noise the agent must
     # commit quickly and pop it well inside the time bounds.
@@ -203,6 +245,41 @@ def test_cli_path_and_partition_dumps(tmp_path, capsys):
     assert cli_main(["partition", "--scenario", scn, "--out", str(part_file)]) == 0
     text = part_file.read_text()
     assert "cell agent=0" in text and "cell agent=1" in text
+
+
+def test_cli_partition_prints_run_start_cells(tmp_path, capsys):
+    text = "seed = 0\nagents.count = 3\nsim.duration_limit = 1\n"
+    scn = _write_scenario(tmp_path, text)
+    assert cli_main(["partition", "--scenario", scn]) == 0
+    printed = capsys.readouterr().out
+    cells = run_simulation(parse_scenario_text(text)).cells
+    expected = []
+    for cell in cells:
+        gx, gy = cell.generator
+        expected.append(
+            f"cell agent={cell.agent_id} generator={gx:.3f},{gy:.3f} "
+            f"vertices={len(cell.polygon)}"
+        )
+        expected += [f"{vx:.6f} {vy:.6f}" for vx, vy in cell.polygon]
+        expected.append("")
+    assert printed == "\n".join(expected).rstrip("\n") + "\n"
+
+
+def test_cli_sweep_error_rows_exit_2(tmp_path, capsys):
+    scn = _write_scenario(tmp_path, "seed = 0\nballoons.count = 200\n")
+    assert cli_main(["sweep", "--scenario", scn, "--seeds", "0..1"]) == 2
+    captured = capsys.readouterr()
+    rows = [line for line in captured.out.splitlines() if line[:1].isdigit()]
+    assert len(rows) == 2
+    assert all("PackingInfeasible" in row for row in rows)
+    assert "2 run(s) failed" in captured.err
+
+
+@pytest.mark.parametrize("v_approach", ["0", "2.5"])
+def test_cli_v_approach_out_of_range_is_config_error(tmp_path, capsys, v_approach):
+    scn = _write_scenario(tmp_path, f"seed = 0\nvehicle.v_approach = {v_approach}\n")
+    assert cli_main(["simulate", "--scenario", scn]) == 1
+    assert "vehicle.v_approach" in capsys.readouterr().err
 
 
 def test_zero_noise_fleet_runs_have_clean_audits():
