@@ -24,6 +24,7 @@ from .scenario import (
     load_scenario,
 )
 from .sim import CSV_HEADER, InvariantViolation, plan_cells, run_simulation, sweep
+from .world import PackingInfeasible
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -53,10 +54,17 @@ def _load(args: argparse.Namespace) -> Scenario:
 
 
 def _parse_seed_range(text: str) -> list[int]:
+    """Seeds ``A..B`` (both ends included, ``A <= B``) or one seed ``A``."""
     lo, sep, hi = text.partition("..")
-    if not sep:
-        return [int(text)]
-    return list(range(int(lo), int(hi) + 1))
+    try:
+        seeds = list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise ValidationError(
+            "--seeds", f"{text!r} is neither a seed nor a range A..B with A <= B"
+        )
+    return seeds
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -177,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, PackingInfeasible) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvariantViolation as exc:

@@ -353,6 +353,8 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         raise ValidationError("mission.yaw_mode", f"must be one of {YAW_MODES}")
     if mission.lane_spacing <= 0:
         raise ValidationError("mission.lane_spacing", "must be positive")
+    if mission.wp_step <= 0:
+        raise ValidationError("mission.wp_step", "must be positive")
     if mission.d_standoff <= 0:
         raise ValidationError("mission.d_standoff", "must be positive")
 

@@ -8,6 +8,19 @@ Euclidean center distance, gated at a pixel radius, and managed through a
 tentative / confirmed / dead lifecycle driven by consecutive hit and miss
 counts.
 
+The filter is the box Kalman filter of SORT (Bewley et al. 2016), run
+decoupled (Bar-Shalom, Li & Kirubarajan 2001, ch. 6).  The process,
+measurement and prior covariances are diagonal, the measurement observes
+states 0-3 directly and the transition couples only cx with vcx and cy
+with vcy, so the covariance stays block-diagonal in {cx, vcx},
+{cy, vcy}, {w} and {h} forever.  The 6-state filter is therefore exactly
+two 2-state constant-velocity filters plus two scalar random walks,
+which run here in plain floats with no matrix inverse.  Their operations
+follow the order of the 6x6 matrix products (predict ``F P F^T + Q``,
+gain ``P H^T S^-1``, Joseph-form update, then symmetrisation), so the
+results are the same floats the full matrix form gives at
+``dt_frames = 1``.
+
 The tracker is a value: ``step_tracker`` consumes one tracker state and
 one frame of measurements and returns a fresh tracker plus the lifecycle
 events and matches of that frame.  Measurements carry only box geometry,
@@ -17,7 +30,7 @@ so nothing in this module can see ground-truth identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -54,11 +67,27 @@ class TrackerParams:
     p0_diag: tuple[float, ...] = (10.0, 10.0, 10.0, 10.0, 100.0, 100.0)
 
 
-@dataclass
+# One symmetric 2x2 (center, velocity) covariance block as
+# (var center, cov center-velocity, var velocity).
+Block2 = tuple[float, float, float]
+
+
+@dataclass(slots=True)
 class TrackState:
+    """One track: filter state, covariance blocks and lifecycle counts.
+
+    ``x`` is ``(cx, cy, w, h, vcx, vcy)``.  The covariance is stored as
+    its nonzero blocks: ``px = (var cx, cov cx-vcx, var vcx)``, ``py``
+    the same for y, and the size variances ``pw`` and ``ph``.  ``P``
+    assembles the full 6x6 matrix.
+    """
+
     id: int
-    x: np.ndarray          # [cx, cy, w, h, vcx, vcy]
-    P: np.ndarray          # 6x6 covariance
+    x: tuple[float, float, float, float, float, float]
+    px: Block2
+    py: Block2
+    pw: float
+    ph: float
     age: int = 0
     hits: int = 0
     misses: int = 0
@@ -66,12 +95,21 @@ class TrackState:
     last_range: Optional[float] = None
 
     @property
+    def P(self) -> np.ndarray:
+        """The 6x6 covariance (a new array; writing to it changes nothing)."""
+        P = np.zeros((6, 6))
+        for (i, j), (pcc, pcv, pvv) in (((0, 4), self.px), ((1, 5), self.py)):
+            P[i, i], P[i, j], P[j, i], P[j, j] = pcc, pcv, pcv, pvv
+        P[2, 2], P[3, 3] = self.pw, self.ph
+        return P
+
+    @property
     def center(self) -> tuple[float, float]:
-        return (float(self.x[0]), float(self.x[1]))
+        return (self.x[0], self.x[1])
 
     @property
     def box_size(self) -> tuple[float, float]:
-        return (float(self.x[2]), float(self.x[3]))
+        return (self.x[2], self.x[3])
 
 
 @dataclass(frozen=True)
@@ -110,19 +148,6 @@ class Tracker:
         return None
 
 
-# Measurement model: the first four states are observed directly.
-_H = np.zeros((4, 6))
-_H[0, 0] = _H[1, 1] = _H[2, 2] = _H[3, 3] = 1.0
-_I6 = np.eye(6)
-
-
-def _transition(dt_frames: float) -> np.ndarray:
-    F = np.eye(6)
-    F[0, 4] = dt_frames
-    F[1, 5] = dt_frames
-    return F
-
-
 def new_track(
     track_id: int, z: BoxMeasurement, params: TrackerParams
 ) -> TrackState:
@@ -130,20 +155,80 @@ def new_track(
 
     Velocities start at zero with large variance (unbiased prior).
     """
-    x = np.array([z.center_x, z.center_y, z.width, z.height, 0.0, 0.0])
-    P = np.diag(params.p0_diag).astype(float)
-    return TrackState(id=track_id, x=x, P=P, age=1, hits=1, misses=0)
+    p0 = params.p0_diag
+    return TrackState(
+        track_id,
+        (float(z.center_x), float(z.center_y), float(z.width), float(z.height),
+         0.0, 0.0),
+        (float(p0[0]), 0.0, float(p0[4])),
+        (float(p0[1]), 0.0, float(p0[5])),
+        float(p0[2]), float(p0[3]),
+        age=1, hits=1, misses=0,
+    )
+
+
+def _predict_block(p: Block2, dt: float, q_c: float, q_v: float) -> Block2:
+    """``F P F^T + Q`` for one (center, velocity) block, ``F = [[1, dt], [0, 1]]``."""
+    pcc, pcv, pvv = p
+    f0 = pcc + dt * pcv
+    f1 = pcv + dt * pvv
+    return (f0 + dt * f1 + q_c, f1, pvv + q_v)
 
 
 def kf_predict(
     t: TrackState, dt_frames: float = 1.0, params: TrackerParams = TrackerParams()
 ) -> TrackState:
     """Constant-velocity prediction; sizes random-walk, covariance grows."""
-    F = _transition(dt_frames)
-    x = F @ t.x
-    P = F @ t.P @ F.T + np.diag(params.q_diag)
-    P = (P + P.T) / 2.0
-    return replace(t, x=x, P=P, age=t.age + 1)
+    cx, cy, w, h, vx, vy = t.x
+    q = params.q_diag
+    return TrackState(
+        t.id,
+        (cx + dt_frames * vx, cy + dt_frames * vy, w, h, vx, vy),
+        _predict_block(t.px, dt_frames, q[0], q[4]),
+        _predict_block(t.py, dt_frames, q[1], q[5]),
+        t.pw + q[2], t.ph + q[3],
+        t.age + 1, t.hits, t.misses, t.status, t.last_range,
+    )
+
+
+def _inverse(s: float) -> float:
+    """``1 / s`` for one diagonal entry of the innovation covariance."""
+    if s == 0.0:
+        raise NumericalFailure("innovation covariance not invertible")
+    return 1.0 / s
+
+
+def _update_block(
+    c: float, v: float, p: Block2, z: float, r: float
+) -> tuple[float, float, Block2]:
+    """Joseph-form correction of one (center, velocity) block by ``z``.
+
+    With gain ``(k0, k1)`` and ``A = I - K H = [[g, 0], [m, 1]]``, the
+    covariance is ``(A P) A^T + (K r) K^T``, then symmetrised.
+    """
+    pcc, pcv, pvv = p
+    s_inv = _inverse(pcc + r)
+    k0, k1 = pcc * s_inv, pcv * s_inv
+    innovation = z - c
+    g = 1.0 - k0
+    m = 0.0 - k1    # as ``I - K H`` computes it: +0.0, not -0.0, when k1 is 0
+    a00, a01 = g * pcc, g * pcv
+    a10, a11 = m * pcc + pcv, m * pcv + pvv
+    kr0, kr1 = k0 * r, k1 * r
+    n01 = (a00 * m + a01) + kr0 * k1
+    n10 = a10 * g + kr1 * k0
+    return (
+        c + k0 * innovation,
+        v + k1 * innovation,
+        (a00 * g + kr0 * k0, (n01 + n10) / 2.0, (a10 * m + a11) + kr1 * k1),
+    )
+
+
+def _update_scalar(s: float, p: float, z: float, r: float) -> tuple[float, float]:
+    """Joseph-form correction of one size random walk by ``z``."""
+    k = p * _inverse(p + r)
+    g = 1.0 - k
+    return s + k * (z - s), (g * p) * g + (k * r) * k
 
 
 def kf_update(
@@ -157,20 +242,16 @@ def kf_update(
     Raises:
         NumericalFailure: if the innovation covariance cannot be inverted.
     """
-    R = np.diag(params.r_diag)
-    S = t.P[:4, :4] + R
-    try:
-        S_inv = np.linalg.inv(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("innovation covariance not invertible") from exc
-    K = t.P[:, :4] @ S_inv
-    zv = np.array([z.center_x, z.center_y, z.width, z.height])
-    innovation = zv - t.x[:4]
-    x = t.x + K @ innovation
-    I_KH = _I6 - K @ _H
-    P = I_KH @ t.P @ I_KH.T + K @ R @ K.T
-    P = (P + P.T) / 2.0
-    return replace(t, x=x, P=P, hits=t.hits + 1, misses=0)
+    r = params.r_diag
+    cx, cy, w, h, vx, vy = t.x
+    cx, vx, px = _update_block(cx, vx, t.px, z.center_x, r[0])
+    cy, vy, py = _update_block(cy, vy, t.py, z.center_y, r[1])
+    w, pw = _update_scalar(w, t.pw, z.width, r[2])
+    h, ph = _update_scalar(h, t.ph, z.height, r[3])
+    return TrackState(
+        t.id, (cx, cy, w, h, vx, vy), px, py, pw, ph,
+        t.age, t.hits + 1, 0, t.status, t.last_range,
+    )
 
 
 def assignment_cost(
@@ -299,18 +380,20 @@ def step_tracker(
     matches: list[tuple[int, int]] = []
     next_tracks: list[TrackState] = []
 
-    by_index = {i: t for i, t in enumerate(predicted)}
+    # predict and update return fresh objects, so the lifecycle fields
+    # are set on them in place; the input tracker is never touched.
     for ti, di in assign.matches:
-        t = kf_update(by_index[ti], measurements[di], params)
+        t = kf_update(predicted[ti], measurements[di], params)
         if t.status is TrackStatus.TENTATIVE and t.hits >= params.m_confirm:
-            t = replace(t, status=TrackStatus.CONFIRMED)
+            t.status = TrackStatus.CONFIRMED
             events.append(TrackEvent("confirmed", t.id))
         matches.append((t.id, di))
         next_tracks.append(t)
 
     for ti in assign.unmatched_tracks:
-        t = by_index[ti]
-        t = replace(t, misses=t.misses + 1, hits=0)
+        t = predicted[ti]
+        t.misses += 1
+        t.hits = 0
         if t.misses >= params.k_delete:
             events.append(TrackEvent("died", t.id))
             continue

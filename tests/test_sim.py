@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -280,6 +283,44 @@ def test_cli_v_approach_out_of_range_is_config_error(tmp_path, capsys, v_approac
     scn = _write_scenario(tmp_path, f"seed = 0\nvehicle.v_approach = {v_approach}\n")
     assert cli_main(["simulate", "--scenario", scn]) == 1
     assert "vehicle.v_approach" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "path", "partition"])
+def test_cli_zero_wp_step_is_config_error(tmp_path, capsys, command):
+    scn = _write_scenario(tmp_path, "seed = 0\nmission.wp_step = 0\n")
+    assert cli_main([command, "--scenario", scn]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: mission.wp_step")
+
+
+def test_cli_infeasible_packing_is_config_error(tmp_path, capsys):
+    scn = _write_scenario(tmp_path, "seed = 0\nballoons.count = 200\n")
+    assert cli_main(["simulate", "--scenario", scn]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: placed ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("seeds", ["3..1", "a", "1..b", ""])
+def test_cli_bad_seed_range_is_config_error(tmp_path, capsys, seeds):
+    scn = _write_scenario(tmp_path, "seed = 0\nballoons.count = 1\n")
+    assert cli_main(["sweep", "--scenario", scn, "--seeds", seeds]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --seeds")
+    assert len(err.splitlines()) == 1
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    scn = _write_scenario(tmp_path, "seed = 0\nagents.count = 2\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "bhsim", "path", "--scenario", scn],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "path agent=0" in out.stdout and "path agent=1" in out.stdout
 
 
 def test_zero_noise_fleet_runs_have_clean_audits():

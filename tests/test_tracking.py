@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from bhsim.tracking import (
     NumericalFailure,
     Tracker,
     TrackerParams,
+    TrackState,
     TrackStatus,
     assignment_cost,
     kf_predict,
@@ -38,6 +41,87 @@ def brute_force_min_cost(cost: np.ndarray) -> float:
     return best
 
 
+# Reference: the full 6x6 Kalman filter in numpy matrix form, as the
+# decoupled float filter in bhsim.tracking must reproduce it.
+_H = np.zeros((4, 6))
+_H[0, 0] = _H[1, 1] = _H[2, 2] = _H[3, 3] = 1.0
+_I6 = np.eye(6)
+
+
+def ref_predict(x, P, dt_frames, params):
+    F = np.eye(6)
+    F[0, 4] = dt_frames
+    F[1, 5] = dt_frames
+    x = F @ x
+    P = F @ P @ F.T + np.diag(params.q_diag)
+    return x, (P + P.T) / 2.0
+
+
+def ref_update(x, P, z, params):
+    R = np.diag(params.r_diag)
+    S_inv = np.linalg.inv(P[:4, :4] + R)
+    K = P[:, :4] @ S_inv
+    innovation = np.array([z.center_x, z.center_y, z.width, z.height]) - x[:4]
+    x = x + K @ innovation
+    I_KH = _I6 - K @ _H
+    P = I_KH @ P @ I_KH.T + K @ R @ K.T
+    return x, (P + P.T) / 2.0
+
+
+def _filter_against_reference(dt_frames, n_tracks=200, n_cycles=40, seed=7):
+    """Yield (track, reference x, reference P) after every predict/update."""
+    rng = np.random.default_rng(seed)
+    for tid in range(n_tracks):
+        params = replace(
+            PARAMS,
+            q_diag=tuple(rng.uniform(0.01, 5.0, 6).tolist()),
+            r_diag=tuple(rng.uniform(0.5, 20.0, 4).tolist()),
+            p0_diag=tuple(rng.uniform(1.0, 200.0, 6).tolist()),
+        )
+        z = _meas(
+            *rng.uniform(-300.0, 300.0, 2).tolist(),
+            *rng.uniform(5.0, 60.0, 2).tolist(),
+        )
+        t = new_track(tid, z, params)
+        x = np.array([z.center_x, z.center_y, z.width, z.height, 0.0, 0.0])
+        P = np.diag(params.p0_diag)
+        v = rng.normal(0.0, 3.0, 2)
+        for k in range(n_cycles):
+            t = kf_predict(t, dt_frames, params)
+            x, P = ref_predict(x, P, dt_frames, params)
+            yield t, x, P
+            if rng.random() < 0.8:
+                z = _meas(
+                    *(x[:2] + v * dt_frames + rng.normal(0.0, 2.0, 2)).tolist(),
+                    *(x[2:4] + rng.normal(0.0, 1.0, 2)).tolist(),
+                )
+                t = kf_update(t, z, params)
+                x, P = ref_update(x, P, z, params)
+                yield t, x, P
+
+
+def test_decoupled_filter_equals_matrix_reference_exactly_at_unit_dt():
+    # Oracle: the 6x6 numpy filter.  At dt_frames = 1 (the only step
+    # the simulator takes) every product with dt is exact, so the float
+    # filter must give the very same floats.
+    steps = 0
+    for t, x, P in _filter_against_reference(1.0):
+        assert all(type(v) is float for v in t.x)
+        assert (np.array(t.x) == x).all()
+        assert (t.P == P).all()
+        steps += 1
+    assert steps > 200 * 40
+
+
+@pytest.mark.parametrize("dt_frames", [0.5, 2.0, 3.0])
+def test_decoupled_filter_matches_matrix_reference_at_other_dt(dt_frames):
+    # With dt != 1 the matrix products may round a*dt + b once (fused)
+    # where the float filter rounds twice, so allow last-bit drift.
+    for t, x, P in _filter_against_reference(dt_frames, n_tracks=50):
+        np.testing.assert_allclose(np.array(t.x), x, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(t.P, P, rtol=1e-12, atol=0.0)
+
+
 # --- Kalman filter ----------------------------------------------------------
 
 def test_predict_zero_velocity_keeps_center_and_grows_covariance():
@@ -48,8 +132,9 @@ def test_predict_zero_velocity_keeps_center_and_grows_covariance():
 
 
 def test_predict_shifts_center_by_velocity():
-    t = new_track(1, _meas(cx=10.0), PARAMS)
-    t.x[4] = 2.0
+    t = replace(
+        new_track(1, _meas(cx=10.0), PARAMS), x=(10.0, 50.0, 30.0, 30.0, 2.0, 0.0)
+    )
     out = kf_predict(t, 1.0, PARAMS)
     assert out.x[0] == pytest.approx(12.0)
 
@@ -57,8 +142,9 @@ def test_predict_shifts_center_by_velocity():
 def test_predict_twice_equals_once_with_double_dt_in_mean():
     # Oracle: the transition matrix satisfies F(2) = F(1) @ F(1), so the
     # means must agree (covariances differ through Q).
-    t = new_track(1, _meas(), PARAMS)
-    t.x[4], t.x[5] = 1.5, -0.5
+    t = replace(
+        new_track(1, _meas(), PARAMS), x=(100.0, 50.0, 30.0, 30.0, 1.5, -0.5)
+    )
     twice = kf_predict(kf_predict(t, 1.0, PARAMS), 1.0, PARAMS)
     once = kf_predict(t, 2.0, PARAMS)
     assert np.allclose(twice.x, once.x, atol=1e-12)
@@ -76,8 +162,11 @@ def test_update_scalar_gain_half():
     # Oracle: hand-computed scalar Kalman update, prior var 4 and R 4
     # give gain 0.5, so the posterior mean lands halfway.
     params = TrackerParams(r_diag=(4.0, 4.0, 8.0, 8.0))
-    t = new_track(1, _meas(cx=0.0), params)
-    t.P = np.diag([4.0, 4.0, 8.0, 8.0, 100.0, 100.0]).astype(float)
+    t = replace(
+        new_track(1, _meas(cx=0.0), params),
+        px=(4.0, 0.0, 100.0), py=(4.0, 0.0, 100.0), pw=8.0, ph=8.0,
+    )
+    assert (t.P == np.diag([4.0, 4.0, 8.0, 8.0, 100.0, 100.0])).all()
     out = kf_update(t, _meas(cx=10.0), params)
     assert out.x[0] == pytest.approx(5.0, abs=1e-12)
 
@@ -254,3 +343,25 @@ def test_zero_noise_constant_velocity_prediction_error():
     truth = v * 10
     assert abs(predicted.x[0] - truth) < 1.0
     assert tracker.tracks[0].status is TrackStatus.CONFIRMED
+
+
+def test_step_tracker_leaves_input_tracks_unchanged():
+    # Build tracks at x = 0 (confirmed), 300 (about to die), -300
+    # (about to coast) and 600 (about to be confirmed); then one frame
+    # updates, confirms, coasts, kills and spawns.  Every TrackState of
+    # the input tracker must compare equal afterwards.
+    frames = [[0.0, 300.0, -300.0]] * 3 + [[0.0, -300.0]] * 2
+    frames += [[0.0, -300.0, 600.0]] * 2
+    tracker = Tracker(params=PARAMS)
+    for xs in frames:
+        tracker, _ = step_tracker(tracker, [_meas(cx=x) for x in xs])
+    before = [copy.copy(t) for t in tracker.tracks]
+    out, summary = step_tracker(
+        tracker, [_meas(cx=2.0), _meas(cx=602.0), _meas(cx=-900.0)]
+    )
+    kinds = sorted(e.kind for e in summary.events)
+    assert kinds == ["born", "coasted", "confirmed", "died"]
+    assert len(before) == len(tracker.tracks) == 4
+    for old, t in zip(before, tracker.tracks):
+        assert t == old
+    assert not any(t is o for t in out.tracks for o in tracker.tracks)
