@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 
 from .events import write_event_log
+from .fleet import DuplicateGenerators
+from .mission import DegenerateCell, PathTooDense
 from .scenario import (
     ParseError,
     Scenario,
@@ -30,6 +32,23 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_IO = 3
+
+CONFIG_ERRORS = (
+    ParseError,
+    ValidationError,
+    PackingInfeasible,
+    DegenerateCell,
+    DuplicateGenerators,
+    PathTooDense,
+)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors with the configuration exit code, not 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _setup_logging() -> None:
@@ -148,7 +167,7 @@ def _write_or_print(out: str | None, lines: list[str]) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bhsim", description="Multi-UAV balloon interception simulator"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -185,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, PackingInfeasible) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvariantViolation as exc:

@@ -1,9 +1,9 @@
 """Pixel-space interception guidance.
 
 Maps a target's pixel offset from the principal point into a camera-frame
-velocity command along the line of sight, a desired yaw, and the
-vehicle-frame (NED) velocity obtained by rotating through the camera
-mount and the vehicle heading.  All functions are stateless.
+velocity command along the line of sight and a yaw offset that centers
+the target horizontally; ``vehicle.camera_to_world`` carries the command
+into the world frame.  All functions are stateless.
 """
 
 from __future__ import annotations
@@ -12,13 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .vehicle import wrap_angle
 
 Vec3 = tuple[float, float, float]
-
-YAW_MODES = ("horizontal_offset", "image_bearing")
 
 
 @dataclass(frozen=True)
@@ -56,32 +52,15 @@ def velocity_command_camera(t: PixelTarget, speed: float) -> Vec3:
     return (speed * ux, speed * uy, speed * uz)
 
 
-def desired_yaw(t: PixelTarget, mode: str = "horizontal_offset") -> Optional[float]:
-    """Yaw command for centering the target horizontally.
+def desired_yaw(t: PixelTarget) -> Optional[float]:
+    """Yaw offset ``atan(x_px / f)`` that centers the target horizontally.
 
-    ``horizontal_offset`` (default, used in closed loop): the yaw offset
-    ``atan(x_px / f)`` to add to the current heading; None means hold.
-    ``image_bearing``: the four-quadrant in-image bearing
-    ``atan2(y_px, x_px)``, kept for open-loop fidelity checks; None when
-    the target sits exactly on the principal point.
+    Add it to the current heading; None means the target is already
+    centered and the heading is held.
     """
-    if mode == "horizontal_offset":
-        if t.x_px == 0.0:
-            return None
-        return math.atan(t.x_px / t.focal_px)
-    if mode == "image_bearing":
-        if t.x_px == 0.0 and t.y_px == 0.0:
-            return None
-        return math.atan2(t.y_px, t.x_px)
-    raise ValueError(f"unknown yaw mode {mode!r}")
-
-
-def to_vehicle_frame(
-    v_camera: Vec3, r_cam_to_body: np.ndarray, r_body_to_vehicle: np.ndarray
-) -> Vec3:
-    """Rotate a camera-frame vector through body into the vehicle frame."""
-    v = r_body_to_vehicle @ (r_cam_to_body @ np.asarray(v_camera, dtype=float))
-    return (float(v[0]), float(v[1]), float(v[2]))
+    if t.x_px == 0.0:
+        return None
+    return math.atan(t.x_px / t.focal_px)
 
 
 def yaw_rate_command(

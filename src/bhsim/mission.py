@@ -23,19 +23,16 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .fleet import ClaimResult, point_in_cell, polygon_area
 from .guidance import (
     PixelTarget,
     desired_yaw,
-    to_vehicle_frame,
     velocity_command_camera,
     yaw_rate_command,
 )
 from .perception import order_by_depth
 from .tracking import TrackState, TrackStatus
-from .vehicle import UavState, ned_to_world, rotation_body_to_vehicle, wrap_angle
+from .vehicle import UavState, camera_to_world, wrap_angle
 
 Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
@@ -49,10 +46,18 @@ COMMIT_DENIAL_COOLDOWN_S = 2.0
 # Commit to estimates at most this far outside the agent's own cell, so
 # agents never work deep inside a teammate's area.
 CELL_COMMIT_MARGIN = 2.0
+# Upper bound on the waypoints of one search path, checked before any is
+# placed: a tiny lane spacing or waypoint step would otherwise allocate
+# without limit.
+MAX_PATH_WAYPOINTS = 10_000
 
 
 class DegenerateCell(ValueError):
     """Cell too small to plan a search path over."""
+
+
+class PathTooDense(ValueError):
+    """Search path would need more than ``MAX_PATH_WAYPOINTS`` waypoints."""
 
 
 class Phase(Enum):
@@ -111,7 +116,6 @@ class MissionParams:
     approach_stall_timeout: float = 10.0
     revisit_timeout: float = 30.0
     yaw_gain: float = 1.5
-    yaw_mode: str = "horizontal_offset"
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,6 @@ class MissionContext:
 
     params: MissionParams
     focal_px: float
-    r_cam_to_body: np.ndarray
     yaw_rate_max: float
     volume_lo: Optional[Vec3] = None
     volume_hi: Optional[Vec3] = None
@@ -218,9 +221,11 @@ def generate_search_path(
 
     Raises:
         DegenerateCell: if the cell area is below 1 square meter.
+        PathTooDense: if the lanes could need more than
+            ``MAX_PATH_WAYPOINTS`` waypoints.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if spacing <= 0 or wp_step <= 0:
+        raise ValueError("spacing and wp_step must be positive")
     if len(cell) < 3 or abs(polygon_area(cell)) < 1.0:
         raise DegenerateCell("cell area below 1 m^2")
 
@@ -229,10 +234,18 @@ def generate_search_path(
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     along_x = (xmax - xmin) >= (ymax - ymin)
     if along_x:
-        short_min, short_extent = ymin, ymax - ymin
+        short_min, short_extent, long_extent = ymin, ymax - ymin, xmax - xmin
     else:
-        short_min, short_extent = xmin, xmax - xmin
+        short_min, short_extent, long_extent = xmin, xmax - xmin, ymax - ymin
 
+    # Each lane spans at most long_extent: at most ceil(span / wp_step) + 1
+    # waypoints on each of ceil(short_extent / spacing) lanes.
+    bound = (short_extent / spacing + 1.0) * (long_extent / wp_step + 2.0)
+    if bound > MAX_PATH_WAYPOINTS:
+        raise PathTooDense(
+            f"lane spacing {spacing:g} m and waypoint step {wp_step:g} m need "
+            f"up to {bound:.3g} waypoints (limit {MAX_PATH_WAYPOINTS})"
+        )
     n_lanes = max(1, math.ceil(short_extent / spacing))
     lane_width = short_extent / n_lanes
 
@@ -327,7 +340,6 @@ def estimate_world_position(
     uav: UavState,
     track: TrackState,
     focal_px: float,
-    r_cam_to_body: np.ndarray,
     depth_m: float,
 ) -> Vec3:
     """World position of a tracked balloon from its pixel location and depth.
@@ -336,19 +348,9 @@ def estimate_world_position(
     yields), so the pixel ray ``(x/f, y/f, 1)`` is scaled by it directly;
     an off-axis target sits farther away than its depth.
     """
-    cam = (
-        float(track.x[0]) / focal_px * depth_m,
-        float(track.x[1]) / focal_px * depth_m,
-        depth_m,
-    )
-    dx, dy, dz = ned_to_world(
-        to_vehicle_frame(cam, r_cam_to_body, rotation_body_to_vehicle(uav.yaw))
-    )
-    return (
-        float(uav.position[0] + dx),
-        float(uav.position[1] + dy),
-        float(uav.position[2] + dz),
-    )
+    cam = (track.x[0] / focal_px * depth_m, track.x[1] / focal_px * depth_m, depth_m)
+    dx, dy, dz = camera_to_world(cam, uav.yaw)
+    return (uav.position[0] + dx, uav.position[1] + dy, uav.position[2] + dz)
 
 
 def _bearing_to(frm: Vec3, to: Vec3) -> Optional[float]:
@@ -475,15 +477,10 @@ def _yaw_cmd_toward(
 def _yaw_cmd_offset_law(
     track: TrackState, uav: UavState, ctx: MissionContext
 ) -> float:
-    target = PixelTarget(track.x[0], track.x[1], ctx.focal_px)
-    offset = desired_yaw(target, ctx.params.yaw_mode)
+    offset = desired_yaw(PixelTarget(track.x[0], track.x[1], ctx.focal_px))
     if offset is None:
         return 0.0
-    if ctx.params.yaw_mode == "horizontal_offset":
-        psi_des = wrap_angle(uav.yaw + offset)
-    else:
-        psi_des = offset
-    return _yaw_cmd_toward(psi_des, uav, ctx)
+    return _yaw_cmd_toward(wrap_angle(uav.yaw + offset), uav, ctx)
 
 
 def _refresh_target(
@@ -493,9 +490,7 @@ def _refresh_target(
     # extrapolated center drifts and would corrupt the stored estimate.
     if track.last_range is None or track.misses != 0:
         return ms
-    est = estimate_world_position(
-        uav, track, ctx.focal_px, ctx.r_cam_to_body, track.last_range
-    )
+    est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
     if not ctx.estimate_plausible(est):
         return ms
     heading = _bearing_to(uav.position, est)
@@ -528,9 +523,7 @@ def _step_search(ms, tracks, uav, view, t, ctx) -> MissionStep:
         denied = False
         for tid in order_by_depth([(tr.id, tr.last_range) for tr in candidates]):
             track = _find_track(candidates, tid)
-            est = estimate_world_position(
-                uav, track, ctx.focal_px, ctx.r_cam_to_body, track.last_range
-            )
+            est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
             if not ctx.estimate_plausible(est):
                 continue
             if view.cell and not point_in_cell(
@@ -700,11 +693,8 @@ def _step_approach(ms, tracks, uav, view, t, ctx) -> MissionStep:
         elif t - ms.approach_best[1] > mp.approach_stall_timeout:
             return _lost_target(ms, uav, view, t, ctx, events)
 
-    target = PixelTarget(float(track.x[0]), float(track.x[1]), ctx.focal_px)
-    v_cam = velocity_command_camera(target, mp.v_approach)
-    vel = ned_to_world(
-        to_vehicle_frame(v_cam, ctx.r_cam_to_body, rotation_body_to_vehicle(uav.yaw))
-    )
+    target = PixelTarget(track.x[0], track.x[1], ctx.focal_px)
+    vel = camera_to_world(velocity_command_camera(target, mp.v_approach), uav.yaw)
     yaw_rate = _yaw_cmd_offset_law(track, uav, ctx)
     return MissionStep(ms, vel, yaw_rate, tuple(events))
 
@@ -744,9 +734,7 @@ def _step_confirm(ms, tracks, uav, view, t, ctx) -> MissionStep:
     for track in tracks:
         if track.status is not TrackStatus.CONFIRMED or track.last_range is None:
             continue
-        est = estimate_world_position(
-            uav, track, ctx.focal_px, ctx.r_cam_to_body, track.last_range
-        )
+        est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
         if not ctx.estimate_plausible(est):
             continue
         if _dist3(est, ms.last_estimate) <= view.claim_radius:

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .vehicle import UavState, world_to_camera
 from .world import WorldState
 
 Vec3 = tuple[float, float, float]
@@ -101,44 +102,23 @@ class FittedCircle:
             raise ValueError("circle radius must be positive")
 
 
-@dataclass(frozen=True)
-class CameraPose:
-    """Camera position and orientation built from a UAV pose and a mount.
-
-    ``r_cam_to_body`` rows come from ``vehicle.rotation_camera_to_body``.
-    """
-
-    position: Vec3
-    yaw: float
-    r_cam_to_body: tuple[tuple[float, float, float], ...]
-
-    @staticmethod
-    def from_uav(position: Vec3, yaw: float, mount: np.ndarray) -> "CameraPose":
-        rows = tuple(tuple(float(v) for v in row) for row in mount)
-        return CameraPose(position=position, yaw=yaw, r_cam_to_body=rows)
-
-
 def project_point(
-    camera: CameraIntrinsics, pose: CameraPose, point_world: Vec3
+    camera: CameraIntrinsics, uav: UavState, point_world: Vec3
 ) -> Optional[tuple[float, float, float]]:
-    """Project a world point; None if behind the camera or off-image.
+    """Project a world point seen from a UAV's forward camera.
 
     Returns ``(p_x, p_y, depth)`` with pixels measured from the principal
-    point and depth along the optic axis in meters.
+    point and depth along the optic axis in meters; None if the point is
+    behind the camera or off-image.
     """
-    dx = point_world[0] - pose.position[0]
-    dy = point_world[1] - pose.position[1]
-    dz = point_world[2] - pose.position[2]
-    # world -> NED -> body (inverse yaw) -> camera (inverse mount)
-    nx, ny, nz = dx, dy, -dz
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    bx = c * nx + s * ny
-    by = -s * nx + c * ny
-    bz = nz
-    r = pose.r_cam_to_body
-    cam_x = r[0][0] * bx + r[1][0] * by + r[2][0] * bz
-    cam_y = r[0][1] * bx + r[1][1] * by + r[2][1] * bz
-    cam_z = r[0][2] * bx + r[1][2] * by + r[2][2] * bz
+    cam_x, cam_y, cam_z = world_to_camera(
+        (
+            point_world[0] - uav.position[0],
+            point_world[1] - uav.position[1],
+            point_world[2] - uav.position[2],
+        ),
+        uav.yaw,
+    )
     if cam_z <= 0.0:
         return None
     px = camera.focal_px * cam_x / cam_z
@@ -152,7 +132,7 @@ def project_point(
 
 def generate_detections(
     camera: CameraIntrinsics,
-    pose: CameraPose,
+    uav: UavState,
     world: WorldState,
     noise: NoiseModel,
     rng: np.random.Generator,
@@ -170,7 +150,7 @@ def generate_detections(
     for balloon in world.balloons:
         if not balloon.alive:
             continue
-        proj = project_point(camera, pose, balloon.center)
+        proj = project_point(camera, uav, balloon.center)
         if proj is None:
             continue
         visible.append((balloon, proj))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
-from .guidance import YAW_MODES
 from .mission import MissionParams
 from .perception import CameraIntrinsics, NoiseModel
 from .tracking import TrackerParams
@@ -74,7 +73,6 @@ class Scenario:
     arena: Arena = Arena()
     balloons: BalloonSetup = BalloonSetup()
     camera: CameraIntrinsics = CameraIntrinsics()
-    camera_mount: str = "forward"
     noise: NoiseModel = NoiseModel()
     vehicle: UavParams = UavParams()
     tracker: TrackerParams = TrackerParams()
@@ -93,10 +91,6 @@ def _parse_float(raw: str) -> float:
 
 def _parse_int(raw: str) -> int:
     return int(raw, 0)
-
-
-def _parse_str(raw: str) -> str:
-    return raw
 
 
 def _parse_vec3(raw: str) -> Vec3:
@@ -124,8 +118,8 @@ def _parse_failures(raw: str) -> tuple[tuple[int, float], ...]:
     return tuple(sorted(out, key=lambda p: p[1]))
 
 
-# key -> (parser, default-as-text description).  The parsed values land in
-# a flat dict and are assembled into the Scenario afterwards.
+# key -> parser of the value text.  The parsed values land in a flat dict
+# and are assembled into the Scenario (with defaults) by build_scenario.
 SCHEMA: dict[str, Callable[[str], object]] = {
     "seed": _parse_int,
     "arena.outer_extent": _parse_vec3,
@@ -142,7 +136,6 @@ SCHEMA: dict[str, Callable[[str], object]] = {
     "camera.focal_px": _parse_float,
     "camera.width_px": _parse_float,
     "camera.height_px": _parse_float,
-    "camera.mount": _parse_str,
     "noise.center_sigma": _parse_float,
     "noise.size_sigma_frac": _parse_float,
     "noise.p_miss_base": _parse_float,
@@ -176,7 +169,6 @@ SCHEMA: dict[str, Callable[[str], object]] = {
     "mission.approach_stall_timeout": _parse_float,
     "mission.revisit_timeout": _parse_float,
     "mission.yaw_gain": _parse_float,
-    "mission.yaw_mode": _parse_str,
     "fleet.claim_radius": _parse_float,
     "fleet.min_sep": _parse_float,
     "fleet.failures": _parse_failures,
@@ -271,9 +263,6 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         )
     except ValueError as exc:
         raise ValidationError("camera", str(exc)) from None
-    mount = _get(values, "camera.mount", "forward")
-    if mount != "forward":
-        raise ValidationError("camera.mount", f"unsupported mount {mount!r}")
 
     nd = NoiseModel()
     try:
@@ -345,12 +334,9 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         ),
         revisit_timeout=_get(values, "mission.revisit_timeout", md.revisit_timeout),
         yaw_gain=_get(values, "mission.yaw_gain", md.yaw_gain),
-        yaw_mode=_get(values, "mission.yaw_mode", md.yaw_mode),
     )
     if not 0 < mission.v_approach <= vehicle.v_max:
         raise ValidationError("vehicle.v_approach", "must be in (0, vehicle.v_max]")
-    if mission.yaw_mode not in YAW_MODES:
-        raise ValidationError("mission.yaw_mode", f"must be one of {YAW_MODES}")
     if mission.lane_spacing <= 0:
         raise ValidationError("mission.lane_spacing", "must be positive")
     if mission.wp_step <= 0:
@@ -419,7 +405,6 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         arena=arena,
         balloons=balloons,
         camera=camera,
-        camera_mount=mount,
         noise=noise,
         vehicle=vehicle,
         tracker=tracker,

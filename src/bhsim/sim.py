@@ -41,7 +41,6 @@ from .mission import (
 )
 from .perception import (
     MIN_CIRCLE_RADIUS_PX,
-    CameraPose,
     estimate_range,
     fit_circle,
     generate_detections,
@@ -53,7 +52,6 @@ from .vehicle import (
     UavState,
     clamp_to_geofence,
     geofence_from_arena,
-    rotation_camera_to_body,
     step_uav,
 )
 from .world import (
@@ -248,8 +246,6 @@ def run_simulation(scenario: Scenario) -> RunResult:
     dt = 1.0 / scenario.sim.tick_rate
     fence = geofence_from_arena(scenario.arena)
     margin = scenario.arena.geofence_margin
-    mount = rotation_camera_to_body(scenario.camera_mount)
-    cam_rows = tuple(tuple(float(v) for v in row) for row in mount)
 
     elog = _EventLog()
     metrics = RunMetrics(seed=seed, balloons_total=scenario.balloons.count)
@@ -284,7 +280,6 @@ def run_simulation(scenario: Scenario) -> RunResult:
                 ctx=MissionContext(
                     params=scenario.mission,
                     focal_px=scenario.camera.focal_px,
-                    r_cam_to_body=mount,
                     yaw_rate_max=yaw_rate_cap,
                     volume_lo=scenario.arena.effective_min,
                     volume_hi=scenario.arena.effective_max,
@@ -407,13 +402,8 @@ def run_simulation(scenario: Scenario) -> RunResult:
 
         # 3. agents, ascending id
         for agent in live:
-            pose = CameraPose(
-                position=agent.uav.position,
-                yaw=agent.uav.yaw,
-                r_cam_to_body=cam_rows,
-            )
             detections = generate_detections(
-                scenario.camera, pose, world, scenario.noise, agent.rng, frame
+                scenario.camera, agent.uav, world, scenario.noise, agent.rng, frame
             )
             for d in detections:
                 elog.emit(

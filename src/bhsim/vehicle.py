@@ -1,13 +1,18 @@
-"""Kinematic UAV model, frame rotations, and geofence velocity clamping.
+"""Kinematic UAV model, camera geometry, and geofence velocity clamping.
 
 Frames used throughout the package:
 
 * world frame: x-north, y-east, z-up (positions, waypoints, altitudes);
 * vehicle frame: local NED, x-north, y-east, z-down.  It shares x and y
-  with the world frame; ``ned_to_world`` / ``world_to_ned`` flip z;
+  with the world frame and flips z;
 * body frame: x-forward, y-right, z-down, yawed by the UAV heading;
 * camera frame: x-right (pixel x), y-down (pixel y), z along the optic
-  axis, fixed to the body by a named mount rotation.
+  axis.  The camera looks forward, fixed to the body: body =
+  (cam z, cam x, cam y).
+
+``camera_to_world`` and ``world_to_camera`` are the only functions that
+know these frames; they work in plain floats so a run does not depend on
+the BLAS kernel of the host.
 
 The UAV is a point mass that tracks commanded velocity through a first
 order lag and integrates yaw from a rate command; pitch and roll are held
@@ -19,13 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 Vec3 = tuple[float, float, float]
-
-
-class UnknownMount(ValueError):
-    """Requested camera mount convention is not defined."""
 
 
 @dataclass(frozen=True)
@@ -95,46 +94,25 @@ def wrap_angle(a: float) -> float:
     return r - math.tau if r > math.pi else r
 
 
-_MOUNTS = {
-    # Forward-looking camera: camera x -> body y, camera y -> body z,
-    # camera z -> body x (optic axis along the nose).
-    "forward": np.array(
-        [
-            [0.0, 0.0, 1.0],
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-        ]
-    ),
-}
+def camera_to_world(v_cam: Vec3, yaw: float) -> Vec3:
+    """Rotate a camera-frame vector into the world frame.
 
-
-def rotation_camera_to_body(mount: str = "forward") -> np.ndarray:
-    """Constant camera-to-body rotation for a named mount convention."""
-    try:
-        return _MOUNTS[mount].copy()
-    except KeyError:
-        raise UnknownMount(f"unknown camera mount {mount!r}") from None
-
-
-def rotation_body_to_vehicle(yaw: float) -> np.ndarray:
-    """Rotation from the body frame into local NED for a level vehicle."""
+    Forward mount (camera -> body), then the heading (body -> NED), then
+    the z flip (NED -> world).
+    """
+    bx, by, bz = v_cam[2], v_cam[0], v_cam[1]
     c, s = math.cos(yaw), math.sin(yaw)
-    return np.array(
-        [
-            [c, -s, 0.0],
-            [s, c, 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+    return (c * bx - s * by, s * bx + c * by, -bz)
 
 
-def ned_to_world(v: Vec3) -> Vec3:
-    """Relabel a NED vector into the z-up world frame (flip z)."""
-    return (v[0], v[1], -v[2])
-
-
-def world_to_ned(v: Vec3) -> Vec3:
-    return (v[0], v[1], -v[2])
+def world_to_camera(d_world: Vec3, yaw: float) -> Vec3:
+    """Rotate a world-frame vector into the camera frame (inverse of
+    ``camera_to_world``)."""
+    nx, ny, nz = d_world[0], d_world[1], -d_world[2]
+    c, s = math.cos(yaw), math.sin(yaw)
+    bx = c * nx + s * ny
+    by = -s * nx + c * ny
+    return (by, nz, bx)
 
 
 def clamp_speed(v: Vec3, v_max: float) -> Vec3:

@@ -14,13 +14,11 @@ import pytest
 
 from bhsim.events import serialize_events
 from bhsim.fleet import point_in_cell
-from bhsim.guidance import PixelTarget, to_vehicle_frame, \
-    velocity_command_camera
+from bhsim.guidance import PixelTarget, velocity_command_camera
 from bhsim.mission import generate_search_path
 from bhsim.perception import (
     ZERO_NOISE,
     CameraIntrinsics,
-    CameraPose,
     FittedCircle,
     NoiseModel,
     estimate_range,
@@ -38,7 +36,7 @@ from bhsim.tracking import (
     solve_assignment,
     step_tracker,
 )
-from bhsim.vehicle import rotation_body_to_vehicle, rotation_camera_to_body
+from bhsim.vehicle import UavState, camera_to_world
 from bhsim.world import Balloon, advance_world, make_world
 
 
@@ -98,7 +96,6 @@ def test_criterion_2_guidance_fidelity():
     preserves the norm (1e-12); 100k random cases."""
     with _criterion(2, "guidance-fidelity"):
         rng = np.random.default_rng(77)
-        r1 = rotation_camera_to_body("forward")
         for _ in range(100_000):
             px = float(rng.uniform(-2000, 2000))
             py = float(rng.uniform(-2000, 2000))
@@ -110,8 +107,7 @@ def test_criterion_2_guidance_fidelity():
             assert abs(cmd[0] - expected[0]) < 1e-9
             assert abs(cmd[1] - expected[1]) < 1e-9
             assert abs(cmd[2] - expected[2]) < 1e-9
-            r2 = rotation_body_to_vehicle(float(rng.uniform(-math.pi, math.pi)))
-            out = to_vehicle_frame(cmd, r1, r2)
+            out = camera_to_world(cmd, float(rng.uniform(-math.pi, math.pi)))
             assert abs(
                 math.sqrt(sum(c * c for c in out)) - speed
             ) < 1e-12 * max(1.0, speed)
@@ -144,8 +140,7 @@ def test_criterion_3_tracker_convergence_and_id_stability():
             false_alarm_rate=0.0,
             confidence_floor=0.1,
         )
-        mount = rotation_camera_to_body("forward")
-        pose = CameraPose.from_uav((0.0, 0.0, 3.0), 0.0, mount)
+        pose = UavState(id=0, position=(0.0, 0.0, 3.0), yaw=0.0)
         single_frames = 0
         total_frames = 300 * 20
         for seed in range(20):

@@ -7,11 +7,17 @@ from bhsim.guidance import (
     PixelTarget,
     desired_yaw,
     los_unit_vector,
-    to_vehicle_frame,
     velocity_command_camera,
     yaw_rate_command,
 )
-from bhsim.vehicle import rotation_body_to_vehicle, rotation_camera_to_body
+from bhsim.vehicle import camera_to_world
+from test_vehicle import R_CAM_TO_BODY, ref_body_to_vehicle
+
+
+def to_vehicle_frame(v_camera, yaw):
+    """Camera -> NED through camera_to_world (undo its world z flip)."""
+    x, y, z = camera_to_world(v_camera, yaw)
+    return (x, y, -z)
 
 
 def test_los_centered_target():
@@ -71,56 +77,44 @@ def test_velocity_command_norm_equals_speed():
         assert math.sqrt(sum(c * c for c in out)) == pytest.approx(speed, abs=1e-9)
 
 
-def test_desired_yaw_image_bearing_mode():
-    assert desired_yaw(PixelTarget(1.0, 0.0, 600.0), "image_bearing") == pytest.approx(0.0)
-    assert desired_yaw(PixelTarget(1.0, 1.0, 600.0), "image_bearing") == pytest.approx(
-        math.pi / 4
-    )
-    assert desired_yaw(PixelTarget(0.0, 0.0, 600.0), "image_bearing") is None
-
-
 def test_desired_yaw_horizontal_offset_mode():
     assert desired_yaw(PixelTarget(600.0, 0.0, 600.0)) == pytest.approx(math.pi / 4)
     assert desired_yaw(PixelTarget(0.0, 120.0, 600.0)) is None
 
 
-def test_desired_yaw_unknown_mode():
-    with pytest.raises(ValueError):
-        desired_yaw(PixelTarget(1.0, 1.0, 600.0), "roll_program")
-
-
 def test_to_vehicle_frame_identity():
+    # At yaw 0 the heading rotation is the identity and only the mount
+    # permutation remains.
     v = (0.3, -0.2, 1.1)
-    out = to_vehicle_frame(v, np.eye(3), np.eye(3))
-    assert out == pytest.approx(v, abs=1e-15)
+    assert to_vehicle_frame(v, 0.0) == (1.1, 0.3, -0.2)
+    assert to_vehicle_frame(v, 0.0) == pytest.approx(
+        tuple(R_CAM_TO_BODY @ np.array(v)), abs=1e-15
+    )
 
 
 def test_to_vehicle_frame_forward_mount_yaw_zero():
     # Oracle: the fixed mount permutation composed with identity yaw
     # sends the optic axis onto the vehicle's north axis.
-    r1 = rotation_camera_to_body("forward")
-    out = to_vehicle_frame((0.0, 0.0, 2.0), r1, rotation_body_to_vehicle(0.0))
+    out = to_vehicle_frame((0.0, 0.0, 2.0), 0.0)
     assert out == pytest.approx((2.0, 0.0, 0.0), abs=1e-12)
 
 
 def test_to_vehicle_frame_quarter_turn():
-    r1 = rotation_camera_to_body("forward")
-    out = to_vehicle_frame(
-        (0.0, 0.0, 2.0), r1, rotation_body_to_vehicle(math.pi / 2)
-    )
+    out = to_vehicle_frame((0.0, 0.0, 2.0), math.pi / 2)
     assert out == pytest.approx((0.0, 2.0, 0.0), abs=1e-12)
 
 
 def test_to_vehicle_frame_preserves_norm():
-    r1 = rotation_camera_to_body("forward")
     rng = np.random.default_rng(3)
     for _ in range(2000):
-        v = tuple(rng.uniform(-3, 3, size=3))
-        r2 = rotation_body_to_vehicle(float(rng.uniform(-math.pi, math.pi)))
-        out = to_vehicle_frame(v, r1, r2)
+        v = tuple(float(c) for c in rng.uniform(-3, 3, size=3))
+        yaw = float(rng.uniform(-math.pi, math.pi))
+        out = to_vehicle_frame(v, yaw)
         assert math.sqrt(sum(c * c for c in out)) == pytest.approx(
             math.sqrt(sum(c * c for c in v)), abs=1e-12
         )
+        expected = ref_body_to_vehicle(yaw) @ (R_CAM_TO_BODY @ np.array(v))
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
 
 def test_yaw_rate_command_cases():

@@ -8,10 +8,12 @@ import pytest
 from bhsim.fleet import ClaimResult
 from bhsim.mission import (
     LEGAL_TRANSITIONS,
+    MAX_PATH_WAYPOINTS,
     DegenerateCell,
     FleetView,
     MissionContext,
     MissionParams,
+    PathTooDense,
     Phase,
     SearchPath,
     check_pop,
@@ -22,12 +24,12 @@ from bhsim.mission import (
     should_commit,
     step_mission,
 )
-from bhsim.perception import CameraIntrinsics, CameraPose, project_point
+from bhsim.perception import CameraIntrinsics, project_point
 from bhsim.tracking import BoxMeasurement, TrackerParams, TrackStatus, new_track
-from bhsim.vehicle import UavState, rotation_camera_to_body
+from bhsim.vehicle import UavState
+from test_vehicle import ref_camera_to_world
 
 RECT = ((5.0, 5.0), (95.0, 5.0), (95.0, 35.0), (5.0, 35.0))
-MOUNT = rotation_camera_to_body("forward")
 
 
 def _segments(path: SearchPath):
@@ -92,6 +94,33 @@ def test_degenerate_cell_raises():
         generate_search_path(tiny, 4.0, 15.0)
 
 
+@pytest.mark.parametrize("spacing, wp_step", [(1e-9, 15.0), (15.0, 1e-9), (5e-324, 15.0)])
+def test_too_dense_path_raises_before_allocating(spacing, wp_step):
+    with pytest.raises(PathTooDense):
+        generate_search_path(RECT, 4.0, spacing, wp_step)
+
+
+def test_path_waypoint_count_within_the_checked_bound():
+    # The bound checked up front covers every path actually built.
+    built = 0
+    for spacing in (0.1, 0.5, 1.0, 3.0, 15.0, 40.0):
+        for wp_step in (0.1, 0.5, 2.0, 15.0, 100.0):
+            for cell in (RECT, ((5.0, 5.0), (55.0, 5.0), (5.0, 35.0))):
+                xs = [p[0] for p in cell]
+                ys = [p[1] for p in cell]
+                long_e = max(max(xs) - min(xs), max(ys) - min(ys))
+                short_e = min(max(xs) - min(xs), max(ys) - min(ys))
+                bound = (short_e / spacing + 1.0) * (long_e / wp_step + 2.0)
+                if bound > MAX_PATH_WAYPOINTS:
+                    with pytest.raises(PathTooDense):
+                        generate_search_path(cell, 4.0, spacing, wp_step)
+                    continue
+                path = generate_search_path(cell, 4.0, spacing, wp_step)
+                assert len(path.waypoints) <= bound
+                built += 1
+    assert built > 30
+
+
 def test_search_path_on_triangle_cell_stays_inside():
     tri = ((5.0, 5.0), (55.0, 5.0), (5.0, 35.0))
     path = generate_search_path(tri, 4.0, 10.0)
@@ -145,7 +174,6 @@ def _ctx(**kw):
     base = dict(
         params=MissionParams(),
         focal_px=600.0,
-        r_cam_to_body=MOUNT,
         yaw_rate_max=1.5,
     )
     base.update(kw)
@@ -230,12 +258,24 @@ def test_estimate_world_position_inverts_projection():
     # back, and recover the point.
     cam = CameraIntrinsics()
     uav = UavState(id=0, position=(10.0, 12.0, 4.0), yaw=0.7)
-    pose = CameraPose.from_uav(uav.position, uav.yaw, MOUNT)
     target = (24.0, 19.0, 3.0)
-    px, py, depth = project_point(cam, pose, target)
+    px, py, depth = project_point(cam, uav, target)
     track = _track(cx=px, cy=py, last_range=depth)
-    est = estimate_world_position(uav, track, cam.focal_px, MOUNT, depth)
+    est = estimate_world_position(uav, track, cam.focal_px, depth)
     assert est == pytest.approx(target, abs=1e-9)
+
+
+def test_estimate_world_position_matches_matrix_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        pos = tuple(float(c) for c in rng.uniform(0.0, 50.0, size=3))
+        uav = UavState(id=0, position=pos, yaw=float(rng.uniform(-4.0, 4.0)))
+        px, py = (float(c) for c in rng.uniform(-600.0, 600.0, size=2))
+        depth = float(rng.uniform(0.5, 40.0))
+        est = estimate_world_position(uav, _track(cx=px, cy=py), 600.0, depth)
+        ray = np.array([px / 600.0 * depth, py / 600.0 * depth, depth])
+        expected = np.array(pos) + ref_camera_to_world(uav.yaw) @ ray
+        assert np.allclose(est, expected, rtol=0, atol=1e-12)
 
 
 def test_transition_graph_closed_under_random_stimuli():

@@ -7,7 +7,6 @@ import pytest
 from bhsim.perception import (
     ZERO_NOISE,
     CameraIntrinsics,
-    CameraPose,
     DegenerateCircle,
     Detection,
     FittedCircle,
@@ -20,15 +19,16 @@ from bhsim.perception import (
 )
 from bhsim.rng import substream
 from bhsim.tracking import BoxMeasurement
-from bhsim.vehicle import rotation_camera_to_body
+from bhsim.vehicle import UavState
 from bhsim.world import Balloon, make_world
+from test_vehicle import ref_camera_to_world
 
 CAM = CameraIntrinsics(focal_px=600.0, width_px=1280.0, height_px=720.0,
                        principal=(640.0, 360.0))
 
 
 def _pose(position=(0.0, 0.0, 0.0), yaw=0.0):
-    return CameraPose.from_uav(position, yaw, rotation_camera_to_body("forward"))
+    return UavState(id=0, position=position, yaw=yaw)
 
 
 def exact_sphere_radius_px(focal_px: float, radius_m: float, depth_m: float) -> float:
@@ -65,6 +65,29 @@ def test_project_point_direct_pinhole_value():
     assert px == pytest.approx(100.0, abs=1e-9)
     assert py == pytest.approx(0.0, abs=1e-9)
     assert depth == pytest.approx(6.0)
+
+
+def test_project_point_matches_matrix_reference():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(2000):
+        pos = tuple(float(c) for c in rng.uniform(0.0, 20.0, size=3))
+        yaw = float(rng.uniform(-4.0, 4.0))
+        point = tuple(float(c) for c in rng.uniform(0.0, 20.0, size=3))
+        cam = ref_camera_to_world(yaw).T @ (np.array(point) - np.array(pos))
+        out = project_point(CAM, _pose(position=pos, yaw=yaw), point)
+        if cam[2] <= 1e-6:
+            assert out is None
+            continue
+        u = 640.0 + 600.0 * cam[0] / cam[2]
+        v = 360.0 + 600.0 * cam[1] / cam[2]
+        if not (1e-6 < u < 1280.0 - 1e-6 and 1e-6 < v < 720.0 - 1e-6):
+            continue
+        assert out is not None
+        assert out[2] == pytest.approx(cam[2], rel=0, abs=1e-12)
+        assert out[:2] == pytest.approx((u - 640.0, v - 360.0), rel=1e-12, abs=1e-9)
+        checked += 1
+    assert checked > 200
 
 
 def test_project_point_outside_image_is_none():

@@ -124,9 +124,14 @@ def test_default_scenario_helper():
     assert s.seed == 5 and s.balloons.count == 5
 
 
-def test_unsupported_yaw_mode_rejected():
-    with pytest.raises(ValidationError):
-        parse_scenario_text("seed = 1\nmission.yaw_mode = compass\n")
+@pytest.mark.parametrize(
+    "line", ["camera.mount = forward", "mission.yaw_mode = horizontal_offset"]
+)
+def test_deleted_keys_are_unknown(line):
+    # One forward camera and one yaw law: neither is a key any more.
+    with pytest.raises(ParseError) as err:
+        parse_scenario_text(f"seed = 1\n{line}\n")
+    assert "unknown key" in str(err.value)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -310,6 +310,52 @@ def test_cli_bad_seed_range_is_config_error(tmp_path, capsys, seeds):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["sweep"], ["simulate", "--bogus"], []])
+def test_cli_usage_error_is_config_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "path", "partition"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the footprint is a 0.5 m square: no cell to search
+        ("arena.effective_extent = 0.5, 0.5, 5\nballoons.count = 0\n",
+         "cell area below 1 m^2"),
+        # both starts clamp onto the same footprint corner
+        ("agents.starts = 4.2,4.2,4; 4.5,4.5,4\n", "coincide"),
+        ("mission.lane_spacing = 1e-9\n", "waypoints"),
+        ("mission.wp_step = 1e-9\n", "waypoints"),
+    ],
+    ids=["degenerate-cell", "duplicate-generators", "lane-spacing", "wp-step"],
+)
+def test_cli_unplannable_scenario_is_config_error(
+    tmp_path, capsys, command, text, message
+):
+    scn = _write_scenario(tmp_path, "seed = 0\n" + text)
+    assert cli_main([command, "--scenario", scn]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["camera.mount", "mission.yaw_mode"])
+def test_cli_deleted_key_is_config_error(tmp_path, capsys, key):
+    scn = _write_scenario(tmp_path, f"seed = 0\n{key} = forward\n")
+    assert cli_main(["simulate", "--scenario", scn]) == 1
+    assert f"configuration error: {key}: unknown key" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     scn = _write_scenario(tmp_path, "seed = 0\nagents.count = 2\n")
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -7,17 +7,40 @@ from bhsim.vehicle import (
     Geofence,
     UavParams,
     UavState,
-    UnknownMount,
+    camera_to_world,
     clamp_to_geofence,
     geofence_from_arena,
-    ned_to_world,
-    rotation_body_to_vehicle,
-    rotation_camera_to_body,
     step_uav,
+    world_to_camera,
     wrap_angle,
-    world_to_ned,
 )
 from bhsim.world import Arena
+
+# Reference matrix form of the camera geometry: forward mount
+# (camera -> body), heading (body -> NED), z flip (NED -> world).
+R_CAM_TO_BODY = np.array(
+    [
+        [0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+    ]
+)
+NED_TO_WORLD = np.diag([1.0, 1.0, -1.0])
+
+
+def ref_body_to_vehicle(yaw):
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def ref_camera_to_world(yaw):
+    return NED_TO_WORLD @ ref_body_to_vehicle(yaw) @ R_CAM_TO_BODY
+
+
+def _matrix(fn, yaw):
+    """Columns are the images of the unit vectors under ``fn``."""
+    basis = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    return np.array([fn(e, yaw) for e in basis]).T
 
 
 def _uav(**kw):
@@ -62,30 +85,46 @@ def test_speed_never_exceeds_v_max():
 
 
 def test_camera_mount_permutation():
-    r1 = rotation_camera_to_body("forward")
-    assert np.allclose(r1 @ np.array([0.0, 0.0, 1.0]), [1.0, 0.0, 0.0])
-    assert np.allclose(r1 @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0])
-    assert np.allclose(r1.T @ r1, np.eye(3), atol=1e-12)
-    assert np.linalg.det(r1) == pytest.approx(1.0, abs=1e-12)
+    # At yaw 0 the optic axis points north, camera x (right) east, and
+    # camera y (down) along world -z.
+    assert camera_to_world((0.0, 0.0, 1.0), 0.0) == (1.0, 0.0, 0.0)
+    assert camera_to_world((1.0, 0.0, 0.0), 0.0) == (0.0, 1.0, 0.0)
+    assert camera_to_world((0.0, 1.0, 0.0), 0.0) == (0.0, 0.0, -1.0)
+    # Camera -> NED (undo the world z flip) is a proper rotation.
+    m = NED_TO_WORLD @ _matrix(camera_to_world, 0.0)
+    assert np.allclose(m.T @ m, np.eye(3), atol=1e-12)
+    assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_unknown_mount_raises():
-    with pytest.raises(UnknownMount):
-        rotation_camera_to_body("sideways")
+def test_camera_to_world_matches_matrix_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        v = tuple(float(c) for c in rng.uniform(-5, 5, size=3))
+        yaw = float(rng.uniform(-4.0, 4.0))
+        expected = ref_camera_to_world(yaw) @ np.array(v)
+        assert np.allclose(camera_to_world(v, yaw), expected, rtol=0, atol=1e-12)
+        back = ref_camera_to_world(yaw).T @ np.array(v)
+        assert np.allclose(world_to_camera(v, yaw), back, rtol=0, atol=1e-12)
 
 
 def test_yaw_rotation_identity_and_quarter_turn():
-    assert np.allclose(rotation_body_to_vehicle(0.0), np.eye(3), atol=1e-15)
-    out = rotation_body_to_vehicle(math.pi / 2) @ np.array([1.0, 0.0, 0.0])
+    assert np.allclose(_matrix(camera_to_world, 0.0), ref_camera_to_world(0.0),
+                       atol=1e-15)
+    out = camera_to_world((0.0, 0.0, 1.0), math.pi / 2)
     assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-12)
+    out = camera_to_world((1.0, 0.0, 0.0), math.pi / 2)
+    assert np.allclose(out, [-1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_yaw_rotation_group_property():
+    # Back to the camera at yaw 0, then out at yaw a, equals one
+    # rotation by a + b.
     rng = np.random.default_rng(3)
     for _ in range(200):
-        a, b = rng.uniform(-math.pi, math.pi, size=2)
-        lhs = rotation_body_to_vehicle(a) @ rotation_body_to_vehicle(b)
-        rhs = rotation_body_to_vehicle(a + b)
+        a, b = (float(x) for x in rng.uniform(-math.pi, math.pi, size=2))
+        v = tuple(float(c) for c in rng.uniform(-3, 3, size=3))
+        lhs = camera_to_world(world_to_camera(camera_to_world(v, b), 0.0), a)
+        rhs = camera_to_world(v, a + b)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -103,9 +142,17 @@ def test_rotation_products_stay_orthonormal_over_many_compositions():
 
 
 def test_ned_world_round_trip():
-    v = (1.0, -2.0, 3.0)
-    assert world_to_ned(ned_to_world(v)) == v
-    assert ned_to_world(v) == (1.0, -2.0, -3.0)
+    # world_to_camera inverts camera_to_world; the z flip sends the
+    # camera's down axis to world -z at every heading.
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        v = tuple(float(c) for c in rng.uniform(-5, 5, size=3))
+        yaw = float(rng.uniform(-math.pi, math.pi))
+        assert world_to_camera(camera_to_world(v, yaw), yaw) == pytest.approx(
+            v, abs=1e-12
+        )
+        assert camera_to_world((0.0, 1.0, 0.0), yaw)[2] == -1.0
+    assert camera_to_world((0.0, 0.0, 2.0), 0.0)[2] == 0.0
 
 
 def test_wrap_angle_range():
