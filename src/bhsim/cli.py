@@ -2,8 +2,9 @@
 
 Subcommands: ``simulate`` (one run), ``sweep`` (seed range), ``path``
 (dump search paths), ``partition`` (dump Voronoi cells).  Exit codes:
-0 success, 1 configuration error, 2 invariant violation (or, for
-``sweep``, any run that ended in an error row), 3 I/O error.
+0 success, 1 configuration error, 2 invariant violation or numerical
+failure (or, for ``sweep``, any run that ended in an error row), 3 I/O
+error.
 ``BHSIM_LOG_LEVEL`` (error | info | debug) controls logging.
 """
 
@@ -26,6 +27,7 @@ from .scenario import (
     load_scenario,
 )
 from .sim import CSV_HEADER, InvariantViolation, plan_cells, run_simulation, sweep
+from .tracking import NumericalFailure
 from .world import PackingInfeasible
 
 EXIT_OK = 0
@@ -108,6 +110,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load(args)
     seeds = _parse_seed_range(args.seeds)
+    # A scenario that cannot be planned fails every seed the same way:
+    # report it once as a configuration error instead of as error rows.
+    plan_cells(scenario, range(scenario.agents.count))
     result = sweep(scenario, seeds, jobs=args.jobs, out_dir=args.out)
     if args.out:
         Path(args.out, "metrics.csv").write_text(
@@ -209,6 +214,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

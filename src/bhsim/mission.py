@@ -131,11 +131,13 @@ class FleetView:
 
     ``cell`` is the agent's current responsibility polygon; commits are
     restricted to estimates inside it (empty cell disables the gate).
+    ``try_claim(estimate, t)`` and ``release(claim_id, reason, t)`` take
+    the current time, so one view serves every tick of a plan.
     """
 
     claim_radius: float
-    try_claim: Callable[[Vec3], ClaimResult]
-    release: Callable[[int, str], None]
+    try_claim: Callable[[Vec3, float], ClaimResult]
+    release: Callable[[int, str, float], None]
     cell: tuple[Vec2, ...] = ()
 
 
@@ -322,6 +324,23 @@ def check_pop(
     return _dist3(tip_position, balloon_center) <= balloon_radius + tip_reach
 
 
+def pops_in_reach(
+    tip_position: Vec3,
+    centers: Sequence[Optional[Vec3]],
+    reaches: Sequence[float],
+) -> list[int]:
+    """Indices ``i`` whose balloon ``check_pop`` would pop, in one pass.
+
+    ``centers[i]`` is None for a popped balloon and ``reaches[i]`` is
+    ``radius + tip_reach``; the comparison is the one ``check_pop`` makes.
+    """
+    return [
+        i
+        for i, c in enumerate(centers)
+        if c is not None and _dist3(tip_position, c) <= reaches[i]
+    ]
+
+
 def plan_revisit(
     last_estimate: Vec3, approach_heading: float, d_standoff: float
 ) -> Vec3:
@@ -440,7 +459,7 @@ def _back_to_search(
     detail: Optional[dict] = None,
 ) -> MissionState:
     if ms.claim_id is not None and release_reason is not None:
-        view.release(ms.claim_id, release_reason)
+        view.release(ms.claim_id, release_reason, t)
     visited = ms.visited
     idx = _nearest_unvisited(ms.path, visited, uav.position)
     if idx is None:
@@ -532,7 +551,7 @@ def _step_search(ms, tracks, uav, view, t, ctx) -> MissionStep:
                 continue
             if _near_blacklist(est, ms.blacklist, view.claim_radius):
                 continue
-            result = view.try_claim(est)
+            result = view.try_claim(est, t)
             if result.granted:
                 heading = _bearing_to(uav.position, est) or uav.yaw
                 ms2 = _enter(
@@ -554,16 +573,16 @@ def _step_search(ms, tracks, uav, view, t, ctx) -> MissionStep:
         if denied:
             ms = replace(ms, commit_cooldown_until=t + COMMIT_DENIAL_COOLDOWN_S)
 
-    # Waypoint following.
+    # Waypoint following.  The state is handed back unchanged (the same
+    # ``visited`` tuple) until a waypoint is reached or times out.
     if not ms.path.waypoints:
         return MissionStep(ms, (0.0, 0.0, 0.0), 0.0, tuple(events))
     wp_index = ms.wp_index
-    wp_started = ms.wp_started_at
-    visited = list(ms.visited)
     wp = ms.path.waypoints[wp_index]
     reached = _dist3(uav.position, wp) <= mp.wp_tolerance
-    timed_out = t - wp_started > mp.wp_timeout
+    timed_out = t - ms.wp_started_at > mp.wp_timeout
     if reached or timed_out:
+        visited = list(ms.visited)
         if reached:
             visited[wp_index] = True
         nxt = next(
@@ -577,12 +596,8 @@ def _step_search(ms, tracks, uav, view, t, ctx) -> MissionStep:
             # blocked one.
             visited = [False] * len(visited)
             nxt = (wp_index + 1) % len(visited) if timed_out else 0
-        wp_index = nxt
-        wp_started = t
-        wp = ms.path.waypoints[wp_index]
-    ms2 = replace(
-        ms, wp_index=wp_index, visited=tuple(visited), wp_started_at=wp_started
-    )
+        ms = replace(ms, wp_index=nxt, visited=tuple(visited), wp_started_at=t)
+        wp = ms.path.waypoints[nxt]
 
     dx = wp[0] - uav.position[0]
     dy = wp[1] - uav.position[1]
@@ -597,7 +612,7 @@ def _step_search(ms, tracks, uav, view, t, ctx) -> MissionStep:
         yaw_rate = _yaw_cmd_toward(
             math.atan2(dy, dx) if dx * dx + dy * dy > 1e-12 else None, uav, ctx
         )
-    return MissionStep(ms2, vel, yaw_rate, tuple(events))
+    return MissionStep(ms, vel, yaw_rate, tuple(events))
 
 
 def _step_align(ms, tracks, uav, view, t, ctx) -> MissionStep:
@@ -669,9 +684,9 @@ def _step_approach(ms, tracks, uav, view, t, ctx) -> MissionStep:
         and ms.last_estimate is not None
         and _dist3(ms.last_estimate, ms.claim_estimate) > view.claim_radius / 2.0
     ):
-        view.release(ms.claim_id, "abandoned")
+        view.release(ms.claim_id, "abandoned", t)
         ms = replace(ms, claim_id=None, claim_estimate=None)
-        result = view.try_claim(ms.last_estimate)
+        result = view.try_claim(ms.last_estimate, t)
         if not result.granted:
             ms2 = _back_to_search(
                 ms, uav, view, t, events, None, {"reason": "claim_lost"}
@@ -749,9 +764,9 @@ def _step_confirm(ms, tracks, uav, view, t, ctx) -> MissionStep:
             # Re-claim at the fresh estimate so the retry stays exclusive;
             # a denial means another agent owns this balloon now.
             if ms.claim_id is not None:
-                view.release(ms.claim_id, "abandoned")
+                view.release(ms.claim_id, "abandoned", t)
                 ms = replace(ms, claim_id=None)
-            result = view.try_claim(est)
+            result = view.try_claim(est, t)
             if not result.granted:
                 ms2 = _back_to_search(
                     ms, uav, view, t, events, None, {"reason": "claim_lost"}

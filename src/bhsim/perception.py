@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .vehicle import UavState, world_to_camera
+from .vehicle import UavState, heading, world_to_camera
 from .world import WorldState
 
 Vec3 = tuple[float, float, float]
@@ -111,13 +111,24 @@ def project_point(
     point and depth along the optic axis in meters; None if the point is
     behind the camera or off-image.
     """
+    return _project(camera, uav.position, heading(uav.yaw), point_world)
+
+
+def _project(
+    camera: CameraIntrinsics,
+    position: Vec3,
+    cos_sin: tuple[float, float],
+    point_world: Vec3,
+) -> Optional[tuple[float, float, float]]:
+    """``project_point`` from a camera at ``position`` with the heading
+    already taken (``vehicle.heading``)."""
     cam_x, cam_y, cam_z = world_to_camera(
         (
-            point_world[0] - uav.position[0],
-            point_world[1] - uav.position[1],
-            point_world[2] - uav.position[2],
+            point_world[0] - position[0],
+            point_world[1] - position[1],
+            point_world[2] - position[2],
         ),
-        uav.yaw,
+        cos_sin,
     )
     if cam_z <= 0.0:
         return None
@@ -146,11 +157,13 @@ def generate_detections(
     noise around the small-angle width ``f * D / Z``.  False alarms are
     Poisson-distributed, uniform over the image, and carry no truth id.
     """
+    position = uav.position
+    cos_sin = heading(uav.yaw)
     visible: list[tuple] = []
-    for balloon in world.balloons:
-        if not balloon.alive:
+    for balloon, center in zip(world.balloons, world.centers):
+        if center is None:
             continue
-        proj = project_point(camera, uav, balloon.center)
+        proj = _project(camera, position, cos_sin, center)
         if proj is None:
             continue
         visible.append((balloon, proj))

@@ -19,7 +19,7 @@ from .mission import MissionParams
 from .perception import CameraIntrinsics, NoiseModel
 from .tracking import TrackerParams
 from .vehicle import UavParams, geofence_from_arena
-from .world import Arena, BalloonParams
+from .world import MAX_BALLOON_HEIGHT_M, Arena, BalloonParams
 
 Vec3 = tuple[float, float, float]
 
@@ -238,16 +238,27 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         raise ValidationError("balloons", str(exc)) from None
     if balloon_params.diameter <= 0:
         raise ValidationError("balloons.diameter", "must be positive")
+    if not 0.0 <= balloon_params.sway_amplitude < math.pi / 2:
+        raise ValidationError("balloons.sway_amplitude", "must be in [0, pi/2)")
 
     anchors = _get(values, "balloons.anchors", None)
+    bases = [balloon_params.pole_height] if anchors is None else [a[2] for a in anchors]
+    if any(z + balloon_params.tether_length > MAX_BALLOON_HEIGHT_M for z in bases):
+        raise ValidationError(
+            "balloons.tether_length",
+            f"balloon centers must stay at most {MAX_BALLOON_HEIGHT_M} m high",
+        )
     count = _get(values, "balloons.count", 5)
     if anchors is not None:
         count = len(anchors)
     if count < 0:
         raise ValidationError("balloons.count", "must be non-negative")
+    min_sep = _get(values, "balloons.min_sep", 8.0)
+    if min_sep < 0:
+        raise ValidationError("balloons.min_sep", "must be non-negative")
     balloons = BalloonSetup(
         count=count,
-        min_sep=_get(values, "balloons.min_sep", 8.0),
+        min_sep=min_sep,
         params=balloon_params,
         anchors=anchors,
     )
@@ -343,6 +354,8 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         raise ValidationError("mission.wp_step", "must be positive")
     if mission.d_standoff <= 0:
         raise ValidationError("mission.d_standoff", "must be positive")
+    if mission.yaw_gain <= 0:
+        raise ValidationError("mission.yaw_gain", "must be positive")
 
     fd = FleetParams()
     fleet = FleetParams(

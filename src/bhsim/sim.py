@@ -34,9 +34,10 @@ from .mission import (
     MissionState,
     Phase,
     SearchPath,
-    check_pop,
+    check_pop,  # fused into pops_in_reach; bench/tracer.py wraps sim.check_pop
     generate_search_path,
     initial_mission_state,
+    pops_in_reach,
     step_mission,
 )
 from .perception import (
@@ -146,6 +147,7 @@ class _AgentRt:
     mission: MissionState
     rng: np.random.Generator
     ctx: MissionContext
+    view: Optional[FleetView] = None
     distance: float = 0.0
     failed: bool = False
 
@@ -308,8 +310,10 @@ def run_simulation(scenario: Scenario) -> RunResult:
         if reason == "popped" and agent.mission.last_estimate is not None:
             declared.append((agent.id, agent.mission.last_estimate))
 
-    def view_for(agent: _AgentRt, t: float) -> FleetView:
-        def try_claim(estimate: Vec3):
+    def view_for(agent: _AgentRt) -> FleetView:
+        """The agent's fleet view for the current plan (cell)."""
+
+        def try_claim(estimate: Vec3, t: float):
             result = claim_target(
                 claims, agent.id, estimate, scenario.fleet.claim_radius, t
             )
@@ -330,9 +334,16 @@ def run_simulation(scenario: Scenario) -> RunResult:
         return FleetView(
             claim_radius=scenario.fleet.claim_radius,
             try_claim=try_claim,
-            release=lambda claim_id, reason: release(agent, t, claim_id, reason),
+            release=lambda claim_id, reason, t: release(agent, t, claim_id, reason),
             cell=cell.polygon if cell is not None else (),
         )
+
+    for agent in agents:
+        agent.view = view_for(agent)
+    # radius + tip_reach per balloon, as check_pop adds them
+    reaches = tuple(
+        [b.radius + scenario.mission.tip_reach for b in world.balloons]
+    )
 
     frame = 0
     t = 0.0
@@ -385,6 +396,7 @@ def run_simulation(scenario: Scenario) -> RunResult:
                         wp_started_at=t,
                         visited=tuple(False for _ in pruned.waypoints),
                     )
+                    rt.view = view_for(rt)
         live = [a for a in agents if not a.failed]
         if not live:
             continue
@@ -450,7 +462,7 @@ def run_simulation(scenario: Scenario) -> RunResult:
                 agent.mission,
                 agent.tracker.tracks,
                 agent.uav,
-                view_for(agent, t),
+                agent.view,
                 t,
                 agent.ctx,
             )
@@ -516,29 +528,23 @@ def run_simulation(scenario: Scenario) -> RunResult:
             if not fence.contains(agent.uav.position):
                 metrics.geofence_violations += 1
 
-        # 4. pop checks
+        # 4. pop checks: each agent's tip against the balloons still alive
+        # after the agents before it
         for agent in live:
-            for balloon in world.balloons:
-                if not balloon.alive:
-                    continue
-                if check_pop(
-                    agent.uav.position,
-                    balloon.center,
-                    balloon.radius,
-                    scenario.mission.tip_reach,
-                ):
-                    world = pop_balloon(world, balloon.id)
-                    pop_times.append((balloon.id, t))
-                    elog.emit(
-                        t, agent.id, "pop",
-                        {"source": "world", "balloon_id": balloon.id},
-                    )
+            for i in pops_in_reach(agent.uav.position, world.centers, reaches):
+                balloon_id = world.balloons[i].id
+                world = pop_balloon(world, balloon_id)
+                pop_times.append((balloon_id, t))
+                elog.emit(
+                    t, agent.id, "pop", {"source": "world", "balloon_id": balloon_id}
+                )
 
         # 5. audits and per-tick metrics
         for agent_id, estimate in declared:
             near_alive = any(
-                b.alive and math.dist(b.center, estimate) <= scenario.fleet.claim_radius
-                for b in world.balloons
+                c is not None
+                and math.dist(c, estimate) <= scenario.fleet.claim_radius
+                for c in world.centers
             )
             if near_alive:
                 metrics.false_confirms += 1
@@ -547,7 +553,7 @@ def run_simulation(scenario: Scenario) -> RunResult:
         # Duplicate-pursuit audit: resolve each engaged agent's working
         # estimate to the nearest alive balloon (ground truth, scoring
         # only) and flag ticks where two agents resolve to the same one.
-        resolved: list[int] = []
+        resolved: list[int] = []   # balloon indices
         dup_tick = False
         for agent in live:
             ms = agent.mission
@@ -555,17 +561,17 @@ def run_simulation(scenario: Scenario) -> RunResult:
                 continue
             if ms.last_estimate is None:
                 continue
-            best_id, best_d = None, scenario.fleet.claim_radius
-            for b in world.balloons:
-                if not b.alive:
+            best, best_d = None, scenario.fleet.claim_radius
+            for i, c in enumerate(world.centers):
+                if c is None:
                     continue
-                d = math.dist(b.center, ms.last_estimate)
+                d = math.dist(c, ms.last_estimate)
                 if d <= best_d:
-                    best_id, best_d = b.id, d
-            if best_id is not None:
-                if best_id in resolved:
+                    best, best_d = i, d
+            if best is not None:
+                if best in resolved:
                     dup_tick = True
-                resolved.append(best_id)
+                resolved.append(best)
         if dup_tick:
             metrics.duplicate_target_ticks += 1
 
@@ -581,7 +587,7 @@ def run_simulation(scenario: Scenario) -> RunResult:
 
         frame += 1
 
-    metrics.balloons_popped = sum(1 for b in world.balloons if not b.alive)
+    metrics.balloons_popped = world.centers.count(None)
     metrics.pop_times = tuple(pop_times)
     if metrics.success and pop_times:
         metrics.pops_total_time = pop_times[-1][1]

@@ -38,7 +38,8 @@ import numpy as np
 
 
 class NumericalFailure(RuntimeError):
-    """Innovation covariance was not invertible (bad Q/R/P configuration)."""
+    """The filter or the assignment met numbers it cannot work with: an
+    innovation covariance that is not invertible, or a non-finite cost."""
 
 
 class TrackStatus(Enum):
@@ -325,6 +326,9 @@ def solve_assignment(cost: np.ndarray, gate: float) -> Assignment:
     The matrix is padded square with a sentinel cost; padded pairs are
     discarded and any surviving pair costlier than ``gate`` is demoted to
     unmatched on both sides.
+
+    Raises:
+        NumericalFailure: if any cost is NaN or infinite.
     """
     n_tracks, n_dets = cost.shape if cost.size else (cost.shape[0], cost.shape[1])
     if n_tracks == 0 or n_dets == 0:
@@ -336,7 +340,11 @@ def solve_assignment(cost: np.ndarray, gate: float) -> Assignment:
     n = max(n_tracks, n_dets)
     # Sentinel padding only needs to dominate every real cost; padded
     # pairs are discarded by index below, and gating is a post-filter.
-    sentinel = float(cost.max()) + 1.0e6
+    # max and min both propagate NaN, and between them catch +-inf.
+    highest = float(cost.max())
+    if not (math.isfinite(highest) and math.isfinite(float(cost.min()))):
+        raise NumericalFailure("assignment cost is not finite")
+    sentinel = highest + 1.0e6
     padded = [[sentinel] * n for _ in range(n)]
     for i in range(n_tracks):
         for j in range(n_dets):

@@ -8,8 +8,8 @@ planar pendulums with a fixed, per-balloon wind azimuth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +87,12 @@ class BalloonParams:
 
 @dataclass(frozen=True)
 class Balloon:
+    """A balloon's fixed description: tether anchor, size and sway.
+
+    Whether the balloon is still alive and where its center is at the
+    current time live in ``WorldState.centers``, not here.
+    """
+
     id: int
     anchor: Vec3
     tether_length: float = 1.0
@@ -95,8 +101,11 @@ class Balloon:
     sway_frequency: float = 0.2
     sway_phase: float = 0.0
     sway_azimuth: float = 0.0
-    alive: bool = True
-    center: Vec3 = (0.0, 0.0, 0.0)
+    # Sway constants, computed once per balloon: the angular frequency
+    # (2 pi) * frequency and the direction cosines of the swing plane.
+    sway_omega: float = field(init=False, repr=False, compare=False)
+    sway_cos: float = field(init=False, repr=False, compare=False)
+    sway_sin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.diameter <= 0:
@@ -107,6 +116,9 @@ class Balloon:
             raise ValueError(
                 f"balloon center would exceed {MAX_BALLOON_HEIGHT_M} m height"
             )
+        object.__setattr__(self, "sway_omega", 2.0 * math.pi * self.sway_frequency)
+        object.__setattr__(self, "sway_cos", math.cos(self.sway_azimuth))
+        object.__setattr__(self, "sway_sin", math.sin(self.sway_azimuth))
 
     @property
     def radius(self) -> float:
@@ -115,20 +127,34 @@ class Balloon:
 
 @dataclass(frozen=True)
 class WorldState:
-    """Ground truth at one instant: simulation time plus all balloons."""
+    """Ground truth at one instant.
+
+    ``balloons`` holds every balloon's fixed description; ``centers`` is
+    the one record of which balloons are alive and where: ``centers[i]``
+    is the center of ``balloons[i]`` at ``time``, or None once that
+    balloon is popped.
+    """
 
     time: float
     balloons: tuple[Balloon, ...]
+    centers: tuple[Optional[Vec3], ...]
+
+    def _index(self, balloon_id: int) -> int:
+        for i, b in enumerate(self.balloons):
+            if b.id == balloon_id:
+                return i
+        raise UnknownBalloon(balloon_id)
 
     def balloon_by_id(self, balloon_id: int) -> Balloon:
-        for b in self.balloons:
-            if b.id == balloon_id:
-                return b
-        raise UnknownBalloon(balloon_id)
+        return self.balloons[self._index(balloon_id)]
+
+    def center_of(self, balloon_id: int) -> Optional[Vec3]:
+        """The balloon's current center, or None if it is popped."""
+        return self.centers[self._index(balloon_id)]
 
     @property
     def alive_count(self) -> int:
-        return sum(1 for b in self.balloons if b.alive)
+        return len(self.centers) - self.centers.count(None)
 
 
 def step_balloon_sway(balloon: Balloon, t: float) -> Vec3:
@@ -140,13 +166,13 @@ def step_balloon_sway(balloon: Balloon, t: float) -> Vec3:
     plane is fixed by the balloon's wind azimuth.
     """
     theta = balloon.sway_amplitude * math.sin(
-        2.0 * math.pi * balloon.sway_frequency * t + balloon.sway_phase
+        balloon.sway_omega * t + balloon.sway_phase
     )
     horizontal = balloon.tether_length * math.sin(theta)
     ax, ay, az = balloon.anchor
     return (
-        ax + horizontal * math.cos(balloon.sway_azimuth),
-        ay + horizontal * math.sin(balloon.sway_azimuth),
+        ax + horizontal * balloon.sway_cos,
+        ay + horizontal * balloon.sway_sin,
         az + balloon.tether_length * math.cos(theta),
     )
 
@@ -154,11 +180,11 @@ def step_balloon_sway(balloon: Balloon, t: float) -> Vec3:
 def make_balloon(
     balloon_id: int, anchor: Vec3, params: BalloonParams, rng: np.random.Generator
 ) -> Balloon:
-    """Balloon over ``anchor`` with random sway, centered at its t=0 pose.
+    """Balloon over ``anchor`` with random sway.
 
     Draws two values from ``rng``: the sway phase, then the azimuth.
     """
-    balloon = Balloon(
+    return Balloon(
         id=balloon_id,
         anchor=anchor,
         tether_length=params.tether_length,
@@ -168,7 +194,6 @@ def make_balloon(
         sway_phase=2.0 * math.pi * rng.random(),
         sway_azimuth=2.0 * math.pi * rng.random(),
     )
-    return replace(balloon, center=step_balloon_sway(balloon, 0.0))
 
 
 def sample_balloon_layout(
@@ -221,38 +246,26 @@ def sample_balloon_layout(
 
 
 def make_world(balloons: Sequence[Balloon], time: float = 0.0) -> WorldState:
-    return WorldState(time=time, balloons=tuple(balloons))
+    """Every balloon alive, centered where it sways at ``time``."""
+    balloons = tuple(balloons)
+    return WorldState(
+        time, balloons, tuple([step_balloon_sway(b, time) for b in balloons])
+    )
 
 
 def advance_world(world: WorldState, t: float) -> WorldState:
     """World state at time ``t``: recompute sway centers of alive balloons."""
     if t < world.time:
         raise ValueError("world time must be non-decreasing")
-    # A positional constructor call is several times cheaper than
-    # ``replace`` and still runs ``Balloon.__post_init__``.
-    balloons = tuple(
-        Balloon(
-            b.id, b.anchor, b.tether_length, b.diameter, b.sway_amplitude,
-            b.sway_frequency, b.sway_phase, b.sway_azimuth, True,
-            step_balloon_sway(b, t),
-        )
-        if b.alive
-        else b
-        for b in world.balloons
-    )
-    return WorldState(time=t, balloons=balloons)
+    centers = tuple([
+        None if c is None else step_balloon_sway(b, t)
+        for b, c in zip(world.balloons, world.centers)
+    ])
+    return WorldState(t, world.balloons, centers)
 
 
 def pop_balloon(world: WorldState, balloon_id: int) -> WorldState:
     """Mark a balloon dead.  Idempotent on already-dead balloons."""
-    found = False
-    balloons = []
-    for b in world.balloons:
-        if b.id == balloon_id:
-            found = True
-            balloons.append(replace(b, alive=False) if b.alive else b)
-        else:
-            balloons.append(b)
-    if not found:
-        raise UnknownBalloon(balloon_id)
-    return WorldState(time=world.time, balloons=tuple(balloons))
+    i = world._index(balloon_id)
+    centers = world.centers[:i] + (None,) + world.centers[i + 1:]
+    return WorldState(world.time, world.balloons, centers)

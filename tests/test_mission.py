@@ -21,6 +21,7 @@ from bhsim.mission import (
     generate_search_path,
     initial_mission_state,
     plan_revisit,
+    pops_in_reach,
     should_commit,
     step_mission,
 )
@@ -156,6 +157,44 @@ def test_check_pop_boundary_convention():
     assert not check_pop(beyond, center, radius, reach)
 
 
+def test_pops_in_reach_agrees_with_check_pop_including_the_boundary():
+    # Random tips against 8 balloons (some popped), with a share of the
+    # pairs placed exactly at radius + tip_reach.
+    rng = np.random.default_rng(9)
+    at_boundary = 0
+    for _ in range(3000):
+        tip = tuple(float(c) for c in rng.uniform(0.0, 4.0, size=3))
+        tip_reach = float(rng.uniform(0.0, 1.0))
+        radii = [float(r) for r in rng.uniform(0.05, 0.5, size=8)]
+        centers = []
+        for r in radii:
+            if rng.random() < 0.2:
+                centers.append(None)
+                continue
+            c = tuple(float(x) for x in rng.uniform(0.0, 4.0, size=3))
+            if rng.random() < 0.4:
+                # Put the tip on the sphere of radius r + reach: move the
+                # center along x so the distance rounds to that sum.
+                d = math.hypot(c[1] - tip[1], c[2] - tip[2])
+                target = r + tip_reach
+                if d < target:
+                    c = (tip[0] + math.sqrt(target**2 - d**2), c[1], c[2])
+            centers.append(c)
+        reaches = [r + tip_reach for r in radii]
+        expected = [
+            i for i, c in enumerate(centers)
+            if c is not None and check_pop(tip, c, radii[i], tip_reach)
+        ]
+        assert pops_in_reach(tip, centers, reaches) == expected
+        at_boundary += sum(
+            1 for i, c in enumerate(centers)
+            if c is not None and math.sqrt(
+                (tip[0] - c[0]) ** 2 + (tip[1] - c[1]) ** 2 + (tip[2] - c[2]) ** 2
+            ) == reaches[i]
+        )
+    assert at_boundary > 300
+
+
 def test_plan_revisit_vector_arithmetic():
     assert plan_revisit((10.0, 10.0, 3.0), 0.0, 6.0) == pytest.approx((4.0, 10.0, 3.0))
 
@@ -181,12 +220,12 @@ def _ctx(**kw):
 
 
 def _view(granted=True, cell=()):
-    def try_claim(est):
+    def try_claim(est, t):
         return ClaimResult(granted=granted, claim_id=7 if granted else None)
 
     released = []
 
-    def release(cid, reason):
+    def release(cid, reason, t):
         released.append((cid, reason))
 
     view = FleetView(claim_radius=5.0, try_claim=try_claim, release=release,
@@ -208,6 +247,19 @@ def test_search_commits_to_claimed_track():
     assert out.state.target_track_id == 1
     assert out.state.claim_id == 7
     assert out.state.last_estimate is not None
+
+
+def test_search_tick_without_waypoint_event_keeps_the_state():
+    ms = _search_state()
+    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
+    view, _ = _view()
+    out = step_mission(ms, [], uav, view, 1.0, _ctx())
+    assert out.state is ms and out.state.visited is ms.visited
+    # Reaching the waypoint marks it and hands back a new tuple.
+    on_wp = UavState(id=0, position=ms.path.waypoints[0])
+    out = step_mission(ms, [], on_wp, view, 1.0, _ctx())
+    assert out.state.visited is not ms.visited
+    assert out.state.visited[0] and out.state.wp_index == 1
 
 
 def test_search_keeps_searching_when_claim_denied():

@@ -20,7 +20,7 @@ from bhsim.perception import (
 from bhsim.rng import substream
 from bhsim.tracking import BoxMeasurement
 from bhsim.vehicle import UavState
-from bhsim.world import Balloon, make_world
+from bhsim.world import Balloon, BalloonParams, make_balloon, make_world, pop_balloon
 from test_vehicle import ref_camera_to_world
 
 CAM = CameraIntrinsics(focal_px=600.0, width_px=1280.0, height_px=720.0,
@@ -37,9 +37,9 @@ def exact_sphere_radius_px(focal_px: float, radius_m: float, depth_m: float) -> 
 
 
 def _balloon(center, diameter=0.45, bid=0):
-    b = Balloon(id=bid, anchor=(center[0], center[1], 2.0), diameter=diameter,
-                sway_amplitude=0.0)
-    return dataclasses.replace(b, center=center)
+    # A still balloon on a 1 m tether sits exactly 1 m above its anchor.
+    return Balloon(id=bid, anchor=(center[0], center[1], center[2] - 1.0),
+                   diameter=diameter, sway_amplitude=0.0)
 
 
 def test_project_point_on_axis():
@@ -134,8 +134,76 @@ def test_generate_detections_deterministic_zero_noise():
     assert a == b
     for d in a:
         proj = project_point(CAM, _pose(position=(0, 0, 3)),
-                             world.balloon_by_id(d.truth_id).center)
+                             world.center_of(d.truth_id))
         assert (d.center_x, d.center_y) == pytest.approx(proj[:2], abs=1e-9)
+
+
+def ref_generate_detections(camera, uav, world, noise, rng, frame_index):
+    """Per-balloon reference: ``project_point`` for each alive center,
+    then the same occlusion test, draws and boxes."""
+    visible = []
+    for balloon, center in zip(world.balloons, world.centers):
+        if center is None:
+            continue
+        proj = project_point(camera, uav, center)
+        if proj is not None:
+            visible.append((balloon, proj))
+    detections = []
+    for balloon, (px, py, depth) in visible:
+        if any(
+            od < depth and other.id != balloon.id
+            and math.hypot(px - ox, py - oy)
+            < camera.focal_px * other.diameter / (2.0 * od)
+            for other, (ox, oy, od) in visible
+        ):
+            continue
+        p_miss = min(1.0, noise.p_miss_base + noise.p_miss_range_scale * depth)
+        if rng.random() < p_miss:
+            continue
+        size = camera.focal_px * balloon.diameter / depth
+        cx = px + noise.center_sigma * rng.standard_normal()
+        cy = py + noise.center_sigma * rng.standard_normal()
+        factor = max(0.05, 1.0 + noise.size_sigma_frac * rng.standard_normal())
+        confidence = max(noise.confidence_floor, 1.0 - depth / 50.0)
+        detections.append(Detection(cx, cy, size * factor, size * factor,
+                                    confidence, frame_index, balloon.id))
+    if noise.false_alarm_rate > 0.0:
+        for _ in range(int(rng.poisson(noise.false_alarm_rate))):
+            cx = camera.width_px * rng.random() - camera.principal[0]
+            cy = camera.height_px * rng.random() - camera.principal[1]
+            size = 2.0 + 28.0 * rng.random()
+            floor = noise.confidence_floor
+            conf = floor + (1.0 - floor) * rng.random()
+            detections.append(Detection(cx, cy, size, size, conf, frame_index, None))
+    return detections
+
+
+def test_generate_detections_equals_per_balloon_reference():
+    # Random poses looking over 12 balloons, some popped, with noise on:
+    # the same detections and the same generator draws as the reference.
+    noise = NoiseModel(false_alarm_rate=0.5, p_miss_range_scale=0.01)
+    rng = np.random.default_rng(31)
+    layout = substream(0, "layout")
+    compared = 0
+    for trial in range(300):
+        balloons = [
+            make_balloon(i, (float(rng.uniform(0, 40)), float(rng.uniform(-20, 20)),
+                             float(rng.uniform(1.0, 3.0))), BalloonParams(), layout)
+            for i in range(12)
+        ]
+        world = make_world(balloons, time=float(rng.uniform(0, 100)))
+        for victim in rng.choice(12, size=int(rng.integers(0, 4)), replace=False):
+            world = pop_balloon(world, int(victim))
+        pose = _pose(position=(float(rng.uniform(-5, 10)), float(rng.uniform(-10, 10)),
+                               float(rng.uniform(1, 5))),
+                     yaw=float(rng.uniform(-4, 4)))
+        ours, theirs = substream(trial, "p"), substream(trial, "p")
+        got = generate_detections(CAM, pose, world, noise, ours, trial)
+        want = ref_generate_detections(CAM, pose, world, noise, theirs, trial)
+        assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        compared += sum(1 for d in got if d.truth_id is not None)
+    assert compared > 300
 
 
 def test_occlusion_hides_balloon_behind_another():

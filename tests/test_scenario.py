@@ -60,6 +60,30 @@ def test_zero_tick_rate_rejected_naming_key():
     assert "sim.tick_rate" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("balloons.sway_amplitude = -0.1\n", "balloons.sway_amplitude"),
+        ("balloons.sway_amplitude = 1.6\n", "balloons.sway_amplitude"),
+        ("balloons.pole_height = 4.5\n", "balloons.tether_length"),
+        ("balloons.anchors = 10,10,2; 30,20,4.2\n", "balloons.tether_length"),
+        ("balloons.min_sep = -1\n", "balloons.min_sep"),
+        ("mission.yaw_gain = 0\n", "mission.yaw_gain"),
+    ],
+)
+def test_values_a_run_cannot_use_are_rejected_naming_key(text, key):
+    # Each of these used to pass the parser and end the run in a plain
+    # ValueError.
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text("seed = 1\n" + text)
+    assert str(err.value).startswith(key)
+
+
+def test_balloon_height_limit_is_inclusive():
+    s = parse_scenario_text("seed = 1\nballoons.pole_height = 4\n")
+    assert s.balloons.params.pole_height + s.balloons.params.tether_length == 5.0
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ParseError):
         parse_scenario_text("seed 7\n")

@@ -325,7 +325,7 @@ def test_cli_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["simulate", "path", "partition"])
+@pytest.mark.parametrize("command", ["simulate", "path", "partition", "sweep"])
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -343,10 +343,37 @@ def test_cli_unplannable_scenario_is_config_error(
     tmp_path, capsys, command, text, message
 ):
     scn = _write_scenario(tmp_path, "seed = 0\n" + text)
-    assert cli_main([command, "--scenario", scn]) == 1
-    err = capsys.readouterr().err
+    seeds = ["--seeds", "0..1"] if command == "sweep" else []
+    assert cli_main([command, "--scenario", scn, *seeds]) == 1
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("configuration error: ") and message in err
     assert len(err.splitlines()) == 1
+    # sweep stops before any seed runs: no rows, no aggregate
+    assert command != "sweep" or captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_numerical_failure_is_exit_2_in_one_line(
+    tmp_path, capsys, monkeypatch, command
+):
+    import bhsim.sim as simmod
+    from bhsim.tracking import NumericalFailure
+
+    def failing(scenario):
+        raise NumericalFailure("assignment cost is not finite")
+
+    monkeypatch.setattr(simmod, "run_simulation", failing)
+    monkeypatch.setattr("bhsim.cli.run_simulation", failing)
+    scn = _write_scenario(tmp_path, "seed = 0\n")
+    seeds = ["--seeds", "0"] if command == "sweep" else []
+    assert cli_main([command, "--scenario", scn, *seeds]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    if command == "simulate":
+        assert err == "numerical failure: assignment cost is not finite\n"
+    else:
+        assert err.startswith("sweep: 1 run(s) failed")
 
 
 @pytest.mark.parametrize("key", ["camera.mount", "mission.yaw_mode"])

@@ -252,6 +252,23 @@ def test_solve_assignment_rectangular_and_empty():
     assert out.unmatched_detections == (2,)
 
 
+@pytest.mark.parametrize(
+    "cost",
+    [
+        [[math.nan]],
+        [[math.inf]],
+        [[-math.inf]],
+        [[math.nan, 1.0], [2.0, 3.0]],
+        [[1.0, 2.0], [-math.inf, 3.0]],
+        [[1.0, 2.0, 3.0], [4.0, math.inf, 6.0]],
+    ],
+    ids=["nan", "inf", "-inf", "mixed-nan", "mixed--inf", "rect-inf"],
+)
+def test_solve_assignment_rejects_non_finite_cost(cost):
+    with pytest.raises(NumericalFailure):
+        solve_assignment(np.array(cost), gate=80.0)
+
+
 def test_solver_equals_brute_force_on_random_matrices():
     rng = np.random.default_rng(123)
     for _ in range(150):

@@ -7,9 +7,11 @@ from bhsim.rng import substream
 from bhsim.world import (
     Arena,
     Balloon,
+    BalloonParams,
     PackingInfeasible,
     UnknownBalloon,
     advance_world,
+    make_balloon,
     make_world,
     pop_balloon,
     sample_balloon_layout,
@@ -122,7 +124,7 @@ def test_pop_balloon_kills_and_is_idempotent():
     balloons = sample_balloon_layout(substream(0, "layout"), Arena(), 5, 8.0)
     world = make_world(balloons)
     world = pop_balloon(world, 2)
-    assert not world.balloon_by_id(2).alive
+    assert world.center_of(2) is None
     assert world.alive_count == 4
     again = pop_balloon(world, 2)
     assert again.alive_count == 4
@@ -146,4 +148,68 @@ def test_dead_balloons_never_resurrect():
     world = pop_balloon(world, 0)
     for t in (1.0, 2.0, 3.0):
         world = advance_world(world, t)
-        assert not world.balloon_by_id(0).alive
+        assert world.center_of(0) is None
+
+
+def _reference_sway(b, t):
+    """The sway formula as written before the constants were cached."""
+    theta = b.sway_amplitude * math.sin(
+        2.0 * math.pi * b.sway_frequency * t + b.sway_phase
+    )
+    horizontal = b.tether_length * math.sin(theta)
+    ax, ay, az = b.anchor
+    return (
+        ax + horizontal * math.cos(b.sway_azimuth),
+        ay + horizontal * math.sin(b.sway_azimuth),
+        az + b.tether_length * math.cos(theta),
+    )
+
+
+def test_world_centers_equal_sway_exactly_with_pops_partway():
+    # 10 worlds x 20 balloons with random sway, 50 increasing times; a
+    # few balloons are popped at random times along the way.
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(10):
+        balloons = [
+            make_balloon(
+                i,
+                (float(rng.uniform(5, 95)), float(rng.uniform(5, 35)),
+                 float(rng.uniform(0.5, 3.0))),
+                BalloonParams(
+                    tether_length=float(rng.uniform(0.1, 2.0)),
+                    sway_amplitude=float(rng.uniform(0.0, 1.5)),
+                    sway_frequency=float(rng.uniform(-1.0, 3.0)),
+                ),
+                rng,
+            )
+            for i in range(20)
+        ]
+        world = make_world(balloons)
+        popped = set()
+        t = 0.0
+        for _ in range(50):
+            t += float(rng.exponential(0.7))
+            world = advance_world(world, t)
+            if rng.random() < 0.3:
+                victim = int(rng.integers(0, 20))
+                world = pop_balloon(world, victim)
+                popped.add(victim)
+            assert world.alive_count == 20 - len(popped)
+            for b, c in zip(world.balloons, world.centers):
+                if b.id in popped:
+                    assert c is None and world.center_of(b.id) is None
+                    continue
+                assert c == step_balloon_sway(b, t) == _reference_sway(b, t)
+                checked += 1
+        assert popped
+    assert checked > 5000
+
+
+def test_make_world_centers_balloons_at_its_time():
+    balloons = sample_balloon_layout(substream(4, "layout"), Arena(), 5, 8.0)
+    world = make_world(balloons, time=2.5)
+    assert world.centers == tuple(_reference_sway(b, 2.5) for b in balloons)
+    assert world.balloon_by_id(3) is balloons[3]
+    with pytest.raises(UnknownBalloon):
+        world.center_of(99)
