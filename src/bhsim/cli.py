@@ -108,6 +108,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValidationError("--jobs", f"{args.jobs} is below 1")
     scenario = _load(args)
     seeds = _parse_seed_range(args.seeds)
     # A scenario that cannot be planned fails every seed the same way:

@@ -2,16 +2,21 @@
 
 One ``key = value`` pair per line, ``#`` comments, blank lines ignored.
 Keys are dotted section paths (``tracker.gate_px = 80``); every key has a
-documented default, so the minimal scenario is just a seed.  Unknown keys
-are fatal.  Vectors are comma- or space-separated numbers; lists of
-vectors are semicolon-separated; failure scripts are ``agent:time`` pairs
-separated by semicolons.
+default, so the minimal scenario is just a seed.  Unknown keys are fatal.
+Vectors are comma- or space-separated numbers; lists of vectors are
+semicolon-separated; failure scripts are ``agent:time`` pairs separated
+by semicolons.
+
+``SCHEMA`` is the one table of keys: each key's parser, its domain and
+the ``Scenario`` field it fills.  Defaults live only in the ``Scenario``
+dataclasses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -22,6 +27,19 @@ from .vehicle import UavParams, geofence_from_arena
 from .world import MAX_BALLOON_HEIGHT_M, Arena, BalloonParams
 
 Vec3 = tuple[float, float, float]
+
+# The work budget: bounds on what one run may cost, checked before
+# anything is built.  A run never takes more than MAX_TICKS ticks
+# (sim.tick_rate x sim.duration_limit): half an hour of simulated time
+# at the default 20 Hz, three times default.cfg.
+MAX_TICKS = 36_000
+MAX_AGENTS = 16
+MAX_BALLOONS = 200
+# Expected false alarms per frame.  Each spawns a tentative track that
+# lives for up to tracker.k_delete frames, and the assignment solver is
+# cubic in the track count.  Far below 745, where exp(-rate) underflows.
+MAX_FALSE_ALARM_RATE = 5
+
 
 class ParseError(ValueError):
     """Malformed scenario text or unknown key."""
@@ -82,6 +100,9 @@ class Scenario:
     sim: SimParams = SimParams()
 
 
+_DEFAULTS = Scenario()
+
+
 def _parse_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -118,62 +139,107 @@ def _parse_failures(raw: str) -> tuple[tuple[int, float], ...]:
     return tuple(sorted(out, key=lambda p: p[1]))
 
 
-# key -> parser of the value text.  The parsed values land in a flat dict
-# and are assembled into the Scenario (with defaults) by build_scenario.
-SCHEMA: dict[str, Callable[[str], object]] = {
-    "seed": _parse_int,
-    "arena.outer_extent": _parse_vec3,
-    "arena.effective_extent": _parse_vec3,
-    "arena.geofence_margin": _parse_float,
-    "balloons.count": _parse_int,
-    "balloons.min_sep": _parse_float,
-    "balloons.diameter": _parse_float,
-    "balloons.pole_height": _parse_float,
-    "balloons.tether_length": _parse_float,
-    "balloons.sway_amplitude": _parse_float,
-    "balloons.sway_frequency": _parse_float,
-    "balloons.anchors": _parse_vec3_list,
-    "camera.focal_px": _parse_float,
-    "camera.width_px": _parse_float,
-    "camera.height_px": _parse_float,
-    "noise.center_sigma": _parse_float,
-    "noise.size_sigma_frac": _parse_float,
-    "noise.p_miss_base": _parse_float,
-    "noise.p_miss_range_scale": _parse_float,
-    "noise.false_alarm_rate": _parse_float,
-    "noise.confidence_floor": _parse_float,
-    "agents.count": _parse_int,
-    "agents.starts": _parse_vec3_list,
-    "agents.start_yaw": _parse_float,
-    "vehicle.v_max": _parse_float,
-    "vehicle.v_approach": _parse_float,
-    "vehicle.tau": _parse_float,
-    "vehicle.yaw_rate_max": _parse_float,
-    "tracker.gate_px": _parse_float,
-    "tracker.m_confirm": _parse_int,
-    "tracker.k_delete": _parse_int,
-    "mission.m_commit": _parse_int,
-    "mission.align_tol_px": _parse_float,
-    "mission.commit_range_max": _parse_float,
-    "mission.d_standoff": _parse_float,
-    "mission.t_confirm": _parse_float,
-    "mission.tip_reach": _parse_float,
-    "mission.lane_spacing": _parse_float,
-    "mission.search_altitude": _parse_float,
-    "mission.retry_limit": _parse_int,
-    "mission.wp_tolerance": _parse_float,
-    "mission.wp_step": _parse_float,
-    "mission.wp_timeout": _parse_float,
-    "mission.align_timeout": _parse_float,
-    "mission.approach_timeout": _parse_float,
-    "mission.approach_stall_timeout": _parse_float,
-    "mission.revisit_timeout": _parse_float,
-    "mission.yaw_gain": _parse_float,
-    "fleet.claim_radius": _parse_float,
-    "fleet.min_sep": _parse_float,
-    "fleet.failures": _parse_failures,
-    "sim.tick_rate": _parse_float,
-    "sim.duration_limit": _parse_float,
+@dataclass(frozen=True)
+class Key:
+    """One scenario key.
+
+    ``domain`` is an interval as the README writes it: ``(0, inf)``,
+    ``[0, pi/2)``, or ``[1, 16]`` for an integer range.  Every number in
+    a value (each coordinate of a vector, each agent id and time of a
+    failure script) must lie in it.  ``field`` is the dotted path of the
+    ``Scenario`` field the value fills.
+    """
+
+    parse: Callable[[str], object]
+    domain: str
+    field: str
+
+    @cached_property
+    def ends(self) -> tuple[float, float]:
+        lo, hi = self.domain[1:-1].split(", ")
+        return float(lo), math.pi / 2 if hi == "pi/2" else float(hi)
+
+    def accepts(self, x: float) -> bool:
+        lo, hi = self.ends
+        above = lo < x if self.domain[0] == "(" else lo <= x
+        below = x < hi if self.domain[-1] == ")" else x <= hi
+        return above and below
+
+
+SCHEMA: dict[str, Key] = {
+    "seed": Key(_parse_int, "(-inf, inf)", "seed"),
+    "arena.outer_extent": Key(_parse_vec3, "(0, 1000]", "arena.outer_extent"),
+    "arena.effective_extent": Key(_parse_vec3, "(0, 1000]", "arena.effective_extent"),
+    "arena.geofence_margin": Key(_parse_float, "[0, 1000]", "arena.geofence_margin"),
+    "balloons.count": Key(_parse_int, f"[0, {MAX_BALLOONS}]", "balloons.count"),
+    "balloons.min_sep": Key(_parse_float, "[0, 1000]", "balloons.min_sep"),
+    "balloons.diameter": Key(_parse_float, "(0, 5]", "balloons.params.diameter"),
+    "balloons.pole_height": Key(_parse_float, "[0, 5]", "balloons.params.pole_height"),
+    "balloons.tether_length": Key(
+        _parse_float, "[0, 5]", "balloons.params.tether_length"
+    ),
+    "balloons.sway_amplitude": Key(
+        _parse_float, "[0, pi/2)", "balloons.params.sway_amplitude"
+    ),
+    "balloons.sway_frequency": Key(
+        _parse_float, "[0, 10]", "balloons.params.sway_frequency"
+    ),
+    "balloons.anchors": Key(_parse_vec3_list, "[0, 1000]", "balloons.anchors"),
+    "camera.focal_px": Key(_parse_float, "[1, 10000]", "camera.focal_px"),
+    "camera.width_px": Key(_parse_float, "[1, 10000]", "camera.width_px"),
+    "camera.height_px": Key(_parse_float, "[1, 10000]", "camera.height_px"),
+    "noise.center_sigma": Key(_parse_float, "[0, 1000]", "noise.center_sigma"),
+    "noise.size_sigma_frac": Key(_parse_float, "[0, 1]", "noise.size_sigma_frac"),
+    "noise.p_miss_base": Key(_parse_float, "[0, 1]", "noise.p_miss_base"),
+    "noise.p_miss_range_scale": Key(
+        _parse_float, "[0, 1]", "noise.p_miss_range_scale"
+    ),
+    "noise.false_alarm_rate": Key(
+        _parse_float, f"[0, {MAX_FALSE_ALARM_RATE}]", "noise.false_alarm_rate"
+    ),
+    "noise.confidence_floor": Key(_parse_float, "[0, 1]", "noise.confidence_floor"),
+    "agents.count": Key(_parse_int, f"[1, {MAX_AGENTS}]", "agents.count"),
+    "agents.starts": Key(_parse_vec3_list, "(-inf, inf)", "agents.starts"),
+    "agents.start_yaw": Key(_parse_float, "(-inf, inf)", "agents.start_yaw"),
+    "vehicle.v_max": Key(_parse_float, "(0, 50]", "vehicle.v_max"),
+    "vehicle.v_approach": Key(_parse_float, "(0, 50]", "mission.v_approach"),
+    "vehicle.tau": Key(_parse_float, "(0, 10]", "vehicle.tau"),
+    "vehicle.yaw_rate_max": Key(_parse_float, "(0, 10]", "vehicle.yaw_rate_max"),
+    "tracker.gate_px": Key(_parse_float, "(0, 10000]", "tracker.gate_px"),
+    "tracker.m_confirm": Key(_parse_int, "[1, 10]", "tracker.m_confirm"),
+    "tracker.k_delete": Key(_parse_int, "[1, 10]", "tracker.k_delete"),
+    "mission.m_commit": Key(_parse_int, "[1, 10]", "mission.m_commit"),
+    "mission.align_tol_px": Key(_parse_float, "(0, 10000]", "mission.align_tol_px"),
+    "mission.commit_range_max": Key(
+        _parse_float, "(0, 1000]", "mission.commit_range_max"
+    ),
+    "mission.d_standoff": Key(_parse_float, "(0, 1000]", "mission.d_standoff"),
+    "mission.t_confirm": Key(_parse_float, "[0, inf)", "mission.t_confirm"),
+    "mission.tip_reach": Key(_parse_float, "[0, 5]", "mission.tip_reach"),
+    "mission.lane_spacing": Key(_parse_float, "(0, 1000]", "mission.lane_spacing"),
+    "mission.search_altitude": Key(
+        _parse_float, "(0, 1000]", "mission.search_altitude"
+    ),
+    "mission.retry_limit": Key(_parse_int, "[0, 100]", "mission.retry_limit"),
+    "mission.wp_tolerance": Key(_parse_float, "(0, 1000]", "mission.wp_tolerance"),
+    "mission.wp_step": Key(_parse_float, "(0, 1000]", "mission.wp_step"),
+    "mission.wp_timeout": Key(_parse_float, "(0, inf)", "mission.wp_timeout"),
+    "mission.align_timeout": Key(_parse_float, "(0, inf)", "mission.align_timeout"),
+    "mission.approach_timeout": Key(
+        _parse_float, "(0, inf)", "mission.approach_timeout"
+    ),
+    "mission.approach_stall_timeout": Key(
+        _parse_float, "(0, inf)", "mission.approach_stall_timeout"
+    ),
+    "mission.revisit_timeout": Key(
+        _parse_float, "(0, inf)", "mission.revisit_timeout"
+    ),
+    "mission.yaw_gain": Key(_parse_float, "(0, 100]", "mission.yaw_gain"),
+    "fleet.claim_radius": Key(_parse_float, "(0, 1000]", "fleet.claim_radius"),
+    "fleet.min_sep": Key(_parse_float, "(0, 1000]", "fleet.min_sep"),
+    "fleet.failures": Key(_parse_failures, "[0, inf)", "fleet.failures"),
+    "sim.tick_rate": Key(_parse_float, "[1, 1000]", "sim.tick_rate"),
+    "sim.duration_limit": Key(_parse_float, "(0, inf)", "sim.duration_limit"),
 }
 
 
@@ -194,7 +260,7 @@ def parse_scenario_text(text: str) -> Scenario:
         if key in values:
             raise ParseError(key, "duplicate key")
         try:
-            values[key] = SCHEMA[key](raw_value)
+            values[key] = SCHEMA[key].parse(raw_value)
         except (ValueError, TypeError) as exc:
             raise ParseError(key, f"bad value {raw_value!r} ({exc})") from None
     return build_scenario(values)
@@ -204,187 +270,88 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario_text(Path(path).read_text(encoding="utf-8"))
 
 
-def _get(values: dict, key: str, default):
-    return values.get(key, default)
+def default_of(key: str) -> object:
+    """The default of a key: its field in the all-defaults ``Scenario``."""
+    return reduce(getattr, SCHEMA[key].field.split("."), _DEFAULTS)
+
+
+def _numbers(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _numbers(item)
+    else:
+        yield value
+
+
+def _fill(base, tree: dict):
+    """``base`` with the fields in ``tree`` replaced, nested dicts recursively."""
+    return replace(base, **{
+        name: _fill(getattr(base, name), sub) if isinstance(sub, dict) else sub
+        for name, sub in tree.items()
+    })
 
 
 def build_scenario(values: dict[str, object]) -> Scenario:
-    """Assemble and validate a Scenario from parsed key/value pairs."""
-    try:
-        arena = Arena(
-            outer_extent=_get(values, "arena.outer_extent", (100.0, 40.0, 20.0)),
-            effective_extent=_get(values, "arena.effective_extent", (90.0, 30.0, 5.0)),
-            geofence_margin=_get(values, "arena.geofence_margin", 1.0),
-        )
-    except ValueError as exc:
-        raise ValidationError("arena", str(exc)) from None
+    """Check, complete and assemble a Scenario from parsed key/value pairs.
 
-    bp_defaults = BalloonParams()
-    try:
-        balloon_params = BalloonParams(
-            pole_height=_get(values, "balloons.pole_height", bp_defaults.pole_height),
-            tether_length=_get(
-                values, "balloons.tether_length", bp_defaults.tether_length
-            ),
-            diameter=_get(values, "balloons.diameter", bp_defaults.diameter),
-            sway_amplitude=_get(
-                values, "balloons.sway_amplitude", bp_defaults.sway_amplitude
-            ),
-            sway_frequency=_get(
-                values, "balloons.sway_frequency", bp_defaults.sway_frequency
-            ),
-        )
-    except ValueError as exc:
-        raise ValidationError("balloons", str(exc)) from None
-    if balloon_params.diameter <= 0:
-        raise ValidationError("balloons.diameter", "must be positive")
-    if not 0.0 <= balloon_params.sway_amplitude < math.pi / 2:
-        raise ValidationError("balloons.sway_amplitude", "must be in [0, pi/2)")
+    A list of anchors or starts sets its count.  Every value must lie in
+    its key's domain, which also bounds the counts; the ``Scenario``
+    defaults fill the missing keys; then the rules between keys and the
+    tick budget are checked.
+    """
+    values = dict(values)
+    if "balloons.anchors" in values:
+        values["balloons.count"] = len(values["balloons.anchors"])
+    if "agents.starts" in values:
+        values.setdefault("agents.count", len(values["agents.starts"]))
+    for key, value in values.items():
+        spec = SCHEMA[key]
+        for x in _numbers(value):
+            if not spec.accepts(x):
+                raise ValidationError(key, f"{x!r} is outside {spec.domain}")
+    v = {key: values[key] if key in values else default_of(key) for key in SCHEMA}
 
-    anchors = _get(values, "balloons.anchors", None)
-    bases = [balloon_params.pole_height] if anchors is None else [a[2] for a in anchors]
-    if any(z + balloon_params.tether_length > MAX_BALLOON_HEIGHT_M for z in bases):
+    rate, duration = v["sim.tick_rate"], v["sim.duration_limit"]
+    if rate * duration > MAX_TICKS:
+        raise ValidationError(
+            "sim.duration_limit",
+            f"{duration:g} s at sim.tick_rate {rate:g} Hz is more than "
+            f"MAX_TICKS = {MAX_TICKS} ticks",
+        )
+    if v["vehicle.v_approach"] > v["vehicle.v_max"]:
+        raise ValidationError("vehicle.v_approach", "must be at most vehicle.v_max")
+    outer, effective = v["arena.outer_extent"], v["arena.effective_extent"]
+    if any(e > o for e, o in zip(effective, outer)):
+        raise ValidationError(
+            "arena.effective_extent", "must fit inside arena.outer_extent"
+        )
+    anchors = v["balloons.anchors"]
+    bases = [v["balloons.pole_height"]] if anchors is None else [a[2] for a in anchors]
+    if any(z + v["balloons.tether_length"] > MAX_BALLOON_HEIGHT_M for z in bases):
         raise ValidationError(
             "balloons.tether_length",
             f"balloon centers must stay at most {MAX_BALLOON_HEIGHT_M} m high",
         )
-    count = _get(values, "balloons.count", 5)
-    if anchors is not None:
-        count = len(anchors)
-    if count < 0:
-        raise ValidationError("balloons.count", "must be non-negative")
-    min_sep = _get(values, "balloons.min_sep", 8.0)
-    if min_sep < 0:
-        raise ValidationError("balloons.min_sep", "must be non-negative")
-    balloons = BalloonSetup(
-        count=count,
-        min_sep=min_sep,
-        params=balloon_params,
-        anchors=anchors,
+    n_agents = v["agents.count"]
+    for agent_id, _ in v["fleet.failures"]:
+        if agent_id >= n_agents:
+            raise ValidationError("fleet.failures", f"unknown agent {agent_id}")
+
+    tree: dict = {}
+    for key, spec in SCHEMA.items():
+        *sections, name = spec.field.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = v[key]
+    width, height = v["camera.width_px"], v["camera.height_px"]
+    tree["camera"]["principal"] = (width / 2.0, height / 2.0)
+    tree["mission"]["v_search"] = v["vehicle.v_max"]
+    arena = tree["arena"] = _fill(_DEFAULTS.arena, tree["arena"])
+
+    starts = v["agents.starts"] or _default_starts(
+        arena, n_agents, v["mission.search_altitude"]
     )
-
-    width = _get(values, "camera.width_px", 1280.0)
-    height = _get(values, "camera.height_px", 720.0)
-    try:
-        camera = CameraIntrinsics(
-            focal_px=_get(values, "camera.focal_px", 600.0),
-            width_px=width,
-            height_px=height,
-            principal=(width / 2.0, height / 2.0),
-        )
-    except ValueError as exc:
-        raise ValidationError("camera", str(exc)) from None
-
-    nd = NoiseModel()
-    try:
-        noise = NoiseModel(
-            center_sigma=_get(values, "noise.center_sigma", nd.center_sigma),
-            size_sigma_frac=_get(values, "noise.size_sigma_frac", nd.size_sigma_frac),
-            p_miss_base=_get(values, "noise.p_miss_base", nd.p_miss_base),
-            p_miss_range_scale=_get(
-                values, "noise.p_miss_range_scale", nd.p_miss_range_scale
-            ),
-            false_alarm_rate=_get(
-                values, "noise.false_alarm_rate", nd.false_alarm_rate
-            ),
-            confidence_floor=_get(
-                values, "noise.confidence_floor", nd.confidence_floor
-            ),
-        )
-    except ValueError as exc:
-        raise ValidationError("noise", str(exc)) from None
-
-    vd = UavParams()
-    vehicle = UavParams(
-        v_max=_get(values, "vehicle.v_max", vd.v_max),
-        tau=_get(values, "vehicle.tau", vd.tau),
-        yaw_rate_max=_get(values, "vehicle.yaw_rate_max", vd.yaw_rate_max),
-    )
-    if vehicle.v_max <= 0:
-        raise ValidationError("vehicle.v_max", "must be positive")
-    if vehicle.tau <= 0:
-        raise ValidationError("vehicle.tau", "must be positive")
-
-    td = TrackerParams()
-    tracker = TrackerParams(
-        gate_px=_get(values, "tracker.gate_px", td.gate_px),
-        m_confirm=_get(values, "tracker.m_confirm", td.m_confirm),
-        k_delete=_get(values, "tracker.k_delete", td.k_delete),
-    )
-    if tracker.gate_px <= 0:
-        raise ValidationError("tracker.gate_px", "must be positive")
-    if tracker.m_confirm < 1:
-        raise ValidationError("tracker.m_confirm", "must be at least 1")
-    if tracker.k_delete < 1:
-        raise ValidationError("tracker.k_delete", "must be at least 1")
-
-    md = MissionParams()
-    mission = MissionParams(
-        m_commit=_get(values, "mission.m_commit", md.m_commit),
-        align_tol_px=_get(values, "mission.align_tol_px", md.align_tol_px),
-        commit_range_max=_get(
-            values, "mission.commit_range_max", md.commit_range_max
-        ),
-        v_search=vehicle.v_max,
-        v_approach=_get(values, "vehicle.v_approach", md.v_approach),
-        d_standoff=_get(values, "mission.d_standoff", md.d_standoff),
-        t_confirm=_get(values, "mission.t_confirm", md.t_confirm),
-        tip_reach=_get(values, "mission.tip_reach", md.tip_reach),
-        lane_spacing=_get(values, "mission.lane_spacing", md.lane_spacing),
-        search_altitude=_get(values, "mission.search_altitude", md.search_altitude),
-        retry_limit=_get(values, "mission.retry_limit", md.retry_limit),
-        wp_tolerance=_get(values, "mission.wp_tolerance", md.wp_tolerance),
-        wp_step=_get(values, "mission.wp_step", md.wp_step),
-        wp_timeout=_get(values, "mission.wp_timeout", md.wp_timeout),
-        align_timeout=_get(values, "mission.align_timeout", md.align_timeout),
-        approach_timeout=_get(
-            values, "mission.approach_timeout", md.approach_timeout
-        ),
-        approach_stall_timeout=_get(
-            values, "mission.approach_stall_timeout", md.approach_stall_timeout
-        ),
-        revisit_timeout=_get(values, "mission.revisit_timeout", md.revisit_timeout),
-        yaw_gain=_get(values, "mission.yaw_gain", md.yaw_gain),
-    )
-    if not 0 < mission.v_approach <= vehicle.v_max:
-        raise ValidationError("vehicle.v_approach", "must be in (0, vehicle.v_max]")
-    if mission.lane_spacing <= 0:
-        raise ValidationError("mission.lane_spacing", "must be positive")
-    if mission.wp_step <= 0:
-        raise ValidationError("mission.wp_step", "must be positive")
-    if mission.d_standoff <= 0:
-        raise ValidationError("mission.d_standoff", "must be positive")
-    if mission.yaw_gain <= 0:
-        raise ValidationError("mission.yaw_gain", "must be positive")
-
-    fd = FleetParams()
-    fleet = FleetParams(
-        claim_radius=_get(values, "fleet.claim_radius", fd.claim_radius),
-        min_sep=_get(values, "fleet.min_sep", fd.min_sep),
-        failures=_get(values, "fleet.failures", ()),
-    )
-    if fleet.claim_radius <= 0:
-        raise ValidationError("fleet.claim_radius", "must be positive")
-    if fleet.min_sep <= 0:
-        raise ValidationError("fleet.min_sep", "must be positive")
-
-    sim = SimParams(
-        tick_rate=_get(values, "sim.tick_rate", 20.0),
-        duration_limit=_get(values, "sim.duration_limit", 600.0),
-    )
-    if sim.tick_rate <= 0:
-        raise ValidationError("sim.tick_rate", "must be positive")
-    if sim.duration_limit <= 0:
-        raise ValidationError("sim.duration_limit", "must be positive")
-
-    n_agents = _get(values, "agents.count", 1)
-    starts = _get(values, "agents.starts", None)
-    if starts is not None and "agents.count" not in values:
-        n_agents = len(starts)
-    if n_agents < 1:
-        raise ValidationError("agents.count", "must be at least 1")
-    if starts is None:
-        starts = _default_starts(arena, n_agents, mission.search_altitude)
     if len(starts) != n_agents:
         raise ValidationError(
             "agents.starts", f"expected {n_agents} start positions, got {len(starts)}"
@@ -401,31 +368,8 @@ def build_scenario(values: dict[str, object]) -> Scenario:
                 raise ValidationError(
                     "agents.starts", f"agents {i} and {j} share a start position"
                 )
-    agents = AgentSetup(
-        count=n_agents,
-        starts=tuple(starts),
-        start_yaw=_get(values, "agents.start_yaw", 0.0),
-    )
-
-    for agent_id, when in fleet.failures:
-        if not 0 <= agent_id < n_agents:
-            raise ValidationError("fleet.failures", f"unknown agent {agent_id}")
-        if when < 0:
-            raise ValidationError("fleet.failures", "failure time must be >= 0")
-
-    return Scenario(
-        seed=_get(values, "seed", 0),
-        arena=arena,
-        balloons=balloons,
-        camera=camera,
-        noise=noise,
-        vehicle=vehicle,
-        tracker=tracker,
-        mission=mission,
-        fleet=fleet,
-        agents=agents,
-        sim=sim,
-    )
+    tree["agents"]["starts"] = starts
+    return _fill(_DEFAULTS, tree)
 
 
 def _default_starts(arena: Arena, n: int, altitude: float) -> tuple[Vec3, ...]:
@@ -437,7 +381,6 @@ def _default_starts(arena: Arena, n: int, altitude: float) -> tuple[Vec3, ...]:
     )
 
 
-def default_scenario(seed: int = 0, **overrides) -> Scenario:
+def default_scenario(seed: int = 0) -> Scenario:
     """The all-defaults scenario (5 balloons, 1 agent) with a given seed."""
-    base = build_scenario({"seed": seed})
-    return replace(base, **overrides) if overrides else base
+    return build_scenario({"seed": seed})

@@ -660,9 +660,11 @@ def sweep(
 ) -> SweepResult:
     """Run the scenario once per seed and aggregate the metrics.
 
-    Runs share nothing; with ``jobs > 1`` they execute in a process pool
-    and per-seed event logs (when ``out_dir`` is given) are written by
-    the workers.  Rows are returned in seed order either way.
+    Runs share nothing; with ``jobs > 1`` and more than one seed they
+    execute in a pool of ``min(jobs, len(seeds))`` processes, which
+    starts all its workers at once, and per-seed event logs (when
+    ``out_dir`` is given) are written by the workers.  Rows are returned
+    in seed order either way.
     """
     if not seeds:
         raise ValueError("seed range must be non-empty")
@@ -670,9 +672,10 @@ def sweep(
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         out_dir = str(out_dir)
     work = [(scenario, seed, out_dir) for seed in seeds]
-    if jobs <= 1:
+    workers = min(jobs, len(work))
+    if workers <= 1:
         rows = [_sweep_one(w) for w in work]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, work))
     return SweepResult(rows=rows, aggregate=_aggregate(rows))

@@ -61,7 +61,10 @@ class Geofence:
             raise ValueError("geofence min must be strictly below max")
 
     def contains(self, p: Vec3) -> bool:
-        return all(self.lo[i] <= p[i] <= self.hi[i] for i in range(3))
+        lo, hi = self.lo, self.hi
+        return (
+            lo[0] <= p[0] <= hi[0] and lo[1] <= p[1] <= hi[1] and lo[2] <= p[2] <= hi[2]
+        )
 
     @property
     def center(self) -> Vec3:

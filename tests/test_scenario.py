@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -12,20 +14,27 @@ from bhsim.events import (
     write_event_log,
 )
 from bhsim.scenario import (
+    MAX_AGENTS,
+    MAX_BALLOONS,
+    MAX_FALSE_ALARM_RATE,
+    MAX_TICKS,
     SCHEMA,
+    Key,
     ParseError,
     ValidationError,
+    _numbers,
     _parse_float,
     _parse_vec3,
     _parse_vec3_list,
+    default_of,
     default_scenario,
     load_scenario,
     parse_scenario_text,
 )
 
-FLOAT_KEYS = [k for k, parse in SCHEMA.items() if parse is _parse_float]
+FLOAT_KEYS = [k for k, spec in SCHEMA.items() if spec.parse is _parse_float]
 VECTOR_KEYS = [
-    k for k, parse in SCHEMA.items() if parse in (_parse_vec3, _parse_vec3_list)
+    k for k, spec in SCHEMA.items() if spec.parse in (_parse_vec3, _parse_vec3_list)
 ]
 
 
@@ -170,6 +179,108 @@ def test_non_finite_float_rejected(key, bad):
     with pytest.raises(ParseError) as err:
         parse_scenario_text(f"seed = 1\n{key} = {value}\n")
     assert key in str(err.value)
+
+
+def _readme_key_table() -> list[list[str]]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Scenario files")[1]
+    return [
+        [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        for line in section.split("\n## ")[0].splitlines()
+        if line.startswith("| `")
+    ]
+
+
+def test_readme_key_table_matches_schema_and_defaults():
+    rows = _readme_key_table()
+    assert [row[0] for row in rows] == list(SCHEMA)
+    for key, default, domain, _meaning in rows:
+        spec = SCHEMA[key]
+        assert domain == spec.domain, key
+        if default == "—":
+            assert default_of(key) in (None, ()), key
+        else:
+            assert spec.parse(default) == default_of(key), key
+
+
+@pytest.mark.parametrize("key", list(SCHEMA))
+def test_default_lies_in_its_domain(key):
+    spec = SCHEMA[key]
+    assert all(spec.accepts(x) for x in _numbers(default_of(key) or ()))
+
+
+@pytest.mark.parametrize(
+    "domain, inside, outside",
+    [
+        ("(0, inf)", [5e-324, 1e300], [0.0, -1.0]),
+        ("[0, pi/2)", [0.0, math.nextafter(math.pi / 2, 0.0)], [-5e-324, math.pi / 2]),
+        ("[1, 16]", [1, 16], [0, 17]),
+        ("(-inf, inf)", [-1e300, 0.0, 1e300], []),
+    ],
+)
+def test_domain_ends_are_open_or_closed_as_written(domain, inside, outside):
+    spec = Key(_parse_float, domain, "seed")
+    assert all(spec.accepts(x) for x in inside)
+    assert not any(spec.accepts(x) for x in outside)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "noise.center_sigma = 0",
+        "agents.start_yaw = -1e300",
+        "agents.start_yaw = 1e12",
+        "mission.retry_limit = 0",
+        "mission.t_confirm = 0",
+        "balloons.min_sep = 0",
+        "arena.geofence_margin = 0",
+    ],
+)
+def test_boundary_values_in_use_stay_accepted(line):
+    parse_scenario_text(f"seed = 1\n{line}\n")
+
+
+def test_tick_budget_is_inclusive_and_names_duration():
+    rate = 20
+    at_budget = MAX_TICKS / rate
+    s = parse_scenario_text(
+        f"sim.tick_rate = {rate}\nsim.duration_limit = {at_budget}\n"
+    )
+    assert s.sim.tick_rate * s.sim.duration_limit == MAX_TICKS
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text(f"sim.duration_limit = {at_budget + 0.05}\n")
+    assert str(err.value).startswith("sim.duration_limit: ")
+    assert "MAX_TICKS" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (f"agents.count = {MAX_AGENTS + 1}\n", "agents.count"),
+        ("agents.starts = " + "; ".join(
+            f"{10 + 4 * i}, 20, 4" for i in range(MAX_AGENTS + 1)) + "\n",
+         "agents.count"),
+        (f"balloons.count = {MAX_BALLOONS + 1}\n", "balloons.count"),
+        ("balloons.anchors = " + "; ".join(
+            f"{i % 90 + 5}, {i // 90 + 5}, 2" for i in range(MAX_BALLOONS + 1)) + "\n",
+         "balloons.count"),
+        (f"noise.false_alarm_rate = {MAX_FALSE_ALARM_RATE + 0.5}\n",
+         "noise.false_alarm_rate"),
+    ],
+    ids=["agents", "starts", "balloons", "anchors", "false-alarms"],
+)
+def test_counts_and_false_alarms_over_budget_rejected(text, key):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text("seed = 1\n" + text)
+    assert str(err.value).startswith(f"{key}: ")
+
+
+def test_most_agents_and_balloons_in_budget_accepted():
+    s = parse_scenario_text(
+        f"seed = 1\nagents.count = {MAX_AGENTS}\nballoons.count = {MAX_BALLOONS}\n"
+        f"noise.false_alarm_rate = {MAX_FALSE_ALARM_RATE}\n"
+    )
+    assert len(s.agents.starts) == MAX_AGENTS
 
 
 def test_v_approach_lands_in_mission_params():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -276,6 +277,78 @@ def test_cli_sweep_error_rows_exit_2(tmp_path, capsys):
     assert len(rows) == 2
     assert all("PackingInfeasible" in row for row in rows)
     assert "2 run(s) failed" in captured.err
+
+
+@pytest.mark.parametrize("jobs, seeds, workers", [(5000, 2, 2), (3, 5, 3), (2, 2, 2)])
+def test_sweep_pool_has_no_more_workers_than_runs(monkeypatch, jobs, seeds, workers):
+    # A fake executor records the pool size; no process is started.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    s = parse_scenario_text("seed = 0\nballoons.count = 0\n")
+    result = sweep(s, range(seeds), jobs=jobs)
+    assert sizes == [workers]
+    assert [m.seed for m in result.rows] == list(range(seeds))
+
+
+def test_sweep_of_one_seed_starts_no_pool(monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError("pool started for a single run")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    s = parse_scenario_text("seed = 0\nballoons.count = 0\n")
+    assert len(sweep(s, [4], jobs=8).rows) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_sweep_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
+    scn = _write_scenario(tmp_path, "seed = 0\nballoons.count = 0\n")
+    argv = ["sweep", "--scenario", scn, "--seeds", "0..1", "--jobs", jobs]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: --jobs: {jobs} is below 1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "vehicle.yaw_rate_max = -1",
+        "mission.tip_reach = -1",
+        "balloons.pole_height = -1",
+        "sim.tick_rate = 1e6",
+        "agents.count = 1000000000000",
+        "noise.false_alarm_rate = 1e12",
+    ],
+)
+def test_cli_out_of_domain_value_exits_1_without_running(
+    tmp_path, capsys, monkeypatch, line
+):
+    # Each of these used to pass the parser: the first three ran to 0/5
+    # popped with exit 0, the others hung or flooded the tracker.
+    def must_not_run(scenario):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("bhsim.cli.run_simulation", must_not_run)
+    scn = _write_scenario(tmp_path, f"seed = 0\n{line}\n")
+    start = time.perf_counter()
+    assert cli_main(["simulate", "--scenario", scn]) == 1
+    assert time.perf_counter() - start < 1.0
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
 
 
 @pytest.mark.parametrize("v_approach", ["0", "2.5"])

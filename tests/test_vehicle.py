@@ -166,6 +166,23 @@ def test_wrap_angle_range():
 FENCE = Geofence(lo=(0.0, 0.0, 0.0), hi=(10.0, 10.0, 6.0))
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_geofence_contains_its_faces_and_nothing_an_ulp_past(axis):
+    fence = Geofence(lo=(-3.5, 0.0, 0.1), hi=(10.0, 1e-3, 6.0))
+    inside = list(fence.center)
+    for end, outward in ((fence.lo[axis], -math.inf), (fence.hi[axis], math.inf)):
+        p = list(inside)
+        p[axis] = end
+        assert fence.contains(tuple(p))
+        p[axis] = math.nextafter(end, outward)
+        assert not fence.contains(tuple(p))
+        p[axis] = math.nextafter(end, -outward)
+        assert fence.contains(tuple(p))
+    p = list(inside)
+    p[axis] = math.nan
+    assert not fence.contains(tuple(p))
+
+
 def test_clamp_interior_passes_through():
     cmd = (1.0, -1.0, 0.5)
     assert clamp_to_geofence((5.0, 5.0, 3.0), cmd, FENCE, 1.0, 2.0) == cmd
