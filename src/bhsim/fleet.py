@@ -152,7 +152,6 @@ class ClaimEntry:
     agent_id: int
     estimate: Vec3
     radius: float
-    timestamp: float
 
 
 @dataclass
@@ -181,7 +180,6 @@ def claim_target(
     agent_id: int,
     estimate: Vec3,
     claim_radius: float,
-    timestamp: float = 0.0,
 ) -> ClaimResult:
     """Try to reserve a balloon estimate for one agent.
 
@@ -206,12 +204,11 @@ def claim_target(
         agent_id=agent_id,
         estimate=estimate,
         radius=claim_radius,
-        timestamp=timestamp,
     )
     return ClaimResult(granted=True, claim_id=claim_id)
 
 
-def release_claim(table: ClaimTable, claim_id: int, reason: str) -> ClaimTable:
+def release_claim(table: ClaimTable, claim_id: int) -> None:
     """Remove a claim.  Double release raises (it signals a logic bug).
 
     Raises:
@@ -220,7 +217,6 @@ def release_claim(table: ClaimTable, claim_id: int, reason: str) -> ClaimTable:
     if claim_id not in table.entries:
         raise UnknownClaim(claim_id)
     del table.entries[claim_id]
-    return table
 
 
 def deconflict(agents: Sequence, min_sep: float) -> dict[int, bool]:

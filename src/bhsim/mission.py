@@ -10,7 +10,6 @@ Each agent runs a small state machine over one assigned cell:
 * REVISIT  - fly to a standoff point behind the last world estimate.
 * CONFIRM  - dwell facing the estimate; if a balloon reappears nearby,
   retry the attack, otherwise declare the pop and resume the search.
-* DONE     - terminal, e.g. a killed agent; commands zero.
 
 State is a value: ``step_mission`` consumes a state and returns the next
 one plus a world-frame velocity command and a yaw-rate command.
@@ -66,7 +65,6 @@ class Phase(Enum):
     APPROACH = "approach"
     REVISIT = "revisit"
     CONFIRM = "confirm"
-    DONE = "done"
 
 
 # Every edge step_mission may produce (self loops included).  X -> SEARCH
@@ -88,7 +86,6 @@ LEGAL_TRANSITIONS = frozenset(
         (Phase.CONFIRM, Phase.CONFIRM),
         (Phase.CONFIRM, Phase.ALIGN),
         (Phase.CONFIRM, Phase.SEARCH),
-        (Phase.DONE, Phase.DONE),
     }
 )
 
@@ -130,7 +127,7 @@ class FleetView:
     """What one agent may see and do through the fleet supervisor.
 
     ``cell`` is the agent's current responsibility polygon; commits are
-    restricted to estimates inside it (empty cell disables the gate).
+    restricted to estimates inside it.
     ``try_claim(estimate, t)`` and ``release(claim_id, reason, t)`` take
     the current time, so one view serves every tick of a plan.
     """
@@ -138,7 +135,7 @@ class FleetView:
     claim_radius: float
     try_claim: Callable[[Vec3, float], ClaimResult]
     release: Callable[[int, str, float], None]
-    cell: tuple[Vec2, ...] = ()
+    cell: tuple[Vec2, ...]
 
 
 @dataclass(frozen=True)
@@ -147,18 +144,16 @@ class MissionContext:
 
     ``volume_lo`` / ``volume_hi`` bound the space balloons can occupy;
     estimates outside it (plus slack) are rejected and revisit waypoints
-    are clamped into it.  ``None`` disables the gating.
+    are clamped into it.
     """
 
     params: MissionParams
     focal_px: float
     yaw_rate_max: float
-    volume_lo: Optional[Vec3] = None
-    volume_hi: Optional[Vec3] = None
+    volume_lo: Vec3
+    volume_hi: Vec3
 
     def estimate_plausible(self, est: Vec3) -> bool:
-        if self.volume_lo is None or self.volume_hi is None:
-            return True
         s = ESTIMATE_VOLUME_SLACK
         return all(
             self.volume_lo[i] - s <= est[i] <= self.volume_hi[i] + s
@@ -166,8 +161,6 @@ class MissionContext:
         )
 
     def clamp_into_volume(self, p: Vec3) -> Vec3:
-        if self.volume_lo is None or self.volume_hi is None:
-            return p
         return (
             min(max(p[0], self.volume_lo[0]), self.volume_hi[0]),
             min(max(p[1], self.volume_lo[1]), self.volume_hi[1]),
@@ -426,8 +419,10 @@ def step_mission(
     """Advance one agent's mission by one tick.
 
     Returns the next mission state, a world-frame velocity command, a
-    yaw-rate command, and any events (phase changes, pop declarations,
-    abandoned sites).  Degenerate situations (lost claims, missing
+    yaw-rate command, and any events as ``(kind, data)`` pairs in event
+    log form: ``phase`` changes, declared pops (``pop`` from source
+    ``declared``) and abandoned sites (``failure`` for reason
+    ``unreachable_site``).  Degenerate situations (lost claims, missing
     estimates) resolve back to SEARCH.
     """
     handler = _HANDLERS[ms.phase]
@@ -545,9 +540,7 @@ def _step_search(ms, tracks, uav, view, t, ctx) -> MissionStep:
             est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
             if not ctx.estimate_plausible(est):
                 continue
-            if view.cell and not point_in_cell(
-                (est[0], est[1]), view.cell, CELL_COMMIT_MARGIN
-            ):
+            if not point_in_cell((est[0], est[1]), view.cell, CELL_COMMIT_MARGIN):
                 continue
             if _near_blacklist(est, ms.blacklist, view.claim_radius):
                 continue
@@ -754,7 +747,10 @@ def _step_confirm(ms, tracks, uav, view, t, ctx) -> MissionStep:
             continue
         if _dist3(est, ms.last_estimate) <= view.claim_radius:
             if ms.retries + 1 > mp.retry_limit:
-                events.append(("unreachable", {"estimate": list(ms.last_estimate)}))
+                events.append((
+                    "failure",
+                    {"reason": "unreachable_site", "estimate": list(ms.last_estimate)},
+                ))
                 ms2 = _back_to_search(
                     ms, uav, view, t, events, "abandoned",
                     {"reason": "retry_limit"},
@@ -791,16 +787,14 @@ def _step_confirm(ms, tracks, uav, view, t, ctx) -> MissionStep:
             return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
 
     if t - ms.entered_at >= mp.t_confirm:
-        events.append(("pop_declared", {"estimate": list(ms.last_estimate)}))
+        events.append(
+            ("pop", {"source": "declared", "estimate": list(ms.last_estimate)})
+        )
         ms2 = _back_to_search(ms, uav, view, t, events, "popped")
         return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
 
     yaw_rate = _yaw_cmd_toward(_bearing_to(uav.position, ms.last_estimate), uav, ctx)
     return MissionStep(ms, (0.0, 0.0, 0.0), yaw_rate, tuple(events))
-
-
-def _step_done(ms, tracks, uav, view, t, ctx) -> MissionStep:
-    return MissionStep(ms, (0.0, 0.0, 0.0), 0.0, ())
 
 
 _HANDLERS = {
@@ -809,5 +803,4 @@ _HANDLERS = {
     Phase.APPROACH: _step_approach,
     Phase.REVISIT: _step_revisit,
     Phase.CONFIRM: _step_confirm,
-    Phase.DONE: _step_done,
 }

@@ -59,7 +59,6 @@ class Detection:
     width: float
     height: float
     confidence: float
-    frame_index: int
     truth_id: Optional[int] = None
 
 
@@ -147,7 +146,6 @@ def generate_detections(
     world: WorldState,
     noise: NoiseModel,
     rng: np.random.Generator,
-    frame_index: int = 0,
 ) -> list[Detection]:
     """Detections for one frame: noisy true boxes plus false alarms.
 
@@ -198,7 +196,6 @@ def generate_detections(
                 width=size * factor,
                 height=size * factor,
                 confidence=confidence,
-                frame_index=frame_index,
                 truth_id=balloon.id,
             )
         )
@@ -217,7 +214,6 @@ def generate_detections(
                     width=size,
                     height=size,
                     confidence=conf,
-                    frame_index=frame_index,
                     truth_id=None,
                 )
             )

@@ -1,11 +1,21 @@
 """Deterministic tick loop, seed sweeps, metrics, and run bookkeeping.
 
-Per tick, in fixed order: advance the world, run the fleet supervisor
-(failure injection, separation holds), step every live agent in ascending
-id (perceive, track, decide, clamp, integrate), then apply pop checks and
-logging.  Agents interact only through the fleet supervisor, and all
-randomness flows from named substreams of the scenario seed, so a run is
-a pure function of (scenario, seed).
+A run is a pipeline of stages over one ``_Run`` state.  ``run_simulation``
+sets it up, makes the start-up plan (``_plan``) and then calls the
+stages in this order every tick:
+
+1. world: ``advance_world`` sways every alive balloon to time t;
+2. fleet: ``_step_fleet`` applies scripted failures and the replan they
+   force (``_plan`` again), then separation holds and close pairs;
+3. agent, for every live agent in ascending id: ``_sense`` (camera
+   detections), ``_track`` (tracker and ranging), ``_decide`` (mission)
+   and ``_act`` (hold, geofence clamp, separation strip, integration);
+4. pops: ``_pop`` checks each agent's tip against the alive balloons;
+5. audits: ``_audit`` scores the tick against ground truth.
+
+Agents interact only through the fleet stage and the claim table, and
+all randomness flows from named substreams of the scenario seed, so a
+run is a pure function of (scenario, seed).
 """
 
 from __future__ import annotations
@@ -14,6 +24,8 @@ import concurrent.futures
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,6 +33,7 @@ import numpy as np
 
 from . import events as ev
 from .fleet import (
+    ClaimResult,
     ClaimTable,
     PartitionCell,
     claim_target,
@@ -32,6 +45,7 @@ from .mission import (
     FleetView,
     MissionContext,
     MissionState,
+    MissionStep,
     Phase,
     SearchPath,
     check_pop,  # fused into pops_in_reach; bench/tracer.py wraps sim.check_pop
@@ -50,6 +64,7 @@ from .rng import substream
 from .scenario import Scenario
 from .tracking import BoxMeasurement, Tracker, step_tracker
 from .vehicle import (
+    Geofence,
     UavState,
     clamp_to_geofence,
     geofence_from_arena,
@@ -67,6 +82,7 @@ from .world import (
 
 log = logging.getLogger("bhsim")
 
+Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
 
 SPEED_TOLERANCE = 1e-9
@@ -139,14 +155,13 @@ class RunResult:
 
 @dataclass
 class _AgentRt:
-    """Mutable per-agent runtime owned by the loop."""
+    """Mutable per-agent runtime.  A failed agent is never stepped again."""
 
     id: int
     uav: UavState
     tracker: Tracker
     mission: MissionState
     rng: np.random.Generator
-    ctx: MissionContext
     view: Optional[FleetView] = None
     distance: float = 0.0
     failed: bool = False
@@ -155,11 +170,39 @@ class _AgentRt:
 class _EventLog:
     def __init__(self) -> None:
         self.records: list[dict] = []
-        self._seq = 0
 
     def emit(self, t: float, agent: Optional[int], kind: str, data: dict) -> None:
-        self.records.append(ev.make_event(self._seq, t, agent, kind, data))
-        self._seq += 1
+        self.records.append(ev.make_event(len(self.records), t, agent, kind, data))
+
+
+@dataclass
+class _Run:
+    """Everything one run carries from tick to tick; every stage works on it."""
+
+    scenario: Scenario
+    dt: float
+    fence: Geofence
+    ctx: MissionContext
+    hold_radius: float
+    strip_radius: float
+    # radius + tip_reach per balloon, as check_pop adds them
+    reaches: tuple[float, ...]
+    world: WorldState
+    agents: list[_AgentRt]
+    pending_failures: list[tuple[int, float]]
+    metrics: RunMetrics
+    elog: _EventLog = field(default_factory=_EventLog)
+    claims: ClaimTable = field(default_factory=ClaimTable)
+    cells: list[PartitionCell] = field(default_factory=list)
+    covered: list[Vec2] = field(default_factory=list)
+    pop_times: list[tuple[int, float]] = field(default_factory=list)
+    # Set by each plan: the live agents and their pairs, in ascending ids.
+    live: list[_AgentRt] = field(default_factory=list)
+    pairs: list[tuple[_AgentRt, _AgentRt]] = field(default_factory=list)
+    # Set by the fleet stage each tick: hold flags, and per agent the
+    # tick-start positions of higher-id neighbors within the strip radius.
+    holds: dict[int, bool] = field(default_factory=dict)
+    close_pairs: dict[int, list[Vec3]] = field(default_factory=dict)
 
 
 def _build_balloons(scenario: Scenario, rng: np.random.Generator) -> list[Balloon]:
@@ -234,6 +277,232 @@ def _is_closing(v: Vec3, own: Vec3, other: Vec3) -> bool:
     return v[0] * ux + v[1] * uy + v[2] * uz > 1e-9
 
 
+def _try_claim(run: _Run, agent_id: int, estimate: Vec3, t: float) -> ClaimResult:
+    result = claim_target(
+        run.claims, agent_id, estimate, run.scenario.fleet.claim_radius
+    )
+    run.elog.emit(t, agent_id, "claim", {
+        "action": "grant" if result.granted else "deny",
+        "claim_id": result.claim_id,
+        "conflict_id": result.conflict_id,
+        "estimate": list(estimate),
+    })
+    return result
+
+
+def _release(run: _Run, agent_id: int, claim_id: int, reason: str, t: float) -> None:
+    release_claim(run.claims, claim_id)
+    run.elog.emit(
+        t, agent_id, "claim",
+        {"action": "release", "claim_id": claim_id, "reason": reason},
+    )
+
+
+def _plan(run: _Run, t: float) -> None:
+    """Partition the footprint among the live agents and restart each
+    one's search on its new cell, minus the waypoints the fleet already
+    swept.  Serves start-up, where nothing is swept yet, and every replan
+    after a failure; agents keep their phase and claim.
+    """
+    run.live = [a for a in run.agents if not a.failed]
+    run.pairs = list(combinations(run.live, 2))
+    if not run.live:
+        return
+    run.cells, paths = plan_cells(run.scenario, [a.id for a in run.live])
+    radius = run.scenario.mission.lane_spacing / 2.0
+    for agent, cell in zip(run.live, run.cells):
+        path = _prune_path(paths[agent.id], run.covered, radius)
+        agent.mission = replace(
+            agent.mission,
+            path=path,
+            wp_index=0,
+            wp_started_at=t,
+            visited=tuple(False for _ in path.waypoints),
+        )
+        agent.view = FleetView(
+            claim_radius=run.scenario.fleet.claim_radius,
+            try_claim=partial(_try_claim, run, agent.id),
+            release=partial(_release, run, agent.id),
+            cell=cell.polygon,
+        )
+
+
+def _step_fleet(run: _Run, t: float) -> None:
+    """Scripted failures and the replan they force, then separation."""
+    failed = False
+    while run.pending_failures and run.pending_failures[0][1] <= t:
+        agent = run.agents[run.pending_failures.pop(0)[0]]
+        if agent.failed:
+            continue
+        agent.failed = failed = True
+        if agent.mission.claim_id is not None:
+            _release(run, agent.id, agent.mission.claim_id, "abandoned", t)
+        run.elog.emit(t, agent.id, "failure", {"reason": "scripted"})
+    if failed:
+        _plan(run, t)
+
+    run.holds = (
+        deconflict([a.uav for a in run.live], run.hold_radius) if run.pairs else {}
+    )
+    run.close_pairs = {}
+    for a, b in run.pairs:
+        if math.dist(a.uav.position, b.uav.position) < run.strip_radius:
+            run.close_pairs.setdefault(a.id, []).append(b.uav.position)
+
+
+def _sense(run: _Run, agent: _AgentRt, t: float) -> list[BoxMeasurement]:
+    """One camera frame: log each detection, hand the tracker plain boxes."""
+    s = run.scenario
+    detections = generate_detections(s.camera, agent.uav, run.world, s.noise, agent.rng)
+    for d in detections:
+        run.elog.emit(t, agent.id, "detection", {
+            "cx": d.center_x, "cy": d.center_y, "w": d.width, "h": d.height,
+            "conf": round(d.confidence, 6), "truth": d.truth_id,
+        })
+    return [
+        BoxMeasurement(d.center_x, d.center_y, d.width, d.height)
+        for d in detections
+    ]
+
+
+def _track(
+    run: _Run, agent: _AgentRt, t: float, measurements: list[BoxMeasurement]
+) -> None:
+    """Advance the tracker and range every track matched this frame."""
+    s = run.scenario
+    agent.tracker, summary = step_tracker(agent.tracker, measurements)
+    for tev in summary.events:
+        run.elog.emit(
+            t, agent.id, "track", {"event": tev.kind, "track_id": tev.track_id}
+        )
+    for track_id, _det_index in summary.matches:
+        track = agent.tracker.track_by_id(track_id)
+        if track is None:
+            continue
+        # Range from the corrected (posterior) box: the smoothed size
+        # rides out occasional association swaps.
+        circle = fit_circle(
+            BoxMeasurement(
+                float(track.x[0]), float(track.x[1]),
+                max(float(track.x[2]), 2 * MIN_CIRCLE_RADIUS_PX),
+                max(float(track.x[3]), 2 * MIN_CIRCLE_RADIUS_PX),
+            )
+        )
+        track.last_range = float(
+            estimate_range(circle, s.camera, s.balloons.params.diameter)
+        )
+
+
+def _decide(run: _Run, agent: _AgentRt, t: float) -> MissionStep:
+    """Step the mission, log its events, and add the waypoints it newly
+    visited to the fleet's coverage."""
+    prev_visited = agent.mission.visited
+    mstep = step_mission(
+        agent.mission, agent.tracker.tracks, agent.uav, agent.view, t, run.ctx
+    )
+    agent.mission = mstep.state
+    for kind, data in mstep.events:
+        run.elog.emit(t, agent.id, kind, data)
+    visited = agent.mission.visited
+    if visited is not prev_visited:
+        for idx, was in enumerate(prev_visited):
+            if not was and idx < len(visited) and visited[idx]:
+                wp = agent.mission.path.waypoints[idx]
+                run.covered.append((wp[0], wp[1]))
+    return mstep
+
+
+def _act(run: _Run, agent: _AgentRt, t: float, mstep: MissionStep) -> None:
+    """Hold, or clamp the mission's command to the geofence and strip what
+    closes on a near neighbor; then integrate the vehicle one tick."""
+    vp = run.scenario.vehicle
+    margin = run.scenario.arena.geofence_margin
+    own = agent.uav.position
+    vel = mstep.velocity_cmd
+    neighbors = run.close_pairs.get(agent.id, ())
+    if run.holds.get(agent.id, False):
+        clamped = (0.0, 0.0, 0.0)
+    else:
+        clamped = clamp_to_geofence(own, vel, run.fence, margin, vp.v_max)
+        if clamped != vel:
+            run.elog.emit(
+                t, agent.id, "geofence",
+                {"cmd": [round(c, 6) for c in vel],
+                 "clamped": [round(c, 6) for c in clamped]},
+            )
+        if neighbors:
+            for other_pos in neighbors:
+                clamped = _strip_closing(clamped, own, other_pos)
+            clamped = clamp_to_geofence(own, clamped, run.fence, margin, vp.v_max)
+            # The fence clamp can turn a tangential command back into a
+            # closing one (sliding along a wall toward the neighbor);
+            # hold rather than close.
+            if any(_is_closing(clamped, own, p) for p in neighbors):
+                clamped = (0.0, 0.0, 0.0)
+    agent.uav = step_uav(agent.uav, clamped, mstep.yaw_rate_cmd, run.dt, vp)
+    agent.distance += math.dist(own, agent.uav.position)
+    if agent.uav.speed > vp.v_max + SPEED_TOLERANCE:
+        raise InvariantViolation(f"agent {agent.id} exceeded v_max: {agent.uav.speed}")
+    if not run.fence.contains(agent.uav.position):
+        run.metrics.geofence_violations += 1
+
+
+def _pop(run: _Run, t: float) -> None:
+    """Each agent's tip against the balloons still alive after the agents
+    before it."""
+    for agent in run.live:
+        for i in pops_in_reach(agent.uav.position, run.world.centers, run.reaches):
+            balloon_id = run.world.balloons[i].id
+            run.world = pop_balloon(run.world, balloon_id)
+            run.pop_times.append((balloon_id, t))
+            run.elog.emit(
+                t, agent.id, "pop", {"source": "world", "balloon_id": balloon_id}
+            )
+
+
+def _audit(run: _Run, tick_events: Sequence[dict]) -> None:
+    """Score the tick against ground truth; nothing here reaches an agent."""
+    metrics = run.metrics
+    centers = run.world.centers
+    radius = run.scenario.fleet.claim_radius
+    # False confirms: a pop declared this tick while a balloon is still
+    # alive near its estimate.
+    for e in tick_events:
+        if e["kind"] == "pop" and e["data"]["source"] == "declared":
+            estimate = e["data"]["estimate"]
+            if any(c is not None and math.dist(c, estimate) <= radius for c in centers):
+                metrics.false_confirms += 1
+
+    # Duplicate pursuit: resolve each engaged agent's working estimate to
+    # the nearest alive balloon and flag ticks where two agents resolve
+    # to the same one.
+    resolved: list[int] = []   # balloon indices
+    dup_tick = False
+    for agent in run.live:
+        ms = agent.mission
+        if ms.phase not in (Phase.ALIGN, Phase.APPROACH) or ms.last_estimate is None:
+            continue
+        best, best_d = None, radius
+        for i, c in enumerate(centers):
+            if c is None:
+                continue
+            d = math.dist(c, ms.last_estimate)
+            if d <= best_d:
+                best, best_d = i, d
+        if best is not None:
+            if best in resolved:
+                dup_tick = True
+            resolved.append(best)
+    if dup_tick:
+        metrics.duplicate_target_ticks += 1
+
+    for a, b in run.pairs:
+        d = math.dist(a.uav.position, b.uav.position)
+        best = metrics.min_inter_agent_distance
+        if best is None or d < best:
+            metrics.min_inter_agent_distance = d
+
+
 def run_simulation(scenario: Scenario) -> RunResult:
     """Run one scenario to completion and return metrics plus event log.
 
@@ -246,359 +515,88 @@ def run_simulation(scenario: Scenario) -> RunResult:
     """
     seed = scenario.seed
     dt = 1.0 / scenario.sim.tick_rate
-    fence = geofence_from_arena(scenario.arena)
-    margin = scenario.arena.geofence_margin
-
-    elog = _EventLog()
-    metrics = RunMetrics(seed=seed, balloons_total=scenario.balloons.count)
-
+    vp, mp, ap = scenario.vehicle, scenario.mission, scenario.agents
+    world = make_world(_build_balloons(scenario, substream(seed, "layout")))
     # Turning faster than the association gate can follow (pixel shift per
     # frame beyond gate_px) would break tracks mid-turn; cap commanded yaw
     # rates so the image never slews more than ~40% of the gate per frame.
     yaw_rate_cap = min(
-        scenario.vehicle.yaw_rate_max,
+        vp.yaw_rate_max,
         0.4 * scenario.tracker.gate_px / (scenario.camera.focal_px * dt),
     )
-
-    layout_rng = substream(seed, "layout")
-    world = make_world(_build_balloons(scenario, layout_rng))
-
-    cells, paths = plan_cells(scenario, range(scenario.agents.count))
-    cells_by_agent = {c.agent_id: c for c in cells}
-
-    agents: list[_AgentRt] = []
-    for i in range(scenario.agents.count):
-        agents.append(
-            _AgentRt(
-                id=i,
-                uav=UavState(
-                    id=i,
-                    position=scenario.agents.starts[i],
-                    yaw=scenario.agents.start_yaw,
-                ),
-                tracker=Tracker(params=scenario.tracker),
-                mission=initial_mission_state(paths[i]),
-                rng=substream(seed, f"perception.{i}"),
-                ctx=MissionContext(
-                    params=scenario.mission,
-                    focal_px=scenario.camera.focal_px,
-                    yaw_rate_max=yaw_rate_cap,
-                    volume_lo=scenario.arena.effective_min,
-                    volume_hi=scenario.arena.effective_max,
-                ),
-            )
-        )
-
-    claims = ClaimTable()
-    covered: list[tuple[float, float]] = []
-    pending_failures = list(scenario.fleet.failures)
-    pop_times: list[tuple[int, float]] = []
-    declared: list[tuple[int, Vec3]] = []
     # Separation triggers anticipate both the per-tick travel and the
     # drift-through of the first order velocity lag (~v_max * tau) so the
     # realized minimum distance stays above min_sep - v_max * dt.
-    lag_reach = scenario.vehicle.v_max * (dt + scenario.vehicle.tau)
-    hold_radius = scenario.fleet.min_sep + 2.0 * lag_reach
-    strip_radius = scenario.fleet.min_sep + 2.0 * scenario.vehicle.v_max * scenario.vehicle.tau
-
-    def release(agent: _AgentRt, t: float, claim_id: int, reason: str) -> None:
-        release_claim(claims, claim_id, reason)
-        elog.emit(
-            t, agent.id, "claim",
-            {"action": "release", "claim_id": claim_id, "reason": reason},
-        )
-        if reason == "popped" and agent.mission.last_estimate is not None:
-            declared.append((agent.id, agent.mission.last_estimate))
-
-    def view_for(agent: _AgentRt) -> FleetView:
-        """The agent's fleet view for the current plan (cell)."""
-
-        def try_claim(estimate: Vec3, t: float):
-            result = claim_target(
-                claims, agent.id, estimate, scenario.fleet.claim_radius, t
+    lag_reach = vp.v_max * (dt + vp.tau)
+    # Agents start on an empty path; the start-up plan gives each its own.
+    unplanned = initial_mission_state(SearchPath(
+        waypoints=(), lane_spacing=mp.lane_spacing, altitude=mp.search_altitude
+    ))
+    run = _Run(
+        scenario=scenario,
+        dt=dt,
+        fence=geofence_from_arena(scenario.arena),
+        ctx=MissionContext(
+            params=mp,
+            focal_px=scenario.camera.focal_px,
+            yaw_rate_max=yaw_rate_cap,
+            volume_lo=scenario.arena.effective_min,
+            volume_hi=scenario.arena.effective_max,
+        ),
+        hold_radius=scenario.fleet.min_sep + 2.0 * lag_reach,
+        strip_radius=scenario.fleet.min_sep + 2.0 * vp.v_max * vp.tau,
+        reaches=tuple([b.radius + mp.tip_reach for b in world.balloons]),
+        world=world,
+        agents=[
+            _AgentRt(
+                id=i,
+                uav=UavState(id=i, position=ap.starts[i], yaw=ap.start_yaw),
+                tracker=Tracker(params=scenario.tracker),
+                mission=unplanned,
+                rng=substream(seed, f"perception.{i}"),
             )
-            elog.emit(
-                t,
-                agent.id,
-                "claim",
-                {
-                    "action": "grant" if result.granted else "deny",
-                    "claim_id": result.claim_id,
-                    "conflict_id": result.conflict_id,
-                    "estimate": list(estimate),
-                },
-            )
-            return result
-
-        cell = cells_by_agent.get(agent.id)
-        return FleetView(
-            claim_radius=scenario.fleet.claim_radius,
-            try_claim=try_claim,
-            release=lambda claim_id, reason, t: release(agent, t, claim_id, reason),
-            cell=cell.polygon if cell is not None else (),
-        )
-
-    for agent in agents:
-        agent.view = view_for(agent)
-    # radius + tip_reach per balloon, as check_pop adds them
-    reaches = tuple(
-        [b.radius + scenario.mission.tip_reach for b in world.balloons]
+            for i in range(ap.count)
+        ],
+        pending_failures=list(scenario.fleet.failures),
+        metrics=RunMetrics(seed=seed, balloons_total=scenario.balloons.count),
     )
+    _plan(run, 0.0)
 
     frame = 0
-    t = 0.0
     last_time = -1.0
     while True:
         t = frame * dt
-        if t >= scenario.sim.duration_limit:
-            break
-        if world.alive_count == 0:
-            break
-        live = [a for a in agents if not a.failed]
-        if not live:
+        if t >= scenario.sim.duration_limit or run.world.alive_count == 0:
             break
         if t <= last_time:
             raise InvariantViolation("simulation time did not advance")
         last_time = t
+        first_event = len(run.elog.records)
 
-        # 1. world
-        world = advance_world(world, t)
-
-        # 2. fleet: scripted failures, then separation holds
-        while pending_failures and pending_failures[0][1] <= t:
-            failed_id, _when = pending_failures.pop(0)
-            agent = agents[failed_id]
-            if agent.failed:
-                continue
-            agent.failed = True
-            agent.uav = replace(agent.uav, alive=False, velocity=(0.0, 0.0, 0.0))
-            if agent.mission.claim_id is not None:
-                release(agent, t, agent.mission.claim_id, "abandoned")
-            agent.mission = replace(
-                agent.mission, phase=Phase.DONE, entered_at=t,
-                claim_id=None, target_track_id=None,
-            )
-            elog.emit(t, failed_id, "failure", {"reason": "scripted"})
-            survivors = [a.id for a in agents if not a.failed]
-            if survivors:
-                cells, paths = plan_cells(scenario, survivors)
-                cells_by_agent = {c.agent_id: c for c in cells}
-                for rt in agents:
-                    if rt.failed:
-                        continue
-                    pruned = _prune_path(
-                        paths[rt.id], covered, scenario.mission.lane_spacing / 2.0
-                    )
-                    rt.mission = replace(
-                        rt.mission,
-                        path=pruned,
-                        wp_index=0,
-                        wp_started_at=t,
-                        visited=tuple(False for _ in pruned.waypoints),
-                    )
-                    rt.view = view_for(rt)
-        live = [a for a in agents if not a.failed]
-        if not live:
-            continue
-
-        start_pos = {a.id: a.uav.position for a in live}
-        holds = (
-            deconflict([a.uav for a in live], hold_radius) if len(live) > 1 else {}
-        )
-        close_pairs: dict[int, list[Vec3]] = {}
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                a, b = live[i], live[j]
-                if math.dist(start_pos[a.id], start_pos[b.id]) < strip_radius:
-                    close_pairs.setdefault(a.id, []).append(start_pos[b.id])
-
-        # 3. agents, ascending id
-        for agent in live:
-            detections = generate_detections(
-                scenario.camera, agent.uav, world, scenario.noise, agent.rng, frame
-            )
-            for d in detections:
-                elog.emit(
-                    t, agent.id, "detection",
-                    {
-                        "cx": d.center_x,
-                        "cy": d.center_y,
-                        "w": d.width,
-                        "h": d.height,
-                        "conf": round(d.confidence, 6),
-                        "truth": d.truth_id,
-                    },
-                )
-            measurements = [
-                BoxMeasurement(d.center_x, d.center_y, d.width, d.height)
-                for d in detections
-            ]
-            agent.tracker, summary = step_tracker(agent.tracker, measurements)
-            for tev in summary.events:
-                elog.emit(
-                    t, agent.id, "track", {"event": tev.kind, "track_id": tev.track_id}
-                )
-            for track_id, det_index in summary.matches:
-                track = agent.tracker.track_by_id(track_id)
-                if track is None:
-                    continue
-                # Range from the corrected (posterior) box: the smoothed
-                # size rides out occasional association swaps.
-                circle = fit_circle(
-                    BoxMeasurement(
-                        float(track.x[0]), float(track.x[1]),
-                        max(float(track.x[2]), 2 * MIN_CIRCLE_RADIUS_PX),
-                        max(float(track.x[3]), 2 * MIN_CIRCLE_RADIUS_PX),
-                    )
-                )
-                track.last_range = float(
-                    estimate_range(
-                        circle, scenario.camera, scenario.balloons.params.diameter
-                    )
-                )
-
-            prev_visited = agent.mission.visited
-            mstep = step_mission(
-                agent.mission,
-                agent.tracker.tracks,
-                agent.uav,
-                agent.view,
-                t,
-                agent.ctx,
-            )
-            agent.mission = mstep.state
-            for name, payload in mstep.events:
-                if name == "phase":
-                    elog.emit(t, agent.id, "phase", payload)
-                elif name == "pop_declared":
-                    elog.emit(
-                        t, agent.id, "pop",
-                        {"source": "declared", **payload},
-                    )
-                elif name == "unreachable":
-                    elog.emit(
-                        t, agent.id, "failure",
-                        {"reason": "unreachable_site", **payload},
-                    )
-            if agent.mission.visited is not prev_visited:
-                for idx, was in enumerate(prev_visited):
-                    if not was and idx < len(agent.mission.visited) and \
-                            agent.mission.visited[idx]:
-                        wp = agent.mission.path.waypoints[idx]
-                        covered.append((wp[0], wp[1]))
-
-            vel = mstep.velocity_cmd
-            if holds.get(agent.id, False):
-                clamped = (0.0, 0.0, 0.0)
-            else:
-                clamped = clamp_to_geofence(
-                    agent.uav.position, vel, fence, margin, scenario.vehicle.v_max
-                )
-                if clamped != vel:
-                    elog.emit(
-                        t, agent.id, "geofence",
-                        {"cmd": [round(c, 6) for c in vel],
-                         "clamped": [round(c, 6) for c in clamped]},
-                    )
-                neighbors = close_pairs.get(agent.id, ())
-                if neighbors:
-                    own = start_pos[agent.id]
-                    for other_pos in neighbors:
-                        clamped = _strip_closing(clamped, own, other_pos)
-                    clamped = clamp_to_geofence(
-                        agent.uav.position, clamped, fence, margin,
-                        scenario.vehicle.v_max,
-                    )
-                    # The fence clamp can turn a tangential command back
-                    # into a closing one (sliding along a wall toward the
-                    # neighbor); hold rather than close.
-                    if any(
-                        _is_closing(clamped, own, p) for p in neighbors
-                    ):
-                        clamped = (0.0, 0.0, 0.0)
-            prev_pos = agent.uav.position
-            agent.uav = step_uav(
-                agent.uav, clamped, mstep.yaw_rate_cmd, dt, scenario.vehicle
-            )
-            agent.distance += math.dist(prev_pos, agent.uav.position)
-            if agent.uav.speed > scenario.vehicle.v_max + SPEED_TOLERANCE:
-                raise InvariantViolation(
-                    f"agent {agent.id} exceeded v_max: {agent.uav.speed}"
-                )
-            if not fence.contains(agent.uav.position):
-                metrics.geofence_violations += 1
-
-        # 4. pop checks: each agent's tip against the balloons still alive
-        # after the agents before it
-        for agent in live:
-            for i in pops_in_reach(agent.uav.position, world.centers, reaches):
-                balloon_id = world.balloons[i].id
-                world = pop_balloon(world, balloon_id)
-                pop_times.append((balloon_id, t))
-                elog.emit(
-                    t, agent.id, "pop", {"source": "world", "balloon_id": balloon_id}
-                )
-
-        # 5. audits and per-tick metrics
-        for agent_id, estimate in declared:
-            near_alive = any(
-                c is not None
-                and math.dist(c, estimate) <= scenario.fleet.claim_radius
-                for c in world.centers
-            )
-            if near_alive:
-                metrics.false_confirms += 1
-        declared.clear()
-
-        # Duplicate-pursuit audit: resolve each engaged agent's working
-        # estimate to the nearest alive balloon (ground truth, scoring
-        # only) and flag ticks where two agents resolve to the same one.
-        resolved: list[int] = []   # balloon indices
-        dup_tick = False
-        for agent in live:
-            ms = agent.mission
-            if ms.phase not in (Phase.ALIGN, Phase.APPROACH):
-                continue
-            if ms.last_estimate is None:
-                continue
-            best, best_d = None, scenario.fleet.claim_radius
-            for i, c in enumerate(world.centers):
-                if c is None:
-                    continue
-                d = math.dist(c, ms.last_estimate)
-                if d <= best_d:
-                    best, best_d = i, d
-            if best is not None:
-                if best in resolved:
-                    dup_tick = True
-                resolved.append(best)
-        if dup_tick:
-            metrics.duplicate_target_ticks += 1
-
-        if len(live) > 1:
-            for i in range(len(live)):
-                for j in range(i + 1, len(live)):
-                    d = math.dist(live[i].uav.position, live[j].uav.position)
-                    if (
-                        metrics.min_inter_agent_distance is None
-                        or d < metrics.min_inter_agent_distance
-                    ):
-                        metrics.min_inter_agent_distance = d
-
+        run.world = advance_world(run.world, t)
+        _step_fleet(run, t)
+        if not run.live:
+            break
+        for agent in run.live:
+            _track(run, agent, t, _sense(run, agent, t))
+            _act(run, agent, t, _decide(run, agent, t))
+        _pop(run, t)
+        _audit(run, run.elog.records[first_event:])
         frame += 1
 
-    metrics.balloons_popped = world.centers.count(None)
-    metrics.pop_times = tuple(pop_times)
-    if metrics.success and pop_times:
-        metrics.pops_total_time = pop_times[-1][1]
+    metrics = run.metrics
+    metrics.balloons_popped = run.world.centers.count(None)
+    metrics.pop_times = tuple(run.pop_times)
+    if metrics.success and run.pop_times:
+        metrics.pops_total_time = run.pop_times[-1][1]
     metrics.duration = t
-    metrics.distance_flown = {a.id: a.distance for a in agents}
+    metrics.distance_flown = {a.id: a.distance for a in run.agents}
     log.info(
         "run seed=%d popped=%d/%d t=%.1fs",
         seed, metrics.balloons_popped, metrics.balloons_total, t,
     )
     return RunResult(
-        metrics=metrics, events=elog.records, world=world, cells=cells
+        metrics=metrics, events=run.elog.records, world=run.world, cells=run.cells
     )
 
 

@@ -108,10 +108,6 @@ class TrackState:
     def center(self) -> tuple[float, float]:
         return (self.x[0], self.x[1])
 
-    @property
-    def box_size(self) -> tuple[float, float]:
-        return (self.x[2], self.x[3])
-
 
 @dataclass(frozen=True)
 class Assignment:

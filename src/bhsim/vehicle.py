@@ -41,7 +41,6 @@ class UavState:
     velocity: Vec3 = (0.0, 0.0, 0.0)
     yaw: float = 0.0
     yaw_rate: float = 0.0
-    alive: bool = True
 
     @property
     def speed(self) -> float:
@@ -165,7 +164,6 @@ def step_uav(
         velocity=(vx, vy, vz),
         yaw=yaw,
         yaw_rate=rate,
-        alive=state.alive,
     )
 
 

@@ -150,7 +150,7 @@ def test_criterion_3_tracker_convergence_and_id_stability():
             tracker = Tracker(params=params)
             for frame in range(300):
                 world = advance_world(world, frame * 0.05)
-                dets = generate_detections(camera, pose, world, noise, rng, frame)
+                dets = generate_detections(camera, pose, world, noise, rng)
                 meas = [
                     BoxMeasurement(d.center_x, d.center_y, d.width, d.height)
                     for d in dets

@@ -101,12 +101,12 @@ def test_claim_lifecycle():
     r4 = claim_target(table, 1, (30.0, 10.0, 3.0), 5.0)
     assert r4.granted
 
-    release_claim(table, r1.claim_id, "popped")
+    release_claim(table, r1.claim_id)
     assert table.claim_of_agent(0) is None
 
     # double release surfaces logic bugs
     with pytest.raises(UnknownClaim):
-        release_claim(table, r1.claim_id, "popped")
+        release_claim(table, r1.claim_id)
 
     # released spot can be re-claimed
     r5 = claim_target(table, 2, (10.0, 10.0, 3.0), 5.0)

@@ -28,6 +28,7 @@ from bhsim.mission import (
 from bhsim.perception import CameraIntrinsics, project_point
 from bhsim.tracking import BoxMeasurement, TrackerParams, TrackStatus, new_track
 from bhsim.vehicle import UavState
+from bhsim.world import Arena
 from test_vehicle import ref_camera_to_world
 
 RECT = ((5.0, 5.0), (95.0, 5.0), (95.0, 35.0), (5.0, 35.0))
@@ -214,12 +215,14 @@ def _ctx(**kw):
         params=MissionParams(),
         focal_px=600.0,
         yaw_rate_max=1.5,
+        volume_lo=Arena().effective_min,
+        volume_hi=Arena().effective_max,
     )
     base.update(kw)
     return MissionContext(**base)
 
 
-def _view(granted=True, cell=()):
+def _view(granted=True):
     def try_claim(est, t):
         return ClaimResult(granted=granted, claim_id=7 if granted else None)
 
@@ -229,7 +232,7 @@ def _view(granted=True, cell=()):
         released.append((cid, reason))
 
     view = FleetView(claim_radius=5.0, try_claim=try_claim, release=release,
-                     cell=cell)
+                     cell=RECT)
     return view, released
 
 
@@ -300,7 +303,7 @@ def test_confirm_empty_fov_declares_pop_and_resumes_search():
     view, released = _view()
     out = step_mission(ms, [], uav, view, 15.1, _ctx())
     assert out.state.phase is Phase.SEARCH
-    assert ("pop_declared", {"estimate": [55.0, 20.0, 3.0]}) in out.events
+    assert ("pop", {"source": "declared", "estimate": [55.0, 20.0, 3.0]}) in out.events
     assert released == [(3, "popped")]
     assert out.state.claim_id is None
 

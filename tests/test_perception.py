@@ -138,7 +138,7 @@ def test_generate_detections_deterministic_zero_noise():
         assert (d.center_x, d.center_y) == pytest.approx(proj[:2], abs=1e-9)
 
 
-def ref_generate_detections(camera, uav, world, noise, rng, frame_index):
+def ref_generate_detections(camera, uav, world, noise, rng):
     """Per-balloon reference: ``project_point`` for each alive center,
     then the same occlusion test, draws and boxes."""
     visible = []
@@ -166,7 +166,7 @@ def ref_generate_detections(camera, uav, world, noise, rng, frame_index):
         factor = max(0.05, 1.0 + noise.size_sigma_frac * rng.standard_normal())
         confidence = max(noise.confidence_floor, 1.0 - depth / 50.0)
         detections.append(Detection(cx, cy, size * factor, size * factor,
-                                    confidence, frame_index, balloon.id))
+                                    confidence, balloon.id))
     if noise.false_alarm_rate > 0.0:
         for _ in range(int(rng.poisson(noise.false_alarm_rate))):
             cx = camera.width_px * rng.random() - camera.principal[0]
@@ -174,7 +174,7 @@ def ref_generate_detections(camera, uav, world, noise, rng, frame_index):
             size = 2.0 + 28.0 * rng.random()
             floor = noise.confidence_floor
             conf = floor + (1.0 - floor) * rng.random()
-            detections.append(Detection(cx, cy, size, size, conf, frame_index, None))
+            detections.append(Detection(cx, cy, size, size, conf, None))
     return detections
 
 
@@ -198,8 +198,8 @@ def test_generate_detections_equals_per_balloon_reference():
                                float(rng.uniform(1, 5))),
                      yaw=float(rng.uniform(-4, 4)))
         ours, theirs = substream(trial, "p"), substream(trial, "p")
-        got = generate_detections(CAM, pose, world, noise, ours, trial)
-        want = ref_generate_detections(CAM, pose, world, noise, theirs, trial)
+        got = generate_detections(CAM, pose, world, noise, ours)
+        want = ref_generate_detections(CAM, pose, world, noise, theirs)
         assert got == want
         assert ours.bit_generator.state == theirs.bit_generator.state
         compared += sum(1 for d in got if d.truth_id is not None)
@@ -230,12 +230,12 @@ def test_false_alarms_poisson_rate():
 
 
 def test_fit_circle_square_box():
-    d = Detection(0.0, 0.0, 54.0, 54.0, 1.0, 0)
+    d = Detection(0.0, 0.0, 54.0, 54.0, 1.0)
     assert fit_circle(d).radius == pytest.approx(27.0)
 
 
 def test_fit_circle_major_axis_rule():
-    d = Detection(3.0, -4.0, 60.0, 40.0, 1.0, 0)
+    d = Detection(3.0, -4.0, 60.0, 40.0, 1.0)
     c = fit_circle(d)
     assert c.radius == pytest.approx(30.0)
     assert c.center == (3.0, -4.0)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from bhsim.cli import main as cli_main
-from bhsim.events import read_event_log, serialize_events
+from bhsim.events import EVENT_KINDS, read_event_log, serialize_events
 from bhsim.fleet import point_in_cell
 from bhsim.perception import ZERO_NOISE
 from bhsim.scenario import default_scenario, load_scenario, parse_scenario_text
@@ -128,6 +129,73 @@ def test_scripted_failure_kills_agent_and_repartitions():
                 and e["data"].get("reason") == "scripted"]
     assert len(failures) == 1 and failures[0]["agent"] == 1
     assert len(out.cells) == 1 and out.cells[0].agent_id == 0
+
+
+def _failure_run(failures, agents=2):
+    return run_simulation(parse_scenario_text(
+        "seed = 2\n"
+        f"agents.count = {agents}\n"
+        "balloons.count = 3\n"
+        f"fleet.failures = {failures}\n"
+        "sim.duration_limit = 40\n"
+    ))
+
+
+def _failures(out):
+    return [e for e in out.events if e["kind"] == "failure"
+            and e["data"]["reason"] == "scripted"]
+
+
+def test_every_agent_failing_ends_the_run_at_the_last_failure():
+    out = _failure_run("0:3; 1:5")
+    last = out.events[-1]
+    assert last["kind"] == "failure" and last["agent"] == 1
+    assert out.metrics.duration == last["t"]
+    assert 5.0 <= out.metrics.duration < 5.05
+
+
+def test_two_agents_failing_in_one_tick():
+    out = _failure_run("1:5; 2:5", agents=3)
+    failures = _failures(out)
+    assert [e["agent"] for e in failures] == [1, 2]
+    assert failures[0]["t"] == failures[1]["t"]
+    assert not [e for e in out.events
+                if e["agent"] in (1, 2) and e["t"] > failures[0]["t"]]
+    assert [c.agent_id for c in out.cells] == [0]
+    assert out.metrics.duration > failures[0]["t"]
+
+
+def test_agent_scripted_to_fail_twice_fails_once():
+    out = _failure_run("1:5; 1:8")
+    failures = _failures(out)
+    assert len(failures) == 1 and failures[0]["agent"] == 1
+    assert not [e for e in out.events
+                if e["agent"] == 1 and e["t"] > failures[0]["t"]]
+
+
+def test_failure_at_time_zero_flies_nothing():
+    out = _failure_run("1:0")
+    failures = _failures(out)
+    assert len(failures) == 1 and failures[0]["t"] == 0.0
+    assert out.metrics.distance_flown[1] == 0.0
+    assert out.metrics.distance_flown[0] > 0.0
+
+
+def test_failing_agent_abandons_its_claim_before_it_fails():
+    # Fail the first agent to win a claim half a tick (20 Hz) after the
+    # grant: the run is identical up to then, so the agent still holds it.
+    calm = _failure_run("")
+    grant = next(e for e in calm.events
+                 if e["kind"] == "claim" and e["data"]["action"] == "grant")
+    out = _failure_run(f"{grant['agent']}:{grant['t'] + 0.025!r}")
+    mine = [e for e in out.events
+            if e["agent"] == grant["agent"] and e["t"] > grant["t"]]
+    assert [(e["kind"], e["data"].get("action")) for e in mine] == [
+        ("claim", "release"), ("failure", None),
+    ]
+    assert mine[0]["data"] == {"action": "release", "reason": "abandoned",
+                               "claim_id": grant["data"]["claim_id"]}
+    assert mine[1]["seq"] == mine[0]["seq"] + 1
 
 
 def test_plan_cells_single_survivor_owns_footprint():
@@ -539,3 +607,23 @@ def test_sweep_mixed_failure_marks_only_bad_seed(monkeypatch):
     out = simmod.sweep(_quick_scenario(), [0, 1, 2])
     assert out.rows[1].error == "RuntimeError: injected"
     assert out.rows[0].error is None and out.rows[2].error is None
+
+
+def _readme_event_table() -> dict[str, set[str]]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Event log")[1]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.split("\n## ")[0].splitlines()
+        if line.startswith("| `")
+    ]
+    return {row[0].strip("`"): set(re.findall(r"`(\w+)`", row[1])) for row in rows}
+
+
+def test_readme_event_table_matches_event_kinds():
+    table = _readme_event_table()
+    assert list(table) == list(EVENT_KINDS)
+    # Every data field a run emits is named in its kind's row.
+    out = _failure_run("1:20")
+    for e in out.events:
+        assert set(e["data"]) <= table[e["kind"]], e
