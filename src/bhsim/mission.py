@@ -13,6 +13,14 @@ Each agent runs a small state machine over one assigned cell:
 
 State is a value: ``step_mission`` consumes a state and returns the next
 one plus a world-frame velocity command and a yaw-rate command.
+
+Everything an agent knows about the balloon it works on is one frozen
+``Target`` record, ``MissionState.target``: track and claim ids, the
+estimate the claim was granted at, the working estimate, heading and
+range, retries, revisit point and approach watchdog.  ``_engage`` creates
+it when a claim is granted (from SEARCH, or on a CONFIRM retry), later
+ticks replace it as the estimate moves, and going back to SEARCH releases
+the claim and drops it, so it is None exactly in SEARCH.
 """
 
 from __future__ import annotations
@@ -29,12 +37,12 @@ from .guidance import (
     velocity_command_camera,
     yaw_rate_command,
 )
-from .perception import order_by_depth
 from .tracking import TrackState, TrackStatus
 from .vehicle import UavState, camera_to_world, wrap_angle
 
 Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
+Events = list[tuple[str, dict]]
 
 REVISIT_ALTITUDE_BOUNDS = (1.0, 5.0)
 # Balloons live inside the effective volume; estimates farther outside
@@ -68,7 +76,7 @@ class Phase(Enum):
 
 
 # Every edge step_mission may produce (self loops included).  X -> SEARCH
-# edges cover abandons, timeouts, and degenerate inputs.
+# edges cover timeouts, lost claims, spent retries and declared pops.
 LEGAL_TRANSITIONS = frozenset(
     {
         (Phase.SEARCH, Phase.SEARCH),
@@ -82,7 +90,6 @@ LEGAL_TRANSITIONS = frozenset(
         (Phase.APPROACH, Phase.SEARCH),
         (Phase.REVISIT, Phase.REVISIT),
         (Phase.REVISIT, Phase.CONFIRM),
-        (Phase.REVISIT, Phase.SEARCH),
         (Phase.CONFIRM, Phase.CONFIRM),
         (Phase.CONFIRM, Phase.ALIGN),
         (Phase.CONFIRM, Phase.SEARCH),
@@ -169,25 +176,31 @@ class MissionContext:
 
 
 @dataclass(frozen=True)
+class Target:
+    """The balloon an agent holds a claim on, from commit back to SEARCH."""
+
+    track_id: Optional[int]        # None in REVISIT and CONFIRM: track lost
+    claim_id: int
+    claim_estimate: Vec3           # where the current claim was granted
+    estimate: Vec3                 # working world estimate
+    heading: float                 # bearing it was last seen on
+    range: float                   # lowest accepted range, for range jumps
+    retries: int = 0
+    revisit_point: Optional[Vec3] = None   # set in REVISIT and CONFIRM
+    # (best distance to estimate, time it was set): approach stall watchdog
+    approach_best: Optional[tuple[float, float]] = None
+
+
+@dataclass(frozen=True)
 class MissionState:
     phase: Phase
     entered_at: float
     path: SearchPath
     wp_index: int = 0
     visited: tuple[bool, ...] = ()
-    target_track_id: Optional[int] = None
-    claim_id: Optional[int] = None
-    last_estimate: Optional[Vec3] = None
-    approach_heading: Optional[float] = None
-    revisit_point: Optional[Vec3] = None
-    retries: int = 0
+    # the engaged balloon; None exactly in SEARCH
+    target: Optional[Target] = None
     blacklist: tuple[Vec3, ...] = ()
-    # (best distance to estimate, time it was set): approach stall watchdog
-    approach_best: Optional[tuple[float, float]] = None
-    # lowest accepted target range so far, for detecting range jumps
-    target_range: Optional[float] = None
-    # estimate the current claim was granted at
-    claim_estimate: Optional[Vec3] = None
     # no commit attempts until this time (set after a claim denial)
     commit_cooldown_until: float = 0.0
     # when the current waypoint became the target (for the skip timeout)
@@ -376,9 +389,7 @@ def _near_blacklist(estimate: Vec3, blacklist: Sequence[Vec3], radius: float) ->
     return any(_dist3(estimate, b) < radius for b in blacklist)
 
 
-def _find_track(tracks: Sequence[TrackState], track_id: Optional[int]):
-    if track_id is None:
-        return None
+def _find_track(tracks: Sequence[TrackState], track_id: int):
     for t in tracks:
         if t.id == track_id:
             return t
@@ -398,6 +409,9 @@ def _nearest_unvisited(
             best_d = d
             best = i
     return best
+
+
+_HOVER: Vec3 = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -422,20 +436,17 @@ def step_mission(
     yaw-rate command, and any events as ``(kind, data)`` pairs in event
     log form: ``phase`` changes, declared pops (``pop`` from source
     ``declared``) and abandoned sites (``failure`` for reason
-    ``unreachable_site``).  Degenerate situations (lost claims, missing
-    estimates) resolve back to SEARCH.
+    ``unreachable_site``).  Each phase handler appends to one events list
+    and returns ``(state, velocity, yaw_rate)``.
     """
-    handler = _HANDLERS[ms.phase]
-    return handler(ms, tracks, uav, view, t, ctx)
+    events: Events = []
+    state, vel, yaw_rate = _HANDLERS[ms.phase](ms, tracks, uav, view, t, ctx, events)
+    return MissionStep(state, vel, yaw_rate, tuple(events))
 
 
 def _enter(
-    ms: MissionState,
-    phase: Phase,
-    t: float,
-    events: list[tuple[str, dict]],
-    detail: Optional[dict] = None,
-    **updates,
+    ms: MissionState, phase: Phase, t: float, events: Events,
+    detail: Optional[dict] = None, **updates,
 ) -> MissionState:
     payload = {"from": ms.phase.value, "to": phase.value}
     if detail:
@@ -445,36 +456,50 @@ def _enter(
 
 
 def _back_to_search(
-    ms: MissionState,
-    uav: UavState,
-    view: FleetView,
-    t: float,
-    events: list[tuple[str, dict]],
-    release_reason: Optional[str],
-    detail: Optional[dict] = None,
+    ms: MissionState, uav: UavState, view: FleetView, t: float, events: Events,
+    release_reason: Optional[str], detail: Optional[dict] = None,
 ) -> MissionState:
-    if ms.claim_id is not None and release_reason is not None:
-        view.release(ms.claim_id, release_reason, t)
+    """Release the claim for ``release_reason`` (None: it is already
+    released), drop the target and resume at the nearest unvisited
+    waypoint."""
+    if release_reason is not None:
+        view.release(ms.target.claim_id, release_reason, t)
     visited = ms.visited
     idx = _nearest_unvisited(ms.path, visited, uav.position)
     if idx is None:
         visited = tuple(False for _ in ms.path.waypoints)
         idx = _nearest_unvisited(ms.path, visited, uav.position) or 0
     return _enter(
-        ms,
-        Phase.SEARCH,
-        t,
-        events,
-        detail,
-        wp_index=idx,
-        wp_started_at=t,
-        visited=visited,
-        target_track_id=None,
-        claim_id=None,
-        revisit_point=None,
-        retries=0,
-        target_range=None,
-        claim_estimate=None,
+        ms, Phase.SEARCH, t, events, detail,
+        wp_index=idx, wp_started_at=t, visited=visited, target=None,
+    )
+
+
+def _engage(
+    ms: MissionState, track: TrackState, est: Vec3, uav: UavState,
+    view: FleetView, t: float, events: Events, retries: int = 0,
+) -> Optional[MissionState]:
+    """Claim ``est`` and enter ALIGN on ``track`` with a fresh target, or
+    return None when the claim is denied.  The one commit path, from
+    SEARCH and from a CONFIRM retry."""
+    result = view.try_claim(est, t)
+    if not result.granted:
+        return None
+    heading = _bearing_to(uav.position, est)
+    detail = {"track_id": track.id}
+    if retries > 0:
+        detail["retry"] = retries
+    return _enter(
+        ms, Phase.ALIGN, t, events, detail,
+        target=Target(
+            track_id=track.id,
+            claim_id=result.claim_id,
+            claim_estimate=est,
+            estimate=est,
+            heading=uav.yaw if heading is None else heading,
+            range=track.last_range,
+            retries=retries,
+        ),
     )
 
 
@@ -507,36 +532,35 @@ def _refresh_target(
     est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
     if not ctx.estimate_plausible(est):
         return ms
+    tg = ms.target
     heading = _bearing_to(uav.position, est)
-    return replace(
-        ms,
-        last_estimate=est,
-        approach_heading=heading if heading is not None else ms.approach_heading,
-        target_range=(
-            track.last_range
-            if ms.target_range is None
-            else min(ms.target_range, track.last_range)
-        ),
-    )
+    return replace(ms, target=replace(
+        tg,
+        estimate=est,
+        heading=tg.heading if heading is None else heading,
+        range=min(tg.range, track.last_range),
+    ))
 
 
-def _step_search(ms, tracks, uav, view, t, ctx) -> MissionStep:
+def _step_search(ms, tracks, uav, view, t, ctx, events):
     mp = ctx.params
-    events: list[tuple[str, dict]] = []
 
-    if ms.claim_id is None and t >= ms.commit_cooldown_until:
+    if t >= ms.commit_cooldown_until:
         # Commit only inside commit_range_max: close enough that the world
         # estimate is tight and the claim table can deconflict agents.
-        candidates = [
-            tr
-            for tr in tracks
-            if should_commit(tr, mp.m_commit)
-            and tr.last_range is not None
-            and tr.last_range <= mp.commit_range_max
-        ]
+        # Nearest first; the lower track id wins a tie.
+        candidates = sorted(
+            (
+                tr
+                for tr in tracks
+                if should_commit(tr, mp.m_commit)
+                and tr.last_range is not None
+                and tr.last_range <= mp.commit_range_max
+            ),
+            key=lambda tr: (tr.last_range, tr.id),
+        )
         denied = False
-        for tid in order_by_depth([(tr.id, tr.last_range) for tr in candidates]):
-            track = _find_track(candidates, tid)
+        for track in candidates:
             est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
             if not ctx.estimate_plausible(est):
                 continue
@@ -544,24 +568,9 @@ def _step_search(ms, tracks, uav, view, t, ctx) -> MissionStep:
                 continue
             if _near_blacklist(est, ms.blacklist, view.claim_radius):
                 continue
-            result = view.try_claim(est, t)
-            if result.granted:
-                heading = _bearing_to(uav.position, est) or uav.yaw
-                ms2 = _enter(
-                    ms,
-                    Phase.ALIGN,
-                    t,
-                    events,
-                    {"track_id": track.id},
-                    target_track_id=track.id,
-                    claim_id=result.claim_id,
-                    last_estimate=est,
-                    approach_heading=heading,
-                    retries=0,
-                    target_range=track.last_range,
-                    claim_estimate=est,
-                )
-                return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
+            engaged = _engage(ms, track, est, uav, view, t, events)
+            if engaged is not None:
+                return engaged, _HOVER, 0.0
             denied = True
         if denied:
             ms = replace(ms, commit_cooldown_until=t + COMMIT_DENIAL_COOLDOWN_S)
@@ -569,7 +578,7 @@ def _step_search(ms, tracks, uav, view, t, ctx) -> MissionStep:
     # Waypoint following.  The state is handed back unchanged (the same
     # ``visited`` tuple) until a waypoint is reached or times out.
     if not ms.path.waypoints:
-        return MissionStep(ms, (0.0, 0.0, 0.0), 0.0, tuple(events))
+        return ms, _HOVER, 0.0
     wp_index = ms.wp_index
     wp = ms.path.waypoints[wp_index]
     reached = _dist3(uav.position, wp) <= mp.wp_tolerance
@@ -597,145 +606,115 @@ def _step_search(ms, tracks, uav, view, t, ctx) -> MissionStep:
     dz = wp[2] - uav.position[2]
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist < 1e-9:
-        vel = (0.0, 0.0, 0.0)
-        yaw_rate = 0.0
-    else:
-        k = mp.v_search / dist
-        vel = (dx * k, dy * k, dz * k)
-        yaw_rate = _yaw_cmd_toward(
-            math.atan2(dy, dx) if dx * dx + dy * dy > 1e-12 else None, uav, ctx
-        )
-    return MissionStep(ms, vel, yaw_rate, tuple(events))
+        return ms, _HOVER, 0.0
+    k = mp.v_search / dist
+    yaw_rate = _yaw_cmd_toward(
+        math.atan2(dy, dx) if dx * dx + dy * dy > 1e-12 else None, uav, ctx
+    )
+    return ms, (dx * k, dy * k, dz * k), yaw_rate
 
 
-def _step_align(ms, tracks, uav, view, t, ctx) -> MissionStep:
+def _step_align(ms, tracks, uav, view, t, ctx, events):
     mp = ctx.params
-    events: list[tuple[str, dict]] = []
-    track = _find_track(tracks, ms.target_track_id)
+    track = _find_track(tracks, ms.target.track_id)
 
     if track is None or track.status is TrackStatus.DEAD:
-        return _lost_target(ms, uav, view, t, ctx, events)
+        return _lost_target(ms, uav, t, ctx, events)
     ms = _refresh_target(ms, track, uav, ctx)
 
     if t - ms.entered_at > mp.align_timeout:
-        ms2 = _back_to_search(ms, uav, view, t, events, "abandoned",
-                              {"reason": "align_timeout"})
-        return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
+        ms = _back_to_search(ms, uav, view, t, events, "abandoned",
+                             {"reason": "align_timeout"})
+        return ms, _HOVER, 0.0
 
     if abs(track.x[0]) < mp.align_tol_px:
-        ms2 = _enter(
-            ms, Phase.APPROACH, t, events, {"track_id": track.id},
-            approach_best=None,
-        )
-        return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
+        ms = _enter(ms, Phase.APPROACH, t, events, {"track_id": track.id})
+        return ms, _HOVER, 0.0
 
-    yaw_rate = _yaw_cmd_offset_law(track, uav, ctx)
-    return MissionStep(ms, (0.0, 0.0, 0.0), yaw_rate, tuple(events))
+    return ms, _HOVER, _yaw_cmd_offset_law(track, uav, ctx)
 
 
-def _lost_target(ms, uav, view, t, ctx, events) -> MissionStep:
-    """Target track died: revisit its last estimate, or bail to SEARCH."""
-    if ms.last_estimate is None or ms.approach_heading is None:
-        ms2 = _back_to_search(ms, uav, view, t, events, "abandoned",
-                              {"reason": "no_estimate"})
-        return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
+def _lost_target(ms, uav, t, ctx, events):
+    """Target track died: revisit its last estimate, keeping the claim."""
+    tg = ms.target
     rp = ctx.clamp_into_volume(
-        plan_revisit(ms.last_estimate, ms.approach_heading, ctx.params.d_standoff)
+        plan_revisit(tg.estimate, tg.heading, ctx.params.d_standoff)
     )
-    ms2 = _enter(
+    ms = _enter(
         ms, Phase.REVISIT, t, events, {"point": list(rp)},
-        revisit_point=rp, target_track_id=None,
+        target=replace(tg, track_id=None, revisit_point=rp),
     )
-    return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
+    return ms, _HOVER, 0.0
 
 
-def _step_approach(ms, tracks, uav, view, t, ctx) -> MissionStep:
+def _step_approach(ms, tracks, uav, view, t, ctx, events):
     mp = ctx.params
-    events: list[tuple[str, dict]] = []
-    track = _find_track(tracks, ms.target_track_id)
+    track = _find_track(tracks, ms.target.track_id)
 
     if track is None or track.status is TrackStatus.DEAD:
-        return _lost_target(ms, uav, view, t, ctx, events)
+        return _lost_target(ms, uav, t, ctx, events)
 
     # A sudden range jump means the pursued object vanished (popped) and
     # a farther one took over its track; confirm through a revisit.
+    best_range = ms.target.range
     if (
         track.misses == 0
         and track.last_range is not None
-        and ms.target_range is not None
-        and track.last_range > ms.target_range + max(3.0, 0.3 * ms.target_range)
+        and track.last_range > best_range + max(3.0, 0.3 * best_range)
     ):
-        return _lost_target(ms, uav, view, t, ctx, events)
+        return _lost_target(ms, uav, t, ctx, events)
     ms = _refresh_target(ms, track, uav, ctx)
+    tg = ms.target
 
     # Claim drift: when the working estimate wanders away from the
     # claimed position, re-reserve it so exclusivity tracks reality;
     # a denial means another agent owns the spot we drifted onto.
-    if (
-        ms.claim_id is not None
-        and ms.claim_estimate is not None
-        and ms.last_estimate is not None
-        and _dist3(ms.last_estimate, ms.claim_estimate) > view.claim_radius / 2.0
-    ):
-        view.release(ms.claim_id, "abandoned", t)
-        ms = replace(ms, claim_id=None, claim_estimate=None)
-        result = view.try_claim(ms.last_estimate, t)
+    if _dist3(tg.estimate, tg.claim_estimate) > view.claim_radius / 2.0:
+        view.release(tg.claim_id, "abandoned", t)
+        result = view.try_claim(tg.estimate, t)
         if not result.granted:
-            ms2 = _back_to_search(
-                ms, uav, view, t, events, None, {"reason": "claim_lost"}
-            )
-            return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
-        ms = replace(
-            ms, claim_id=result.claim_id, claim_estimate=ms.last_estimate
-        )
+            ms = _back_to_search(ms, uav, view, t, events, None,
+                                 {"reason": "claim_lost"})
+            return ms, _HOVER, 0.0
+        tg = replace(tg, claim_id=result.claim_id, claim_estimate=tg.estimate)
+        ms = replace(ms, target=tg)
 
     if t - ms.entered_at > mp.approach_timeout:
-        return _lost_target(ms, uav, view, t, ctx, events)
+        return _lost_target(ms, uav, t, ctx, events)
 
     # Stall watchdog: an approach that stops closing (blocked by the
     # fence or by another agent) falls back to a revisit.
-    if ms.last_estimate is not None:
-        d_est = _dist3(uav.position, ms.last_estimate)
-        if ms.approach_best is None or d_est < ms.approach_best[0] - 0.1:
-            ms = replace(ms, approach_best=(d_est, t))
-        elif t - ms.approach_best[1] > mp.approach_stall_timeout:
-            return _lost_target(ms, uav, view, t, ctx, events)
+    d_est = _dist3(uav.position, tg.estimate)
+    if tg.approach_best is None or d_est < tg.approach_best[0] - 0.1:
+        ms = replace(ms, target=replace(tg, approach_best=(d_est, t)))
+    elif t - tg.approach_best[1] > mp.approach_stall_timeout:
+        return _lost_target(ms, uav, t, ctx, events)
 
     target = PixelTarget(track.x[0], track.x[1], ctx.focal_px)
     vel = camera_to_world(velocity_command_camera(target, mp.v_approach), uav.yaw)
-    yaw_rate = _yaw_cmd_offset_law(track, uav, ctx)
-    return MissionStep(ms, vel, yaw_rate, tuple(events))
+    return ms, vel, _yaw_cmd_offset_law(track, uav, ctx)
 
 
-def _step_revisit(ms, tracks, uav, view, t, ctx) -> MissionStep:
+def _step_revisit(ms, tracks, uav, view, t, ctx, events):
     mp = ctx.params
-    events: list[tuple[str, dict]] = []
-    if ms.revisit_point is None or ms.last_estimate is None:
-        ms2 = _back_to_search(ms, uav, view, t, events, "abandoned",
-                              {"reason": "no_revisit_point"})
-        return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
-
-    dist = _dist3(uav.position, ms.revisit_point)
+    rp = ms.target.revisit_point
+    dist = _dist3(uav.position, rp)
     if dist <= mp.wp_tolerance or t - ms.entered_at > mp.revisit_timeout:
-        ms2 = _enter(ms, Phase.CONFIRM, t, events)
-        return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
+        return _enter(ms, Phase.CONFIRM, t, events), _HOVER, 0.0
 
-    dx = ms.revisit_point[0] - uav.position[0]
-    dy = ms.revisit_point[1] - uav.position[1]
-    dz = ms.revisit_point[2] - uav.position[2]
     k = mp.v_search / dist
-    vel = (dx * k, dy * k, dz * k)
-    yaw_rate = _yaw_cmd_toward(_bearing_to(uav.position, ms.last_estimate), uav, ctx)
-    return MissionStep(ms, vel, yaw_rate, tuple(events))
+    vel = (
+        (rp[0] - uav.position[0]) * k,
+        (rp[1] - uav.position[1]) * k,
+        (rp[2] - uav.position[2]) * k,
+    )
+    yaw_rate = _yaw_cmd_toward(_bearing_to(uav.position, ms.target.estimate), uav, ctx)
+    return ms, vel, yaw_rate
 
 
-def _step_confirm(ms, tracks, uav, view, t, ctx) -> MissionStep:
+def _step_confirm(ms, tracks, uav, view, t, ctx, events):
     mp = ctx.params
-    events: list[tuple[str, dict]] = []
-    if ms.last_estimate is None:
-        ms2 = _back_to_search(ms, uav, view, t, events, "abandoned",
-                              {"reason": "no_estimate"})
-        return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
+    tg = ms.target
 
     # A surviving balloon tracked near the stored estimate means the
     # attack missed; retry unless the retry budget is spent.
@@ -745,56 +724,30 @@ def _step_confirm(ms, tracks, uav, view, t, ctx) -> MissionStep:
         est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
         if not ctx.estimate_plausible(est):
             continue
-        if _dist3(est, ms.last_estimate) <= view.claim_radius:
-            if ms.retries + 1 > mp.retry_limit:
+        if _dist3(est, tg.estimate) <= view.claim_radius:
+            if tg.retries + 1 > mp.retry_limit:
                 events.append((
                     "failure",
-                    {"reason": "unreachable_site", "estimate": list(ms.last_estimate)},
+                    {"reason": "unreachable_site", "estimate": list(tg.estimate)},
                 ))
-                ms2 = _back_to_search(
-                    ms, uav, view, t, events, "abandoned",
-                    {"reason": "retry_limit"},
-                )
-                ms2 = replace(ms2, blacklist=ms.blacklist + (ms.last_estimate,))
-                return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
+                ms = _back_to_search(ms, uav, view, t, events, "abandoned",
+                                     {"reason": "retry_limit"})
+                return replace(ms, blacklist=ms.blacklist + (tg.estimate,)), _HOVER, 0.0
             # Re-claim at the fresh estimate so the retry stays exclusive;
             # a denial means another agent owns this balloon now.
-            if ms.claim_id is not None:
-                view.release(ms.claim_id, "abandoned", t)
-                ms = replace(ms, claim_id=None)
-            result = view.try_claim(est, t)
-            if not result.granted:
-                ms2 = _back_to_search(
-                    ms, uav, view, t, events, None, {"reason": "claim_lost"}
-                )
-                return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
-            heading = _bearing_to(uav.position, est) or uav.yaw
-            ms2 = _enter(
-                ms,
-                Phase.ALIGN,
-                t,
-                events,
-                {"track_id": track.id, "retry": ms.retries + 1},
-                target_track_id=track.id,
-                claim_id=result.claim_id,
-                last_estimate=est,
-                approach_heading=heading,
-                retries=ms.retries + 1,
-                revisit_point=None,
-                target_range=track.last_range,
-                claim_estimate=est,
-            )
-            return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
+            view.release(tg.claim_id, "abandoned", t)
+            engaged = _engage(ms, track, est, uav, view, t, events, tg.retries + 1)
+            if engaged is None:
+                engaged = _back_to_search(ms, uav, view, t, events, None,
+                                          {"reason": "claim_lost"})
+            return engaged, _HOVER, 0.0
 
     if t - ms.entered_at >= mp.t_confirm:
-        events.append(
-            ("pop", {"source": "declared", "estimate": list(ms.last_estimate)})
-        )
-        ms2 = _back_to_search(ms, uav, view, t, events, "popped")
-        return MissionStep(ms2, (0.0, 0.0, 0.0), 0.0, tuple(events))
+        events.append(("pop", {"source": "declared", "estimate": list(tg.estimate)}))
+        return _back_to_search(ms, uav, view, t, events, "popped"), _HOVER, 0.0
 
-    yaw_rate = _yaw_cmd_toward(_bearing_to(uav.position, ms.last_estimate), uav, ctx)
-    return MissionStep(ms, (0.0, 0.0, 0.0), yaw_rate, tuple(events))
+    yaw_rate = _yaw_cmd_toward(_bearing_to(uav.position, tg.estimate), uav, ctx)
+    return ms, _HOVER, yaw_rate
 
 
 _HANDLERS = {

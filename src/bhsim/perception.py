@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -239,8 +239,3 @@ def estimate_range(
     if c.radius < MIN_CIRCLE_RADIUS_PX:
         raise DegenerateCircle(f"radius {c.radius} px below {MIN_CIRCLE_RADIUS_PX}")
     return camera.focal_px * diameter / (2.0 * c.radius)
-
-
-def order_by_depth(ranges: Sequence[tuple[int, float]]) -> list[int]:
-    """Track ids ordered nearest-first; ties broken by lower id."""
-    return [tid for tid, _ in sorted(ranges, key=lambda pair: (pair[1], pair[0]))]

@@ -335,8 +335,8 @@ def _step_fleet(run: _Run, t: float) -> None:
         if agent.failed:
             continue
         agent.failed = failed = True
-        if agent.mission.claim_id is not None:
-            _release(run, agent.id, agent.mission.claim_id, "abandoned", t)
+        if agent.mission.target is not None:
+            _release(run, agent.id, agent.mission.target.claim_id, "abandoned", t)
         run.elog.emit(t, agent.id, "failure", {"reason": "scripted"})
     if failed:
         _plan(run, t)
@@ -480,13 +480,13 @@ def _audit(run: _Run, tick_events: Sequence[dict]) -> None:
     dup_tick = False
     for agent in run.live:
         ms = agent.mission
-        if ms.phase not in (Phase.ALIGN, Phase.APPROACH) or ms.last_estimate is None:
+        if ms.phase not in (Phase.ALIGN, Phase.APPROACH):
             continue
         best, best_d = None, radius
         for i, c in enumerate(centers):
             if c is None:
                 continue
-            d = math.dist(c, ms.last_estimate)
+            d = math.dist(c, ms.target.estimate)
             if d <= best_d:
                 best, best_d = i, d
         if best is not None:

@@ -16,6 +16,7 @@ from bhsim.mission import (
     PathTooDense,
     Phase,
     SearchPath,
+    Target,
     check_pop,
     estimate_world_position,
     generate_search_path,
@@ -222,8 +223,10 @@ def _ctx(**kw):
     return MissionContext(**base)
 
 
-def _view(granted=True):
+def _view(granted=True, claims=None):
     def try_claim(est, t):
+        if claims is not None:
+            claims.append(est)
         return ClaimResult(granted=granted, claim_id=7 if granted else None)
 
     released = []
@@ -241,15 +244,28 @@ def _search_state():
     return initial_mission_state(path)
 
 
+def _engaged(phase, entered_at, **target):
+    """A state engaged on a balloon at (55, 20, 3) under claim 3."""
+    fields = dict(track_id=42, claim_id=3, claim_estimate=(55.0, 20.0, 3.0),
+                  estimate=(55.0, 20.0, 3.0), heading=0.0, range=10.0)
+    if phase in (Phase.REVISIT, Phase.CONFIRM):
+        fields.update(track_id=None, revisit_point=(49.0, 20.0, 3.0))
+    fields.update(target)
+    return dataclasses.replace(
+        _search_state(), phase=phase, entered_at=entered_at, target=Target(**fields)
+    )
+
+
 def test_search_commits_to_claimed_track():
     ms = _search_state()
     uav = UavState(id=0, position=(50.0, 20.0, 4.0))
     view, _ = _view(granted=True)
     out = step_mission(ms, [_track()], uav, view, 1.0, _ctx())
     assert out.state.phase is Phase.ALIGN
-    assert out.state.target_track_id == 1
-    assert out.state.claim_id == 7
-    assert out.state.last_estimate is not None
+    assert out.state.target.track_id == 1
+    assert out.state.target.claim_id == 7
+    assert out.state.target.estimate == out.state.target.claim_estimate
+    assert out.events == (("phase", {"from": "search", "to": "align", "track_id": 1}),)
 
 
 def test_search_tick_without_waypoint_event_keeps_the_state():
@@ -274,38 +290,142 @@ def test_search_keeps_searching_when_claim_denied():
 
 
 def test_approach_target_death_goes_to_revisit():
-    ms = dataclasses.replace(
-        _search_state(),
-        phase=Phase.APPROACH,
-        entered_at=5.0,
-        target_track_id=42,
-        claim_id=3,
-        last_estimate=(55.0, 20.0, 3.0),
-        approach_heading=0.0,
-    )
+    ms = _engaged(Phase.APPROACH, 5.0)
     uav = UavState(id=0, position=(50.0, 20.0, 4.0))
     view, released = _view()
     out = step_mission(ms, [], uav, view, 6.0, _ctx())
     assert out.state.phase is Phase.REVISIT
-    assert out.state.revisit_point == pytest.approx((49.0, 20.0, 3.0))
+    assert out.state.target.revisit_point == pytest.approx((49.0, 20.0, 3.0))
+    assert out.state.target.track_id is None
     assert released == []   # claim retained through the revisit
+    assert out.state.target.claim_id == 3
 
 
 def test_confirm_empty_fov_declares_pop_and_resumes_search():
-    ms = dataclasses.replace(
-        _search_state(),
-        phase=Phase.CONFIRM,
-        entered_at=10.0,
-        claim_id=3,
-        last_estimate=(55.0, 20.0, 3.0),
-    )
+    ms = _engaged(Phase.CONFIRM, 10.0)
     uav = UavState(id=0, position=(49.0, 20.0, 3.0))
     view, released = _view()
     out = step_mission(ms, [], uav, view, 15.1, _ctx())
     assert out.state.phase is Phase.SEARCH
     assert ("pop", {"source": "declared", "estimate": [55.0, 20.0, 3.0]}) in out.events
     assert released == [(3, "popped")]
-    assert out.state.claim_id is None
+    assert out.state.target is None
+
+
+def test_commit_heading_due_plus_x_is_zero_not_the_yaw():
+    # The estimate lands exactly due +x of the agent, so the true bearing
+    # is 0.0; a falsy-zero slip would store the yaw (0.2478) instead.
+    uav = UavState(id=0, position=(30.0, 20.0, 3.0), yaw=0.2478)
+    px, py, depth = project_point(CameraIntrinsics(), uav, (35.16, 20.0, 3.0))
+    track = _track(cx=px, cy=py, last_range=depth)
+    view, _ = _view()
+    out = step_mission(_search_state(), [track], uav, view, 1.0, _ctx())
+    assert out.state.phase is Phase.ALIGN
+    assert out.state.target.estimate == (35.16, 20.0, 3.0)
+    assert out.state.target.heading == 0.0
+    # The CONFIRM retry enters ALIGN through the same path.
+    ms = _engaged(Phase.CONFIRM, 10.0, estimate=(35.16, 20.0, 3.0))
+    out = step_mission(ms, [track], uav, view, 11.0, _ctx())
+    assert out.state.phase is Phase.ALIGN
+    assert out.state.target.heading == 0.0
+
+
+def test_search_claims_nearest_track_first_lower_id_on_tie():
+    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
+    claims = []
+    view, _ = _view(claims=claims)
+    far, near = _track(track_id=1, last_range=12.0), _track(track_id=2, last_range=8.0)
+    out = step_mission(_search_state(), [far, near], uav, view, 1.0, _ctx())
+    assert out.state.target.track_id == 2
+    assert len(claims) == 1
+    tie = [_track(track_id=5, last_range=8.0), _track(track_id=3, last_range=8.0)]
+    out = step_mission(_search_state(), tie, uav, view, 1.0, _ctx())
+    assert out.state.target.track_id == 3
+    # A denied nearer track is followed by the farther one, in order.
+    claims.clear()
+    denied, _ = _view(granted=False, claims=claims)
+    step_mission(_search_state(), [far, near], uav, denied, 1.0, _ctx())
+    assert [round(c[0] - uav.position[0], 6) for c in claims] == [8.0, 12.0]
+
+
+def test_align_timeout_releases_the_claim_once_as_abandoned():
+    ms = _engaged(Phase.ALIGN, 0.0, track_id=1)
+    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
+    view, released = _view()
+    # Off-center enough that the agent is still yawing.
+    track = _track(track_id=1, cx=200.0, last_range=5.0)
+    out = step_mission(ms, [track], uav, view, 15.5, _ctx())
+    assert out.state.phase is Phase.SEARCH and out.state.target is None
+    assert out.events == (
+        ("phase", {"from": "align", "to": "search", "reason": "align_timeout"}),
+    )
+    assert released == [(3, "abandoned")]
+
+
+def test_approach_claim_lost_after_denied_drift_reclaim_releases_once():
+    # The claim was granted 4 m from where the balloon now is: past half
+    # the 5 m claim radius, so the agent re-claims, and the claim is denied.
+    ms = _engaged(Phase.APPROACH, 0.0, track_id=1, claim_estimate=(51.0, 20.0, 4.0),
+                  estimate=(55.0, 20.0, 4.0), range=5.0)
+    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
+    claims = []
+    view, released = _view(granted=False, claims=claims)
+    out = step_mission(ms, [_track(track_id=1, last_range=5.0)], uav, view, 1.0, _ctx())
+    assert out.state.phase is Phase.SEARCH and out.state.target is None
+    assert out.events == (
+        ("phase", {"from": "approach", "to": "search", "reason": "claim_lost"}),
+    )
+    assert released == [(3, "abandoned")]
+    assert claims == [pytest.approx((55.0, 20.0, 4.0))]
+
+
+def test_approach_keeps_approaching_a_centered_track():
+    ms = _engaged(Phase.APPROACH, 0.0, track_id=1, claim_estimate=(55.0, 20.0, 4.0),
+                  estimate=(55.0, 20.0, 4.0), range=5.0)
+    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
+    view, released = _view()
+    out = step_mission(ms, [_track(track_id=1, last_range=5.0)], uav, view, 1.0, _ctx())
+    assert out.state.phase is Phase.APPROACH and out.events == ()
+    assert released == []
+    tg = out.state.target
+    assert tg.estimate == pytest.approx((55.0, 20.0, 4.0))
+    assert tg.approach_best == (pytest.approx(5.0), 1.0)
+    # Straight ahead along +x at approach speed, no yaw.
+    assert out.velocity_cmd == pytest.approx((MissionParams().v_approach, 0.0, 0.0))
+    assert out.yaw_rate_cmd == 0.0
+
+
+def test_confirm_retry_reclaims_and_counts_the_retry():
+    ms = _engaged(Phase.CONFIRM, 10.0, retries=1)
+    uav = UavState(id=0, position=(50.0, 20.0, 3.0))
+    claims = []
+    view, released = _view(claims=claims)
+    track = _track(track_id=9, last_range=5.0)   # seen on axis at (55, 20, 3)
+    out = step_mission(ms, [track], uav, view, 11.0, _ctx())
+    assert out.state.phase is Phase.ALIGN
+    assert out.events == (
+        ("phase", {"from": "confirm", "to": "align", "track_id": 9, "retry": 2}),
+    )
+    assert released == [(3, "abandoned")]
+    assert claims == [pytest.approx((55.0, 20.0, 3.0))]
+    tg = out.state.target
+    assert (tg.track_id, tg.claim_id, tg.retries) == (9, 7, 2)
+    assert tg.revisit_point is None and tg.approach_best is None
+
+
+def test_confirm_retry_limit_fails_the_site_and_blacklists_it():
+    ms = _engaged(Phase.CONFIRM, 10.0, retries=MissionParams().retry_limit)
+    uav = UavState(id=0, position=(50.0, 20.0, 3.0))
+    claims = []
+    view, released = _view(claims=claims)
+    out = step_mission(ms, [_track(track_id=9, last_range=5.0)], uav, view, 11.0, _ctx())
+    assert out.state.phase is Phase.SEARCH and out.state.target is None
+    assert out.events == (
+        ("failure", {"reason": "unreachable_site", "estimate": [55.0, 20.0, 3.0]}),
+        ("phase", {"from": "confirm", "to": "search", "reason": "retry_limit"}),
+    )
+    assert released == [(3, "abandoned")] and claims == []
+    assert out.state.blacklist == ((55.0, 20.0, 3.0),)
 
 
 def test_estimate_world_position_inverts_projection():
@@ -366,5 +486,12 @@ def test_transition_graph_closed_under_random_stimuli():
         out = step_mission(ms, tracks, uav, views[rng.randrange(2)], t, ctx)
         ms = out.state
         assert (before, ms.phase) in LEGAL_TRANSITIONS, (before, ms.phase)
+        # The target record exists exactly outside SEARCH; a revisit has
+        # its standoff point and no track.
+        assert (ms.target is None) == (ms.phase is Phase.SEARCH)
+        if ms.phase is Phase.REVISIT:
+            assert ms.target.revisit_point is not None
+        if ms.phase in (Phase.REVISIT, Phase.CONFIRM):
+            assert ms.target.track_id is None
         if rng.random() < 0.001:
             ms = initial_mission_state(path, t)   # occasional reset

@@ -14,7 +14,6 @@ from bhsim.perception import (
     estimate_range,
     fit_circle,
     generate_detections,
-    order_by_depth,
     project_point,
 )
 from bhsim.rng import substream
@@ -261,12 +260,6 @@ def test_range_inversion_against_exact_sphere_oracle():
         r_px = exact_sphere_radius_px(600.0, radius_m, float(depth))
         est = estimate_range(FittedCircle((0, 0), r_px), CAM, 0.45)
         assert abs(est - depth) / depth < 0.02
-
-
-def test_order_by_depth():
-    assert order_by_depth([(0, 7.0), (1, 3.0), (2, 5.0)]) == [1, 2, 0]
-    assert order_by_depth([(9, 4.0), (4, 4.0)]) == [4, 9]
-    assert order_by_depth([]) == []
 
 
 def test_tracker_measurement_type_excludes_truth():

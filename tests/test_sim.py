@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bhsim.mission
 from bhsim.cli import main as cli_main
 from bhsim.events import EVENT_KINDS, read_event_log, serialize_events
 from bhsim.fleet import point_in_cell
@@ -618,6 +620,24 @@ def _readme_event_table() -> dict[str, set[str]]:
         if line.startswith("| `")
     ]
     return {row[0].strip("`"): set(re.findall(r"`(\w+)`", row[1])) for row in rows}
+
+
+def test_readme_phase_reasons_match_mission():
+    # The reasons the README lists for going back to search are the
+    # {"reason": ...} payloads mission.py writes into phase events.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    row = next(line for line in readme.read_text(encoding="utf-8").splitlines()
+               if line.startswith("| `phase` |"))
+    listed = re.findall(r"`(\w+)`", row.split("`reason`", 1)[1].split("|")[0])
+    source = Path(bhsim.mission.__file__).read_text(encoding="utf-8")
+    literals = [
+        node.values[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Dict)
+        and [getattr(k, "value", None) for k in node.keys] == ["reason"]
+    ]
+    assert sorted(listed) == sorted(set(literals)) == [
+        "align_timeout", "claim_lost", "retry_limit"]
 
 
 def test_readme_event_table_matches_event_kinds():
