@@ -618,7 +618,7 @@ def _step_align(ms, tracks, uav, view, t, ctx, events):
     mp = ctx.params
     track = _find_track(tracks, ms.target.track_id)
 
-    if track is None or track.status is TrackStatus.DEAD:
+    if track is None:
         return _lost_target(ms, uav, t, ctx, events)
     ms = _refresh_target(ms, track, uav, ctx)
 
@@ -651,7 +651,7 @@ def _step_approach(ms, tracks, uav, view, t, ctx, events):
     mp = ctx.params
     track = _find_track(tracks, ms.target.track_id)
 
-    if track is None or track.status is TrackStatus.DEAD:
+    if track is None:
         return _lost_target(ms, uav, t, ctx, events)
 
     # A sudden range jump means the pursued object vanished (popped) and

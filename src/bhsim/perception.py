@@ -91,16 +91,6 @@ ZERO_NOISE = NoiseModel(
 )
 
 
-@dataclass(frozen=True)
-class FittedCircle:
-    center: tuple[float, float]
-    radius: float
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("circle radius must be positive")
-
-
 def project_point(
     camera: CameraIntrinsics, uav: UavState, point_world: Vec3
 ) -> Optional[tuple[float, float, float]]:
@@ -220,22 +210,13 @@ def generate_detections(
     return detections
 
 
-def fit_circle(box) -> FittedCircle:
-    """Circle through the box center with radius half the major axis.
-
-    Works on any box with center_x/center_y/width/height fields (raw
-    detections or corrected tracker boxes).
-    """
-    return FittedCircle(
-        center=(box.center_x, box.center_y),
-        radius=max(box.width, box.height) / 2.0,
-    )
+def fit_circle(width: float, height: float) -> float:
+    """Pixel radius of the circle fitted to a box: half its major axis."""
+    return max(width, height) / 2.0
 
 
-def estimate_range(
-    c: FittedCircle, camera: CameraIntrinsics, diameter: float
-) -> float:
+def estimate_range(radius: float, camera: CameraIntrinsics, diameter: float) -> float:
     """Range to a sphere of known diameter from its fitted pixel radius."""
-    if c.radius < MIN_CIRCLE_RADIUS_PX:
-        raise DegenerateCircle(f"radius {c.radius} px below {MIN_CIRCLE_RADIUS_PX}")
-    return camera.focal_px * diameter / (2.0 * c.radius)
+    if radius < MIN_CIRCLE_RADIUS_PX:
+        raise DegenerateCircle(f"radius {radius} px below {MIN_CIRCLE_RADIUS_PX}")
+    return camera.focal_px * diameter / (2.0 * radius)

@@ -267,7 +267,11 @@ def parse_scenario_text(text: str) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return parse_scenario_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), f"not UTF-8 text: {exc}") from None
+    return parse_scenario_text(text)
 
 
 def default_of(key: str) -> object:

@@ -368,29 +368,20 @@ def _sense(run: _Run, agent: _AgentRt, t: float) -> list[BoxMeasurement]:
 def _track(
     run: _Run, agent: _AgentRt, t: float, measurements: list[BoxMeasurement]
 ) -> None:
-    """Advance the tracker and range every track matched this frame."""
+    """Advance the tracker and range every track measured this frame."""
     s = run.scenario
-    agent.tracker, summary = step_tracker(agent.tracker, measurements)
-    for tev in summary.events:
-        run.elog.emit(
-            t, agent.id, "track", {"event": tev.kind, "track_id": tev.track_id}
-        )
-    for track_id, _det_index in summary.matches:
-        track = agent.tracker.track_by_id(track_id)
-        if track is None:
-            continue
-        # Range from the corrected (posterior) box: the smoothed size
-        # rides out occasional association swaps.
-        circle = fit_circle(
-            BoxMeasurement(
-                float(track.x[0]), float(track.x[1]),
-                max(float(track.x[2]), 2 * MIN_CIRCLE_RADIUS_PX),
-                max(float(track.x[3]), 2 * MIN_CIRCLE_RADIUS_PX),
+    agent.tracker, events = step_tracker(agent.tracker, measurements)
+    for kind, track_id in events:
+        run.elog.emit(t, agent.id, "track", {"event": kind, "track_id": track_id})
+    floor = 2 * MIN_CIRCLE_RADIUS_PX
+    for track in agent.tracker.tracks:
+        if track.misses == 0:
+            # Range from the corrected (posterior) box: the smoothed size
+            # rides out occasional association swaps.
+            radius = fit_circle(max(track.x[2], floor), max(track.x[3], floor))
+            track.last_range = estimate_range(
+                radius, s.camera, s.balloons.params.diameter
             )
-        )
-        track.last_range = float(
-            estimate_range(circle, s.camera, s.balloons.params.diameter)
-        )
 
 
 def _decide(run: _Run, agent: _AgentRt, t: float) -> MissionStep:
@@ -406,7 +397,7 @@ def _decide(run: _Run, agent: _AgentRt, t: float) -> MissionStep:
     visited = agent.mission.visited
     if visited is not prev_visited:
         for idx, was in enumerate(prev_visited):
-            if not was and idx < len(visited) and visited[idx]:
+            if not was and visited[idx]:
                 wp = agent.mission.path.waypoints[idx]
                 run.covered.append((wp[0], wp[1]))
     return mstep

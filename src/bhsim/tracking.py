@@ -5,8 +5,8 @@ Each track runs a linear Kalman filter over the 6-state vector
 with constant velocity between frames, box sizes follow a random walk.
 Tracks are associated to detections by minimum-total-cost assignment on
 Euclidean center distance, gated at a pixel radius, and managed through a
-tentative / confirmed / dead lifecycle driven by consecutive hit and miss
-counts.
+tentative / confirmed lifecycle driven by consecutive hit and miss
+counts; a track that misses too many frames in a row is dropped.
 
 The filter is the box Kalman filter of SORT (Bewley et al. 2016), run
 decoupled (Bar-Shalom, Li & Kirubarajan 2001, ch. 6).  The process,
@@ -18,13 +18,15 @@ two 2-state constant-velocity filters plus two scalar random walks,
 which run here in plain floats with no matrix inverse.  Their operations
 follow the order of the 6x6 matrix products (predict ``F P F^T + Q``,
 gain ``P H^T S^-1``, Joseph-form update, then symmetrisation), so the
-results are the same floats the full matrix form gives at
-``dt_frames = 1``.
+results are the same floats the full matrix form gives: the filter
+steps exactly one frame, so every product with the frame step is exact.
 
 The tracker is a value: ``step_tracker`` consumes one tracker state and
-one frame of measurements and returns a fresh tracker plus the lifecycle
-events and matches of that frame.  Measurements carry only box geometry,
-so nothing in this module can see ground-truth identities.
+one frame of measurements and returns a fresh tracker plus that frame's
+lifecycle events, as ``(kind, track_id)`` pairs, and nothing else.  The
+tracks measured this frame are the ones with ``misses == 0``.
+Measurements carry only box geometry, so nothing in this module can see
+ground-truth identities.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class NumericalFailure(RuntimeError):
 class TrackStatus(Enum):
     TENTATIVE = "tentative"
     CONFIRMED = "confirmed"
-    DEAD = "dead"
 
 
 @dataclass(frozen=True)
@@ -117,18 +118,6 @@ class Assignment:
 
 
 @dataclass(frozen=True)
-class TrackEvent:
-    kind: str              # born | confirmed | coasted | died
-    track_id: int
-
-
-@dataclass(frozen=True)
-class StepSummary:
-    events: tuple[TrackEvent, ...]
-    matches: tuple[tuple[int, int], ...]   # (track id, measurement index)
-
-
-@dataclass(frozen=True)
 class Tracker:
     tracks: tuple[TrackState, ...] = ()
     next_id: int = 1
@@ -137,12 +126,6 @@ class Tracker:
     @property
     def confirmed(self) -> list[TrackState]:
         return [t for t in self.tracks if t.status is TrackStatus.CONFIRMED]
-
-    def track_by_id(self, track_id: int) -> Optional[TrackState]:
-        for t in self.tracks:
-            if t.id == track_id:
-                return t
-        return None
 
 
 def new_track(
@@ -164,25 +147,24 @@ def new_track(
     )
 
 
-def _predict_block(p: Block2, dt: float, q_c: float, q_v: float) -> Block2:
-    """``F P F^T + Q`` for one (center, velocity) block, ``F = [[1, dt], [0, 1]]``."""
+def _predict_block(p: Block2, q_c: float, q_v: float) -> Block2:
+    """``F P F^T + Q`` for one (center, velocity) block, ``F = [[1, 1], [0, 1]]``."""
     pcc, pcv, pvv = p
-    f0 = pcc + dt * pcv
-    f1 = pcv + dt * pvv
-    return (f0 + dt * f1 + q_c, f1, pvv + q_v)
+    f0 = pcc + pcv
+    f1 = pcv + pvv
+    return (f0 + f1 + q_c, f1, pvv + q_v)
 
 
-def kf_predict(
-    t: TrackState, dt_frames: float = 1.0, params: TrackerParams = TrackerParams()
-) -> TrackState:
-    """Constant-velocity prediction; sizes random-walk, covariance grows."""
+def kf_predict(t: TrackState, params: TrackerParams = TrackerParams()) -> TrackState:
+    """One-frame constant-velocity prediction; sizes random-walk,
+    covariance grows."""
     cx, cy, w, h, vx, vy = t.x
     q = params.q_diag
     return TrackState(
         t.id,
-        (cx + dt_frames * vx, cy + dt_frames * vy, w, h, vx, vy),
-        _predict_block(t.px, dt_frames, q[0], q[4]),
-        _predict_block(t.py, dt_frames, q[1], q[5]),
+        (cx + vx, cy + vy, w, h, vx, vy),
+        _predict_block(t.px, q[0], q[4]),
+        _predict_block(t.py, q[1], q[5]),
         t.pw + q[2], t.ph + q[3],
         t.age + 1, t.hits, t.misses, t.status, t.last_range,
     )
@@ -326,32 +308,29 @@ def solve_assignment(cost: np.ndarray, gate: float) -> Assignment:
     Raises:
         NumericalFailure: if any cost is NaN or infinite.
     """
-    n_tracks, n_dets = cost.shape if cost.size else (cost.shape[0], cost.shape[1])
+    n_tracks, n_dets = cost.shape
     if n_tracks == 0 or n_dets == 0:
         return Assignment(
             matches=(),
             unmatched_tracks=tuple(range(n_tracks)),
             unmatched_detections=tuple(range(n_dets)),
         )
-    n = max(n_tracks, n_dets)
+    rows = cost.tolist()
+    if not all(math.isfinite(c) for row in rows for c in row):
+        raise NumericalFailure("assignment cost is not finite")
     # Sentinel padding only needs to dominate every real cost; padded
     # pairs are discarded by index below, and gating is a post-filter.
-    # max and min both propagate NaN, and between them catch +-inf.
-    highest = float(cost.max())
-    if not (math.isfinite(highest) and math.isfinite(float(cost.min()))):
-        raise NumericalFailure("assignment cost is not finite")
-    sentinel = highest + 1.0e6
-    padded = [[sentinel] * n for _ in range(n)]
-    for i in range(n_tracks):
-        for j in range(n_dets):
-            padded[i][j] = float(cost[i, j])
+    n = max(n_tracks, n_dets)
+    sentinel = max(map(max, rows)) + 1.0e6
+    padded = [row + [sentinel] * (n - n_dets) for row in rows]
+    padded += [[sentinel] * n for _ in range(n - n_tracks)]
     assign = _solve_square(padded, n)
     matches = []
     matched_t: set[int] = set()
     matched_d: set[int] = set()
     for i in range(n_tracks):
         j = assign[i]
-        if 0 <= j < n_dets and cost[i, j] <= gate:
+        if 0 <= j < n_dets and rows[i][j] <= gate:
             matches.append((i, j))
             matched_t.add(i)
             matched_d.add(j)
@@ -363,10 +342,8 @@ def solve_assignment(cost: np.ndarray, gate: float) -> Assignment:
 
 
 def step_tracker(
-    tracker: Tracker,
-    measurements: Sequence[BoxMeasurement],
-    dt_frames: float = 1.0,
-) -> tuple[Tracker, StepSummary]:
+    tracker: Tracker, measurements: Sequence[BoxMeasurement]
+) -> tuple[Tracker, list[tuple[str, int]]]:
     """Run one frame: predict, associate, update, coast, spawn, prune.
 
     Matched tracks are corrected and their miss counts reset; unmatched
@@ -374,14 +351,15 @@ def step_tracker(
     ``k_delete`` consecutive misses; unmatched measurements seed new
     tentative tracks; tentative tracks are promoted at ``m_confirm``
     consecutive hits.  Track ids strictly increase and are never reused.
+    Returns the next tracker and the frame's ``(kind, track_id)`` events,
+    kind one of born | confirmed | coasted | died.
     """
     params = tracker.params
-    predicted = [kf_predict(t, dt_frames, params) for t in tracker.tracks]
+    predicted = [kf_predict(t, params) for t in tracker.tracks]
     cost = assignment_cost(predicted, measurements)
     assign = solve_assignment(cost, params.gate_px)
 
-    events: list[TrackEvent] = []
-    matches: list[tuple[int, int]] = []
+    events: list[tuple[str, int]] = []
     next_tracks: list[TrackState] = []
 
     # predict and update return fresh objects, so the lifecycle fields
@@ -390,8 +368,7 @@ def step_tracker(
         t = kf_update(predicted[ti], measurements[di], params)
         if t.status is TrackStatus.TENTATIVE and t.hits >= params.m_confirm:
             t.status = TrackStatus.CONFIRMED
-            events.append(TrackEvent("confirmed", t.id))
-        matches.append((t.id, di))
+            events.append(("confirmed", t.id))
         next_tracks.append(t)
 
     for ti in assign.unmatched_tracks:
@@ -399,21 +376,17 @@ def step_tracker(
         t.misses += 1
         t.hits = 0
         if t.misses >= params.k_delete:
-            events.append(TrackEvent("died", t.id))
+            events.append(("died", t.id))
             continue
-        events.append(TrackEvent("coasted", t.id))
+        events.append(("coasted", t.id))
         next_tracks.append(t)
 
     next_id = tracker.next_id
     for di in assign.unmatched_detections:
         t = new_track(next_id, measurements[di], params)
         next_id += 1
-        events.append(TrackEvent("born", t.id))
-        matches.append((t.id, di))
+        events.append(("born", t.id))
         next_tracks.append(t)
 
     next_tracks.sort(key=lambda t: t.id)
-    return (
-        Tracker(tracks=tuple(next_tracks), next_id=next_id, params=params),
-        StepSummary(events=tuple(events), matches=tuple(matches)),
-    )
+    return Tracker(tracks=tuple(next_tracks), next_id=next_id, params=params), events

@@ -37,7 +37,6 @@ class Arena:
 
     outer_extent: Vec3 = (100.0, 40.0, 20.0)
     effective_extent: Vec3 = (90.0, 30.0, 5.0)
-    origin: Vec3 = (0.0, 0.0, 0.0)
     geofence_margin: float = 1.0
 
     def __post_init__(self) -> None:
@@ -51,11 +50,10 @@ class Arena:
 
     @property
     def effective_min(self) -> Vec3:
-        ox, oy, oz = self.origin
         return (
-            ox + (self.outer_extent[0] - self.effective_extent[0]) / 2.0,
-            oy + (self.outer_extent[1] - self.effective_extent[1]) / 2.0,
-            oz,
+            (self.outer_extent[0] - self.effective_extent[0]) / 2.0,
+            (self.outer_extent[1] - self.effective_extent[1]) / 2.0,
+            0.0,
         )
 
     @property

@@ -19,7 +19,6 @@ from bhsim.mission import generate_search_path
 from bhsim.perception import (
     ZERO_NOISE,
     CameraIntrinsics,
-    FittedCircle,
     NoiseModel,
     estimate_range,
     generate_detections,
@@ -127,7 +126,7 @@ def test_criterion_3_tracker_convergence_and_id_stability():
             )
         track = tracker.tracks[0]
         assert track.status is TrackStatus.CONFIRMED
-        predicted = kf_predict(track, 1.0, params)
+        predicted = kf_predict(track, params)
         assert abs(predicted.x[0] - v * 10) < 1.0
 
         # (b) id stability: 1 balloon, p_miss 0.2, 300 frames, 20 seeds
@@ -175,7 +174,7 @@ def test_criterion_4_range_inversion():
             exact_px = camera.focal_px * radius_m / math.sqrt(
                 depth**2 - radius_m**2
             )
-            est = estimate_range(FittedCircle((0.0, 0.0), exact_px), camera, diameter)
+            est = estimate_range(exact_px, camera, diameter)
             assert abs(est - depth) / depth < 0.02
 
 

@@ -9,7 +9,6 @@ from bhsim.perception import (
     CameraIntrinsics,
     DegenerateCircle,
     Detection,
-    FittedCircle,
     NoiseModel,
     estimate_range,
     fit_circle,
@@ -229,27 +228,24 @@ def test_false_alarms_poisson_rate():
 
 
 def test_fit_circle_square_box():
-    d = Detection(0.0, 0.0, 54.0, 54.0, 1.0)
-    assert fit_circle(d).radius == pytest.approx(27.0)
+    assert fit_circle(54.0, 54.0) == pytest.approx(27.0)
 
 
 def test_fit_circle_major_axis_rule():
-    d = Detection(3.0, -4.0, 60.0, 40.0, 1.0)
-    c = fit_circle(d)
-    assert c.radius == pytest.approx(30.0)
-    assert c.center == (3.0, -4.0)
+    assert fit_circle(60.0, 40.0) == pytest.approx(30.0)
+    assert fit_circle(40.0, 60.0) == pytest.approx(30.0)
 
 
 def test_estimate_range_examples():
     # Oracles: inversion of the small-angle projection, f * D / (2 r).
-    assert estimate_range(FittedCircle((0, 0), 27.0), CAM, 0.45) == pytest.approx(5.0)
-    assert estimate_range(FittedCircle((0, 0), 300.0), CAM, 0.45) == pytest.approx(0.45)
-    assert estimate_range(FittedCircle((0, 0), 2.7), CAM, 0.45) == pytest.approx(50.0)
+    assert estimate_range(27.0, CAM, 0.45) == pytest.approx(5.0)
+    assert estimate_range(300.0, CAM, 0.45) == pytest.approx(0.45)
+    assert estimate_range(2.7, CAM, 0.45) == pytest.approx(50.0)
 
 
 def test_estimate_range_degenerate_circle():
     with pytest.raises(DegenerateCircle):
-        estimate_range(FittedCircle((0, 0), 0.4), CAM, 0.45)
+        estimate_range(0.4, CAM, 0.45)
 
 
 def test_range_inversion_against_exact_sphere_oracle():
@@ -258,7 +254,7 @@ def test_range_inversion_against_exact_sphere_oracle():
     radius_m = 0.225
     for depth in np.linspace(2.0, 40.0, 39):
         r_px = exact_sphere_radius_px(600.0, radius_m, float(depth))
-        est = estimate_range(FittedCircle((0, 0), r_px), CAM, 0.45)
+        est = estimate_range(r_px, CAM, 0.45)
         assert abs(est - depth) / depth < 0.02
 
 

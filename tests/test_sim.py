@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bhsim.mission
+import bhsim.sim
 from bhsim.cli import main as cli_main
 from bhsim.events import EVENT_KINDS, read_event_log, serialize_events
 from bhsim.fleet import point_in_cell
@@ -444,6 +445,21 @@ def test_cli_infeasible_packing_is_config_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["sweep", "--seeds", "0..1"], ["path"], ["partition"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_non_utf8_scenario_is_config_error(tmp_path, capsys, argv):
+    p = tmp_path / "scenario.cfg"
+    p.write_bytes(b"seed = 1\n\xff = 2\n")
+    assert cli_main(argv + ["--scenario", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {p}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("seeds", ["3..1", "a", "1..b", ""])
 def test_cli_bad_seed_range_is_config_error(tmp_path, capsys, seeds):
     scn = _write_scenario(tmp_path, "seed = 0\nballoons.count = 1\n")
@@ -647,3 +663,35 @@ def test_readme_event_table_matches_event_kinds():
     out = _failure_run("1:20")
     for e in out.events:
         assert set(e["data"]) <= table[e["kind"]], e
+
+
+def test_measured_tracks_are_ranged_and_coasting_tracks_keep_their_range(
+    monkeypatch,
+):
+    # Oracle: the small-angle inverse f * D / (2 r), r half the major axis
+    # of the posterior box with the axis floored at 1 px.  A track
+    # measured this frame (misses == 0) is ranged from it; a coasting
+    # track keeps the range of the frame that last measured it.
+    s = default_scenario(seed=0)
+    s = replace(s, sim=replace(s.sim, duration_limit=20.0))
+    focal, diameter = s.camera.focal_px, s.balloons.params.diameter
+    ticks = []
+    original = bhsim.sim.step_mission
+
+    def recording(ms, tracks, *args):
+        ticks.append({t.id: (t.misses, t.x, t.last_range) for t in tracks})
+        return original(ms, tracks, *args)
+
+    monkeypatch.setattr(bhsim.sim, "step_mission", recording)
+    run_simulation(s)
+    measured = coasting = 0
+    for prev, now in zip([{}] + ticks, ticks):
+        for tid, (misses, x, last_range) in now.items():
+            if misses == 0:
+                radius = max(x[2], x[3], 1.0) / 2
+                assert last_range == focal * diameter / (2 * radius)
+                measured += 1
+            else:
+                assert last_range == prev[tid][2]
+                coasting += 1
+    assert measured > 100 and coasting > 10

@@ -48,10 +48,10 @@ _H[0, 0] = _H[1, 1] = _H[2, 2] = _H[3, 3] = 1.0
 _I6 = np.eye(6)
 
 
-def ref_predict(x, P, dt_frames, params):
+def ref_predict(x, P, params):
     F = np.eye(6)
-    F[0, 4] = dt_frames
-    F[1, 5] = dt_frames
+    F[0, 4] = 1.0
+    F[1, 5] = 1.0
     x = F @ x
     P = F @ P @ F.T + np.diag(params.q_diag)
     return x, (P + P.T) / 2.0
@@ -68,7 +68,7 @@ def ref_update(x, P, z, params):
     return x, (P + P.T) / 2.0
 
 
-def _filter_against_reference(dt_frames, n_tracks=200, n_cycles=40, seed=7):
+def _filter_against_reference(n_tracks=200, n_cycles=40, seed=7):
     """Yield (track, reference x, reference P) after every predict/update."""
     rng = np.random.default_rng(seed)
     for tid in range(n_tracks):
@@ -87,12 +87,12 @@ def _filter_against_reference(dt_frames, n_tracks=200, n_cycles=40, seed=7):
         P = np.diag(params.p0_diag)
         v = rng.normal(0.0, 3.0, 2)
         for k in range(n_cycles):
-            t = kf_predict(t, dt_frames, params)
-            x, P = ref_predict(x, P, dt_frames, params)
+            t = kf_predict(t, params)
+            x, P = ref_predict(x, P, params)
             yield t, x, P
             if rng.random() < 0.8:
                 z = _meas(
-                    *(x[:2] + v * dt_frames + rng.normal(0.0, 2.0, 2)).tolist(),
+                    *(x[:2] + v + rng.normal(0.0, 2.0, 2)).tolist(),
                     *(x[2:4] + rng.normal(0.0, 1.0, 2)).tolist(),
                 )
                 t = kf_update(t, z, params)
@@ -101,11 +101,11 @@ def _filter_against_reference(dt_frames, n_tracks=200, n_cycles=40, seed=7):
 
 
 def test_decoupled_filter_equals_matrix_reference_exactly_at_unit_dt():
-    # Oracle: the 6x6 numpy filter.  At dt_frames = 1 (the only step
-    # the simulator takes) every product with dt is exact, so the float
-    # filter must give the very same floats.
+    # Oracle: the 6x6 numpy filter.  The filter steps one frame, so
+    # every product with the frame step is exact and the float filter
+    # must give the very same floats.
     steps = 0
-    for t, x, P in _filter_against_reference(1.0):
+    for t, x, P in _filter_against_reference():
         assert all(type(v) is float for v in t.x)
         assert (np.array(t.x) == x).all()
         assert (t.P == P).all()
@@ -113,20 +113,11 @@ def test_decoupled_filter_equals_matrix_reference_exactly_at_unit_dt():
     assert steps > 200 * 40
 
 
-@pytest.mark.parametrize("dt_frames", [0.5, 2.0, 3.0])
-def test_decoupled_filter_matches_matrix_reference_at_other_dt(dt_frames):
-    # With dt != 1 the matrix products may round a*dt + b once (fused)
-    # where the float filter rounds twice, so allow last-bit drift.
-    for t, x, P in _filter_against_reference(dt_frames, n_tracks=50):
-        np.testing.assert_allclose(np.array(t.x), x, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(t.P, P, rtol=1e-12, atol=0.0)
-
-
 # --- Kalman filter ----------------------------------------------------------
 
 def test_predict_zero_velocity_keeps_center_and_grows_covariance():
     t = new_track(1, _meas(), PARAMS)
-    out = kf_predict(t, 1.0, PARAMS)
+    out = kf_predict(t, PARAMS)
     assert out.center == t.center
     assert np.trace(out.P) > np.trace(t.P)
 
@@ -135,20 +126,8 @@ def test_predict_shifts_center_by_velocity():
     t = replace(
         new_track(1, _meas(cx=10.0), PARAMS), x=(10.0, 50.0, 30.0, 30.0, 2.0, 0.0)
     )
-    out = kf_predict(t, 1.0, PARAMS)
+    out = kf_predict(t, PARAMS)
     assert out.x[0] == pytest.approx(12.0)
-
-
-def test_predict_twice_equals_once_with_double_dt_in_mean():
-    # Oracle: the transition matrix satisfies F(2) = F(1) @ F(1), so the
-    # means must agree (covariances differ through Q).
-    t = replace(
-        new_track(1, _meas(), PARAMS), x=(100.0, 50.0, 30.0, 30.0, 1.5, -0.5)
-    )
-    twice = kf_predict(kf_predict(t, 1.0, PARAMS), 1.0, PARAMS)
-    once = kf_predict(t, 2.0, PARAMS)
-    assert np.allclose(twice.x, once.x, atol=1e-12)
-    assert not np.allclose(twice.P, once.P)
 
 
 def test_update_zero_innovation_keeps_mean():
@@ -176,7 +155,7 @@ def test_repeated_updates_converge_to_measurement():
     t = new_track(1, _meas(cx=0.0, cy=0.0), PARAMS)
     z = _meas(cx=40.0, cy=-25.0)
     for i in range(20):
-        t = kf_update(kf_predict(t, 1.0, PARAMS), z, PARAMS)
+        t = kf_update(kf_predict(t, PARAMS), z, PARAMS)
         if abs(t.x[0] - 40.0) < 0.1 and abs(t.x[1] + 25.0) < 0.1:
             break
     assert abs(t.x[0] - 40.0) < 0.1
@@ -194,7 +173,7 @@ def test_covariance_stays_symmetric_psd_over_many_cycles():
     t = new_track(1, _meas(), PARAMS)
     rng = np.random.default_rng(0)
     for i in range(100_000):
-        t = kf_predict(t, 1.0, PARAMS)
+        t = kf_predict(t, PARAMS)
         if i % 3:
             z = _meas(cx=100 + rng.normal(0, 2), cy=50 + rng.normal(0, 2))
             t = kf_update(t, z, PARAMS)
@@ -285,22 +264,22 @@ def test_solver_equals_brute_force_on_random_matrices():
 
 def test_step_tracker_birth_from_detection():
     tracker = Tracker(params=PARAMS)
-    tracker, summary = step_tracker(tracker, [_meas()])
+    tracker, events = step_tracker(tracker, [_meas()])
     assert len(tracker.tracks) == 1
     t = tracker.tracks[0]
     assert t.status is TrackStatus.TENTATIVE
     assert t.hits == 1
-    assert [e.kind for e in summary.events] == ["born"]
+    assert events == [("born", t.id)]
 
 
 def test_step_tracker_confirms_after_m_consecutive_hits():
     tracker = Tracker(params=PARAMS)
-    events = []
+    kinds = []
     for _ in range(3):
-        tracker, summary = step_tracker(tracker, [_meas()])
-        events += [e.kind for e in summary.events]
+        tracker, events = step_tracker(tracker, [_meas()])
+        kinds += [kind for kind, _ in events]
     assert tracker.tracks[0].status is TrackStatus.CONFIRMED
-    assert events.count("confirmed") == 1
+    assert kinds.count("confirmed") == 1
 
 
 def test_step_tracker_deletes_after_k_consecutive_misses():
@@ -309,24 +288,29 @@ def test_step_tracker_deletes_after_k_consecutive_misses():
     for _ in range(3):
         tracker, _ = step_tracker(tracker, [_meas()])
     for frame in range(1, 6):
-        tracker, summary = step_tracker(tracker, [])
+        tracker, events = step_tracker(tracker, [])
         if frame < 5:
             assert len(tracker.tracks) == 1
             assert tracker.tracks[0].misses == frame
-            assert [e.kind for e in summary.events] == ["coasted"]
+            assert events == [("coasted", 1)]
         else:
             assert tracker.tracks == ()
-            assert [e.kind for e in summary.events] == ["died"]
+            assert events == [("died", 1)]
 
 
 def test_step_tracker_nearest_neighbor_matching():
     # Oracle: with each detection nearest a distinct track, the global
-    # optimum equals the nearest-neighbor matching.
+    # optimum equals the nearest-neighbor matching, so each track is
+    # corrected toward its own detection and none is born or coasts.
     tracker = Tracker(params=PARAMS)
     tracker, _ = step_tracker(tracker, [_meas(cx=0.0), _meas(cx=200.0)])
-    tracker, summary = step_tracker(tracker, [_meas(cx=195.0), _meas(cx=4.0)])
-    by_track = {tid: di for tid, di in summary.matches}
-    assert by_track == {1: 1, 2: 0}
+    tracker, events = step_tracker(tracker, [_meas(cx=195.0), _meas(cx=4.0)])
+    assert events == []
+    t1, t2 = tracker.tracks
+    assert (t1.id, t2.id) == (1, 2)
+    assert t1.misses == t2.misses == 0
+    assert 0.0 < t1.x[0] < 4.0
+    assert 195.0 < t2.x[0] < 200.0
 
 
 def test_step_tracker_ids_strictly_increase_never_reused():
@@ -334,8 +318,8 @@ def test_step_tracker_ids_strictly_increase_never_reused():
     seen = []
     for frame in range(30):
         meas = [_meas(cx=float(100 * (frame % 3)))] if frame % 4 else []
-        tracker, summary = step_tracker(tracker, meas)
-        seen += [e.track_id for e in summary.events if e.kind == "born"]
+        tracker, events = step_tracker(tracker, meas)
+        seen += [track_id for kind, track_id in events if kind == "born"]
     assert seen == sorted(seen)
     assert len(seen) == len(set(seen))
 
@@ -356,7 +340,7 @@ def test_zero_noise_constant_velocity_prediction_error():
     v = 2.0
     for frame in range(10):
         tracker, _ = step_tracker(tracker, [_meas(cx=v * frame, cy=0.0)])
-    predicted = kf_predict(tracker.tracks[0], 1.0, PARAMS)
+    predicted = kf_predict(tracker.tracks[0], PARAMS)
     truth = v * 10
     assert abs(predicted.x[0] - truth) < 1.0
     assert tracker.tracks[0].status is TrackStatus.CONFIRMED
@@ -373,10 +357,10 @@ def test_step_tracker_leaves_input_tracks_unchanged():
     for xs in frames:
         tracker, _ = step_tracker(tracker, [_meas(cx=x) for x in xs])
     before = [copy.copy(t) for t in tracker.tracks]
-    out, summary = step_tracker(
+    out, events = step_tracker(
         tracker, [_meas(cx=2.0), _meas(cx=602.0), _meas(cx=-900.0)]
     )
-    kinds = sorted(e.kind for e in summary.events)
+    kinds = sorted(kind for kind, _ in events)
     assert kinds == ["born", "coasted", "confirmed", "died"]
     assert len(before) == len(tracker.tracks) == 4
     for old, t in zip(before, tracker.tracks):
