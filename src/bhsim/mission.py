@@ -339,11 +339,20 @@ def pops_in_reach(
 
     ``centers[i]`` is None for a popped balloon and ``reaches[i]`` is
     ``radius + tip_reach``; the comparison is the one ``check_pop`` makes.
+    A balloon whose x offset alone exceeds ``reach * (1 + 1e-12) + 1e-150``
+    is rejected before the distance is computed.  The relative margin is
+    far above the rounding error of ``_dist3``.  The absolute one keeps a
+    rejected offset's square above the float underflow: with a legal reach
+    below ~1e-154, an offset well past it squares to 0 in ``_dist3`` and
+    ``check_pop`` pops.
     """
+    tip_x = tip_position[0]
     return [
         i
         for i, c in enumerate(centers)
-        if c is not None and _dist3(tip_position, c) <= reaches[i]
+        if c is not None
+        and abs(tip_x - c[0]) <= reaches[i] * (1.0 + 1e-12) + 1e-150
+        and _dist3(tip_position, c) <= reaches[i]
     ]
 
 
@@ -534,12 +543,30 @@ def _refresh_target(
         return ms
     tg = ms.target
     heading = _bearing_to(uav.position, est)
-    return replace(ms, target=replace(
-        tg,
-        estimate=est,
-        heading=tg.heading if heading is None else heading,
-        range=min(tg.range, track.last_range),
-    ))
+    # Runs on most ALIGN and APPROACH ticks, so both records are built
+    # with their constructors rather than copied field by field with
+    # ``replace``; every field not refreshed here is passed through.
+    return MissionState(
+        phase=ms.phase,
+        entered_at=ms.entered_at,
+        path=ms.path,
+        wp_index=ms.wp_index,
+        visited=ms.visited,
+        target=Target(
+            track_id=tg.track_id,
+            claim_id=tg.claim_id,
+            claim_estimate=tg.claim_estimate,
+            estimate=est,
+            heading=tg.heading if heading is None else heading,
+            range=min(tg.range, track.last_range),
+            retries=tg.retries,
+            revisit_point=tg.revisit_point,
+            approach_best=tg.approach_best,
+        ),
+        blacklist=ms.blacklist,
+        commit_cooldown_until=ms.commit_cooldown_until,
+        wp_started_at=ms.wp_started_at,
+    )
 
 
 def _step_search(ms, tracks, uav, view, t, ctx, events):

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -303,7 +304,10 @@ def solve_assignment(cost: np.ndarray, gate: float) -> Assignment:
 
     The matrix is padded square with a sentinel cost; padded pairs are
     discarded and any surviving pair costlier than ``gate`` is demoted to
-    unmatched on both sides.
+    unmatched on both sides.  A matrix with one row or one column skips
+    the padding and the solver: its match is the first minimal entry, in
+    row-major order, which is the pair ``_solve_square`` picks on the
+    padded matrix, ties included; it is gated the same way.
 
     Raises:
         NumericalFailure: if any cost is NaN or infinite.
@@ -316,8 +320,18 @@ def solve_assignment(cost: np.ndarray, gate: float) -> Assignment:
             unmatched_detections=tuple(range(n_dets)),
         )
     rows = cost.tolist()
-    if not all(math.isfinite(c) for row in rows for c in row):
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise NumericalFailure("assignment cost is not finite")
+    if n_tracks == 1 or n_dets == 1:
+        flat = rows[0] if n_tracks == 1 else [row[0] for row in rows]
+        best = min(flat)
+        if best <= gate:
+            k = flat.index(best)
+            rest = tuple(range(k)) + tuple(range(k + 1, len(flat)))
+            if n_tracks == 1:
+                return Assignment(((0, k),), (), rest)
+            return Assignment(((k, 0),), rest, ())
+        return Assignment((), tuple(range(n_tracks)), tuple(range(n_dets)))
     # Sentinel padding only needs to dominate every real cost; padded
     # pairs are discarded by index below, and gating is a post-filter.
     n = max(n_tracks, n_dets)

@@ -13,10 +13,12 @@ from bhsim.mission import (
     FleetView,
     MissionContext,
     MissionParams,
+    MissionState,
     PathTooDense,
     Phase,
     SearchPath,
     Target,
+    _refresh_target,
     check_pop,
     estimate_world_position,
     generate_search_path,
@@ -195,6 +197,33 @@ def test_pops_in_reach_agrees_with_check_pop_including_the_boundary():
             ) == reaches[i]
         )
     assert at_boundary > 300
+
+
+def test_pops_in_reach_x_only_offsets_at_the_reach_and_its_neighbours():
+    # The tip sits off the center along x only, at |dx| == reach, at the
+    # relative and the full pre-distance reject thresholds, one ulp either
+    # side of each, and a million reaches out; centers at x = 0 (dx exact)
+    # and elsewhere.  Reaches run from 1e-3 to 5 and, with a tip reach of
+    # 0, down to the least subnormal, where ``_dist3`` of an offset well
+    # past the reach underflows to 0 and ``check_pop`` pops.
+    sizes = [(0.3 * float(r), float(r) - 0.3 * float(r)) for r in np.geomspace(1e-3, 5.0, 41)]
+    sizes += [(r, 0.0) for r in (1e-160, 1e-170, 1e-200, 1e-300, 5e-324)]
+    popped = kept = underflowed = 0
+    for radius, tip_reach in sizes:
+        reach = radius + tip_reach
+        offsets = [reach * 1e6]
+        for d in (reach, reach * (1.0 + 1e-12), reach * (1.0 + 1e-12) + 1e-150):
+            offsets += [d, math.nextafter(d, math.inf), math.nextafter(d, 0.0)]
+        for cx in (0.0, 3.7, -12.25):
+            center = (cx, 1.5, 2.0)
+            for d in offsets:
+                for tip in ((cx + d, 1.5, 2.0), (cx - d, 1.5, 2.0)):
+                    hit = check_pop(tip, center, radius, tip_reach)
+                    assert pops_in_reach(tip, [center], [reach]) == ([0] if hit else [])
+                    popped += hit
+                    kept += not hit
+                    underflowed += hit and abs(tip[0] - cx) > reach * (1.0 + 1e-12)
+    assert popped > 200 and kept > 200 and underflowed > 10
 
 
 def test_plan_revisit_vector_arithmetic():
@@ -393,6 +422,29 @@ def test_approach_keeps_approaching_a_centered_track():
     # Straight ahead along +x at approach speed, no yaw.
     assert out.velocity_cmd == pytest.approx((MissionParams().v_approach, 0.0, 0.0))
     assert out.yaw_rate_cmd == 0.0
+
+
+def test_refresh_target_changes_only_estimate_heading_and_range():
+    # Every field of both records off its default, so a field the
+    # refresh failed to pass through would show.
+    path = generate_search_path(RECT, 4.0, 15.0)
+    tg = Target(track_id=1, claim_id=3, claim_estimate=(56.0, 21.0, 4.0),
+                estimate=(55.5, 20.5, 4.0), heading=0.25, range=12.0, retries=2,
+                revisit_point=(49.0, 20.0, 3.0), approach_best=(6.0, 0.5))
+    ms = MissionState(phase=Phase.APPROACH, entered_at=0.5, path=path, wp_index=2,
+                      visited=(True,) + (False,) * (len(path.waypoints) - 1),
+                      target=tg, blacklist=((10.0, 10.0, 2.0),),
+                      commit_cooldown_until=0.75, wp_started_at=0.25)
+    for record in (ms, tg):
+        for f in dataclasses.fields(record):
+            assert getattr(record, f.name) != f.default, f.name
+    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
+    track = _track(track_id=1, cx=12.0, cy=-3.0, last_range=5.0)
+    est = estimate_world_position(uav, track, 600.0, 5.0)
+    want = dataclasses.replace(ms, target=dataclasses.replace(
+        tg, estimate=est, heading=math.atan2(est[1] - 20.0, est[0] - 50.0), range=5.0,
+    ))
+    assert _refresh_target(ms, track, uav, _ctx()) == want
 
 
 def test_confirm_retry_reclaims_and_counts_the_retry():

@@ -203,6 +203,44 @@ def test_generate_detections_equals_per_balloon_reference():
         compared += sum(1 for d in got if d.truth_id is not None)
     assert compared > 300
 
+    # Stacked layouts for the occlusion test: still balloons in chains of
+    # 3-5 seen from a camera at yaw 0, where depth is exactly the x
+    # offset.  A chain either sits at one depth (equal depths never
+    # occlude) or steps away so each link hides the next; balloons are
+    # listed in shuffled order, and half the layouts pop the nearest one.
+    pose = _pose(position=(0.0, 0.0, 3.0))
+    hidden = equal_depth = 0
+    for trial in range(300):
+        centers = []
+        for _ in range(int(rng.integers(2, 4))):
+            x, y, z = (float(rng.uniform(3.0, 12.0)), float(rng.uniform(-2.0, 2.0)),
+                       float(rng.uniform(2.0, 4.0)))
+            step = float(rng.choice([0.0, 0.5, 1.0]))
+            equal_depth += step == 0.0
+            for _ in range(int(rng.integers(3, 6))):
+                centers.append((x, y, z))
+                x += step
+                y += float(rng.uniform(-0.05, 0.05))
+                z += float(rng.uniform(-0.05, 0.05))
+        balloons = [
+            _balloon(centers[k], diameter=float(rng.uniform(0.3, 0.9)), bid=i)
+            for i, k in enumerate(rng.permutation(len(centers)))
+        ]
+        world = make_world(balloons)
+        if trial % 2:
+            nearest = min(balloons, key=lambda b: world.center_of(b.id)[0])
+            world = pop_balloon(world, nearest.id)
+        ours, theirs = substream(trial, "s"), substream(trial, "s")
+        got = generate_detections(CAM, pose, world, noise, ours)
+        want = ref_generate_detections(CAM, pose, world, noise, theirs)
+        assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        in_view = sum(1 for c in world.centers
+                      if c is not None and project_point(CAM, pose, c) is not None)
+        seen = generate_detections(CAM, pose, world, ZERO_NOISE, substream(trial, "z"))
+        hidden += in_view - len(seen)
+    assert hidden > 1000 and equal_depth > 100
+
 
 def test_occlusion_hides_balloon_behind_another():
     near = _balloon((5.0, 0.0, 3.0), bid=0)

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from bhsim.tracking import (
     TrackerParams,
     TrackState,
     TrackStatus,
+    _solve_square,
     assignment_cost,
     kf_predict,
     kf_update,
@@ -240,12 +242,82 @@ def test_solve_assignment_rectangular_and_empty():
         [[math.nan, 1.0], [2.0, 3.0]],
         [[1.0, 2.0], [-math.inf, 3.0]],
         [[1.0, 2.0, 3.0], [4.0, math.inf, 6.0]],
+        [[1.0, math.nan, 3.0]],
+        [[math.inf, 2.0, 3.0]],
+        [[1.0, 2.0, -math.inf]],
+        [[1.0], [math.nan], [3.0]],
+        [[1.0], [2.0], [math.inf]],
+        [[-math.inf], [2.0], [3.0]],
     ],
-    ids=["nan", "inf", "-inf", "mixed-nan", "mixed--inf", "rect-inf"],
+    ids=["nan", "inf", "-inf", "mixed-nan", "mixed--inf", "rect-inf",
+         "row-nan", "row-inf", "row--inf", "col-nan", "col-inf", "col--inf"],
 )
 def test_solve_assignment_rejects_non_finite_cost(cost):
     with pytest.raises(NumericalFailure):
         solve_assignment(np.array(cost), gate=80.0)
+
+
+def ref_padded_assignment(rows, gate):
+    """The general path of ``solve_assignment``: ``_solve_square`` on the
+    sentinel-padded matrix, padded pairs dropped, then gated."""
+    n_tracks, n_dets = len(rows), len(rows[0])
+    n = max(n_tracks, n_dets)
+    sentinel = max(map(max, rows)) + 1.0e6
+    padded = [row + [sentinel] * (n - n_dets) for row in rows]
+    padded += [[sentinel] * n for _ in range(n - n_tracks)]
+    assign = _solve_square(padded, n)
+    matches = tuple(
+        (i, assign[i]) for i in range(n_tracks)
+        if assign[i] < n_dets and rows[i][assign[i]] <= gate
+    )
+    return (
+        matches,
+        tuple(i for i in range(n_tracks) if i not in {m[0] for m in matches}),
+        tuple(j for j in range(n_dets) if j not in {m[1] for m in matches}),
+    )
+
+
+def test_one_row_and_one_column_equal_the_padded_solver_pair_for_pair():
+    # Every shape 1x1..1x9 and 9x1..1x1 from a small set of integer
+    # costs, so ties are common; the gate equals one of the values and
+    # one value lies above it.
+    rng = random.Random(17)
+    gate = 3.0
+    at_gate = above_gate = tied = 0
+    for n_tracks, n_dets in [(1, m) for m in range(1, 10)] + [(n, 1) for n in range(9, 0, -1)]:
+        for _ in range(300):
+            rows = [[float(rng.choice((0, 1, 2, 3, 3, 5))) for _ in range(n_dets)]
+                    for _ in range(n_tracks)]
+            out = solve_assignment(np.array(rows), gate)
+            want = ref_padded_assignment(rows, gate)
+            assert (out.matches, out.unmatched_tracks, out.unmatched_detections) == want
+            flat = [c for row in rows for c in row]
+            at_gate += min(flat) == gate
+            above_gate += min(flat) > gate
+            tied += flat.count(min(flat)) > 1
+    assert min(at_gate, above_gate, tied) > 100
+
+
+@pytest.mark.parametrize("n_tracks, n_dets, trials",
+                         [(1, 40, 60), (40, 1, 60), (1, 120, 12), (120, 1, 12)])
+def test_long_row_and_column_equal_the_padded_solver_pair_for_pair(n_tracks, n_dets, trials):
+    # Fleet frames reach these lengths (up to MAX_BALLOONS plus false
+    # alarms).  Each trial's floor is below, at or above the gate, and
+    # every cost lies within two of it, so the minimum is always tied.
+    rng = random.Random(n_tracks * 1000 + n_dets)
+    gate = 3.0
+    floors = []
+    for trial in range(trials):
+        floor = (0.0, 3.0, 5.0)[trial % 3]
+        rows = [[floor + rng.choice((0, 0, 1, 2)) for _ in range(n_dets)]
+                for _ in range(n_tracks)]
+        out = solve_assignment(np.array(rows), gate)
+        assert (out.matches, out.unmatched_tracks, out.unmatched_detections) == \
+            ref_padded_assignment(rows, gate)
+        flat = [c for row in rows for c in row]
+        assert flat.count(min(flat)) > 1
+        floors.append(min(flat))
+    assert {0.0, 3.0, 5.0} <= set(floors)
 
 
 def test_solver_equals_brute_force_on_random_matrices():
