@@ -90,10 +90,17 @@ def _parse_seed_range(text: str) -> list[int]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    result = run_simulation(scenario)
+    out = Path(args.out) if args.out else None
+    try:
+        result = run_simulation(scenario)
+    except Exception:
+        # leave no outputs of an earlier run where this one's would go
+        if out is not None:
+            (out / "events.jsonl").unlink(missing_ok=True)
+            (out / "metrics.csv").unlink(missing_ok=True)
+        raise
     m = result.metrics
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_event_log(out / "events.jsonl", result.events)
         (out / "metrics.csv").write_text(

@@ -625,19 +625,21 @@ def _aggregate(rows: Sequence[RunMetrics]) -> dict[str, float]:
 
 def _sweep_one(args: tuple[Scenario, int, Optional[str]]) -> RunMetrics:
     scenario, seed, out_dir = args
+    log = None if out_dir is None else Path(out_dir) / f"events_seed{seed}.jsonl"
     try:
         result = run_simulation(replace(scenario, seed=seed))
     except Exception as exc:
-        # a failed run becomes a marked row; the sweep continues
+        # a failed run becomes a marked row; the sweep continues, and no
+        # log of an earlier run stays next to the row under this seed
+        if log is not None:
+            log.unlink(missing_ok=True)
         return RunMetrics(
             seed=seed,
             balloons_total=scenario.balloons.count,
             error=f"{type(exc).__name__}: {exc}",
         )
-    if out_dir is not None:
-        ev.write_event_log(
-            Path(out_dir) / f"events_seed{seed}.jsonl", result.events
-        )
+    if log is not None:
+        ev.write_event_log(log, result.events)
     return result.metrics
 
 
@@ -652,8 +654,9 @@ def sweep(
     Runs share nothing; with ``jobs > 1`` and more than one seed they
     execute in a pool of ``min(jobs, len(seeds))`` processes, which
     starts all its workers at once, and per-seed event logs (when
-    ``out_dir`` is given) are written by the workers.  Rows are returned
-    in seed order either way.
+    ``out_dir`` is given) are written by the workers.  A seed whose run
+    raises gets an error row and no log file.  Rows are returned in seed
+    order either way.
     """
     if not seeds:
         raise ValueError("seed range must be non-empty")

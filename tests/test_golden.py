@@ -5,6 +5,7 @@ Each case stores the SHA-256 of ``serialize_events(result.events)`` and of
 re-pin the digests here and say why; a refactor must leave them alone.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from bhsim.events import serialize_events
+from bhsim.events import read_event_log, serialize_events, write_event_log
 from bhsim.perception import ZERO_NOISE
 from bhsim.scenario import load_scenario
 from bhsim.sim import run_simulation
@@ -83,8 +84,15 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# Each golden run is simulated once per process and shared by the tests
+# below, which only read it.
+@functools.lru_cache(maxsize=None)
+def _run(case: str):
+    return run_simulation(_scenario(case))
+
+
 def _digests(case: str) -> tuple[str, str]:
-    result = run_simulation(_scenario(case))
+    result = _run(case)
     return (
         _sha256(serialize_events(result.events)),
         _sha256(result.metrics.csv_row().encode("utf-8")),
@@ -94,6 +102,24 @@ def _digests(case: str) -> tuple[str, str]:
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_digests(case):
     assert _digests(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_log_lines_equal_json_dumps_record_by_record(case):
+    """The writer's fast templates print each record in its canonical form."""
+    result = _run(case)
+    lines = serialize_events(result.events).decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == len(result.events)
+    for line, e in zip(lines, result.events):
+        assert line == json.dumps(e, sort_keys=True, separators=(",", ":")), e
+
+
+def test_fleet3_log_file_round_trips_every_record(tmp_path):
+    result = _run("fleet3-0")
+    path = tmp_path / "events.jsonl"
+    write_event_log(path, result.events)
+    assert read_event_log(path) == result.events
 
 
 # Golden cases re-run in a fresh interpreter under another BLAS kernel.

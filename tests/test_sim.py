@@ -627,6 +627,43 @@ def test_sweep_mixed_failure_marks_only_bad_seed(monkeypatch):
     assert out.rows[0].error is None and out.rows[2].error is None
 
 
+def test_sweep_failed_run_leaves_no_earlier_log_under_its_seed(
+    tmp_path, monkeypatch
+):
+    s = _quick_scenario()
+    log = tmp_path / "events_seed3.jsonl"
+    sweep(s, [3], out_dir=tmp_path)
+    assert log.stat().st_size > 0
+
+    def failing(scenario):
+        raise bhsim.sim.InvariantViolation("injected")
+
+    monkeypatch.setattr(bhsim.sim, "run_simulation", failing)
+    row = sweep(s, [3], out_dir=tmp_path).rows[0]
+    assert row.error == "InvariantViolation: injected"
+    assert not log.exists()
+
+
+def test_cli_simulate_failed_run_leaves_no_earlier_outputs(
+    tmp_path, capsys, monkeypatch
+):
+    scn = _write_scenario(
+        tmp_path, "seed = 1\nballoons.count = 1\nsim.duration_limit = 20\n"
+    )
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--scenario", scn, "--out", str(out_dir)]
+    assert cli_main(argv) == 0
+    assert (out_dir / "events.jsonl").exists() and (out_dir / "metrics.csv").exists()
+
+    def failing(scenario):
+        raise bhsim.sim.InvariantViolation("injected")
+
+    monkeypatch.setattr("bhsim.cli.run_simulation", failing)
+    assert cli_main(argv) == 2
+    assert "invariant violation: injected" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == []
+
+
 def _readme_event_table() -> dict[str, set[str]]:
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("## Event log")[1]
