@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
+from .rng import Stream
 from .vehicle import UavState, heading, world_to_camera
 from .world import WorldState
 
@@ -135,7 +134,7 @@ def generate_detections(
     uav: UavState,
     world: WorldState,
     noise: NoiseModel,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> list[Detection]:
     """Detections for one frame: noisy true boxes plus false alarms.
 

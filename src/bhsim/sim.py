@@ -29,8 +29,6 @@ from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import events as ev
 from .fleet import (
     ClaimResult,
@@ -60,7 +58,7 @@ from .perception import (
     fit_circle,
     generate_detections,
 )
-from .rng import substream
+from .rng import Stream, substream
 from .scenario import Scenario
 from .tracking import BoxMeasurement, Tracker, step_tracker
 from .vehicle import (
@@ -161,7 +159,7 @@ class _AgentRt:
     uav: UavState
     tracker: Tracker
     mission: MissionState
-    rng: np.random.Generator
+    rng: Stream
     view: Optional[FleetView] = None
     distance: float = 0.0
     failed: bool = False
@@ -205,7 +203,7 @@ class _Run:
     close_pairs: dict[int, list[Vec3]] = field(default_factory=dict)
 
 
-def _build_balloons(scenario: Scenario, rng: np.random.Generator) -> list[Balloon]:
+def _build_balloons(scenario: Scenario, rng: Stream) -> list[Balloon]:
     setup = scenario.balloons
     if setup.anchors is None:
         return sample_balloon_layout(

@@ -37,8 +37,6 @@ from enum import Enum
 from itertools import chain
 from typing import Optional, Sequence
 
-import numpy as np
-
 
 class NumericalFailure(RuntimeError):
     """The filter or the assignment met numbers it cannot work with: an
@@ -81,8 +79,7 @@ class TrackState:
 
     ``x`` is ``(cx, cy, w, h, vcx, vcy)``.  The covariance is stored as
     its nonzero blocks: ``px = (var cx, cov cx-vcx, var vcx)``, ``py``
-    the same for y, and the size variances ``pw`` and ``ph``.  ``P``
-    assembles the full 6x6 matrix.
+    the same for y, and the size variances ``pw`` and ``ph``.
     """
 
     id: int
@@ -96,15 +93,6 @@ class TrackState:
     misses: int = 0
     status: TrackStatus = TrackStatus.TENTATIVE
     last_range: Optional[float] = None
-
-    @property
-    def P(self) -> np.ndarray:
-        """The 6x6 covariance (a new array; writing to it changes nothing)."""
-        P = np.zeros((6, 6))
-        for (i, j), (pcc, pcv, pvv) in (((0, 4), self.px), ((1, 5), self.py)):
-            P[i, i], P[i, j], P[j, i], P[j, j] = pcc, pcv, pcv, pvv
-        P[2, 2], P[3, 3] = self.pw, self.ph
-        return P
 
     @property
     def center(self) -> tuple[float, float]:
@@ -216,8 +204,9 @@ def kf_update(
 ) -> TrackState:
     """Linear Kalman correction with the associated box measurement.
 
-    Uses the Joseph-form covariance update to keep P symmetric positive
-    semi-definite over long runs.  Hits increment, misses reset.
+    Uses the Joseph-form covariance update to keep the covariance
+    symmetric positive semi-definite over long runs.  Hits increment,
+    misses reset.
 
     Raises:
         NumericalFailure: if the innovation covariance cannot be inverted.
@@ -234,16 +223,33 @@ def kf_update(
     )
 
 
+@dataclass(frozen=True)
+class CostMatrix:
+    """A cost matrix as rows of floats.
+
+    ``shape`` and ``tolist()`` read as on a 2-D array, so
+    ``solve_assignment`` takes either; ``shape`` keeps the width of a
+    matrix with no rows.  ``tolist()`` returns the rows themselves, not
+    a copy.
+    """
+
+    shape: tuple[int, int]
+    rows: list[list[float]]
+
+    def tolist(self) -> list[list[float]]:
+        return self.rows
+
+
 def assignment_cost(
     tracks: Sequence[TrackState], detections: Sequence[BoxMeasurement]
-) -> np.ndarray:
+) -> CostMatrix:
     """|tracks| x |detections| matrix of Euclidean center distances."""
-    cost = np.zeros((len(tracks), len(detections)))
-    for i, t in enumerate(tracks):
+    centers = [(d.center_x, d.center_y) for d in detections]
+    rows = []
+    for t in tracks:
         cx, cy = t.center
-        for j, d in enumerate(detections):
-            cost[i, j] = math.hypot(cx - d.center_x, cy - d.center_y)
-    return cost
+        rows.append([math.hypot(cx - dx, cy - dy) for dx, dy in centers])
+    return CostMatrix((len(tracks), len(centers)), rows)
 
 
 def _solve_square(cost: list[list[float]], n: int) -> list[int]:
@@ -299,8 +305,11 @@ def _solve_square(cost: list[list[float]], n: int) -> list[int]:
     return assign
 
 
-def solve_assignment(cost: np.ndarray, gate: float) -> Assignment:
+def solve_assignment(cost: CostMatrix, gate: float) -> Assignment:
     """Minimum-total-cost matching on a rectangular matrix, then gating.
+
+    ``cost`` is anything with ``shape`` and ``tolist()``: a
+    ``CostMatrix`` or a 2-D float array.
 
     The matrix is padded square with a sentinel cost; padded pairs are
     discarded and any surviving pair costlier than ``gate`` is demoted to

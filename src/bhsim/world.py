@@ -8,10 +8,9 @@ planar pendulums with a fixed, per-balloon wind azimuth.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 Vec3 = tuple[float, float, float]
 
@@ -176,7 +175,7 @@ def step_balloon_sway(balloon: Balloon, t: float) -> Vec3:
 
 
 def make_balloon(
-    balloon_id: int, anchor: Vec3, params: BalloonParams, rng: np.random.Generator
+    balloon_id: int, anchor: Vec3, params: BalloonParams, rng: random.Random
 ) -> Balloon:
     """Balloon over ``anchor`` with random sway.
 
@@ -195,7 +194,7 @@ def make_balloon(
 
 
 def sample_balloon_layout(
-    rng: np.random.Generator,
+    rng: random.Random,
     arena: Arena,
     n: int,
     min_sep: float,

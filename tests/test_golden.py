@@ -27,43 +27,44 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # keep the suite quick.
 FLEET3_DURATION_S = 150.0
 
-# case -> (event log sha256, csv row sha256)
+# case -> (event log sha256, csv row sha256), pinned on the random.Random
+# streams of bhsim.rng
 GOLDEN = {
     "default-0": (
-        "b6a5f16e497715269575ea26c580bd3f92ce62c0ad2328d694dc7aae5c15cf60",
-        "6f6f11d612e28a998859b3093d55792df86a50e11459aa1092e4c2ea42d411c2",
+        "8e19db890f8f7aa14368c091c14582dc95f9770bee62c511f7d9ac9ad019f7e9",
+        "9e8badf6b29e60f8148383c618da79b6c8faa31ca37dfade39aad68b29e0c41c",
     ),
     "default-1": (
-        "80b29af9fe3f602f96b3228d5ea4f7f813a8a90797330b66a7a6661e9b48996c",
-        "514249ae821f79a448555b2283a2530236dee07560ebf2888cde00c68f7e257f",
+        "088343e669c3c547ffdbc243cba96a083876c31411660dbedeb59d8096c4f524",
+        "f3662c008885920cc3f892472345adeace177fac96526fb7d7afa73debf86046",
     ),
     "default-2": (
-        "48fa0b634d664bc11500a816b456286911d822a2c2930895cb1fe176b1f70de5",
-        "e9f3beeb7d30df3789520438fbf6f660ce96065f3a05f9ffdfe735f2f94588af",
+        "7233caf21120c092762e321c42a1101db83b79befb8c5c0a4e42666a7fd45775",
+        "3cf9c0ffd2048b67db78afeba02e47e226e80990fab5f64a8723fd53b17d0548",
     ),
     "default-3": (
-        "f988e414eaf8dda911676dab412219f22faebd9124f26a4a018b77969abbf92a",
-        "eb2b999b008b87f93f633897b6cc9381461846d88caea59697da8d6dfd957bfb",
+        "f83da71b7cba78e1baab45c90898288c983940d228f2268b4cc1fec759194950",
+        "56ed4ce22eee7de87d80a3ca3d570100cab88854f8870f6debe31a7aae59ae9e",
     ),
     "default-4": (
-        "17ecde701a533e0819ce362447e1b2811e910414b751033fe7352001965d6fc4",
-        "b76690e4613d7c164804e472b96e8cc03432ef988454489163f9486623b88c33",
+        "9364fc2001a473c06907f14e7007c8e8a2fb454afa93225f669ed627b700b621",
+        "d339c3c390dcf5288d4fc32e8922f36250451b45a5cc6f3dff505e07a6072a66",
     ),
     "default-zero-noise-3": (
-        "8e49d546143d79cd1f8fb2dc9bdfabca19ff383002befd59319412fbcf1d9c75",
-        "af9e9af651b7599a854a3b2bc8ef5e10d961318d2d6992c9c01a24b21e07933a",
+        "89825068103f0cf860cebf88bbbfb10138e4ef951ed28d5699da651f343e072d",
+        "94b886c0a1c34a5febf982b5b6a3b9f9541c4f9ac6a964a27e03b1d93a76459c",
     ),
     "fleet3-0": (
-        "f2ac182cb65425cc6c0df4f1962b8165a9200eb29007b8333aa5d4cea09c2bf1",
-        "0942f6b092126e3841f3ca4c3800e3f2a73ac18bbbbee11a9d49bed237b3eacd",
+        "78f9fa17702cecdcd8674d084393877ffa968c38c5204b656a7f8d1eb363b1db",
+        "60f72ebb64541d8584b766e8dc75ecafc926c82e1e16b75f7a3b49271da6b45d",
     ),
     "fleet3-1": (
-        "2d9e4c8c71aed10de413d6dd15f404d4afde6ac113a59677db044fdb9f1377e5",
-        "ddb789fa75a66cbed57b973ecf04b463559cec6f6423925737db57bc1db3c7ff",
+        "243b5ce46bee8ccd8351fa78a13eff8c94f5dac2329a469b4592413ff36ea50d",
+        "ab53f92d836a91cb3e1629b280d5236fa73f494d7877c931115fc7f82a3643da",
     ),
     "fleet3-2": (
-        "8b20b80f4f56be50ce50fead7fcea75b7e693ecbe910ae9da06993665284530e",
-        "6e563ba632ccc3972604a361eea91f9be8800308db62fbcd0f5766b2108fe864",
+        "aec0f025a6123df516ed3dd197c03f49b261bf73c0683d59203097e9111b3357",
+        "cf3746d1a0fb4511e89be0a1c3c460e48ba14efc01f3d53967d8e2f1fae1529b",
     ),
 }
 
@@ -122,35 +123,68 @@ def test_fleet3_log_file_round_trips_every_record(tmp_path):
     assert read_event_log(path) == result.events
 
 
-# Golden cases re-run in a fresh interpreter under another BLAS kernel.
+# Golden cases and CLI commands re-run in fresh interpreters where
+# ``import numpy`` fails: the simulator must not need it.
 HOST_CASES = ("default-0", "fleet3-0")
 
-_HOST_SCRIPT = """
-import json, sys
+_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
+
+_DIGEST_SCRIPT = _BLOCK_NUMPY + """
+import json
 sys.path.insert(0, sys.argv[1])
 from test_golden import _digests
 print(json.dumps({case: _digests(case) for case in sys.argv[2:]}))
 """
 
+_CLI_SCRIPT = _BLOCK_NUMPY + """
+import runpy
+sys.argv = ["bhsim", *sys.argv[1:]]
+runpy.run_module("bhsim", run_name="__main__")
+"""
 
-def test_golden_digests_do_not_depend_on_the_blas_kernel():
-    """A run is a pure function of (scenario, seed), not of the host.
+_CLI_COMMANDS = (
+    ("simulate", "--scenario", str(SCENARIOS / "default.cfg")),
+    ("sweep", "--scenario", str(SCENARIOS / "fleet3.cfg"), "--seeds", "0..1",
+     "--jobs", "2"),
+    ("path", "--scenario", str(SCENARIOS / "fleet3.cfg")),
+    ("partition", "--scenario", str(SCENARIOS / "fleet3.cfg")),
+)
 
-    Re-runs two golden cases with OpenBLAS forced onto its Prescott
-    kernel, which has no FMA, and expects the pinned digests.  Where
-    numpy is not built on OpenBLAS the variable is ignored and the test
-    passes trivially.
-    """
-    tests_dir = str(Path(__file__).resolve().parent)
+
+def _python(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["OPENBLAS_CORETYPE"] = "Prescott"
-    out = subprocess.run(
-        [sys.executable, "-c", _HOST_SCRIPT, tests_dir, *HOST_CASES],
-        capture_output=True, text=True, env=env, timeout=300,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_golden_digests_and_cli_run_without_numpy():
+    """A run is a pure function of (scenario, seed), with no numpy loaded.
+
+    Two golden cases reproduce their pinned digests in a fresh
+    interpreter that cannot import numpy, and every CLI subcommand,
+    ``sweep`` through its process pool, exits 0 there.
+    """
+    tests_dir = str(Path(__file__).resolve().parent)
+    out = _python("-c", _DIGEST_SCRIPT, tests_dir, *HOST_CASES)
     assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout)
     for case in HOST_CASES:
         assert tuple(got[case]) == GOLDEN[case], case
+    for command in _CLI_COMMANDS:
+        out = _python("-c", _CLI_SCRIPT, *command)
+        assert out.returncode == 0, (command, out.stderr)
+
+
+def test_a_cli_run_leaves_numpy_unimported():
+    script = (
+        "import sys\n"
+        "from bhsim.cli import main\n"
+        f"code = main(['simulate', '--scenario', {str(SCENARIOS / 'default.cfg')!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    out = _python("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"

@@ -54,7 +54,7 @@ PROBE_VALUES = {
     "tracker.k_delete": "3",
     "mission.m_commit": "5",
     "mission.align_tol_px": "10",
-    "mission.commit_range_max": "40",
+    "mission.commit_range_max": "15",
     "mission.d_standoff": "3",
     "mission.t_confirm": "2",
     "mission.tip_reach": "0.3",

@@ -30,6 +30,15 @@ def _meas(cx=100.0, cy=50.0, w=30.0, h=30.0):
     return BoxMeasurement(cx, cy, w, h)
 
 
+def _P(t: TrackState) -> np.ndarray:
+    """The full 6x6 covariance assembled from a track's nonzero blocks."""
+    P = np.zeros((6, 6))
+    for (i, j), (pcc, pcv, pvv) in (((0, 4), t.px), ((1, 5), t.py)):
+        P[i, i], P[i, j], P[j, i], P[j, j] = pcc, pcv, pcv, pvv
+    P[2, 2], P[3, 3] = t.pw, t.ph
+    return P
+
+
 def brute_force_min_cost(cost: np.ndarray) -> float:
     """Test oracle: exhaustive assignment over all row/column injections."""
     n, m = cost.shape
@@ -110,7 +119,7 @@ def test_decoupled_filter_equals_matrix_reference_exactly_at_unit_dt():
     for t, x, P in _filter_against_reference():
         assert all(type(v) is float for v in t.x)
         assert (np.array(t.x) == x).all()
-        assert (t.P == P).all()
+        assert (_P(t) == P).all()
         steps += 1
     assert steps > 200 * 40
 
@@ -121,7 +130,7 @@ def test_predict_zero_velocity_keeps_center_and_grows_covariance():
     t = new_track(1, _meas(), PARAMS)
     out = kf_predict(t, PARAMS)
     assert out.center == t.center
-    assert np.trace(out.P) > np.trace(t.P)
+    assert np.trace(_P(out)) > np.trace(_P(t))
 
 
 def test_predict_shifts_center_by_velocity():
@@ -147,7 +156,7 @@ def test_update_scalar_gain_half():
         new_track(1, _meas(cx=0.0), params),
         px=(4.0, 0.0, 100.0), py=(4.0, 0.0, 100.0), pw=8.0, ph=8.0,
     )
-    assert (t.P == np.diag([4.0, 4.0, 8.0, 8.0, 100.0, 100.0])).all()
+    assert (_P(t) == np.diag([4.0, 4.0, 8.0, 8.0, 100.0, 100.0])).all()
     out = kf_update(t, _meas(cx=10.0), params)
     assert out.x[0] == pytest.approx(5.0, abs=1e-12)
 
@@ -180,10 +189,10 @@ def test_covariance_stays_symmetric_psd_over_many_cycles():
             z = _meas(cx=100 + rng.normal(0, 2), cy=50 + rng.normal(0, 2))
             t = kf_update(t, z, PARAMS)
         if i % 10_000 == 0:
-            assert np.max(np.abs(t.P - t.P.T)) < 1e-9
-            assert np.min(np.linalg.eigvalsh(t.P)) > -1e-9
-    assert np.max(np.abs(t.P - t.P.T)) < 1e-9
-    assert np.min(np.linalg.eigvalsh(t.P)) > -1e-9
+            assert np.max(np.abs(_P(t) - _P(t).T)) < 1e-9
+            assert np.min(np.linalg.eigvalsh(_P(t))) > -1e-9
+    assert np.max(np.abs(_P(t) - _P(t).T)) < 1e-9
+    assert np.min(np.linalg.eigvalsh(_P(t))) > -1e-9
 
 
 # --- assignment -------------------------------------------------------------
@@ -191,7 +200,7 @@ def test_covariance_stays_symmetric_psd_over_many_cycles():
 def test_cost_matrix_345_triangle():
     t = new_track(1, _meas(cx=0.0, cy=0.0), PARAMS)
     cost = assignment_cost([t], [_meas(cx=3.0, cy=4.0)])
-    assert cost[0, 0] == pytest.approx(5.0)
+    assert cost.tolist()[0][0] == pytest.approx(5.0)
 
 
 def test_cost_matrix_shape_and_zero():
@@ -199,7 +208,30 @@ def test_cost_matrix_shape_and_zero():
     dets = [_meas(cx=0.0), _meas(cx=1.0)]
     cost = assignment_cost(tracks, dets)
     assert cost.shape == (3, 2)
-    assert cost[1, 1] == pytest.approx(0.0)
+    assert cost.tolist()[1][1] == pytest.approx(0.0)
+
+
+def test_cost_matrix_of_no_tracks_keeps_its_width():
+    cost = assignment_cost([], [_meas(), _meas(cx=0.0)])
+    assert cost.shape == (0, 2)
+    assert cost.tolist() == []
+    out = solve_assignment(cost, gate=80.0)
+    assert out.unmatched_detections == (0, 1)
+
+
+def test_cost_matrix_solves_as_the_same_array():
+    # The tracker hands solve_assignment rows of floats; an ndarray of
+    # the very same values must give the very same assignment.
+    rng = random.Random(5)
+    for _ in range(200):
+        tracks = [new_track(i, _meas(cx=rng.uniform(0, 200), cy=rng.uniform(0, 200)), PARAMS)
+                  for i in range(rng.randrange(0, 6))]
+        dets = [_meas(cx=rng.uniform(0, 200), cy=rng.uniform(0, 200))
+                for _ in range(rng.randrange(0, 6))]
+        cost = assignment_cost(tracks, dets)
+        array = np.array(cost.tolist()).reshape(cost.shape)
+        assert array.tolist() == cost.tolist()
+        assert solve_assignment(cost, 80.0) == solve_assignment(array, 80.0)
 
 
 def test_solve_assignment_zero_diagonal():
