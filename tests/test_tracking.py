@@ -6,15 +6,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_golden import GOLDEN, _scenario
 
+from bhsim import tracking
+from bhsim.sim import run_simulation
 from bhsim.tracking import (
     BoxMeasurement,
+    CostMatrix,
     NumericalFailure,
     Tracker,
     TrackerParams,
     TrackState,
     TrackStatus,
     _solve_square,
+    _tall_margin,
     assignment_cost,
     kf_predict,
     kf_update,
@@ -350,6 +355,118 @@ def test_long_row_and_column_equal_the_padded_solver_pair_for_pair(n_tracks, n_d
         assert flat.count(min(flat)) > 1
         floors.append(min(flat))
     assert {0.0, 3.0, 5.0} <= set(floors)
+
+
+def _count_padded_solves(monkeypatch) -> list[int]:
+    """Count the calls ``solve_assignment`` makes to the padded solver."""
+    calls = [0]
+
+    def counted(cost, n):
+        calls[0] += 1
+        return _solve_square(cost, n)
+
+    monkeypatch.setattr(tracking, "_solve_square", counted)
+    return calls
+
+
+def _assignment(rows, gate):
+    out = solve_assignment(CostMatrix((len(rows), len(rows[0])), rows), gate)
+    return out.matches, out.unmatched_tracks, out.unmatched_detections
+
+
+def test_wide_rule_equals_the_padded_solver_pair_for_pair(monkeypatch):
+    # Every shape from 2x2 to 9x12 with tracks <= detections, from a
+    # small set of integer costs with -0.0 beside 0.0, so ties are
+    # common.  Half the matrices plant a distinct cheap column per row,
+    # which the first-minimum rule then often answers; ties with an
+    # earlier column still send some of those to the padded solve.
+    calls = _count_padded_solves(monkeypatch)
+    rng = random.Random(23)
+    gate = 3.0
+    answered = total = 0
+    for n_tracks in range(2, 10):
+        for n_dets in range(n_tracks, 13):
+            for trial in range(60):
+                rows = [[rng.choice((-0.0, 0.0, 1.0, 2.0, 3.0, 3.0, 5.0))
+                         for _ in range(n_dets)] for _ in range(n_tracks)]
+                if trial % 2:
+                    for i, j in enumerate(rng.sample(range(n_dets), n_tracks)):
+                        rows[i][j] = rng.choice((-0.0, 0.0, 0.0, 1.0))
+                before = calls[0]
+                assert _assignment(rows, gate) == ref_padded_assignment(rows, gate)
+                total += 1
+                answered += calls[0] == before
+    print(f"wide rule: {answered} answered, {total - answered} fell back")
+    assert min(answered, total - answered) > 0.2 * total
+
+
+# gap multiples of the margin, below, at and above it
+_GAP_STEPS = (0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0, 10.0, 100.0)
+
+
+@pytest.mark.parametrize("n_tracks, n_dets, trials", [
+    (2, 1, 40), (40, 1, 10), (3, 2, 40), (5, 3, 30), (9, 8, 20), (22, 14, 10),
+    (60, 45, 3), (200, 120, 1),
+])
+def test_tall_rule_equals_the_padded_solver_pair_for_pair(
+        monkeypatch, n_tracks, n_dets, trials):
+    # Each column's minimum is planted on its own row, undercutting the
+    # rest of the column by a gap swept from 0 to 100 margins.  Every
+    # matrix the rule answers must be the padded solver's answer; the
+    # rule answers at 2 margins and more and never at half a margin.
+    # Costs lie in [1, 100] and the gate at 50, so some pairs are gated.
+    calls = _count_padded_solves(monkeypatch)
+    rng = random.Random(n_tracks * 1000 + n_dets)
+    gate = 50.0
+    answered = fell_back = 0
+    for _ in range(trials):
+        for step in _GAP_STEPS:
+            rows = [[rng.uniform(1.0, 100.0) for _ in range(n_dets)]
+                    for _ in range(n_tracks)]
+            eps = _tall_margin(n_tracks, max(map(max, rows)) + 1.0e6)
+            for j, i in enumerate(rng.sample(range(n_tracks), n_dets)):
+                rest = min(row[j] for k, row in enumerate(rows) if k != i)
+                rows[i][j] = rest - step * eps
+            before = calls[0]
+            assert _assignment(rows, gate) == ref_padded_assignment(rows, gate), step
+            if calls[0] == before:
+                answered += 1
+                assert step > 0.5
+            else:
+                fell_back += 1
+                assert step < 2.0
+    print(f"tall rule {n_tracks}x{n_dets}: {answered} answered, {fell_back} fell back")
+    assert answered and fell_back
+
+
+def test_one_column_near_tie_equals_the_padded_solver():
+    # The padded solve compares S - c across rows, and S - c rounds away
+    # differences below ulp(S): it keeps row 0 here although row 1 is
+    # cheaper by 1e-12.  The first minimal entry would answer row 1.
+    for rows in ([[1.0 + 1e-12], [1.0]], [[5.0], [1.0 + 1e-12], [1.0]],
+                 [[1.0 + 3e-11], [1.0]]):
+        assert _assignment(rows, 80.0) == ref_padded_assignment(rows, 80.0)
+    assert _assignment([[1.0 + 1e-12], [1.0]], 80.0)[0] == ((0, 0),)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_every_golden_cost_matrix_equals_the_padded_solver(monkeypatch, case):
+    solve = tracking.solve_assignment
+    seen = []
+
+    def checked(cost, gate):
+        out = solve(cost, gate)
+        n_tracks, n_dets = cost.shape
+        if n_tracks and n_dets:
+            rows = cost.tolist()
+            assert (out.matches, out.unmatched_tracks, out.unmatched_detections) \
+                == ref_padded_assignment(rows, gate), rows
+            seen.append((n_tracks, n_dets))
+        return out
+
+    monkeypatch.setattr(tracking, "solve_assignment", checked)
+    run_simulation(_scenario(case))
+    assert any(2 <= t <= d for t, d in seen) and any(t > d >= 2 for t, d in seen)
 
 
 def test_solver_equals_brute_force_on_random_matrices():
