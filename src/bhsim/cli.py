@@ -16,7 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-from .events import write_event_log
 from .fleet import DuplicateGenerators
 from .mission import DegenerateCell, PathTooDense
 from .scenario import (
@@ -90,22 +89,18 @@ def _parse_seed_range(text: str) -> list[int]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    out = Path(args.out) if args.out else None
-    try:
-        result = run_simulation(scenario)
-    except Exception:
-        # leave no outputs of an earlier run where this one's would go
-        if out is not None:
-            (out / "events.jsonl").unlink(missing_ok=True)
-            (out / "metrics.csv").unlink(missing_ok=True)
-        raise
-    m = result.metrics
-    if out is not None:
+    if args.out:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_event_log(out / "events.jsonl", result.events)
+        # no metrics of an earlier run beside this run's log, which the
+        # run streams (a failed run's ends in ``error``)
+        (out / "metrics.csv").unlink(missing_ok=True)
+        m = run_simulation(scenario, out / "events.jsonl").metrics
         (out / "metrics.csv").write_text(
             CSV_HEADER + "\n" + m.csv_row() + "\n", encoding="utf-8"
         )
+    else:
+        m = run_simulation(scenario).metrics
     print(
         f"seed={m.seed} popped={m.balloons_popped}/{m.balloons_total} "
         f"time={m.pops_total_time if m.pops_total_time is not None else '-'} "

@@ -11,14 +11,16 @@ template for ``detection`` and ``track`` records of the usual shape
 record, so its bytes equal ``emit_line``'s on every record.  Logs from
 identical runs are therefore byte-identical and trivially diffable.
 Records are totally ordered by the ``seq`` counter (ties in time keep
-emission order).
+emission order).  A run that writes its log as it goes and then raises
+ends the log with one ``error`` record (see ``sim.run_simulation``).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import BinaryIO, Iterable, Optional
 
 SCHEMA_VERSION = 1
 
@@ -30,6 +32,7 @@ EVENT_KINDS = (
     "pop",
     "failure",
     "geofence",
+    "error",
 )
 
 
@@ -163,8 +166,14 @@ def serialize_events(events: Iterable[dict]) -> bytes:
     return text.encode("utf-8")
 
 
-def write_event_log(path: str | Path, events: Iterable[dict]) -> None:
-    Path(path).write_bytes(serialize_events(events))
+def write_event_log(dest: str | Path | BinaryIO, events: Iterable[dict]) -> None:
+    """Write ``events`` as log lines: replace the file at a path, or
+    append to an open binary file."""
+    data = serialize_events(events)
+    if isinstance(dest, (str, os.PathLike)):
+        Path(dest).write_bytes(data)
+    else:
+        dest.write(data)
 
 
 def read_event_log(path: str | Path) -> list[dict]:

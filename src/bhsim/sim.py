@@ -16,6 +16,11 @@ stages in this order every tick:
 Agents interact only through the fleet stage and the claim table, and
 all randomness flows from named substreams of the scenario seed, so a
 run is a pure function of (scenario, seed).
+
+Given a log path, a run writes its event log while it runs: at the end
+of each tick that leaves ``LOG_CHUNK_RECORDS`` or more records pending,
+so memory stays bounded however long the run.  A run that raises ends
+that log with one ``error`` record.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 from . import events as ev
 from .fleet import (
@@ -84,6 +89,9 @@ Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
 
 SPEED_TOLERANCE = 1e-9
+
+# A streamed run writes its pending records once a tick leaves this many.
+LOG_CHUNK_RECORDS = 1024
 
 
 class InvariantViolation(RuntimeError):
@@ -145,6 +153,9 @@ CSV_HEADER = (
 
 @dataclass
 class RunResult:
+    """A finished run.  ``events`` is its whole event log, or empty when
+    the run streamed its log to a file."""
+
     metrics: RunMetrics
     events: list[dict]
     world: WorldState
@@ -166,11 +177,28 @@ class _AgentRt:
 
 
 class _EventLog:
-    def __init__(self) -> None:
+    """The run's records, numbered by ``seq`` in emission order.
+
+    Without a file, ``records`` keeps every record.  With one, ``write``
+    moves them to the file, so ``records`` holds only those not yet
+    written.
+    """
+
+    def __init__(self, file: Optional[BinaryIO] = None) -> None:
         self.records: list[dict] = []
+        self.seq = 0
+        self.file = file
+        # Time of the tick in progress (0.0 during set-up), for the error
+        # record of a failed run.
+        self.t = 0.0
 
     def emit(self, t: float, agent: Optional[int], kind: str, data: dict) -> None:
-        self.records.append(ev.make_event(len(self.records), t, agent, kind, data))
+        self.records.append(ev.make_event(self.seq, t, agent, kind, data))
+        self.seq += 1
+
+    def write(self) -> None:
+        ev.write_event_log(self.file, self.records)
+        self.records = []
 
 
 @dataclass
@@ -189,7 +217,7 @@ class _Run:
     agents: list[_AgentRt]
     pending_failures: list[tuple[int, float]]
     metrics: RunMetrics
-    elog: _EventLog = field(default_factory=_EventLog)
+    elog: _EventLog
     claims: ClaimTable = field(default_factory=ClaimTable)
     cells: list[PartitionCell] = field(default_factory=list)
     covered: list[Vec2] = field(default_factory=list)
@@ -492,16 +520,42 @@ def _audit(run: _Run, tick_events: Sequence[dict]) -> None:
             metrics.min_inter_agent_distance = d
 
 
-def run_simulation(scenario: Scenario) -> RunResult:
+def run_simulation(
+    scenario: Scenario, log_path: Optional[str | Path] = None
+) -> RunResult:
     """Run one scenario to completion and return metrics plus event log.
 
     Terminates when every balloon is popped, when the duration limit is
     reached, or when no live agents remain.
 
+    With ``log_path`` the log is written to that file as the run goes
+    (see the module docstring) and ``RunResult.events`` is empty.  If
+    the run then raises, set-up included, the file holds every record
+    emitted so far and ends with one ``error`` record (agent null, the
+    failing tick's ``t``, ``data`` the exception's type name and
+    message) before the exception propagates.
+
     Raises:
         InvariantViolation: on an internal consistency breach (nonzero
             exit path for the CLI).
     """
+    if log_path is None:
+        return _simulate(scenario, _EventLog())
+    with open(log_path, "wb") as fh:
+        elog = _EventLog(fh)
+        try:
+            result = _simulate(scenario, elog)
+        except Exception as exc:
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            elog.emit(elog.t, None, "error", error)
+            elog.write()
+            raise
+        elog.write()
+    return result
+
+
+def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
+    """The run itself: set-up, the tick loop and the metrics."""
     seed = scenario.seed
     dt = 1.0 / scenario.sim.tick_rate
     vp, mp, ap = scenario.vehicle, scenario.mission, scenario.agents
@@ -548,8 +602,10 @@ def run_simulation(scenario: Scenario) -> RunResult:
         ],
         pending_failures=list(scenario.fleet.failures),
         metrics=RunMetrics(seed=seed, balloons_total=scenario.balloons.count),
+        elog=elog,
     )
     _plan(run, 0.0)
+    streamed = elog.file is not None
 
     frame = 0
     last_time = -1.0
@@ -560,7 +616,8 @@ def run_simulation(scenario: Scenario) -> RunResult:
         if t <= last_time:
             raise InvariantViolation("simulation time did not advance")
         last_time = t
-        first_event = len(run.elog.records)
+        elog.t = t
+        first_event = len(elog.records)
 
         run.world = advance_world(run.world, t)
         _step_fleet(run, t)
@@ -570,7 +627,9 @@ def run_simulation(scenario: Scenario) -> RunResult:
             _track(run, agent, t, _sense(run, agent, t))
             _act(run, agent, t, _decide(run, agent, t))
         _pop(run, t)
-        _audit(run, run.elog.records[first_event:])
+        _audit(run, elog.records[first_event:])
+        if streamed and len(elog.records) >= LOG_CHUNK_RECORDS:
+            elog.write()
         frame += 1
 
     metrics = run.metrics
@@ -585,7 +644,10 @@ def run_simulation(scenario: Scenario) -> RunResult:
         seed, metrics.balloons_popped, metrics.balloons_total, t,
     )
     return RunResult(
-        metrics=metrics, events=run.elog.records, world=run.world, cells=run.cells
+        metrics=metrics,
+        events=[] if streamed else elog.records,
+        world=run.world,
+        cells=run.cells,
     )
 
 
@@ -623,22 +685,22 @@ def _aggregate(rows: Sequence[RunMetrics]) -> dict[str, float]:
 
 def _sweep_one(args: tuple[Scenario, int, Optional[str]]) -> RunMetrics:
     scenario, seed, out_dir = args
-    log = None if out_dir is None else Path(out_dir) / f"events_seed{seed}.jsonl"
+    seeded = replace(scenario, seed=seed)
     try:
-        result = run_simulation(replace(scenario, seed=seed))
+        if out_dir is None:
+            return run_simulation(seeded).metrics
+        log = Path(out_dir) / f"events_seed{seed}.jsonl"
+        return run_simulation(seeded, log).metrics
+    except OSError:
+        raise  # the log could not be written: an I/O error, not a failed run
     except Exception as exc:
-        # a failed run becomes a marked row; the sweep continues, and no
-        # log of an earlier run stays next to the row under this seed
-        if log is not None:
-            log.unlink(missing_ok=True)
+        # a failed run becomes a marked row, next to its prefix log ending
+        # in ``error``; the sweep continues
         return RunMetrics(
             seed=seed,
             balloons_total=scenario.balloons.count,
             error=f"{type(exc).__name__}: {exc}",
         )
-    if log is not None:
-        ev.write_event_log(log, result.events)
-    return result.metrics
 
 
 def sweep(
@@ -651,10 +713,11 @@ def sweep(
 
     Runs share nothing; with ``jobs > 1`` and more than one seed they
     execute in a pool of ``min(jobs, len(seeds))`` processes, which
-    starts all its workers at once, and per-seed event logs (when
-    ``out_dir`` is given) are written by the workers.  A seed whose run
-    raises gets an error row and no log file.  Rows are returned in seed
-    order either way.
+    starts all its workers at once.  With ``out_dir``, each run streams
+    its log to ``events_seed{N}.jsonl`` there as it goes, in whichever
+    process runs it.  A seed whose run raises gets an error row, and its
+    log holds what the run emitted before it raised, ending in one
+    ``error`` record.  Rows are returned in seed order either way.
     """
     if not seeds:
         raise ValueError("seed range must be non-empty")

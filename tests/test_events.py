@@ -171,3 +171,18 @@ def test_writer_rejects_what_json_rejects(bad):
         json.dumps(_track(track_id=bad))
     with pytest.raises(TypeError):
         serialize_events([_track(track_id=bad)])
+
+
+def test_write_event_log_appends_to_a_file_and_replaces_a_path(tmp_path):
+    # Chunks appended to an open file add up to the whole log; a path is
+    # replaced, as str or Path.
+    path = tmp_path / "events.jsonl"
+    with open(path, "wb") as fh:
+        for i in range(0, len(EDGE_RECORDS), 3):
+            events.write_event_log(fh, EDGE_RECORDS[i:i + 3])
+        events.write_event_log(fh, [])
+    assert path.read_bytes() == _canonical(EDGE_RECORDS)
+    events.write_event_log(str(path), EDGE_RECORDS[:2])
+    assert path.read_bytes() == _canonical(EDGE_RECORDS[:2])
+    events.write_event_log(path, [])
+    assert path.read_bytes() == b""

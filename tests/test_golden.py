@@ -16,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from bhsim.cli import main as cli_main
 from bhsim.events import read_event_log, serialize_events, write_event_log
 from bhsim.perception import ZERO_NOISE
 from bhsim.scenario import load_scenario
-from bhsim.sim import run_simulation
+from bhsim.sim import LOG_CHUNK_RECORDS, run_simulation, sweep
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -121,6 +122,75 @@ def test_fleet3_log_file_round_trips_every_record(tmp_path):
     path = tmp_path / "events.jsonl"
     write_event_log(path, result.events)
     assert read_event_log(path) == result.events
+
+
+def _scenario_file(case: str, directory: Path) -> Path:
+    """A scenario file that loads as the golden case's scenario, for the CLI."""
+    name, seed = case.rsplit("-", 1)
+    base = SCENARIOS / ("fleet3.cfg" if name == "fleet3" else "default.cfg")
+    overrides = {"seed": seed}
+    if name == "fleet3":
+        overrides["sim.duration_limit"] = str(FLEET3_DURATION_S)
+    elif name == "default-zero-noise":
+        for key in ("center_sigma", "size_sigma_frac", "p_miss_base",
+                    "p_miss_range_scale", "false_alarm_rate", "confidence_floor"):
+            overrides[f"noise.{key}"] = "0"
+    lines = [
+        line for line in base.read_text(encoding="utf-8").splitlines()
+        if line.partition("=")[0].strip() not in overrides
+    ]
+    lines += [f"{key} = {value}" for key, value in overrides.items()]
+    path = directory / f"{case}.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_scenario(path) == _scenario(case)
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_streamed_logs_equal_the_in_memory_log(case, tmp_path, capsys):
+    """``sweep(out_dir)`` and ``simulate --out`` write, chunk by chunk as
+    the run goes, the bytes of the whole in-memory log."""
+    expected = serialize_events(_run(case).events)
+    s = _scenario(case)
+    row = sweep(s, [s.seed], jobs=1, out_dir=tmp_path).rows[0]
+    assert row.csv_row() == _run(case).metrics.csv_row()
+    assert (tmp_path / f"events_seed{s.seed}.jsonl").read_bytes() == expected
+    out = tmp_path / "simulate"
+    argv = ["simulate", "--scenario", str(_scenario_file(case, tmp_path)),
+            "--out", str(out)]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert (out / "events.jsonl").read_bytes() == expected
+
+
+def test_pool_streamed_logs_equal_the_in_memory_log(tmp_path):
+    """With ``jobs=2`` each worker streams its runs' logs, byte for byte."""
+    families: dict[str, list[int]] = {}
+    for case in sorted(GOLDEN):
+        name, seed = case.rsplit("-", 1)
+        families.setdefault(name, []).append(int(seed))
+    for name, seeds in families.items():
+        s = _scenario(f"{name}-{seeds[0]}")
+        # a lone seed gets a companion run so that the pool starts
+        run_seeds = seeds if len(seeds) > 1 else seeds + [seeds[0] + 1]
+        out = tmp_path / name
+        sweep(s, run_seeds, jobs=2, out_dir=out)
+        for seed in seeds:
+            expected = serialize_events(_run(f"{name}-{seed}").events)
+            assert (out / f"events_seed{seed}.jsonl").read_bytes() == expected, seed
+
+
+def test_streamed_log_crosses_chunks_or_stays_within_one(tmp_path):
+    """The fleet3 case writes many chunks; a 3 s run fewer records than
+    one.  A streamed run returns no records of its own."""
+    assert len(_run("fleet3-0").events) > 3 * LOG_CHUNK_RECORDS
+    s = _scenario("default-0")
+    s = replace(s, sim=replace(s.sim, duration_limit=3.0))
+    in_memory = run_simulation(s).events
+    assert 0 < len(in_memory) < LOG_CHUNK_RECORDS
+    path = tmp_path / "events.jsonl"
+    assert run_simulation(s, path).events == []
+    assert path.read_bytes() == serialize_events(in_memory)
 
 
 # Golden cases and CLI commands re-run in fresh interpreters where

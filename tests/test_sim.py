@@ -627,26 +627,57 @@ def test_sweep_mixed_failure_marks_only_bad_seed(monkeypatch):
     assert out.rows[0].error is None and out.rows[2].error is None
 
 
+def _fail_from(monkeypatch, t_fail=5.0):
+    """Make the pops stage raise ``InvariantViolation`` from ``t_fail`` on,
+    after the tick's other stages have logged."""
+    real = bhsim.sim._pop
+
+    def failing(run, t):
+        if t >= t_fail:
+            raise bhsim.sim.InvariantViolation("injected")
+        real(run, t)
+
+    monkeypatch.setattr(bhsim.sim, "_pop", failing)
+
+
+def _assert_prefix_log(path, full: bytes, t_fail=5.0):
+    """``path`` is the log of a run that failed at ``t_fail``: numbered
+    records, one ``error`` record last, and before it a prefix of the
+    unfailed run's log ``full``."""
+    records = read_event_log(path)
+    assert [e["seq"] for e in records] == list(range(len(records)))
+    assert [e["kind"] for e in records].count("error") == 1
+    error = records[-1]
+    assert error["kind"] == "error" and error["agent"] is None
+    assert error["data"] == {"type": "InvariantViolation", "message": "injected"}
+    assert t_fail <= error["t"] < t_fail + 0.1
+    assert records[-2]["t"] <= error["t"]
+    data = path.read_bytes()
+    head = data[: data.rstrip(b"\n").rfind(b"\n") + 1]
+    assert 0 < len(head) < len(full) and full.startswith(head)
+
+
 def test_sweep_failed_run_leaves_no_earlier_log_under_its_seed(
     tmp_path, monkeypatch
 ):
+    # The failed run's own prefix log replaces the earlier run's.
     s = _quick_scenario()
     log = tmp_path / "events_seed3.jsonl"
     sweep(s, [3], out_dir=tmp_path)
-    assert log.stat().st_size > 0
+    full = log.read_bytes()
+    assert full
 
-    def failing(scenario):
-        raise bhsim.sim.InvariantViolation("injected")
-
-    monkeypatch.setattr(bhsim.sim, "run_simulation", failing)
+    _fail_from(monkeypatch)
     row = sweep(s, [3], out_dir=tmp_path).rows[0]
     assert row.error == "InvariantViolation: injected"
-    assert not log.exists()
+    _assert_prefix_log(log, full)
 
 
 def test_cli_simulate_failed_run_leaves_no_earlier_outputs(
     tmp_path, capsys, monkeypatch
 ):
+    # The failed run's own prefix log replaces the earlier run's, and no
+    # metrics.csv is left.
     scn = _write_scenario(
         tmp_path, "seed = 1\nballoons.count = 1\nsim.duration_limit = 20\n"
     )
@@ -654,14 +685,48 @@ def test_cli_simulate_failed_run_leaves_no_earlier_outputs(
     argv = ["simulate", "--scenario", scn, "--out", str(out_dir)]
     assert cli_main(argv) == 0
     assert (out_dir / "events.jsonl").exists() and (out_dir / "metrics.csv").exists()
+    full = (out_dir / "events.jsonl").read_bytes()
 
-    def failing(scenario):
-        raise bhsim.sim.InvariantViolation("injected")
-
-    monkeypatch.setattr("bhsim.cli.run_simulation", failing)
+    _fail_from(monkeypatch)
     assert cli_main(argv) == 2
     assert "invariant violation: injected" in capsys.readouterr().err
-    assert sorted(p.name for p in out_dir.iterdir()) == []
+    assert sorted(p.name for p in out_dir.iterdir()) == ["events.jsonl"]
+    _assert_prefix_log(out_dir / "events.jsonl", full)
+
+
+def test_cli_sweep_log_that_cannot_be_opened_is_io_error(tmp_path, capsys):
+    # An unwritable log is an I/O error (exit 3), not a failed run.
+    scn = _write_scenario(tmp_path, "seed = 0\nballoons.count = 1\n")
+    out_dir = tmp_path / "out"
+    (out_dir / "events_seed0.jsonl").mkdir(parents=True)
+    argv = ["sweep", "--scenario", scn, "--seeds", "0", "--out", str(out_dir)]
+    assert cli_main(argv) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+def test_setup_failure_log_is_one_error_record(tmp_path, capsys):
+    # An infeasible packing raises before tick 0: each log is the error
+    # record alone, and it names what the error row names.
+    text = "seed = 0\nballoons.count = 60\nballoons.min_sep = 20\n"
+    rows = sweep(parse_scenario_text(text), [0, 1], jobs=2, out_dir=tmp_path).rows
+    scn = _write_scenario(tmp_path, text)
+    cli_out = tmp_path / "cli"
+    argv = ["sweep", "--scenario", scn, "--seeds", "0..1", "--out", str(cli_out)]
+    assert cli_main(argv) == 2
+    assert "2 run(s) failed" in capsys.readouterr().err
+    sim_out = tmp_path / "simulate"
+    assert cli_main(["simulate", "--scenario", scn, "--out", str(sim_out)]) == 1
+    assert sorted(p.name for p in sim_out.iterdir()) == ["events.jsonl"]
+    logs = [(row, tmp_path / f"events_seed{row.seed}.jsonl") for row in rows]
+    logs += [(None, cli_out / f"events_seed{seed}.jsonl") for seed in (0, 1)]
+    logs += [(None, sim_out / "events.jsonl")]
+    for row, path in logs:
+        [error] = read_event_log(path)
+        assert (error["seq"], error["t"], error["agent"], error["kind"]) == (
+            0, 0.0, None, "error")
+        assert error["data"]["type"] == "PackingInfeasible"
+        if row is not None:
+            assert row.error == "PackingInfeasible: " + error["data"]["message"]
 
 
 def _readme_event_table() -> dict[str, set[str]]:
