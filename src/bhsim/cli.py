@@ -4,15 +4,13 @@ Subcommands: ``simulate`` (one run), ``sweep`` (seed range), ``path``
 (dump search paths), ``partition`` (dump Voronoi cells).  Exit codes:
 0 success, 1 configuration error, 2 invariant violation or numerical
 failure (or, for ``sweep``, any run that ended in an error row), 3 I/O
-error.
-``BHSIM_LOG_LEVEL`` (error | info | debug) controls logging.
+error.  ``simulate`` prints one summary line; a run's full account is
+its event log (``--out``).
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -50,15 +48,6 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("BHSIM_LOG_LEVEL", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(
-        level=levels.get(level_name, logging.ERROR),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
 
 
 def _load(args: argparse.Namespace) -> Scenario:
@@ -208,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -151,7 +151,6 @@ class ClaimEntry:
     claim_id: int
     agent_id: int
     estimate: Vec3
-    radius: float
 
 
 @dataclass
@@ -184,27 +183,22 @@ def claim_target(
     """Try to reserve a balloon estimate for one agent.
 
     Granted only if the agent holds no claim and no existing claim lies
-    within either claim's radius of the estimate.  Grants mutate the
-    table; callers serialize requests in ascending agent id.
+    within ``claim_radius`` of the estimate.  Grants mutate the table;
+    callers serialize requests in ascending agent id.
     """
-    if table.claim_of_agent(agent_id) is not None:
-        return ClaimResult(granted=False,
-                           conflict_id=table.claim_of_agent(agent_id).claim_id)
+    held = table.claim_of_agent(agent_id)
+    if held is not None:
+        return ClaimResult(granted=False, conflict_id=held.claim_id)
     ex, ey, ez = estimate
     for entry in table.entries.values():
         dx = entry.estimate[0] - ex
         dy = entry.estimate[1] - ey
         dz = entry.estimate[2] - ez
-        if math.sqrt(dx * dx + dy * dy + dz * dz) < max(entry.radius, claim_radius):
+        if math.sqrt(dx * dx + dy * dy + dz * dz) < claim_radius:
             return ClaimResult(granted=False, conflict_id=entry.claim_id)
     claim_id = table.next_id
     table.next_id += 1
-    table.entries[claim_id] = ClaimEntry(
-        claim_id=claim_id,
-        agent_id=agent_id,
-        estimate=estimate,
-        radius=claim_radius,
-    )
+    table.entries[claim_id] = ClaimEntry(claim_id, agent_id, estimate)
     return ClaimResult(granted=True, claim_id=claim_id)
 
 

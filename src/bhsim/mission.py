@@ -102,7 +102,6 @@ class MissionParams:
     m_commit: int = 3
     align_tol_px: float = 30.0
     commit_range_max: float = 25.0
-    v_search: float = 2.0
     v_approach: float = 1.5
     d_standoff: float = 6.0
     t_confirm: float = 5.0
@@ -149,13 +148,15 @@ class FleetView:
 class MissionContext:
     """Per-agent constants wired once at run start.
 
-    ``volume_lo`` / ``volume_hi`` bound the space balloons can occupy;
-    estimates outside it (plus slack) are rejected and revisit waypoints
-    are clamped into it.
+    ``v_search`` is the cruise speed of SEARCH and REVISIT (the vehicle's
+    ``v_max``).  ``volume_lo`` / ``volume_hi`` bound the space balloons
+    can occupy; estimates outside it (plus slack) are rejected and
+    revisit waypoints are clamped into it.
     """
 
     params: MissionParams
     focal_px: float
+    v_search: float
     yaw_rate_max: float
     volume_lo: Vec3
     volume_hi: Vec3
@@ -634,7 +635,7 @@ def _step_search(ms, tracks, uav, view, t, ctx, events):
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist < 1e-9:
         return ms, _HOVER, 0.0
-    k = mp.v_search / dist
+    k = ctx.v_search / dist
     yaw_rate = _yaw_cmd_toward(
         math.atan2(dy, dx) if dx * dx + dy * dy > 1e-12 else None, uav, ctx
     )
@@ -729,7 +730,7 @@ def _step_revisit(ms, tracks, uav, view, t, ctx, events):
     if dist <= mp.wp_tolerance or t - ms.entered_at > mp.revisit_timeout:
         return _enter(ms, Phase.CONFIRM, t, events), _HOVER, 0.0
 
-    k = mp.v_search / dist
+    k = ctx.v_search / dist
     vel = (
         (rp[0] - uav.position[0]) * k,
         (rp[1] - uav.position[1]) * k,

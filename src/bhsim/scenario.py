@@ -348,9 +348,6 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         for section in sections:
             node = node.setdefault(section, {})
         node[name] = v[key]
-    width, height = v["camera.width_px"], v["camera.height_px"]
-    tree["camera"]["principal"] = (width / 2.0, height / 2.0)
-    tree["mission"]["v_search"] = v["vehicle.v_max"]
     arena = tree["arena"] = _fill(_DEFAULTS.arena, tree["arena"])
 
     starts = v["agents.starts"] or _default_starts(
@@ -360,7 +357,11 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         raise ValidationError(
             "agents.starts", f"expected {n_agents} start positions, got {len(starts)}"
         )
-    fence = geofence_from_arena(arena)
+    try:
+        fence = geofence_from_arena(arena)
+    except ValueError as exc:
+        # an extent too small to move its own coordinates (1e-300 at 50 m)
+        raise ValidationError("arena.effective_extent", str(exc)) from None
     for i, s in enumerate(starts):
         if not fence.contains(s):
             raise ValidationError(

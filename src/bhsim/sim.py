@@ -11,11 +11,13 @@ stages in this order every tick:
    detections), ``_track`` (tracker and ranging), ``_decide`` (mission)
    and ``_act`` (hold, geofence clamp, separation strip, integration);
 4. pops: ``_pop`` checks each agent's tip against the alive balloons;
-5. audits: ``_audit`` scores the tick against ground truth.
+5. audits: ``_audit`` scores the tick against ground truth, given the
+   estimates of the pops the agents declared, which ``_decide`` hands it.
 
 Agents interact only through the fleet stage and the claim table, and
 all randomness flows from named substreams of the scenario seed, so a
-run is a pure function of (scenario, seed).
+run is a pure function of (scenario, seed).  Stages emit records to the
+event log but never read it back.
 
 Given a log path, a run writes its event log while it runs: at the end
 of each tick that leaves ``LOG_CHUNK_RECORDS`` or more records pending,
@@ -26,7 +28,6 @@ that log with one ``error`` record.
 from __future__ import annotations
 
 import concurrent.futures
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -82,8 +83,6 @@ from .world import (
     pop_balloon,
     sample_balloon_layout,
 )
-
-log = logging.getLogger("bhsim")
 
 Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
@@ -158,7 +157,6 @@ class RunResult:
 
     metrics: RunMetrics
     events: list[dict]
-    world: WorldState
     cells: list[PartitionCell]
 
 
@@ -410,9 +408,12 @@ def _track(
             )
 
 
-def _decide(run: _Run, agent: _AgentRt, t: float) -> MissionStep:
-    """Step the mission, log its events, and add the waypoints it newly
-    visited to the fleet's coverage."""
+def _decide(
+    run: _Run, agent: _AgentRt, t: float, declared: list[list[float]]
+) -> MissionStep:
+    """Step the mission, log its events, collect the estimates of the pops
+    it declares, and add the waypoints it newly visited to the fleet's
+    coverage."""
     prev_visited = agent.mission.visited
     mstep = step_mission(
         agent.mission, agent.tracker.tracks, agent.uav, agent.view, t, run.ctx
@@ -420,6 +421,8 @@ def _decide(run: _Run, agent: _AgentRt, t: float) -> MissionStep:
     agent.mission = mstep.state
     for kind, data in mstep.events:
         run.elog.emit(t, agent.id, kind, data)
+        if kind == "pop":  # the mission's pops are all declared ones
+            declared.append(data["estimate"])
     visited = agent.mission.visited
     if visited is not prev_visited:
         for idx, was in enumerate(prev_visited):
@@ -477,18 +480,17 @@ def _pop(run: _Run, t: float) -> None:
             )
 
 
-def _audit(run: _Run, tick_events: Sequence[dict]) -> None:
-    """Score the tick against ground truth; nothing here reaches an agent."""
+def _audit(run: _Run, declared: Sequence[list[float]]) -> None:
+    """Score the tick, and the estimates of the pops declared in it,
+    against ground truth; nothing here reaches an agent."""
     metrics = run.metrics
     centers = run.world.centers
     radius = run.scenario.fleet.claim_radius
     # False confirms: a pop declared this tick while a balloon is still
     # alive near its estimate.
-    for e in tick_events:
-        if e["kind"] == "pop" and e["data"]["source"] == "declared":
-            estimate = e["data"]["estimate"]
-            if any(c is not None and math.dist(c, estimate) <= radius for c in centers):
-                metrics.false_confirms += 1
+    for estimate in declared:
+        if any(c is not None and math.dist(c, estimate) <= radius for c in centers):
+            metrics.false_confirms += 1
 
     # Duplicate pursuit: resolve each engaged agent's working estimate to
     # the nearest alive balloon and flag ticks where two agents resolve
@@ -582,6 +584,7 @@ def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
         ctx=MissionContext(
             params=mp,
             focal_px=scenario.camera.focal_px,
+            v_search=vp.v_max,
             yaw_rate_max=yaw_rate_cap,
             volume_lo=scenario.arena.effective_min,
             volume_hi=scenario.arena.effective_max,
@@ -617,17 +620,17 @@ def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
             raise InvariantViolation("simulation time did not advance")
         last_time = t
         elog.t = t
-        first_event = len(elog.records)
 
         run.world = advance_world(run.world, t)
         _step_fleet(run, t)
         if not run.live:
             break
+        declared: list[list[float]] = []
         for agent in run.live:
             _track(run, agent, t, _sense(run, agent, t))
-            _act(run, agent, t, _decide(run, agent, t))
+            _act(run, agent, t, _decide(run, agent, t, declared))
         _pop(run, t)
-        _audit(run, elog.records[first_event:])
+        _audit(run, declared)
         if streamed and len(elog.records) >= LOG_CHUNK_RECORDS:
             elog.write()
         frame += 1
@@ -639,15 +642,8 @@ def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
         metrics.pops_total_time = run.pop_times[-1][1]
     metrics.duration = t
     metrics.distance_flown = {a.id: a.distance for a in run.agents}
-    log.info(
-        "run seed=%d popped=%d/%d t=%.1fs",
-        seed, metrics.balloons_popped, metrics.balloons_total, t,
-    )
     return RunResult(
-        metrics=metrics,
-        events=[] if streamed else elog.records,
-        world=run.world,
-        cells=run.cells,
+        metrics=metrics, events=[] if streamed else elog.records, cells=run.cells
     )
 
 

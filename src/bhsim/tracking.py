@@ -95,7 +95,6 @@ class TrackState:
     py: Block2
     pw: float
     ph: float
-    age: int = 0
     hits: int = 0
     misses: int = 0
     status: TrackStatus = TrackStatus.TENTATIVE
@@ -139,7 +138,7 @@ def new_track(
         (float(p0[0]), 0.0, float(p0[4])),
         (float(p0[1]), 0.0, float(p0[5])),
         float(p0[2]), float(p0[3]),
-        age=1, hits=1, misses=0,
+        hits=1, misses=0,
     )
 
 
@@ -162,7 +161,7 @@ def kf_predict(t: TrackState, params: TrackerParams = TrackerParams()) -> TrackS
         _predict_block(t.px, q[0], q[4]),
         _predict_block(t.py, q[1], q[5]),
         t.pw + q[2], t.ph + q[3],
-        t.age + 1, t.hits, t.misses, t.status, t.last_range,
+        t.hits, t.misses, t.status, t.last_range,
     )
 
 
@@ -226,7 +225,7 @@ def kf_update(
     h, ph = _update_scalar(h, t.ph, z.height, r[3])
     return TrackState(
         t.id, (cx, cy, w, h, vx, vy), px, py, pw, ph,
-        t.age, t.hits + 1, 0, t.status, t.last_range,
+        t.hits + 1, 0, t.status, t.last_range,
     )
 
 

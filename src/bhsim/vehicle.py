@@ -40,7 +40,6 @@ class UavState:
     position: Vec3
     velocity: Vec3 = (0.0, 0.0, 0.0)
     yaw: float = 0.0
-    yaw_rate: float = 0.0
 
     @property
     def speed(self) -> float:
@@ -159,11 +158,7 @@ def step_uav(
     rate = max(-params.yaw_rate_max, min(params.yaw_rate_max, cmd_yaw_rate))
     yaw = wrap_angle(state.yaw + rate * dt)
     return UavState(
-        id=state.id,
-        position=(px, py, pz),
-        velocity=(vx, vy, vz),
-        yaw=yaw,
-        yaw_rate=rate,
+        id=state.id, position=(px, py, pz), velocity=(vx, vy, vz), yaw=yaw
     )
 
 

@@ -244,6 +244,7 @@ def _ctx(**kw):
     base = dict(
         params=MissionParams(),
         focal_px=600.0,
+        v_search=2.0,
         yaw_rate_max=1.5,
         volume_lo=Arena().effective_min,
         volume_hi=Arena().effective_max,

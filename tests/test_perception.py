@@ -21,8 +21,7 @@ from bhsim.vehicle import UavState
 from bhsim.world import Balloon, BalloonParams, make_balloon, make_world, pop_balloon
 from test_vehicle import ref_camera_to_world
 
-CAM = CameraIntrinsics(focal_px=600.0, width_px=1280.0, height_px=720.0,
-                       principal=(640.0, 360.0))
+CAM = CameraIntrinsics(focal_px=600.0, width_px=1280.0, height_px=720.0)
 
 
 def _pose(position=(0.0, 0.0, 0.0), yaw=0.0):

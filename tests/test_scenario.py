@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from bhsim.scenario import (
     SCHEMA,
     Key,
     ParseError,
+    Scenario,
     ValidationError,
     _numbers,
     _parse_float,
@@ -78,6 +81,12 @@ def test_zero_tick_rate_rejected_naming_key():
         ("balloons.anchors = 10,10,2; 30,20,4.2\n", "balloons.tether_length"),
         ("balloons.min_sep = -1\n", "balloons.min_sep"),
         ("mission.yaw_gain = 0\n", "mission.yaw_gain"),
+        # 1e-300 m does not move x = 50 m: the geofence would have no width
+        pytest.param(
+            "arena.effective_extent = 1e-300, 30, 5\narena.geofence_margin = 0\n",
+            "arena.effective_extent",
+            id="no-geofence-width",
+        ),
     ],
 )
 def test_values_a_run_cannot_use_are_rejected_naming_key(text, key):
@@ -286,6 +295,29 @@ def test_most_agents_and_balloons_in_budget_accepted():
 def test_v_approach_lands_in_mission_params():
     s = parse_scenario_text("seed = 1\nvehicle.v_max = 3\nvehicle.v_approach = 3\n")
     assert s.mission.v_approach == 3.0
+
+
+def _leaf_fields(config, prefix=""):
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not f.init:  # worked out from the other fields, not set
+            continue
+        if is_dataclass(value):
+            yield from _leaf_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_every_config_field_is_filled_by_exactly_one_key():
+    # A field no key fills is a knob no scenario can set.  The filter
+    # noise is the one exception: tests/test_tracking.py varies it to
+    # check the decoupled filter against the matrix form.
+    unkeyed = {"tracker.q_diag", "tracker.r_diag", "tracker.p0_diag"}
+    filled = Counter(spec.field for spec in SCHEMA.values())
+    leaves = set(_leaf_fields(Scenario()))
+    assert [f for f, n in filled.items() if n > 1] == []
+    assert set(filled) <= leaves
+    assert leaves - set(filled) == unkeyed
 
 
 # --- event log ---------------------------------------------------------------

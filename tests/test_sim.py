@@ -495,8 +495,12 @@ def test_cli_help_exits_0(capsys):
         ("agents.starts = 4.2,4.2,4; 4.5,4.5,4\n", "coincide"),
         ("mission.lane_spacing = 1e-9\n", "waypoints"),
         ("mission.wp_step = 1e-9\n", "waypoints"),
+        # 1e-300 m does not move x = 50 m: the geofence has no width
+        ("arena.effective_extent = 1e-300, 30, 5\narena.geofence_margin = 0\n",
+         "arena.effective_extent: "),
     ],
-    ids=["degenerate-cell", "duplicate-generators", "lane-spacing", "wp-step"],
+    ids=["degenerate-cell", "duplicate-generators", "lane-spacing", "wp-step",
+         "no-geofence-width"],
 )
 def test_cli_unplannable_scenario_is_config_error(
     tmp_path, capsys, command, text, message
@@ -570,6 +574,39 @@ def test_zero_noise_fleet_runs_have_clean_audits():
         assert out.metrics.duplicate_target_ticks == 0, f"seed {seed}"
         assert out.metrics.false_confirms == 0, f"seed {seed}"
         assert out.metrics.geofence_violations == 0, f"seed {seed}"
+
+
+def test_audits_count_false_confirms_and_duplicate_pursuit(monkeypatch):
+    # One tick with both agents forced into APPROACH on the one balloon,
+    # each declaring it popped while it is still alive: two false
+    # confirms and one duplicate-pursuit tick.
+    anchor = (50.0, 20.0, 2.0)
+    real_step = bhsim.sim.step_mission
+
+    def engaged_on_the_balloon(ms, tracks, uav, view, t, ctx):
+        out = real_step(ms, tracks, uav, view, t, ctx)
+        target = bhsim.mission.Target(
+            track_id=None, claim_id=uav.id + 1, claim_estimate=anchor,
+            estimate=anchor, heading=0.0, range=1.0,
+        )
+        declared = ("pop", {"source": "declared", "estimate": list(anchor)})
+        return replace(
+            out,
+            state=replace(out.state, phase=bhsim.mission.Phase.APPROACH, target=target),
+            events=out.events + (declared,),
+        )
+
+    monkeypatch.setattr(bhsim.sim, "step_mission", engaged_on_the_balloon)
+    s = parse_scenario_text(
+        "seed = 0\n"
+        "agents.count = 2\n"
+        "balloons.anchors = 50, 20, 2\n"
+        "sim.duration_limit = 0.05\n"   # one tick at 20 Hz
+    )
+    m = run_simulation(s).metrics
+    assert m.duration == 0.05 and m.balloons_popped == 0
+    assert m.false_confirms == 2
+    assert m.duplicate_target_ticks == 1
 
 
 def test_confirmed_tracks_never_exceed_alive_balloons_zero_noise():
