@@ -4,23 +4,33 @@ One record per line, each line ending in a newline.  A line is
 ``json.dumps(record, sort_keys=True, separators=(",", ":"))``: keys
 sorted at both levels, no spaces, floats in Python's shortest
 round-trip form (``float.__repr__``), ``null`` for None.  ``emit_line``
-is that canonical form; ``serialize_events`` is the one writer behind
-every log the CLI and ``sim.sweep`` write, and fills a fixed line
-template for ``detection`` and ``track`` records of the usual shape
-(97% of all records), falling back to ``emit_line`` for every other
-record, so its bytes equal ``emit_line``'s on every record.  Logs from
-identical runs are therefore byte-identical and trivially diffable.
-Records are totally ordered by the ``seq`` counter (ties in time keep
-emission order).  A run that writes its log as it goes and then raises
-ends the log with one ``error`` record (see ``sim.run_simulation``).
+is that canonical form, and ``serialize_events`` and ``write_event_log``
+print any list of record dicts with it.  Logs from identical runs are
+therefore byte-identical and trivially diffable.  Records are totally
+ordered by the ``seq`` counter (ties in time keep emission order).
+
+A run streaming its log (see ``sim.run_simulation``) prints each record
+as it emits it.  ``detection_line`` and ``track_line`` format the two
+usual kinds (97% of all records) straight from their fields with one
+f-string each; they trust their input (a float field is a finite
+``float``, an int field an ``int``, a track event one of the four
+lifecycle names) and print exactly what ``emit_line`` prints for the
+record ``make_event`` would build.  Every other kind goes through
+``finite_line``.  No log holds NaN or Infinity: a run raises
+``NumericalFailure`` when it emits a record with a non-finite float,
+checking detections by their summed floats, and a streamed log then
+ends with one ``error`` record.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import BinaryIO, Iterable, Optional
+
+from .tracking import NumericalFailure
 
 SCHEMA_VERSION = 1
 
@@ -51,99 +61,48 @@ def make_event(
     }
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_encode_finite = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+).encode
+
+
 def emit_line(event: dict) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+    return _encode(event)
 
 
-# The templates below print exactly what ``emit_line`` would, and only for
-# values whose JSON form they can spell without ``json``: a ``float`` that
-# is finite (``json`` prints NaN/Infinity), an ``int`` that is not a
-# ``bool`` (``json`` prints true/false), None, and the known track events.
-# The exact-type checks matter: ``repr`` of a subclass such as
-# ``np.float64`` is not the JSON number, so the templates call the base
-# ``__repr__`` and send anything else to ``emit_line``.
-_float_repr = float.__repr__
-_int_repr = int.__repr__
-
-# Track lifecycle events (see ``tracking.step_tracker``), JSON-quoted.
-_TRACK_EVENTS = {s: json.dumps(s) for s in ("born", "confirmed", "coasted", "died")}
-
-
-def _detection_line(e: dict) -> Optional[str]:
-    """The line of a detection record, or None when it needs ``emit_line``."""
-    d = e.get("data")
-    if type(d) is not dict or len(e) != 6 or len(d) != 6:
-        return None
+def finite_line(event: dict) -> str:
+    """``emit_line(event)``, or ``NumericalFailure`` where that would
+    print NaN or Infinity."""
     try:
-        agent, seq, t, v = e["agent"], e["seq"], e["t"], e["v"]
-        conf, cx, cy, h, truth, w = (
-            d["conf"], d["cx"], d["cy"], d["h"], d["truth"], d["w"]
-        )
-    except KeyError:
-        return None
-    if not (
-        type(seq) is type(v) is int
-        and type(t) is type(conf) is type(cx) is type(cy) is type(h) is type(w)
-        is float
-    ):
-        return None
-    # A NaN or an infinity makes the sum non-finite (so does an overflow
-    # of finite values, which then merely takes the fallback).
-    s = t + conf + cx + cy + h + w
-    if s - s != 0.0:
-        return None
-    if agent is None:
-        agent = "null"
-    elif type(agent) is int:
-        agent = _int_repr(agent)
-    else:
-        return None
-    if truth is None:
-        truth = "null"
-    elif type(truth) is int:
-        truth = _int_repr(truth)
-    else:
-        return None
+        return _encode_finite(event)
+    except ValueError as exc:
+        raise NumericalFailure(
+            f"non-finite value in a {event['kind']} record"
+        ) from exc
+
+
+def require_finite(kind: str, values: Iterable[float]) -> None:
+    if not all(map(math.isfinite, values)):
+        raise NumericalFailure(f"non-finite value in a {kind} record")
+
+
+def detection_line(
+    seq: int, t: float, agent: int,
+    cx: float, cy: float, w: float, h: float, conf: float, truth: Optional[int],
+) -> str:
     return (
-        f'{{"agent":{agent},"data":{{"conf":{_float_repr(conf)},'
-        f'"cx":{_float_repr(cx)},"cy":{_float_repr(cy)},"h":{_float_repr(h)},'
-        f'"truth":{truth},"w":{_float_repr(w)}}},"kind":"detection",'
-        f'"seq":{_int_repr(seq)},"t":{_float_repr(t)},"v":{_int_repr(v)}}}'
+        f'{{"agent":{agent},"data":{{"conf":{conf!r},"cx":{cx!r},"cy":{cy!r},'
+        f'"h":{h!r},"truth":{"null" if truth is None else truth},"w":{w!r}}},'
+        f'"kind":"detection","seq":{seq},"t":{t!r},"v":{SCHEMA_VERSION}}}'
     )
 
 
-def _track_line(e: dict) -> Optional[str]:
-    """The line of a track record, or None when it needs ``emit_line``."""
-    d = e.get("data")
-    if type(d) is not dict or len(e) != 6 or len(d) != 2:
-        return None
-    try:
-        agent, seq, t, v = e["agent"], e["seq"], e["t"], e["v"]
-        event, track_id = d["event"], d["track_id"]
-    except KeyError:
-        return None
-    event = _TRACK_EVENTS.get(event) if type(event) is str else None
-    if not (
-        event is not None
-        and type(seq) is type(v) is type(track_id) is int
-        and type(t) is float
-        and t - t == 0.0
-    ):
-        return None
-    if agent is None:
-        agent = "null"
-    elif type(agent) is int:
-        agent = _int_repr(agent)
-    else:
-        return None
+def track_line(seq: int, t: float, agent: int, event: str, track_id: int) -> str:
     return (
-        f'{{"agent":{agent},"data":{{"event":{event},'
-        f'"track_id":{_int_repr(track_id)}}},"kind":"track",'
-        f'"seq":{_int_repr(seq)},"t":{_float_repr(t)},"v":{_int_repr(v)}}}'
+        f'{{"agent":{agent},"data":{{"event":"{event}","track_id":{track_id}}},'
+        f'"kind":"track","seq":{seq},"t":{t!r},"v":{SCHEMA_VERSION}}}'
     )
-
-
-_TEMPLATES = {"detection": _detection_line, "track": _track_line}
 
 
 def parse_line(line: str) -> dict:
@@ -154,16 +113,7 @@ def parse_line(line: str) -> dict:
 
 
 def serialize_events(events: Iterable[dict]) -> bytes:
-    lines = []
-    for e in events:
-        kind = e.get("kind") if type(e) is dict else None
-        template = _TEMPLATES.get(kind) if type(kind) is str else None
-        line = template(e) if template is not None else None
-        lines.append(emit_line(e) if line is None else line)
-    lines.append("")
-    text = "\n".join(lines)
-    del lines  # free the lines before the encoded copy is made
-    return text.encode("utf-8")
+    return "".join([emit_line(e) + "\n" for e in events]).encode("utf-8")
 
 
 def write_event_log(dest: str | Path | BinaryIO, events: Iterable[dict]) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .rng import Stream
 from .vehicle import UavState, heading, world_to_camera
@@ -47,8 +47,7 @@ class CameraIntrinsics:
         )
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """One bounding-box observation, centered relative to the principal point.
 
     ``truth_id`` is the ground-truth balloon id kept for scoring only;
@@ -101,24 +100,14 @@ def project_point(
     point and depth along the optic axis in meters; None if the point is
     behind the camera or off-image.
     """
-    return _project(camera, uav.position, heading(uav.yaw), point_world)
-
-
-def _project(
-    camera: CameraIntrinsics,
-    position: Vec3,
-    cos_sin: tuple[float, float],
-    point_world: Vec3,
-) -> Optional[tuple[float, float, float]]:
-    """``project_point`` from a camera at ``position`` with the heading
-    already taken (``vehicle.heading``)."""
+    position = uav.position
     cam_x, cam_y, cam_z = world_to_camera(
         (
             point_world[0] - position[0],
             point_world[1] - position[1],
             point_world[2] - position[2],
         ),
-        cos_sin,
+        heading(uav.yaw),
     )
     if cam_z <= 0.0:
         return None
@@ -146,25 +135,36 @@ def generate_detections(
     noise around the small-angle width ``f * D / Z``.  False alarms are
     Poisson-distributed, uniform over the image, and carry no truth id.
     """
-    position = uav.position
-    cos_sin = heading(uav.yaw)
+    # ``project_point`` for every center, written out with the pose and
+    # the camera read once: the same operations in the same order, so the
+    # same floats.
+    x0, y0, z0 = uav.position
+    c, s = heading(uav.yaw)
+    focal = camera.focal_px
+    width_px, height_px = camera.width_px, camera.height_px
+    u0, v0 = camera.principal
     visible: list[tuple] = []
     for balloon, center in zip(world.balloons, world.centers):
         if center is None:
             continue
-        proj = _project(camera, position, cos_sin, center)
-        if proj is None:
+        nx = center[0] - x0
+        ny = center[1] - y0
+        depth = c * nx + s * ny
+        if depth <= 0.0:
             continue
-        visible.append((balloon, proj))
+        px = focal * (-s * nx + c * ny) / depth
+        py = focal * -(center[2] - z0) / depth
+        if 0.0 <= u0 + px <= width_px and 0.0 <= v0 + py <= height_px:
+            visible.append((balloon, px, py, depth))
     detections: list[Detection] = []
-    for balloon, (px, py, depth) in visible:
+    for balloon, px, py, depth in visible:
         # Occlusion: hidden when the center falls inside the projected
         # disc of a strictly nearer balloon.
         occluded = False
-        for other, (ox, oy, od) in visible:
+        for other, ox, oy, od in visible:
             if od >= depth or other.id == balloon.id:
                 continue
-            disc = camera.focal_px * other.diameter / (2.0 * od)
+            disc = focal * other.diameter / (2.0 * od)
             if math.hypot(px - ox, py - oy) < disc:
                 occluded = True
                 break
@@ -173,41 +173,24 @@ def generate_detections(
         p_miss = min(1.0, noise.p_miss_base + noise.p_miss_range_scale * depth)
         if rng.random() < p_miss:
             continue
-        size = camera.focal_px * balloon.diameter / depth
+        size = focal * balloon.diameter / depth
         cx = px + noise.center_sigma * rng.standard_normal()
         cy = py + noise.center_sigma * rng.standard_normal()
         factor = max(0.05, 1.0 + noise.size_sigma_frac * rng.standard_normal())
         confidence = max(
             noise.confidence_floor, 1.0 - depth / CONFIDENCE_RANGE_SCALE_M
         )
-        detections.append(
-            Detection(
-                center_x=cx,
-                center_y=cy,
-                width=size * factor,
-                height=size * factor,
-                confidence=confidence,
-                truth_id=balloon.id,
-            )
-        )
+        box = size * factor
+        detections.append(Detection(cx, cy, box, box, confidence, balloon.id))
     if noise.false_alarm_rate > 0.0:
         n_false = int(rng.poisson(noise.false_alarm_rate))
         lo_s, hi_s = FALSE_ALARM_SIZE_PX
         for _ in range(n_false):
-            cx = camera.width_px * rng.random() - camera.principal[0]
-            cy = camera.height_px * rng.random() - camera.principal[1]
+            cx = width_px * rng.random() - u0
+            cy = height_px * rng.random() - v0
             size = lo_s + (hi_s - lo_s) * rng.random()
             conf = noise.confidence_floor + (1.0 - noise.confidence_floor) * rng.random()
-            detections.append(
-                Detection(
-                    center_x=cx,
-                    center_y=cy,
-                    width=size,
-                    height=size,
-                    confidence=conf,
-                    truth_id=None,
-                )
-            )
+            detections.append(Detection(cx, cy, size, size, conf, None))
     return detections
 
 

@@ -177,13 +177,15 @@ class _AgentRt:
 class _EventLog:
     """The run's records, numbered by ``seq`` in emission order.
 
-    Without a file, ``records`` keeps every record.  With one, ``write``
-    moves them to the file, so ``records`` holds only those not yet
-    written.
+    Each record is checked as it is emitted: one with a NaN or an
+    infinity raises ``NumericalFailure``, and the log is left as it was.
+    Without a file, ``records`` keeps every record as a dict.  With one,
+    it holds the lines of the records not yet written, and ``write``
+    moves them to the file.
     """
 
     def __init__(self, file: Optional[BinaryIO] = None) -> None:
-        self.records: list[dict] = []
+        self.records: list = []
         self.seq = 0
         self.file = file
         # Time of the tick in progress (0.0 during set-up), for the error
@@ -191,11 +193,44 @@ class _EventLog:
         self.t = 0.0
 
     def emit(self, t: float, agent: Optional[int], kind: str, data: dict) -> None:
-        self.records.append(ev.make_event(self.seq, t, agent, kind, data))
+        record = ev.make_event(self.seq, t, agent, kind, data)
+        line = ev.finite_line(record)
+        self.records.append(record if self.file is None else line)
+        self.seq += 1
+
+    def detection(
+        self, t: float, agent: int, cx: float, cy: float, w: float, h: float,
+        conf: float, truth: Optional[int],
+    ) -> None:
+        # The sum of finite floats is finite unless it overflows, which
+        # only the exact check can tell from a NaN or an infinity.
+        s = t + cx + cy + w + h + conf
+        if s - s != 0.0:
+            ev.require_finite("detection", (t, cx, cy, w, h, conf))
+        if self.file is None:
+            self.records.append(ev.make_event(self.seq, t, agent, "detection", {
+                "cx": cx, "cy": cy, "w": w, "h": h, "conf": conf, "truth": truth,
+            }))
+        else:
+            self.records.append(
+                ev.detection_line(self.seq, t, agent, cx, cy, w, h, conf, truth)
+            )
+        self.seq += 1
+
+    def track(self, t: float, agent: int, event: str, track_id: int) -> None:
+        if t - t != 0.0:
+            ev.require_finite("track", (t,))
+        if self.file is None:
+            self.records.append(ev.make_event(
+                self.seq, t, agent, "track", {"event": event, "track_id": track_id}
+            ))
+        else:
+            self.records.append(ev.track_line(self.seq, t, agent, event, track_id))
         self.seq += 1
 
     def write(self) -> None:
-        ev.write_event_log(self.file, self.records)
+        if self.records:
+            self.file.write(("\n".join(self.records) + "\n").encode("utf-8"))
         self.records = []
 
 
@@ -378,15 +413,12 @@ def _sense(run: _Run, agent: _AgentRt, t: float) -> list[BoxMeasurement]:
     """One camera frame: log each detection, hand the tracker plain boxes."""
     s = run.scenario
     detections = generate_detections(s.camera, agent.uav, run.world, s.noise, agent.rng)
-    for d in detections:
-        run.elog.emit(t, agent.id, "detection", {
-            "cx": d.center_x, "cy": d.center_y, "w": d.width, "h": d.height,
-            "conf": round(d.confidence, 6), "truth": d.truth_id,
-        })
-    return [
-        BoxMeasurement(d.center_x, d.center_y, d.width, d.height)
-        for d in detections
-    ]
+    log = run.elog.detection
+    boxes = []
+    for cx, cy, w, h, conf, truth in detections:
+        log(t, agent.id, cx, cy, w, h, round(conf, 6), truth)
+        boxes.append(BoxMeasurement(cx, cy, w, h))
+    return boxes
 
 
 def _track(
@@ -396,7 +428,7 @@ def _track(
     s = run.scenario
     agent.tracker, events = step_tracker(agent.tracker, measurements)
     for kind, track_id in events:
-        run.elog.emit(t, agent.id, "track", {"event": kind, "track_id": track_id})
+        run.elog.track(t, agent.id, kind, track_id)
     floor = 2 * MIN_CIRCLE_RADIUS_PX
     for track in agent.tracker.tracks:
         if track.misses == 0:

@@ -42,12 +42,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class NumericalFailure(RuntimeError):
-    """The filter or the assignment met numbers it cannot work with: an
-    innovation covariance that is not invertible, or a non-finite cost."""
+    """A run met numbers it cannot work with: an innovation covariance
+    that is not invertible, a non-finite cost, or a non-finite value in
+    an event record (``events``)."""
 
 
 class TrackStatus(Enum):
@@ -55,8 +56,7 @@ class TrackStatus(Enum):
     CONFIRMED = "confirmed"
 
 
-@dataclass(frozen=True)
-class BoxMeasurement:
+class BoxMeasurement(NamedTuple):
     """Geometry-only view of a detection, as consumed by the tracker."""
 
     center_x: float

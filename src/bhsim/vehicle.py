@@ -11,8 +11,9 @@ Frames used throughout the package:
   (cam z, cam x, cam y).
 
 ``camera_to_world`` and ``world_to_camera`` are the only functions that
-know these frames; they work in plain floats so a run does not depend on
-the BLAS kernel of the host.
+know these frames (``perception.generate_detections`` writes out
+``world_to_camera``); they work in plain floats so a run does not depend
+on the BLAS kernel of the host.
 
 The UAV is a point mass that tracks commanded velocity through a first
 order lag and integrates yaw from a rate command; pitch and roll are held

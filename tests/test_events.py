@@ -1,11 +1,15 @@
-"""The event-log writer against its canonical form, record by record.
+"""The event-log writers against their canonical form, record by record.
 
-``serialize_events`` fills line templates for ``detection`` and ``track``
-records and falls back to ``emit_line`` for everything else; every line
-it writes must equal ``json.dumps(record, sort_keys=True,
-separators=(",", ":"))``.  The golden runs are checked in
-``test_golden.py``; this file covers hand-built records at the edges of
-the templates.
+``serialize_events`` prints any record dicts through ``emit_line``; every
+line it writes must equal ``json.dumps(record, sort_keys=True,
+separators=(",", ":"))``, NaN and Infinity included.  A run prints its
+``detection`` and ``track`` records with ``detection_line`` and
+``track_line``, which trust their input, and every other kind with
+``finite_line``; each must print ``emit_line``'s bytes for the record
+``make_event`` builds, and a run must never print a non-finite float: it
+raises ``NumericalFailure`` when it emits one, in memory or streamed.
+The golden runs are checked in ``test_golden.py``; this file covers
+hand-built records at the edges.
 """
 
 import json
@@ -14,8 +18,9 @@ from collections import OrderedDict, defaultdict
 import numpy as np
 import pytest
 
-from bhsim import events
-from bhsim.events import make_event, serialize_events
+from bhsim import events, sim
+from bhsim.events import emit_line, make_event, serialize_events
+from bhsim.tracking import NumericalFailure
 
 NAN = float("nan")
 INF = float("inf")
@@ -149,14 +154,6 @@ def test_writer_prints_nan_and_infinity_as_json_dumps_does():
     assert b'"cx":NaN' in line and b'"cy":Infinity' in line and b'"w":-Infinity' in line
 
 
-def test_usual_records_take_the_templates():
-    # The fallback alone would also give the right bytes; this pins that
-    # the records a run emits do reach the fast path.
-    for e in (_detection(), _detection(truth=None), _track(), _track(event="died")):
-        line = events._TEMPLATES[e["kind"]](e)
-        assert line is not None and line == events.emit_line(e)
-
-
 def test_writer_does_not_change_the_records():
     records = [_detection(), _track(), _detection(cx=NAN)]
     records.append(_with(_detection(), data=_renamed_w()))
@@ -186,3 +183,79 @@ def test_write_event_log_appends_to_a_file_and_replaces_a_path(tmp_path):
     assert path.read_bytes() == _canonical(EDGE_RECORDS[:2])
     events.write_event_log(path, [])
     assert path.read_bytes() == b""
+
+
+# The fields a run hands the formatters, at the edges of their JSON forms.
+FORMATTER_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    1e-7, 1e16, 1e22, -1e22, 0.1, 1 / 3, 9007199254740993.0,
+                    1.7976931348623157e308)
+FORMATTER_INTS = (0, 1, 7, 2**31, 2**63, 2**64 + 1, 10**40)
+TRACK_EVENTS = ("born", "confirmed", "coasted", "died")
+
+
+def test_detection_line_equals_emit_line_at_edge_values():
+    base = dict(seq=7, t=1.35, agent=0, cx=12.5, cy=-3.25, w=40.0, h=38.5,
+                conf=0.912345, truth=3)
+    cases = [base, dict(base, truth=None)]
+    for x in FORMATTER_FLOATS:
+        cases += [dict(base, **{k: x}) for k in ("t", "cx", "cy", "w", "h", "conf")]
+    for n in FORMATTER_INTS:
+        cases += [dict(base, **{k: n}) for k in ("seq", "agent", "truth")]
+    for c in cases:
+        record = make_event(c["seq"], c["t"], c["agent"], "detection", {
+            "cx": c["cx"], "cy": c["cy"], "w": c["w"], "h": c["h"],
+            "conf": c["conf"], "truth": c["truth"],
+        })
+        assert events.detection_line(**c) == emit_line(record), c
+
+
+def test_track_line_equals_emit_line_at_edge_values():
+    base = dict(seq=8, t=1.35, agent=1, event="confirmed", track_id=4)
+    cases = [dict(base, event=event) for event in TRACK_EVENTS]
+    cases += [dict(base, t=x) for x in FORMATTER_FLOATS]
+    for n in FORMATTER_INTS:
+        cases += [dict(base, **{k: n}) for k in ("seq", "agent", "track_id")]
+    for c in cases:
+        record = make_event(c["seq"], c["t"], c["agent"], "track",
+                            {"event": c["event"], "track_id": c["track_id"]})
+        assert events.track_line(**c) == emit_line(record), c
+
+
+def test_finite_line_is_emit_line_or_a_numerical_failure():
+    for kind in events.EVENT_KINDS:
+        e = make_event(10, 2.5, 2, kind, {"estimate": [0.5, -2.0, 1e22]})
+        assert events.finite_line(e) == emit_line(e)
+        for x in NON_FINITE:
+            with pytest.raises(NumericalFailure, match=f"in a {kind} record"):
+                events.finite_line(make_event(10, 2.5, 2, kind, {"estimate": [0.5, x]}))
+    with pytest.raises(NumericalFailure):
+        events.finite_line(make_event(10, NAN, 2, "phase", {}))
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+def test_a_non_finite_record_raises_when_emitted(streamed, tmp_path):
+    # On both of a run's paths, and for each way a record is emitted; the
+    # log keeps what came before and takes nothing of the bad record.
+    path = tmp_path / "events.jsonl"
+    good = (1.35, 0, 12.5, -3.25, 40.0, 38.5, 0.912345, 3)
+    bad_records = []
+    for i in (0, 2, 3, 4, 5, 6):  # the float fields of ``good``
+        for x in NON_FINITE:
+            bad_records.append(("detection", good[:i] + (x,) + good[i + 1:]))
+    for x in NON_FINITE:
+        bad_records.append(("track", (x, 0, "born", 1)))
+        bad_records.append(("emit", (x, 0, "phase", {"from": "search"})))
+        bad_records.append(("emit", (1.0, 0, "claim", {"estimate": [x, 0.0]})))
+    with open(path, "wb") as fh:
+        log = sim._EventLog(fh if streamed else None)
+        log.detection(*good)
+        # finite floats whose sum overflows are not rejected
+        log.detection(1.35, 0, 1.7e308, 1.7e308, 40.0, 38.5, 0.9, None)
+        for method, args in bad_records:
+            with pytest.raises(NumericalFailure, match="non-finite value"):
+                getattr(log, method)(*args)
+        assert log.seq == 2 and len(log.records) == 2
+        if streamed:
+            log.write()
+    if streamed:
+        assert len(path.read_text().splitlines()) == 2

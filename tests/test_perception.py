@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from bhsim.perception import (
     generate_detections,
     project_point,
 )
+from bhsim import sim
 from bhsim.rng import substream
+from bhsim.scenario import load_scenario
 from bhsim.tracking import BoxMeasurement
 from bhsim.vehicle import UavState
 from bhsim.world import Balloon, BalloonParams, make_balloon, make_world, pop_balloon
@@ -296,7 +300,23 @@ def test_range_inversion_against_exact_sphere_oracle():
         assert abs(est - depth) / depth < 0.02
 
 
-def test_tracker_measurement_type_excludes_truth():
-    # Layering: the tracker's input type carries geometry only.
-    fields = {f.name for f in dataclasses.fields(BoxMeasurement)}
-    assert fields == {"center_x", "center_y", "width", "height"}
+def test_tracker_measurement_type_excludes_truth(monkeypatch):
+    # Layering: the tracker's input type carries geometry only, whether it
+    # is a NamedTuple or a dataclass.
+    fields = getattr(BoxMeasurement, "_fields", None)
+    if fields is None:
+        fields = [f.name for f in dataclasses.fields(BoxMeasurement)]
+    assert sorted(fields) == sorted(["center_x", "center_y", "width", "height"])
+    # A detection has the same four attributes first, so a run must hand
+    # the tracker exactly that type, never the detections themselves.
+    seen = set()
+    real = sim.step_tracker
+
+    def recording(tracker, measurements):
+        seen.update(type(m) for m in measurements)
+        return real(tracker, measurements)
+
+    monkeypatch.setattr(sim, "step_tracker", recording)
+    s = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "default.cfg")
+    sim.run_simulation(replace(s, sim=replace(s.sim, duration_limit=5.0)))
+    assert seen == {BoxMeasurement}

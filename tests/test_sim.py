@@ -15,9 +15,10 @@ import bhsim.sim
 from bhsim.cli import main as cli_main
 from bhsim.events import EVENT_KINDS, read_event_log, serialize_events
 from bhsim.fleet import point_in_cell
-from bhsim.perception import ZERO_NOISE
+from bhsim.perception import ZERO_NOISE, Detection, generate_detections
 from bhsim.scenario import default_scenario, load_scenario, parse_scenario_text
 from bhsim.sim import plan_cells, run_simulation, sweep
+from bhsim.tracking import NumericalFailure
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 FOOTPRINT_AREA = 90.0 * 30.0
@@ -521,7 +522,6 @@ def test_cli_numerical_failure_is_exit_2_in_one_line(
     tmp_path, capsys, monkeypatch, command
 ):
     import bhsim.sim as simmod
-    from bhsim.tracking import NumericalFailure
 
     def failing(scenario):
         raise NumericalFailure("assignment cost is not finite")
@@ -764,6 +764,57 @@ def test_setup_failure_log_is_one_error_record(tmp_path, capsys):
         assert error["data"]["type"] == "PackingInfeasible"
         if row is not None:
             assert row.error == "PackingInfeasible: " + error["data"]["message"]
+
+
+def _nan_detection_from(monkeypatch, frame=100):
+    """From the ``frame``-th camera frame on, add a detection whose center
+    is NaN."""
+    frames = []
+
+    def with_nan(camera, uav, world, noise, rng):
+        dets = generate_detections(camera, uav, world, noise, rng)
+        frames.append(None)
+        if len(frames) >= frame:
+            dets.append(Detection(float("nan"), 0.0, 20.0, 20.0, 0.5, None))
+        return dets
+
+    monkeypatch.setattr(bhsim.sim, "generate_detections", with_nan)
+
+
+def test_a_non_finite_detection_stops_the_run_where_it_is_emitted(
+    tmp_path, capsys, monkeypatch
+):
+    # In memory and streamed, the run raises as the record is emitted,
+    # before the tracker sees the box; a streamed log keeps the records
+    # before it and ends in ``error``, and the CLI exits 2.
+    s = _quick_scenario()
+    full = serialize_events(run_simulation(s).events)
+    message = "non-finite value in a detection record"
+    _nan_detection_from(monkeypatch)
+    with pytest.raises(NumericalFailure, match=message):
+        run_simulation(s)
+    for path in (tmp_path / "run.jsonl", tmp_path / "sweep" / "events_seed0.jsonl"):
+        _nan_detection_from(monkeypatch)
+        if path.name == "run.jsonl":
+            with pytest.raises(NumericalFailure, match=message):
+                run_simulation(s, path)
+        else:
+            row = sweep(s, [0], out_dir=path.parent).rows[0]
+            assert row.error == f"NumericalFailure: {message}"
+        data = path.read_bytes()
+        assert b"NaN" not in data
+        records = read_event_log(path)
+        assert [e["seq"] for e in records] == list(range(len(records)))
+        assert records[-1]["data"] == {"type": "NumericalFailure", "message": message}
+        assert records[-1]["t"] == 99 / s.sim.tick_rate
+        head = data[: data.rstrip(b"\n").rfind(b"\n") + 1]
+        assert 0 < len(head) < len(full) and full.startswith(head)
+    scn = _write_scenario(tmp_path, "seed = 0\nballoons.count = 2\n")
+    _nan_detection_from(monkeypatch)
+    argv = ["simulate", "--scenario", scn, "--out", str(tmp_path / "cli")]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert read_event_log(tmp_path / "cli" / "events.jsonl")[-1]["kind"] == "error"
 
 
 def _readme_event_table() -> dict[str, set[str]]:
