@@ -106,6 +106,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # A scenario that cannot be planned fails every seed the same way:
     # report it once as a configuration error instead of as error rows.
     plan_cells(scenario, range(scenario.agents.count))
+    if args.out:
+        # no metrics of an earlier sweep beside this sweep's logs
+        Path(args.out, "metrics.csv").unlink(missing_ok=True)
     result = sweep(scenario, seeds, jobs=args.jobs, out_dir=args.out)
     if args.out:
         Path(args.out, "metrics.csv").write_text(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
@@ -28,8 +28,7 @@ class UnknownClaim(KeyError):
     """Claim id not present in the table."""
 
 
-@dataclass(frozen=True)
-class PartitionCell:
+class PartitionCell(NamedTuple):
     agent_id: int
     generator: Vec2
     polygon: tuple[Vec2, ...]
@@ -146,8 +145,7 @@ def nearest_generator(
     return best_id
 
 
-@dataclass(frozen=True)
-class ClaimEntry:
+class ClaimEntry(NamedTuple):
     claim_id: int
     agent_id: int
     estimate: Vec3
@@ -167,8 +165,7 @@ class ClaimTable:
         return None
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     granted: bool
     claim_id: Optional[int] = None
     conflict_id: Optional[int] = None

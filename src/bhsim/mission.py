@@ -12,10 +12,12 @@ Each agent runs a small state machine over one assigned cell:
   retry the attack, otherwise declare the pop and resume the search.
 
 State is a value: ``step_mission`` consumes a state and returns the next
-one plus a world-frame velocity command and a yaw-rate command.
+one plus a world-frame velocity command and a yaw-rate command.  Its
+records, ``MissionParams`` aside, are immutable ``NamedTuple``s, copied
+with ``_replace``.
 
-Everything an agent knows about the balloon it works on is one frozen
-``Target`` record, ``MissionState.target``: track and claim ids, the
+Everything an agent knows about the balloon it works on is one ``Target``
+NamedTuple, ``MissionState.target``: track and claim ids, the
 estimate the claim was granted at, the working estimate, heading and
 range, retries, revisit point and approach watchdog.  ``_engage`` creates
 it when a claim is granted (from SEARCH, or on a CONFIRM retry), later
@@ -26,9 +28,9 @@ the claim and drops it, so it is None exactly in SEARCH.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .fleet import ClaimResult, point_in_cell, polygon_area
 from .guidance import (
@@ -99,6 +101,8 @@ LEGAL_TRANSITIONS = frozenset(
 
 @dataclass(frozen=True)
 class MissionParams:
+    """Thresholds, speeds and timeouts of the mission state machine."""
+
     m_commit: int = 3
     align_tol_px: float = 30.0
     commit_range_max: float = 25.0
@@ -121,15 +125,13 @@ class MissionParams:
     yaw_gain: float = 1.5
 
 
-@dataclass(frozen=True)
-class SearchPath:
+class SearchPath(NamedTuple):
     waypoints: tuple[Vec3, ...]
     lane_spacing: float
     altitude: float
 
 
-@dataclass(frozen=True)
-class FleetView:
+class FleetView(NamedTuple):
     """What one agent may see and do through the fleet supervisor.
 
     ``cell`` is the agent's current responsibility polygon; commits are
@@ -144,8 +146,7 @@ class FleetView:
     cell: tuple[Vec2, ...]
 
 
-@dataclass(frozen=True)
-class MissionContext:
+class MissionContext(NamedTuple):
     """Per-agent constants wired once at run start.
 
     ``v_search`` is the cruise speed of SEARCH and REVISIT (the vehicle's
@@ -176,8 +177,7 @@ class MissionContext:
         )
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(NamedTuple):
     """The balloon an agent holds a claim on, from commit back to SEARCH."""
 
     track_id: Optional[int]        # None in REVISIT and CONFIRM: track lost
@@ -192,8 +192,7 @@ class Target:
     approach_best: Optional[tuple[float, float]] = None
 
 
-@dataclass(frozen=True)
-class MissionState:
+class MissionState(NamedTuple):
     phase: Phase
     entered_at: float
     path: SearchPath
@@ -424,8 +423,7 @@ def _nearest_unvisited(
 _HOVER: Vec3 = (0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class MissionStep:
+class MissionStep(NamedTuple):
     state: MissionState
     velocity_cmd: Vec3
     yaw_rate_cmd: float
@@ -462,7 +460,7 @@ def _enter(
     if detail:
         payload.update(detail)
     events.append(("phase", payload))
-    return replace(ms, phase=phase, entered_at=t, **updates)
+    return ms._replace(phase=phase, entered_at=t, **updates)
 
 
 def _back_to_search(
@@ -544,30 +542,11 @@ def _refresh_target(
         return ms
     tg = ms.target
     heading = _bearing_to(uav.position, est)
-    # Runs on most ALIGN and APPROACH ticks, so both records are built
-    # with their constructors rather than copied field by field with
-    # ``replace``; every field not refreshed here is passed through.
-    return MissionState(
-        phase=ms.phase,
-        entered_at=ms.entered_at,
-        path=ms.path,
-        wp_index=ms.wp_index,
-        visited=ms.visited,
-        target=Target(
-            track_id=tg.track_id,
-            claim_id=tg.claim_id,
-            claim_estimate=tg.claim_estimate,
-            estimate=est,
-            heading=tg.heading if heading is None else heading,
-            range=min(tg.range, track.last_range),
-            retries=tg.retries,
-            revisit_point=tg.revisit_point,
-            approach_best=tg.approach_best,
-        ),
-        blacklist=ms.blacklist,
-        commit_cooldown_until=ms.commit_cooldown_until,
-        wp_started_at=ms.wp_started_at,
-    )
+    return ms._replace(target=tg._replace(
+        estimate=est,
+        heading=tg.heading if heading is None else heading,
+        range=min(tg.range, track.last_range),
+    ))
 
 
 def _step_search(ms, tracks, uav, view, t, ctx, events):
@@ -601,7 +580,7 @@ def _step_search(ms, tracks, uav, view, t, ctx, events):
                 return engaged, _HOVER, 0.0
             denied = True
         if denied:
-            ms = replace(ms, commit_cooldown_until=t + COMMIT_DENIAL_COOLDOWN_S)
+            ms = ms._replace(commit_cooldown_until=t + COMMIT_DENIAL_COOLDOWN_S)
 
     # Waypoint following.  The state is handed back unchanged (the same
     # ``visited`` tuple) until a waypoint is reached or times out.
@@ -626,7 +605,7 @@ def _step_search(ms, tracks, uav, view, t, ctx, events):
             # blocked one.
             visited = [False] * len(visited)
             nxt = (wp_index + 1) % len(visited) if timed_out else 0
-        ms = replace(ms, wp_index=nxt, visited=tuple(visited), wp_started_at=t)
+        ms = ms._replace(wp_index=nxt, visited=tuple(visited), wp_started_at=t)
         wp = ms.path.waypoints[nxt]
 
     dx = wp[0] - uav.position[0]
@@ -670,7 +649,7 @@ def _lost_target(ms, uav, t, ctx, events):
     )
     ms = _enter(
         ms, Phase.REVISIT, t, events, {"point": list(rp)},
-        target=replace(tg, track_id=None, revisit_point=rp),
+        target=tg._replace(track_id=None, revisit_point=rp),
     )
     return ms, _HOVER, 0.0
 
@@ -704,8 +683,8 @@ def _step_approach(ms, tracks, uav, view, t, ctx, events):
             ms = _back_to_search(ms, uav, view, t, events, None,
                                  {"reason": "claim_lost"})
             return ms, _HOVER, 0.0
-        tg = replace(tg, claim_id=result.claim_id, claim_estimate=tg.estimate)
-        ms = replace(ms, target=tg)
+        tg = tg._replace(claim_id=result.claim_id, claim_estimate=tg.estimate)
+        ms = ms._replace(target=tg)
 
     if t - ms.entered_at > mp.approach_timeout:
         return _lost_target(ms, uav, t, ctx, events)
@@ -714,7 +693,7 @@ def _step_approach(ms, tracks, uav, view, t, ctx, events):
     # fence or by another agent) falls back to a revisit.
     d_est = _dist3(uav.position, tg.estimate)
     if tg.approach_best is None or d_est < tg.approach_best[0] - 0.1:
-        ms = replace(ms, target=replace(tg, approach_best=(d_est, t)))
+        ms = ms._replace(target=tg._replace(approach_best=(d_est, t)))
     elif t - tg.approach_best[1] > mp.approach_stall_timeout:
         return _lost_target(ms, uav, t, ctx, events)
 
@@ -760,7 +739,7 @@ def _step_confirm(ms, tracks, uav, view, t, ctx, events):
                 ))
                 ms = _back_to_search(ms, uav, view, t, events, "abandoned",
                                      {"reason": "retry_limit"})
-                return replace(ms, blacklist=ms.blacklist + (tg.estimate,)), _HOVER, 0.0
+                return ms._replace(blacklist=ms.blacklist + (tg.estimate,)), _HOVER, 0.0
             # Re-claim at the fresh estimate so the retry stays exclusive;
             # a denial means another agent owns this balloon now.
             view.release(tg.claim_id, "abandoned", t)

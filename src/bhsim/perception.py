@@ -32,6 +32,8 @@ class DegenerateCircle(ValueError):
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
+    """Pinhole camera: focal length and image size in pixels."""
+
     focal_px: float = 600.0
     width_px: float = 1280.0
     height_px: float = 720.0
@@ -64,6 +66,8 @@ class Detection(NamedTuple):
 
 @dataclass(frozen=True)
 class NoiseModel:
+    """Detector noise: box jitter, miss probability, false alarms, confidence."""
+
     center_sigma: float = 2.0
     size_sigma_frac: float = 0.05
     p_miss_base: float = 0.05

@@ -59,6 +59,8 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class BalloonSetup:
+    """How many balloons, how far apart, and optionally where."""
+
     count: int = 5
     min_sep: float = 8.0
     params: BalloonParams = BalloonParams()
@@ -67,6 +69,8 @@ class BalloonSetup:
 
 @dataclass(frozen=True)
 class AgentSetup:
+    """Agent count, start positions and the shared start heading."""
+
     count: int = 1
     starts: tuple[Vec3, ...] = ()
     start_yaw: float = 0.0
@@ -74,6 +78,8 @@ class AgentSetup:
 
 @dataclass(frozen=True)
 class FleetParams:
+    """Claim radius, separation distance and scripted agent failures."""
+
     claim_radius: float = 5.0
     min_sep: float = 5.0
     failures: tuple[tuple[int, float], ...] = ()
@@ -81,12 +87,16 @@ class FleetParams:
 
 @dataclass(frozen=True)
 class SimParams:
+    """Tick rate in Hz and the simulated-time limit of a run in seconds."""
+
     tick_rate: float = 20.0
     duration_limit: float = 600.0
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A run's whole configuration: the seed and one record per config section."""
+
     seed: int = 0
     arena: Arena = Arena()
     balloons: BalloonSetup = BalloonSetup()

@@ -27,13 +27,12 @@ that log with one ``error`` record.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
 from pathlib import Path
-from typing import BinaryIO, Optional, Sequence
+from typing import BinaryIO, NamedTuple, Optional, Sequence
 
 from . import events as ev
 from .fleet import (
@@ -99,6 +98,8 @@ class InvariantViolation(RuntimeError):
 
 @dataclass
 class RunMetrics:
+    """One run's outcome and audit counts; one row of ``metrics.csv``."""
+
     seed: int
     balloons_total: int
     balloons_popped: int = 0
@@ -150,8 +151,7 @@ CSV_HEADER = (
 )
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """A finished run.  ``events`` is its whole event log, or empty when
     the run streamed its log to a file."""
 
@@ -315,7 +315,7 @@ def _prune_path(
         kept.append(wp)
     if not kept:
         return path
-    return replace(path, waypoints=tuple(kept))
+    return path._replace(waypoints=tuple(kept))
 
 
 def _strip_closing(v: Vec3, own: Vec3, other: Vec3) -> Vec3:
@@ -371,8 +371,7 @@ def _plan(run: _Run, t: float) -> None:
     radius = run.scenario.mission.lane_spacing / 2.0
     for agent, cell in zip(run.live, run.cells):
         path = _prune_path(paths[agent.id], run.covered, radius)
-        agent.mission = replace(
-            agent.mission,
+        agent.mission = agent.mission._replace(
             path=path,
             wp_index=0,
             wp_started_at=t,
@@ -679,8 +678,9 @@ def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
     )
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
+    """A sweep's metrics rows in seed order and their aggregate."""
+
     rows: list[RunMetrics]
     aggregate: dict[str, float]
 
@@ -757,6 +757,8 @@ def sweep(
     if workers <= 1:
         rows = [_sweep_one(w) for w in work]
     else:
+        import concurrent.futures  # here, so only a pooled sweep loads it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, work))
     return SweepResult(rows=rows, aggregate=_aggregate(rows))

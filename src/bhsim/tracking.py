@@ -28,8 +28,9 @@ gain ``P H^T S^-1``, Joseph-form update, then symmetrisation), so the
 results are the same floats the full matrix form gives: the filter
 steps exactly one frame, so every product with the frame step is exact.
 
-The tracker is a value: ``step_tracker`` consumes one tracker state and
-one frame of measurements and returns a fresh tracker plus that frame's
+The tracker is a value, a ``Tracker`` NamedTuple, as are ``Assignment``
+and ``CostMatrix``: ``step_tracker`` consumes one tracker state and one
+frame of measurements and returns a fresh tracker plus that frame's
 lifecycle events, as ``(kind, track_id)`` pairs, and nothing else.  The
 tracks measured this frame are the ones with ``misses == 0``.
 Measurements carry only box geometry, so nothing in this module can see
@@ -67,6 +68,8 @@ class BoxMeasurement(NamedTuple):
 
 @dataclass(frozen=True)
 class TrackerParams:
+    """Association gate, lifecycle counts and diagonal filter covariances."""
+
     gate_px: float = 80.0
     m_confirm: int = 3
     k_delete: int = 5
@@ -105,15 +108,13 @@ class TrackState:
         return (self.x[0], self.x[1])
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     matches: tuple[tuple[int, int], ...]
     unmatched_tracks: tuple[int, ...]
     unmatched_detections: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Tracker:
+class Tracker(NamedTuple):
     tracks: tuple[TrackState, ...] = ()
     next_id: int = 1
     params: TrackerParams = TrackerParams()
@@ -229,8 +230,7 @@ def kf_update(
     )
 
 
-@dataclass(frozen=True)
-class CostMatrix:
+class CostMatrix(NamedTuple):
     """A cost matrix as rows of floats.
 
     ``shape`` and ``tolist()`` read as on a 2-D array, so

@@ -24,19 +24,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 Vec3 = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
 class UavParams:
+    """Speed limit, velocity lag and yaw-rate limit of the vehicle model."""
+
     v_max: float = 2.0
     tau: float = 0.3
     yaw_rate_max: float = 1.5
 
 
-@dataclass(frozen=True)
-class UavState:
+class UavState(NamedTuple):
     id: int
     position: Vec3
     velocity: Vec3 = (0.0, 0.0, 0.0)

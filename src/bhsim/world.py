@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 Vec3 = tuple[float, float, float]
 
@@ -122,8 +122,7 @@ class Balloon:
         return self.diameter / 2.0
 
 
-@dataclass(frozen=True)
-class WorldState:
+class WorldState(NamedTuple):
     """Ground truth at one instant.
 
     ``balloons`` holds every balloon's fixed description; ``centers`` is

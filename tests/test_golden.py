@@ -262,3 +262,18 @@ def test_a_cli_run_leaves_numpy_unimported():
     out = _python("-c", script)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_a_run_and_a_serial_sweep_leave_the_process_pool_unimported():
+    script = (
+        "import sys\n"
+        "from bhsim import events, scenario, sim\n"
+        "s = scenario.parse_scenario_text("
+        "'seed = 0\\nballoons.count = 1\\nsim.duration_limit = 2\\n')\n"
+        "sim.run_simulation(s)\n"
+        "sim.sweep(s, [0, 1], jobs=1)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    out = _python("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"

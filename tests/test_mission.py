@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -281,8 +280,8 @@ def _engaged(phase, entered_at, **target):
     if phase in (Phase.REVISIT, Phase.CONFIRM):
         fields.update(track_id=None, revisit_point=(49.0, 20.0, 3.0))
     fields.update(target)
-    return dataclasses.replace(
-        _search_state(), phase=phase, entered_at=entered_at, target=Target(**fields)
+    return _search_state()._replace(
+        phase=phase, entered_at=entered_at, target=Target(**fields)
     )
 
 
@@ -436,14 +435,16 @@ def test_refresh_target_changes_only_estimate_heading_and_range():
                       visited=(True,) + (False,) * (len(path.waypoints) - 1),
                       target=tg, blacklist=((10.0, 10.0, 2.0),),
                       commit_cooldown_until=0.75, wp_started_at=0.25)
+    no_default = object()
     for record in (ms, tg):
-        for f in dataclasses.fields(record):
-            assert getattr(record, f.name) != f.default, f.name
+        defaults = record._field_defaults
+        for name in record._fields:
+            assert getattr(record, name) != defaults.get(name, no_default), name
     uav = UavState(id=0, position=(50.0, 20.0, 4.0))
     track = _track(track_id=1, cx=12.0, cy=-3.0, last_range=5.0)
     est = estimate_world_position(uav, track, 600.0, 5.0)
-    want = dataclasses.replace(ms, target=dataclasses.replace(
-        tg, estimate=est, heading=math.atan2(est[1] - 20.0, est[0] - 50.0), range=5.0,
+    want = ms._replace(target=tg._replace(
+        estimate=est, heading=math.atan2(est[1] - 20.0, est[0] - 50.0), range=5.0,
     ))
     assert _refresh_target(ms, track, uav, _ctx()) == want
 

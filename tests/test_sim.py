@@ -10,8 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bhsim.fleet
 import bhsim.mission
 import bhsim.sim
+import bhsim.tracking
+import bhsim.vehicle
+import bhsim.world
 from bhsim.cli import main as cli_main
 from bhsim.events import EVENT_KINDS, read_event_log, serialize_events
 from bhsim.fleet import point_in_cell
@@ -590,9 +594,8 @@ def test_audits_count_false_confirms_and_duplicate_pursuit(monkeypatch):
             estimate=anchor, heading=0.0, range=1.0,
         )
         declared = ("pop", {"source": "declared", "estimate": list(anchor)})
-        return replace(
-            out,
-            state=replace(out.state, phase=bhsim.mission.Phase.APPROACH, target=target),
+        return out._replace(
+            state=out.state._replace(phase=bhsim.mission.Phase.APPROACH, target=target),
             events=out.events + (declared,),
         )
 
@@ -741,6 +744,25 @@ def test_cli_sweep_log_that_cannot_be_opened_is_io_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("i/o error: ")
 
 
+
+def test_cli_sweep_io_error_leaves_no_earlier_metrics(tmp_path, capsys):
+    # A sweep stopped by an I/O error (exit 3) leaves no metrics.csv of an
+    # earlier sweep beside its logs.
+    scn = _write_scenario(
+        tmp_path, "seed = 0\nballoons.count = 1\nsim.duration_limit = 20\n"
+    )
+    out_dir = tmp_path / "out"
+    argv = ["sweep", "--scenario", scn, "--seeds", "0", "--out", str(out_dir)]
+    assert cli_main(argv) == 0
+    log = out_dir / "events_seed0.jsonl"
+    assert sorted(p.name for p in out_dir.iterdir()) == [log.name, "metrics.csv"]
+
+    log.unlink()
+    log.mkdir()
+    assert cli_main(argv) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert sorted(p.name for p in out_dir.iterdir()) == [log.name]
+
 def test_setup_failure_log_is_one_error_record(tmp_path, capsys):
     # An infeasible packing raises before tick 0: each log is the error
     # record alone, and it names what the error row names.
@@ -885,3 +907,22 @@ def test_measured_tracks_are_ranged_and_coasting_tracks_keep_their_range(
                 assert last_range == prev[tid][2]
                 coasting += 1
     assert measured > 100 and coasting > 10
+
+
+RUN_RECORDS = [
+    bhsim.fleet.PartitionCell, bhsim.fleet.ClaimEntry, bhsim.fleet.ClaimResult,
+    bhsim.mission.SearchPath, bhsim.mission.FleetView, bhsim.mission.MissionContext,
+    bhsim.mission.Target, bhsim.mission.MissionState, bhsim.mission.MissionStep,
+    bhsim.tracking.Assignment, bhsim.tracking.Tracker, bhsim.tracking.CostMatrix,
+    bhsim.vehicle.UavState, bhsim.world.WorldState,
+    bhsim.sim.RunResult, bhsim.sim.SweepResult,
+]
+
+
+@pytest.mark.parametrize("record", RUN_RECORDS, ids=lambda r: r.__name__)
+def test_run_records_are_immutable(record):
+    # Neither a field nor a new attribute can be set on a record.
+    value = record._make([None] * len(record._fields))
+    for name in record._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
