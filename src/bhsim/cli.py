@@ -107,8 +107,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # report it once as a configuration error instead of as error rows.
     plan_cells(scenario, range(scenario.agents.count))
     if args.out:
-        # no metrics of an earlier sweep beside this sweep's logs
+        # no metrics or per-seed logs of an earlier sweep beside this
+        # sweep's logs
         Path(args.out, "metrics.csv").unlink(missing_ok=True)
+        for log in Path(args.out).glob("events_seed*.jsonl"):
+            log.unlink()
     result = sweep(scenario, seeds, jobs=args.jobs, out_dir=args.out)
     if args.out:
         Path(args.out, "metrics.csv").write_text(

@@ -19,10 +19,14 @@ all randomness flows from named substreams of the scenario seed, so a
 run is a pure function of (scenario, seed).  Stages emit records to the
 event log but never read it back.
 
-Given a log path, a run writes its event log while it runs: at the end
-of each tick that leaves ``LOG_CHUNK_RECORDS`` or more records pending,
-so memory stays bounded however long the run.  A run that raises ends
-that log with one ``error`` record.
+A run keeps its records in the compact form of ``events``: a tuple of
+fields for each ``detection`` and ``track`` record, the finished line
+for every other kind.  Without a log path it keeps them all, and
+``RunResult.events`` reads them as record dicts.  Given a log path, a
+run writes its event log while it runs: at the end of each tick that
+leaves ``LOG_CHUNK_RECORDS`` or more records pending, so memory stays
+bounded however long the run.  A run that raises ends that log with one
+``error`` record.
 """
 
 from __future__ import annotations
@@ -152,11 +156,12 @@ CSV_HEADER = (
 
 
 class RunResult(NamedTuple):
-    """A finished run.  ``events`` is its whole event log, or empty when
-    the run streamed its log to a file."""
+    """A finished run.  ``events`` is its whole event log, read-only, as an
+    ``events.EventView`` that builds each record dict when it is read; it
+    is empty when the run streamed its log to a file."""
 
     metrics: RunMetrics
-    events: list[dict]
+    events: Sequence[dict]
     cells: list[PartitionCell]
 
 
@@ -179,24 +184,27 @@ class _EventLog:
 
     Each record is checked as it is emitted: one with a NaN or an
     infinity raises ``NumericalFailure``, and the log is left as it was.
-    Without a file, ``records`` keeps every record as a dict.  With one,
-    it holds the lines of the records not yet written, and ``write``
-    moves them to the file.
+    ``records`` holds each record in its compact form (see ``events``).
+    Without a file it keeps every record.  With one, it holds the records
+    not yet written, and ``write`` prints them to the file.
     """
 
     def __init__(self, file: Optional[BinaryIO] = None) -> None:
         self.records: list = []
-        self.seq = 0
+        self.written = 0
         self.file = file
         # Time of the tick in progress (0.0 during set-up), for the error
         # record of a failed run.
         self.t = 0.0
 
+    @property
+    def seq(self) -> int:
+        """The ``seq`` of the next record."""
+        return self.written + len(self.records)
+
     def emit(self, t: float, agent: Optional[int], kind: str, data: dict) -> None:
         record = ev.make_event(self.seq, t, agent, kind, data)
-        line = ev.finite_line(record)
-        self.records.append(record if self.file is None else line)
-        self.seq += 1
+        self.records.append(ev.finite_line(record))
 
     def detection(
         self, t: float, agent: int, cx: float, cy: float, w: float, h: float,
@@ -207,30 +215,18 @@ class _EventLog:
         s = t + cx + cy + w + h + conf
         if s - s != 0.0:
             ev.require_finite("detection", (t, cx, cy, w, h, conf))
-        if self.file is None:
-            self.records.append(ev.make_event(self.seq, t, agent, "detection", {
-                "cx": cx, "cy": cy, "w": w, "h": h, "conf": conf, "truth": truth,
-            }))
-        else:
-            self.records.append(
-                ev.detection_line(self.seq, t, agent, cx, cy, w, h, conf, truth)
-            )
-        self.seq += 1
+        self.records.append((t, agent, cx, cy, w, h, conf, truth))
 
     def track(self, t: float, agent: int, event: str, track_id: int) -> None:
         if t - t != 0.0:
             ev.require_finite("track", (t,))
-        if self.file is None:
-            self.records.append(ev.make_event(
-                self.seq, t, agent, "track", {"event": event, "track_id": track_id}
-            ))
-        else:
-            self.records.append(ev.track_line(self.seq, t, agent, event, track_id))
-        self.seq += 1
+        self.records.append((t, agent, event, track_id))
 
     def write(self) -> None:
         if self.records:
-            self.file.write(("\n".join(self.records) + "\n").encode("utf-8"))
+            lines = ev.compact_lines(self.written, self.records)
+            self.file.write(("\n".join(lines) + "\n").encode("utf-8"))
+            self.written += len(self.records)
         self.records = []
 
 
@@ -674,7 +670,9 @@ def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
     metrics.duration = t
     metrics.distance_flown = {a.id: a.distance for a in run.agents}
     return RunResult(
-        metrics=metrics, events=[] if streamed else elog.records, cells=run.cells
+        metrics=metrics,
+        events=ev.EventView([] if streamed else elog.records),
+        cells=run.cells,
     )
 
 

@@ -153,12 +153,15 @@ def _scenario_file(case: str, directory: Path) -> Path:
 def test_streamed_logs_equal_the_in_memory_log(case, tmp_path, capsys):
     """``sweep(out_dir)`` and ``simulate --out`` write, chunk by chunk as
     the run goes, the bytes of the whole in-memory log: the per-kind
-    formatters print each record as ``emit_line`` prints its dict."""
+    formatters print each record as ``emit_line`` prints its dict.  The
+    in-memory run's view reads as the records of that log."""
     expected = serialize_events(_run(case).events)
     s = _scenario(case)
     row = sweep(s, [s.seed], jobs=1, out_dir=tmp_path).rows[0]
     assert row.csv_row() == _run(case).metrics.csv_row()
-    assert (tmp_path / f"events_seed{s.seed}.jsonl").read_bytes() == expected
+    log = tmp_path / f"events_seed{s.seed}.jsonl"
+    assert log.read_bytes() == expected
+    assert _run(case).events == read_event_log(log)
     out = tmp_path / "simulate"
     argv = ["simulate", "--scenario", str(_scenario_file(case, tmp_path)),
             "--out", str(out)]

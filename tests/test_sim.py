@@ -763,6 +763,28 @@ def test_cli_sweep_io_error_leaves_no_earlier_metrics(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("i/o error: ")
     assert sorted(p.name for p in out_dir.iterdir()) == [log.name]
 
+
+def test_cli_sweep_leaves_no_per_seed_logs_of_an_earlier_sweep(tmp_path, capsys):
+    # A narrower sweep into the same directory leaves only its own logs
+    # beside its metrics; other files there stay, and a configuration
+    # error removes nothing.
+    text = "seed = 0\nballoons.count = 1\nsim.duration_limit = 5\n"
+    scn = _write_scenario(tmp_path, text)
+    out_dir = tmp_path / "out"
+    argv = ["sweep", "--out", str(out_dir), "--seeds"]
+    assert cli_main(argv + ["0..2", "--scenario", scn]) == 0
+    (out_dir / "notes.txt").write_text("kept", encoding="utf-8")
+    assert cli_main(argv + ["0", "--scenario", scn]) == 0
+    names = ["events_seed0.jsonl", "metrics.csv", "notes.txt"]
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+    assert len((out_dir / "metrics.csv").read_text().splitlines()) == 2
+
+    bad = _write_scenario(tmp_path, text + "mission.lane_spacing = 1e-9\n")
+    assert cli_main(argv + ["0..2", "--scenario", bad]) == 1
+    capsys.readouterr()
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+
+
 def test_setup_failure_log_is_one_error_record(tmp_path, capsys):
     # An infeasible packing raises before tick 0: each log is the error
     # record alone, and it names what the error row names.
