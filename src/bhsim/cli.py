@@ -8,8 +8,6 @@ error.  ``simulate`` prints one summary line; a run's full account is
 its event log (``--out``).
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from pathlib import Path

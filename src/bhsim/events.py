@@ -27,8 +27,6 @@ checking detections by their summed floats, and a streamed log then
 ends with one ``error`` record.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os

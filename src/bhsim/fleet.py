@@ -7,10 +7,7 @@ each agent an exclusive, radius-guarded reservation on one balloon
 estimate, and a pairwise hold rule keeps agents apart.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 Vec2 = tuple[float, float]
@@ -151,12 +148,14 @@ class ClaimEntry(NamedTuple):
     estimate: Vec3
 
 
-@dataclass
 class ClaimTable:
     """Radius-guarded, one-per-agent reservations on balloon estimates."""
 
-    entries: dict[int, ClaimEntry] = field(default_factory=dict)
-    next_id: int = 1
+    __slots__ = ("entries", "next_id")
+
+    def __init__(self) -> None:
+        self.entries: dict[int, ClaimEntry] = {}
+        self.next_id = 1
 
     def claim_of_agent(self, agent_id: int) -> Optional[ClaimEntry]:
         for entry in self.entries.values():

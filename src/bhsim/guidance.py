@@ -6,10 +6,7 @@ the target horizontally; ``vehicle.camera_to_world`` carries the command
 into the world frame.  All functions are stateless.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .vehicle import wrap_angle
@@ -17,17 +14,17 @@ from .vehicle import wrap_angle
 Vec3 = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
 class PixelTarget:
     """Target pixel offset from the principal point plus the focal length."""
 
-    x_px: float
-    y_px: float
-    focal_px: float
+    __slots__ = ("x_px", "y_px", "focal_px")
 
-    def __post_init__(self) -> None:
-        if self.focal_px <= 0:
+    def __init__(self, x_px: float, y_px: float, focal_px: float) -> None:
+        if focal_px <= 0:
             raise ValueError("focal length must be positive")
+        self.x_px = x_px
+        self.y_px = y_px
+        self.focal_px = focal_px
 
 
 def los_unit_vector(t: PixelTarget) -> Vec3:

@@ -13,8 +13,8 @@ Each agent runs a small state machine over one assigned cell:
 
 State is a value: ``step_mission`` consumes a state and returns the next
 one plus a world-frame velocity command and a yaw-rate command.  Its
-records, ``MissionParams`` aside, are immutable ``NamedTuple``s, copied
-with ``_replace``.
+records, ``MissionParams`` included, are immutable ``NamedTuple``s,
+copied with ``_replace``.
 
 Everything an agent knows about the balloon it works on is one ``Target``
 NamedTuple, ``MissionState.target``: track and claim ids, the
@@ -25,10 +25,7 @@ ticks replace it as the estimate moves, and going back to SEARCH releases
 the claim and drops it, so it is None exactly in SEARCH.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -99,8 +96,7 @@ LEGAL_TRANSITIONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class MissionParams:
+class MissionParams(NamedTuple):
     """Thresholds, speeds and timeouts of the mission state machine."""
 
     m_commit: int = 3

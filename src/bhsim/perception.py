@@ -9,10 +9,7 @@ estimation inverts the same small-angle model, so generation and
 inversion are exactly consistent.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .rng import Stream
@@ -30,23 +27,30 @@ class DegenerateCircle(ValueError):
     """Fitted circle too small to range from."""
 
 
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    """Pinhole camera: focal length and image size in pixels."""
-
+class _CameraFields(NamedTuple):
     focal_px: float = 600.0
     width_px: float = 1280.0
     height_px: float = 720.0
-    # The image center, worked out once here: a plain instance attribute
-    # reads faster in the projection loop than a property would.
-    principal: tuple[float, float] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+
+class CameraIntrinsics(_CameraFields):
+    """Pinhole camera: focal length and image size in pixels."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.focal_px <= 0:
             raise ValueError("focal length must be positive")
-        object.__setattr__(
-            self, "principal", (self.width_px / 2.0, self.height_px / 2.0)
-        )
+        return self
+
+    def _replace(self, **changes):
+        return CameraIntrinsics(*super()._replace(**changes))
+
+    @property
+    def principal(self) -> tuple[float, float]:
+        """The image center."""
+        return (self.width_px / 2.0, self.height_px / 2.0)
 
 
 class Detection(NamedTuple):
@@ -64,10 +68,7 @@ class Detection(NamedTuple):
     truth_id: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Detector noise: box jitter, miss probability, false alarms, confidence."""
-
+class _NoiseFields(NamedTuple):
     center_sigma: float = 2.0
     size_sigma_frac: float = 0.05
     p_miss_base: float = 0.05
@@ -75,7 +76,14 @@ class NoiseModel:
     false_alarm_rate: float = 0.1
     confidence_floor: float = 0.1
 
-    def __post_init__(self) -> None:
+
+class NoiseModel(_NoiseFields):
+    """Detector noise: box jitter, miss probability, false alarms, confidence."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.p_miss_base <= 1.0:
             raise ValueError("p_miss_base must be a probability")
         if not 0.0 <= self.confidence_floor <= 1.0:
@@ -83,6 +91,10 @@ class NoiseModel:
         if min(self.center_sigma, self.size_sigma_frac, self.p_miss_range_scale,
                self.false_alarm_rate) < 0:
             raise ValueError("noise rates must be non-negative")
+        return self
+
+    def _replace(self, **changes):
+        return NoiseModel(*super()._replace(**changes))
 
 
 ZERO_NOISE = NoiseModel(
@@ -117,8 +129,9 @@ def project_point(
         return None
     px = camera.focal_px * cam_x / cam_z
     py = camera.focal_px * cam_y / cam_z
-    u = camera.principal[0] + px
-    v = camera.principal[1] + py
+    u0, v0 = camera.principal
+    u = u0 + px
+    v = v0 + py
     if not (0.0 <= u <= camera.width_px and 0.0 <= v <= camera.height_px):
         return None
     return (px, py, cam_z)

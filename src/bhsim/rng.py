@@ -16,8 +16,6 @@ for the rates the scenario parser admits (at most
 ``scenario.MAX_FALSE_ALARM_RATE``).
 """
 
-from __future__ import annotations
-
 import hashlib
 import math
 import random

@@ -8,17 +8,15 @@ semicolon-separated; failure scripts are ``agent:time`` pairs separated
 by semicolons.
 
 ``SCHEMA`` is the one table of keys: each key's parser, its domain and
-the ``Scenario`` field it fills.  Defaults live only in the ``Scenario``
-dataclasses.
+the ``Scenario`` field it fills.  Defaults live only in ``Scenario`` and
+its section records.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import reduce
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .mission import MissionParams
 from .perception import CameraIntrinsics, NoiseModel
@@ -57,8 +55,7 @@ class ValidationError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
-@dataclass(frozen=True)
-class BalloonSetup:
+class BalloonSetup(NamedTuple):
     """How many balloons, how far apart, and optionally where."""
 
     count: int = 5
@@ -67,8 +64,7 @@ class BalloonSetup:
     anchors: Optional[tuple[Vec3, ...]] = None
 
 
-@dataclass(frozen=True)
-class AgentSetup:
+class AgentSetup(NamedTuple):
     """Agent count, start positions and the shared start heading."""
 
     count: int = 1
@@ -76,8 +72,7 @@ class AgentSetup:
     start_yaw: float = 0.0
 
 
-@dataclass(frozen=True)
-class FleetParams:
+class FleetParams(NamedTuple):
     """Claim radius, separation distance and scripted agent failures."""
 
     claim_radius: float = 5.0
@@ -85,8 +80,7 @@ class FleetParams:
     failures: tuple[tuple[int, float], ...] = ()
 
 
-@dataclass(frozen=True)
-class SimParams:
+class SimParams(NamedTuple):
     """Tick rate in Hz and the simulated-time limit of a run in seconds."""
 
     tick_rate: float = 20.0
@@ -149,8 +143,7 @@ def _parse_failures(raw: str) -> tuple[tuple[int, float], ...]:
     return tuple(sorted(out, key=lambda p: p[1]))
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(NamedTuple):
     """One scenario key.
 
     ``domain`` is an interval as the README writes it: ``(0, inf)``,
@@ -164,7 +157,7 @@ class Key:
     domain: str
     field: str
 
-    @cached_property
+    @property
     def ends(self) -> tuple[float, float]:
         lo, hi = self.domain[1:-1].split(", ")
         return float(lo), math.pi / 2 if hi == "pi/2" else float(hi)
@@ -299,10 +292,13 @@ def _numbers(value):
 
 def _fill(base, tree: dict):
     """``base`` with the fields in ``tree`` replaced, nested dicts recursively."""
-    return replace(base, **{
+    changes = {
         name: _fill(getattr(base, name), sub) if isinstance(sub, dict) else sub
         for name, sub in tree.items()
-    })
+    }
+    if isinstance(base, Scenario):
+        return replace(base, **changes)
+    return base._replace(**changes)
 
 
 def build_scenario(values: dict[str, object]) -> Scenario:

@@ -29,9 +29,8 @@ bounded however long the run.  A run that raises ends that log with one
 ``error`` record.
 """
 
-from __future__ import annotations
-
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
@@ -165,18 +164,25 @@ class RunResult(NamedTuple):
     cells: list[PartitionCell]
 
 
-@dataclass
 class _AgentRt:
     """Mutable per-agent runtime.  A failed agent is never stepped again."""
 
-    id: int
-    uav: UavState
-    tracker: Tracker
-    mission: MissionState
-    rng: Stream
-    view: Optional[FleetView] = None
-    distance: float = 0.0
-    failed: bool = False
+    __slots__ = (
+        "id", "uav", "tracker", "mission", "rng", "view", "distance", "failed"
+    )
+
+    def __init__(
+        self, id: int, uav: UavState, tracker: Tracker, mission: MissionState,
+        rng: Stream,
+    ) -> None:
+        self.id = id
+        self.uav = uav
+        self.tracker = tracker
+        self.mission = mission
+        self.rng = rng
+        self.view: Optional[FleetView] = None
+        self.distance = 0.0
+        self.failed = False
 
 
 class _EventLog:
@@ -230,34 +236,47 @@ class _EventLog:
         self.records = []
 
 
-@dataclass
 class _Run:
     """Everything one run carries from tick to tick; every stage works on it."""
 
-    scenario: Scenario
-    dt: float
-    fence: Geofence
-    ctx: MissionContext
-    hold_radius: float
-    strip_radius: float
-    # radius + tip_reach per balloon, as check_pop adds them
-    reaches: tuple[float, ...]
-    world: WorldState
-    agents: list[_AgentRt]
-    pending_failures: list[tuple[int, float]]
-    metrics: RunMetrics
-    elog: _EventLog
-    claims: ClaimTable = field(default_factory=ClaimTable)
-    cells: list[PartitionCell] = field(default_factory=list)
-    covered: list[Vec2] = field(default_factory=list)
-    pop_times: list[tuple[int, float]] = field(default_factory=list)
-    # Set by each plan: the live agents and their pairs, in ascending ids.
-    live: list[_AgentRt] = field(default_factory=list)
-    pairs: list[tuple[_AgentRt, _AgentRt]] = field(default_factory=list)
-    # Set by the fleet stage each tick: hold flags, and per agent the
-    # tick-start positions of higher-id neighbors within the strip radius.
-    holds: dict[int, bool] = field(default_factory=dict)
-    close_pairs: dict[int, list[Vec3]] = field(default_factory=dict)
+    __slots__ = (
+        "scenario", "dt", "fence", "ctx", "hold_radius", "strip_radius",
+        "reaches", "world", "agents", "pending_failures", "metrics", "elog",
+        "claims", "cells", "covered", "pop_times", "live", "pairs", "holds",
+        "close_pairs",
+    )
+
+    def __init__(
+        self, scenario: Scenario, dt: float, fence: Geofence, ctx: MissionContext,
+        hold_radius: float, strip_radius: float, reaches: tuple[float, ...],
+        world: WorldState, agents: list[_AgentRt],
+        pending_failures: list[tuple[int, float]], metrics: RunMetrics,
+        elog: _EventLog,
+    ) -> None:
+        self.scenario = scenario
+        self.dt = dt
+        self.fence = fence
+        self.ctx = ctx
+        self.hold_radius = hold_radius
+        self.strip_radius = strip_radius
+        # radius + tip_reach per balloon, as check_pop adds them
+        self.reaches = reaches
+        self.world = world
+        self.agents = agents
+        self.pending_failures = pending_failures
+        self.metrics = metrics
+        self.elog = elog
+        self.claims = ClaimTable()
+        self.cells: list[PartitionCell] = []
+        self.covered: list[Vec2] = []
+        self.pop_times: list[tuple[int, float]] = []
+        # Set by each plan: the live agents and their pairs, in ascending ids.
+        self.live: list[_AgentRt] = []
+        self.pairs: list[tuple[_AgentRt, _AgentRt]] = []
+        # Set by the fleet stage each tick: hold flags, and per agent the
+        # tick-start positions of higher-id neighbors within the strip radius.
+        self.holds: dict[int, bool] = {}
+        self.close_pairs: dict[int, list[Vec3]] = {}
 
 
 def _build_balloons(scenario: Scenario, rng: Stream) -> list[Balloon]:
@@ -729,6 +748,14 @@ def _sweep_one(args: tuple[Scenario, int, Optional[str]]) -> RunMetrics:
         )
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sweep(
     scenario: Scenario,
     seeds: Sequence[int],
@@ -738,8 +765,8 @@ def sweep(
     """Run the scenario once per seed and aggregate the metrics.
 
     Runs share nothing; with ``jobs > 1`` and more than one seed they
-    execute in a pool of ``min(jobs, len(seeds))`` processes, which
-    starts all its workers at once.  With ``out_dir``, each run streams
+    execute in a pool of ``min(jobs, len(seeds), usable CPUs)``
+    processes, which starts all its workers at once.  With ``out_dir``, each run streams
     its log to ``events_seed{N}.jsonl`` there as it goes, in whichever
     process runs it.  A seed whose run raises gets an error row, and its
     log holds what the run emitted before it raised, ending in one
@@ -751,7 +778,7 @@ def sweep(
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         out_dir = str(out_dir)
     work = [(scenario, seed, out_dir) for seed in seeds]
-    workers = min(jobs, len(work))
+    workers = min(jobs, len(work), _usable_cpus())
     if workers <= 1:
         rows = [_sweep_one(w) for w in work]
     else:

@@ -28,21 +28,22 @@ gain ``P H^T S^-1``, Joseph-form update, then symmetrisation), so the
 results are the same floats the full matrix form gives: the filter
 steps exactly one frame, so every product with the frame step is exact.
 
-The tracker is a value, a ``Tracker`` NamedTuple, as are ``Assignment``
-and ``CostMatrix``: ``step_tracker`` consumes one tracker state and one
-frame of measurements and returns a fresh tracker plus that frame's
-lifecycle events, as ``(kind, track_id)`` pairs, and nothing else.  The
-tracks measured this frame are the ones with ``misses == 0``.
+The tracker is a value, a ``Tracker`` NamedTuple, as are
+``TrackerParams``, ``Assignment`` and ``CostMatrix``: ``step_tracker``
+consumes one tracker state and one frame of measurements and returns a
+fresh tracker plus that frame's lifecycle events, as ``(kind,
+track_id)`` pairs, and nothing else.  A ``TrackState`` is a mutable
+``__slots__`` record: ``step_tracker`` sets fields only on the fresh
+tracks it returns, never on its input.  The tracks measured this frame
+are the ones with ``misses == 0``.
 Measurements carry only box geometry, so nothing in this module can see
 ground-truth identities.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -66,8 +67,7 @@ class BoxMeasurement(NamedTuple):
     height: float
 
 
-@dataclass(frozen=True)
-class TrackerParams:
+class TrackerParams(NamedTuple):
     """Association gate, lifecycle counts and diagonal filter covariances."""
 
     gate_px: float = 80.0
@@ -83,25 +83,44 @@ class TrackerParams:
 Block2 = tuple[float, float, float]
 
 
-@dataclass(slots=True)
+_TRACK_FIELDS = (
+    "id", "x", "px", "py", "pw", "ph", "hits", "misses", "status", "last_range",
+)
+_track_key = attrgetter(*_TRACK_FIELDS)
+
+
 class TrackState:
     """One track: filter state, covariance blocks and lifecycle counts.
 
     ``x`` is ``(cx, cy, w, h, vcx, vcy)``.  The covariance is stored as
     its nonzero blocks: ``px = (var cx, cov cx-vcx, var vcx)``, ``py``
-    the same for y, and the size variances ``pw`` and ``ph``.
+    the same for y, and the size variances ``pw`` and ``ph``.  Two
+    tracks are equal when all their fields are.
     """
 
-    id: int
-    x: tuple[float, float, float, float, float, float]
-    px: Block2
-    py: Block2
-    pw: float
-    ph: float
-    hits: int = 0
-    misses: int = 0
-    status: TrackStatus = TrackStatus.TENTATIVE
-    last_range: Optional[float] = None
+    __slots__ = _TRACK_FIELDS
+
+    def __init__(
+        self, id: int, x: tuple[float, float, float, float, float, float],
+        px: Block2, py: Block2, pw: float, ph: float, hits: int = 0,
+        misses: int = 0, status: TrackStatus = TrackStatus.TENTATIVE,
+        last_range: Optional[float] = None,
+    ) -> None:
+        self.id = id
+        self.x = x
+        self.px = px
+        self.py = py
+        self.pw = pw
+        self.ph = ph
+        self.hits = hits
+        self.misses = misses
+        self.status = status
+        self.last_range = last_range
+
+    def __eq__(self, other):
+        if type(other) is not TrackState:
+            return NotImplemented
+        return _track_key(self) == _track_key(other)
 
     @property
     def center(self) -> tuple[float, float]:

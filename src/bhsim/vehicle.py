@@ -20,17 +20,13 @@ order lag and integrates yaw from a rate command; pitch and roll are held
 level, so the body-to-vehicle rotation is yaw only.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 Vec3 = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class UavParams:
+class UavParams(NamedTuple):
     """Speed limit, velocity lag and yaw-rate limit of the vehicle model."""
 
     v_max: float = 2.0
@@ -50,16 +46,24 @@ class UavState(NamedTuple):
         return math.sqrt(vx * vx + vy * vy + vz * vz)
 
 
-@dataclass(frozen=True)
-class Geofence:
-    """Axis-aligned box the vehicle must never leave (world frame)."""
-
+class _GeofenceFields(NamedTuple):
     lo: Vec3
     hi: Vec3
 
-    def __post_init__(self) -> None:
+
+class Geofence(_GeofenceFields):
+    """Axis-aligned box the vehicle must never leave (world frame)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if any(self.lo[i] >= self.hi[i] for i in range(3)):
             raise ValueError("geofence min must be strictly below max")
+        return self
+
+    def _replace(self, **changes):
+        return Geofence(*super()._replace(**changes))
 
     def contains(self, p: Vec3) -> bool:
         lo, hi = self.lo, self.hi

@@ -3,13 +3,16 @@
 The world frame is x-north, y-east, z-up with z measured in meters above
 the ground plane.  Balloons are tethered above pole tops and swing as
 planar pendulums with a fixed, per-balloon wind azimuth.
-"""
 
-from __future__ import annotations
+``Arena`` and ``BalloonParams`` are immutable ``NamedTuple``s; ``Arena``
+checks its fields when it is built or ``_replace``d.  A ``Balloon`` is a
+``__slots__`` record that checks its arguments and works out its sway
+constants once, when it is built.
+"""
 
 import math
 import random
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 Vec3 = tuple[float, float, float]
@@ -26,19 +29,23 @@ class UnknownBalloon(KeyError):
     """Operation referenced a balloon id that does not exist."""
 
 
-@dataclass(frozen=True)
-class Arena:
+class _ArenaFields(NamedTuple):
+    outer_extent: Vec3 = (100.0, 40.0, 20.0)
+    effective_extent: Vec3 = (90.0, 30.0, 5.0)
+    geofence_margin: float = 1.0
+
+
+class Arena(_ArenaFields):
     """Axis-aligned arena volume with an inner effective search volume.
 
     The effective volume is centered horizontally inside the outer volume
     and sits on the ground (z from 0 to the effective height).
     """
 
-    outer_extent: Vec3 = (100.0, 40.0, 20.0)
-    effective_extent: Vec3 = (90.0, 30.0, 5.0)
-    geofence_margin: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for axis in range(3):
             if self.outer_extent[axis] <= 0 or self.effective_extent[axis] <= 0:
                 raise ValueError("arena extents must be strictly positive")
@@ -46,6 +53,10 @@ class Arena:
                 raise ValueError("effective extent must fit inside outer extent")
         if self.geofence_margin < 0:
             raise ValueError("geofence_margin must be non-negative")
+        return self
+
+    def _replace(self, **changes):
+        return Arena(*super()._replace(**changes))
 
     @property
     def effective_min(self) -> Vec3:
@@ -71,8 +82,7 @@ class Arena:
         return (lo[0], lo[1], hi[0], hi[1])
 
 
-@dataclass(frozen=True)
-class BalloonParams:
+class BalloonParams(NamedTuple):
     """Physical and sway parameters shared by all sampled balloons."""
 
     pole_height: float = 2.0
@@ -82,40 +92,55 @@ class BalloonParams:
     sway_frequency: float = 0.2
 
 
-@dataclass(frozen=True)
+_BALLOON_INIT = (
+    "id", "anchor", "tether_length", "diameter", "sway_amplitude",
+    "sway_frequency", "sway_phase", "sway_azimuth",
+)
+_balloon_key = attrgetter(*_BALLOON_INIT)
+
+
 class Balloon:
     """A balloon's fixed description: tether anchor, size and sway.
 
     Whether the balloon is still alive and where its center is at the
-    current time live in ``WorldState.centers``, not here.
+    current time live in ``WorldState.centers``, not here.  Two balloons
+    are equal when their constructor arguments are.
     """
 
-    id: int
-    anchor: Vec3
-    tether_length: float = 1.0
-    diameter: float = 0.45
-    sway_amplitude: float = 0.1
-    sway_frequency: float = 0.2
-    sway_phase: float = 0.0
-    sway_azimuth: float = 0.0
-    # Sway constants, computed once per balloon: the angular frequency
-    # (2 pi) * frequency and the direction cosines of the swing plane.
-    sway_omega: float = field(init=False, repr=False, compare=False)
-    sway_cos: float = field(init=False, repr=False, compare=False)
-    sway_sin: float = field(init=False, repr=False, compare=False)
+    __slots__ = _BALLOON_INIT + ("sway_omega", "sway_cos", "sway_sin")
 
-    def __post_init__(self) -> None:
-        if self.diameter <= 0:
+    def __init__(
+        self, id: int, anchor: Vec3, tether_length: float = 1.0,
+        diameter: float = 0.45, sway_amplitude: float = 0.1,
+        sway_frequency: float = 0.2, sway_phase: float = 0.0,
+        sway_azimuth: float = 0.0,
+    ) -> None:
+        if diameter <= 0:
             raise ValueError("balloon diameter must be positive")
-        if not 0.0 <= self.sway_amplitude < math.pi / 2:
+        if not 0.0 <= sway_amplitude < math.pi / 2:
             raise ValueError("sway_amplitude must be in [0, pi/2)")
-        if self.anchor[2] + self.tether_length > MAX_BALLOON_HEIGHT_M:
+        if anchor[2] + tether_length > MAX_BALLOON_HEIGHT_M:
             raise ValueError(
                 f"balloon center would exceed {MAX_BALLOON_HEIGHT_M} m height"
             )
-        object.__setattr__(self, "sway_omega", 2.0 * math.pi * self.sway_frequency)
-        object.__setattr__(self, "sway_cos", math.cos(self.sway_azimuth))
-        object.__setattr__(self, "sway_sin", math.sin(self.sway_azimuth))
+        self.id = id
+        self.anchor = anchor
+        self.tether_length = tether_length
+        self.diameter = diameter
+        self.sway_amplitude = sway_amplitude
+        self.sway_frequency = sway_frequency
+        self.sway_phase = sway_phase
+        self.sway_azimuth = sway_azimuth
+        # Sway constants, computed once per balloon: the angular frequency
+        # (2 pi) * frequency and the direction cosines of the swing plane.
+        self.sway_omega = 2.0 * math.pi * sway_frequency
+        self.sway_cos = math.cos(sway_azimuth)
+        self.sway_sin = math.sin(sway_azimuth)
+
+    def __eq__(self, other):
+        if type(other) is not Balloon:
+            return NotImplemented
+        return _balloon_key(self) == _balloon_key(other)
 
     @property
     def radius(self) -> float:

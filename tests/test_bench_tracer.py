@@ -36,7 +36,7 @@ def test_tracer_counts_calls_through_every_site(tmp_path):
     tracer_mod = _tracer_module()
     s = load_scenario(ROOT / "scenarios" / "fleet3.cfg")
     # Past the scripted failure at 120 s, so the replan runs too.
-    s = replace(s, seed=0, sim=replace(s.sim, duration_limit=130.0))
+    s = replace(s, seed=0, sim=s.sim._replace(duration_limit=130.0))
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:

@@ -74,7 +74,7 @@ def _scenario(case: str):
     name, seed = case.rsplit("-", 1)
     if name == "fleet3":
         s = load_scenario(SCENARIOS / "fleet3.cfg")
-        s = replace(s, sim=replace(s.sim, duration_limit=FLEET3_DURATION_S))
+        s = replace(s, sim=s.sim._replace(duration_limit=FLEET3_DURATION_S))
     else:
         s = load_scenario(SCENARIOS / "default.cfg")
         if name == "default-zero-noise":
@@ -192,7 +192,7 @@ def test_streamed_log_crosses_chunks_or_stays_within_one(tmp_path):
     one.  A streamed run returns no records of its own."""
     assert len(_run("fleet3-0").events) > 3 * LOG_CHUNK_RECORDS
     s = _scenario("default-0")
-    s = replace(s, sim=replace(s.sim, duration_limit=3.0))
+    s = replace(s, sim=s.sim._replace(duration_limit=3.0))
     in_memory = run_simulation(s).events
     assert 0 < len(in_memory) < LOG_CHUNK_RECORDS
     path = tmp_path / "events.jsonl"
@@ -280,3 +280,36 @@ def test_a_run_and_a_serial_sweep_leave_the_process_pool_unimported():
     out = _python("-c", script)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_importing_bhsim_builds_only_two_dataclasses():
+    # Building a dataclass generates and compiles its methods, which
+    # costs every fresh process (a CLI run, a pool worker) before tick 0.
+    # Only ``Scenario`` (``dataclasses.replace`` works on it) and
+    # ``RunMetrics`` are dataclasses; every other record is a NamedTuple
+    # or a ``__slots__`` class.
+    script = (
+        "import dataclasses\n"
+        "built = []\n"
+        "real = dataclasses._process_class\n"
+        "def counting(cls, *args, **kwargs):\n"
+        "    built.append(f'{cls.__module__}.{cls.__qualname__}')\n"
+        "    return real(cls, *args, **kwargs)\n"
+        "dataclasses._process_class = counting\n"
+        "from bhsim import events, scenario, sim\n"
+        "print(*sorted(b for b in built if b.startswith('bhsim.')))\n"
+    )
+    out = _python("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["bhsim.scenario.Scenario", "bhsim.sim.RunMetrics"]
+
+
+def test_no_module_postpones_its_annotations():
+    # Postponed annotations are strings, which every NamedTuple field and
+    # dataclass field then has to process at import.
+    src = Path(__file__).resolve().parents[1] / "src" / "bhsim"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 13
+    for path in modules:
+        text = path.read_text(encoding="utf-8")
+        assert "from __future__ import annotations" not in text, path.name

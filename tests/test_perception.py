@@ -318,5 +318,5 @@ def test_tracker_measurement_type_excludes_truth(monkeypatch):
 
     monkeypatch.setattr(sim, "step_tracker", recording)
     s = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "default.cfg")
-    sim.run_simulation(replace(s, sim=replace(s.sim, duration_limit=5.0)))
+    sim.run_simulation(replace(s, sim=s.sim._replace(duration_limit=5.0)))
     assert seen == {BoxMeasurement}

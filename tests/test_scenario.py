@@ -298,14 +298,18 @@ def test_v_approach_lands_in_mission_params():
 
 
 def _leaf_fields(config, prefix=""):
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if not f.init:  # worked out from the other fields, not set
-            continue
-        if is_dataclass(value):
-            yield from _leaf_fields(value, f"{prefix}{f.name}.")
+    # ``Scenario`` is a dataclass and its sections are NamedTuples.
+    if is_dataclass(config):
+        # a field not set in __init__ is worked out from the others
+        names = [f.name for f in fields(config) if f.init]
+    else:
+        names = config._fields
+    for name in names:
+        value = getattr(config, name)
+        if is_dataclass(value) or hasattr(value, "_fields"):
+            yield from _leaf_fields(value, f"{prefix}{name}.")
         else:
-            yield prefix + f.name
+            yield prefix + name
 
 
 def test_every_config_field_is_filled_by_exactly_one_key():

@@ -137,7 +137,7 @@ def _cut(scenario):
     if scenario.balloons.count > MANY_BALLOONS:
         ticks //= 10
     duration = min(sim.duration_limit, ticks / sim.tick_rate)
-    return replace(scenario, sim=replace(sim, duration_limit=duration))
+    return replace(scenario, sim=sim._replace(duration_limit=duration))
 
 
 def test_every_generator_covers_its_key():

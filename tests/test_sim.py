@@ -237,7 +237,7 @@ def test_plan_cells_repartition_conserves_area():
 def test_fleet3_final_cells_match_plan_cells():
     # Agent 1 fails at t=120 s; the run must end on the survivors' plan.
     s = load_scenario(SCENARIOS / "fleet3.cfg")
-    s = replace(s, sim=replace(s.sim, duration_limit=125.0))
+    s = replace(s, sim=s.sim._replace(duration_limit=125.0))
     out = run_simulation(s)
     assert out.cells == plan_cells(s, [0, 2])[0]
 
@@ -355,9 +355,14 @@ def test_cli_sweep_error_rows_exit_2(tmp_path, capsys):
     assert "2 run(s) failed" in captured.err
 
 
-@pytest.mark.parametrize("jobs, seeds, workers", [(5000, 2, 2), (3, 5, 3), (2, 2, 2)])
+@pytest.mark.parametrize(
+    "jobs, seeds, workers",
+    [(5000, 2, 2), (3, 5, 3), (2, 2, 2), (5000, 6, 4), (8, 10, 4)],
+)
 def test_sweep_pool_has_no_more_workers_than_runs(monkeypatch, jobs, seeds, workers):
-    # A fake executor records the pool size; no process is started.
+    # A fake executor records the pool size; no process is started.  The
+    # process may use 4 CPUs here, and the pool is no larger than that.
+    monkeypatch.setattr("bhsim.sim._usable_cpus", lambda: 4)
     sizes = []
 
     class RecordingPool:
@@ -907,7 +912,7 @@ def test_measured_tracks_are_ranged_and_coasting_tracks_keep_their_range(
     # measured this frame (misses == 0) is ranged from it; a coasting
     # track keeps the range of the frame that last measured it.
     s = default_scenario(seed=0)
-    s = replace(s, sim=replace(s.sim, duration_limit=20.0))
+    s = replace(s, sim=s.sim._replace(duration_limit=20.0))
     focal, diameter = s.camera.focal_px, s.balloons.params.diameter
     ticks = []
     original = bhsim.sim.step_mission

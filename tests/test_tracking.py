@@ -2,7 +2,6 @@ import copy
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,8 +87,7 @@ def _filter_against_reference(n_tracks=200, n_cycles=40, seed=7):
     """Yield (track, reference x, reference P) after every predict/update."""
     rng = np.random.default_rng(seed)
     for tid in range(n_tracks):
-        params = replace(
-            PARAMS,
+        params = PARAMS._replace(
             q_diag=tuple(rng.uniform(0.01, 5.0, 6).tolist()),
             r_diag=tuple(rng.uniform(0.5, 20.0, 4).tolist()),
             p0_diag=tuple(rng.uniform(1.0, 200.0, 6).tolist()),
@@ -139,9 +137,8 @@ def test_predict_zero_velocity_keeps_center_and_grows_covariance():
 
 
 def test_predict_shifts_center_by_velocity():
-    t = replace(
-        new_track(1, _meas(cx=10.0), PARAMS), x=(10.0, 50.0, 30.0, 30.0, 2.0, 0.0)
-    )
+    t = new_track(1, _meas(cx=10.0), PARAMS)
+    t.x = (10.0, 50.0, 30.0, 30.0, 2.0, 0.0)
     out = kf_predict(t, PARAMS)
     assert out.x[0] == pytest.approx(12.0)
 
@@ -157,10 +154,8 @@ def test_update_scalar_gain_half():
     # Oracle: hand-computed scalar Kalman update, prior var 4 and R 4
     # give gain 0.5, so the posterior mean lands halfway.
     params = TrackerParams(r_diag=(4.0, 4.0, 8.0, 8.0))
-    t = replace(
-        new_track(1, _meas(cx=0.0), params),
-        px=(4.0, 0.0, 100.0), py=(4.0, 0.0, 100.0), pw=8.0, ph=8.0,
-    )
+    t = new_track(1, _meas(cx=0.0), params)
+    t.px, t.py, t.pw, t.ph = (4.0, 0.0, 100.0), (4.0, 0.0, 100.0), 8.0, 8.0
     assert (_P(t) == np.diag([4.0, 4.0, 8.0, 8.0, 100.0, 100.0])).all()
     out = kf_update(t, _meas(cx=10.0), params)
     assert out.x[0] == pytest.approx(5.0, abs=1e-12)
