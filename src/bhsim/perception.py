@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from .rng import Stream
 from .vehicle import UavState, heading, world_to_camera
-from .world import WorldState
+from .world import Checked, WorldState
 
 Vec3 = tuple[float, float, float]
 
@@ -33,19 +33,14 @@ class _CameraFields(NamedTuple):
     height_px: float = 720.0
 
 
-class CameraIntrinsics(_CameraFields):
+class CameraIntrinsics(Checked, _CameraFields):
     """Pinhole camera: focal length and image size in pixels."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.focal_px <= 0:
             raise ValueError("focal length must be positive")
-        return self
-
-    def _replace(self, **changes):
-        return CameraIntrinsics(*super()._replace(**changes))
 
     @property
     def principal(self) -> tuple[float, float]:
@@ -77,13 +72,12 @@ class _NoiseFields(NamedTuple):
     confidence_floor: float = 0.1
 
 
-class NoiseModel(_NoiseFields):
+class NoiseModel(Checked, _NoiseFields):
     """Detector noise: box jitter, miss probability, false alarms, confidence."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not 0.0 <= self.p_miss_base <= 1.0:
             raise ValueError("p_miss_base must be a probability")
         if not 0.0 <= self.confidence_floor <= 1.0:
@@ -91,10 +85,6 @@ class NoiseModel(_NoiseFields):
         if min(self.center_sigma, self.size_sigma_frac, self.p_miss_range_scale,
                self.false_alarm_rate) < 0:
             raise ValueError("noise rates must be non-negative")
-        return self
-
-    def _replace(self, **changes):
-        return NoiseModel(*super()._replace(**changes))
 
 
 ZERO_NOISE = NoiseModel(

@@ -150,12 +150,13 @@ class Key(NamedTuple):
     ``[0, pi/2)``, or ``[1, 16]`` for an integer range.  Every number in
     a value (each coordinate of a vector, each agent id and time of a
     failure script) must lie in it.  ``field`` is the dotted path of the
-    ``Scenario`` field the value fills.
+    ``Scenario`` field the value fills; ``SCHEMA`` sets an empty one to
+    the key itself.
     """
 
     parse: Callable[[str], object]
     domain: str
-    field: str
+    field: str = ""
 
     @property
     def ends(self) -> tuple[float, float]:
@@ -170,12 +171,12 @@ class Key(NamedTuple):
 
 
 SCHEMA: dict[str, Key] = {
-    "seed": Key(_parse_int, "(-inf, inf)", "seed"),
-    "arena.outer_extent": Key(_parse_vec3, "(0, 1000]", "arena.outer_extent"),
-    "arena.effective_extent": Key(_parse_vec3, "(0, 1000]", "arena.effective_extent"),
-    "arena.geofence_margin": Key(_parse_float, "[0, 1000]", "arena.geofence_margin"),
-    "balloons.count": Key(_parse_int, f"[0, {MAX_BALLOONS}]", "balloons.count"),
-    "balloons.min_sep": Key(_parse_float, "[0, 1000]", "balloons.min_sep"),
+    "seed": Key(_parse_int, "(-inf, inf)"),
+    "arena.outer_extent": Key(_parse_vec3, "(0, 1000]"),
+    "arena.effective_extent": Key(_parse_vec3, "(0, 1000]"),
+    "arena.geofence_margin": Key(_parse_float, "[0, 1000]"),
+    "balloons.count": Key(_parse_int, f"[0, {MAX_BALLOONS}]"),
+    "balloons.min_sep": Key(_parse_float, "[0, 1000]"),
     "balloons.diameter": Key(_parse_float, "(0, 5]", "balloons.params.diameter"),
     "balloons.pole_height": Key(_parse_float, "[0, 5]", "balloons.params.pole_height"),
     "balloons.tether_length": Key(
@@ -187,63 +188,50 @@ SCHEMA: dict[str, Key] = {
     "balloons.sway_frequency": Key(
         _parse_float, "[0, 10]", "balloons.params.sway_frequency"
     ),
-    "balloons.anchors": Key(_parse_vec3_list, "[0, 1000]", "balloons.anchors"),
-    "camera.focal_px": Key(_parse_float, "[1, 10000]", "camera.focal_px"),
-    "camera.width_px": Key(_parse_float, "[1, 10000]", "camera.width_px"),
-    "camera.height_px": Key(_parse_float, "[1, 10000]", "camera.height_px"),
-    "noise.center_sigma": Key(_parse_float, "[0, 1000]", "noise.center_sigma"),
-    "noise.size_sigma_frac": Key(_parse_float, "[0, 1]", "noise.size_sigma_frac"),
-    "noise.p_miss_base": Key(_parse_float, "[0, 1]", "noise.p_miss_base"),
-    "noise.p_miss_range_scale": Key(
-        _parse_float, "[0, 1]", "noise.p_miss_range_scale"
-    ),
-    "noise.false_alarm_rate": Key(
-        _parse_float, f"[0, {MAX_FALSE_ALARM_RATE}]", "noise.false_alarm_rate"
-    ),
-    "noise.confidence_floor": Key(_parse_float, "[0, 1]", "noise.confidence_floor"),
-    "agents.count": Key(_parse_int, f"[1, {MAX_AGENTS}]", "agents.count"),
-    "agents.starts": Key(_parse_vec3_list, "(-inf, inf)", "agents.starts"),
-    "agents.start_yaw": Key(_parse_float, "(-inf, inf)", "agents.start_yaw"),
-    "vehicle.v_max": Key(_parse_float, "(0, 50]", "vehicle.v_max"),
+    "balloons.anchors": Key(_parse_vec3_list, "[0, 1000]"),
+    "camera.focal_px": Key(_parse_float, "[1, 10000]"),
+    "camera.width_px": Key(_parse_float, "[1, 10000]"),
+    "camera.height_px": Key(_parse_float, "[1, 10000]"),
+    "noise.center_sigma": Key(_parse_float, "[0, 1000]"),
+    "noise.size_sigma_frac": Key(_parse_float, "[0, 1]"),
+    "noise.p_miss_base": Key(_parse_float, "[0, 1]"),
+    "noise.p_miss_range_scale": Key(_parse_float, "[0, 1]"),
+    "noise.false_alarm_rate": Key(_parse_float, f"[0, {MAX_FALSE_ALARM_RATE}]"),
+    "noise.confidence_floor": Key(_parse_float, "[0, 1]"),
+    "agents.count": Key(_parse_int, f"[1, {MAX_AGENTS}]"),
+    "agents.starts": Key(_parse_vec3_list, "(-inf, inf)"),
+    "agents.start_yaw": Key(_parse_float, "(-inf, inf)"),
+    "vehicle.v_max": Key(_parse_float, "(0, 50]"),
     "vehicle.v_approach": Key(_parse_float, "(0, 50]", "mission.v_approach"),
-    "vehicle.tau": Key(_parse_float, "(0, 10]", "vehicle.tau"),
-    "vehicle.yaw_rate_max": Key(_parse_float, "(0, 10]", "vehicle.yaw_rate_max"),
-    "tracker.gate_px": Key(_parse_float, "(0, 10000]", "tracker.gate_px"),
-    "tracker.m_confirm": Key(_parse_int, "[1, 10]", "tracker.m_confirm"),
-    "tracker.k_delete": Key(_parse_int, "[1, 10]", "tracker.k_delete"),
-    "mission.m_commit": Key(_parse_int, "[1, 10]", "mission.m_commit"),
-    "mission.align_tol_px": Key(_parse_float, "(0, 10000]", "mission.align_tol_px"),
-    "mission.commit_range_max": Key(
-        _parse_float, "(0, 1000]", "mission.commit_range_max"
-    ),
-    "mission.d_standoff": Key(_parse_float, "(0, 1000]", "mission.d_standoff"),
-    "mission.t_confirm": Key(_parse_float, "[0, inf)", "mission.t_confirm"),
-    "mission.tip_reach": Key(_parse_float, "[0, 5]", "mission.tip_reach"),
-    "mission.lane_spacing": Key(_parse_float, "(0, 1000]", "mission.lane_spacing"),
-    "mission.search_altitude": Key(
-        _parse_float, "(0, 1000]", "mission.search_altitude"
-    ),
-    "mission.retry_limit": Key(_parse_int, "[0, 100]", "mission.retry_limit"),
-    "mission.wp_tolerance": Key(_parse_float, "(0, 1000]", "mission.wp_tolerance"),
-    "mission.wp_step": Key(_parse_float, "(0, 1000]", "mission.wp_step"),
-    "mission.wp_timeout": Key(_parse_float, "(0, inf)", "mission.wp_timeout"),
-    "mission.align_timeout": Key(_parse_float, "(0, inf)", "mission.align_timeout"),
-    "mission.approach_timeout": Key(
-        _parse_float, "(0, inf)", "mission.approach_timeout"
-    ),
-    "mission.approach_stall_timeout": Key(
-        _parse_float, "(0, inf)", "mission.approach_stall_timeout"
-    ),
-    "mission.revisit_timeout": Key(
-        _parse_float, "(0, inf)", "mission.revisit_timeout"
-    ),
-    "mission.yaw_gain": Key(_parse_float, "(0, 100]", "mission.yaw_gain"),
-    "fleet.claim_radius": Key(_parse_float, "(0, 1000]", "fleet.claim_radius"),
-    "fleet.min_sep": Key(_parse_float, "(0, 1000]", "fleet.min_sep"),
-    "fleet.failures": Key(_parse_failures, "[0, inf)", "fleet.failures"),
-    "sim.tick_rate": Key(_parse_float, "[1, 1000]", "sim.tick_rate"),
-    "sim.duration_limit": Key(_parse_float, "(0, inf)", "sim.duration_limit"),
+    "vehicle.tau": Key(_parse_float, "(0, 10]"),
+    "vehicle.yaw_rate_max": Key(_parse_float, "(0, 10]"),
+    "tracker.gate_px": Key(_parse_float, "(0, 10000]"),
+    "tracker.m_confirm": Key(_parse_int, "[1, 10]"),
+    "tracker.k_delete": Key(_parse_int, "[1, 10]"),
+    "mission.m_commit": Key(_parse_int, "[1, 10]"),
+    "mission.align_tol_px": Key(_parse_float, "(0, 10000]"),
+    "mission.commit_range_max": Key(_parse_float, "(0, 1000]"),
+    "mission.d_standoff": Key(_parse_float, "(0, 1000]"),
+    "mission.t_confirm": Key(_parse_float, "[0, inf)"),
+    "mission.tip_reach": Key(_parse_float, "[0, 5]"),
+    "mission.lane_spacing": Key(_parse_float, "(0, 1000]"),
+    "mission.search_altitude": Key(_parse_float, "(0, 1000]"),
+    "mission.retry_limit": Key(_parse_int, "[0, 100]"),
+    "mission.wp_tolerance": Key(_parse_float, "(0, 1000]"),
+    "mission.wp_step": Key(_parse_float, "(0, 1000]"),
+    "mission.wp_timeout": Key(_parse_float, "(0, inf)"),
+    "mission.align_timeout": Key(_parse_float, "(0, inf)"),
+    "mission.approach_timeout": Key(_parse_float, "(0, inf)"),
+    "mission.approach_stall_timeout": Key(_parse_float, "(0, inf)"),
+    "mission.revisit_timeout": Key(_parse_float, "(0, inf)"),
+    "mission.yaw_gain": Key(_parse_float, "(0, 100]"),
+    "fleet.claim_radius": Key(_parse_float, "(0, 1000]"),
+    "fleet.min_sep": Key(_parse_float, "(0, 1000]"),
+    "fleet.failures": Key(_parse_failures, "[0, inf)"),
+    "sim.tick_rate": Key(_parse_float, "[1, 1000]"),
+    "sim.duration_limit": Key(_parse_float, "(0, inf)"),
 }
+SCHEMA = {key: spec._replace(field=spec.field or key) for key, spec in SCHEMA.items()}
 
 
 def parse_scenario_text(text: str) -> Scenario:
@@ -330,11 +318,20 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         )
     if v["vehicle.v_approach"] > v["vehicle.v_max"]:
         raise ValidationError("vehicle.v_approach", "must be at most vehicle.v_max")
-    outer, effective = v["arena.outer_extent"], v["arena.effective_extent"]
-    if any(e > o for e, o in zip(effective, outer)):
-        raise ValidationError(
-            "arena.effective_extent", "must fit inside arena.outer_extent"
-        )
+    tree: dict = {}
+    for key, spec in SCHEMA.items():
+        *sections, name = spec.field.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = v[key]
+    try:
+        arena = tree["arena"] = _fill(_DEFAULTS.arena, tree["arena"])
+        fence = geofence_from_arena(arena)
+    except ValueError as exc:
+        # an extent that does not fit inside the outer one, or is too
+        # small to move its own coordinates (1e-300 at 50 m)
+        raise ValidationError("arena.effective_extent", str(exc)) from None
     anchors = v["balloons.anchors"]
     bases = [v["balloons.pole_height"]] if anchors is None else [a[2] for a in anchors]
     if any(z + v["balloons.tether_length"] > MAX_BALLOON_HEIGHT_M for z in bases):
@@ -347,37 +344,25 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         if agent_id >= n_agents:
             raise ValidationError("fleet.failures", f"unknown agent {agent_id}")
 
-    tree: dict = {}
-    for key, spec in SCHEMA.items():
-        *sections, name = spec.field.split(".")
-        node = tree
-        for section in sections:
-            node = node.setdefault(section, {})
-        node[name] = v[key]
-    arena = tree["arena"] = _fill(_DEFAULTS.arena, tree["arena"])
-
-    starts = v["agents.starts"] or _default_starts(
-        arena, n_agents, v["mission.search_altitude"]
-    )
+    starts = v["agents.starts"]
+    height_key = spread_key = "agents.starts"
+    if not starts:
+        # Worked-out starts sit at search altitude across the effective
+        # extent, so their errors name those keys.
+        starts = _default_starts(arena, n_agents, v["mission.search_altitude"])
+        height_key, spread_key = "mission.search_altitude", "arena.effective_extent"
     if len(starts) != n_agents:
         raise ValidationError(
             "agents.starts", f"expected {n_agents} start positions, got {len(starts)}"
         )
-    try:
-        fence = geofence_from_arena(arena)
-    except ValueError as exc:
-        # an extent too small to move its own coordinates (1e-300 at 50 m)
-        raise ValidationError("arena.effective_extent", str(exc)) from None
     for i, s in enumerate(starts):
         if not fence.contains(s):
-            raise ValidationError(
-                "agents.starts", f"agent {i} start {s} outside geofence"
-            )
+            raise ValidationError(height_key, f"agent {i} start {s} outside geofence")
     for i in range(len(starts)):
         for j in range(i + 1, len(starts)):
             if math.dist(starts[i][:2], starts[j][:2]) < 1e-6:
                 raise ValidationError(
-                    "agents.starts", f"agents {i} and {j} share a start position"
+                    spread_key, f"agents {i} and {j} share a start position"
                 )
     tree["agents"]["starts"] = starts
     return _fill(_DEFAULTS, tree)

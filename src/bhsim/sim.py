@@ -1,8 +1,9 @@
 """Deterministic tick loop, seed sweeps, metrics, and run bookkeeping.
 
-A run is a pipeline of stages over one ``_Run`` state.  ``run_simulation``
-sets it up, makes the start-up plan (``_plan``) and then calls the
-stages in this order every tick:
+A run is a pipeline of stages over one ``_Run`` state, which sets itself
+up from the scenario: world, geofence, mission context, separation radii
+and agents.  ``run_simulation`` builds it, makes the start-up plan
+(``_plan``) and then calls the stages in this order every tick:
 
 1. world: ``advance_world`` sways every alive balloon to time t;
 2. fleet: ``_step_fleet`` applies scripted failures and the replan they
@@ -69,16 +70,9 @@ from .perception import (
 from .rng import Stream, substream
 from .scenario import Scenario
 from .tracking import BoxMeasurement, Tracker, step_tracker
-from .vehicle import (
-    Geofence,
-    UavState,
-    clamp_to_geofence,
-    geofence_from_arena,
-    step_uav,
-)
+from .vehicle import UavState, clamp_to_geofence, geofence_from_arena, step_uav
 from .world import (
     Balloon,
-    WorldState,
     advance_world,
     make_balloon,
     make_world,
@@ -246,25 +240,53 @@ class _Run:
         "close_pairs",
     )
 
-    def __init__(
-        self, scenario: Scenario, dt: float, fence: Geofence, ctx: MissionContext,
-        hold_radius: float, strip_radius: float, reaches: tuple[float, ...],
-        world: WorldState, agents: list[_AgentRt],
-        pending_failures: list[tuple[int, float]], metrics: RunMetrics,
-        elog: _EventLog,
-    ) -> None:
+    def __init__(self, scenario: Scenario, elog: _EventLog) -> None:
+        seed = scenario.seed
+        self.dt = dt = 1.0 / scenario.sim.tick_rate
+        vp, mp, ap = scenario.vehicle, scenario.mission, scenario.agents
         self.scenario = scenario
-        self.dt = dt
-        self.fence = fence
-        self.ctx = ctx
-        self.hold_radius = hold_radius
-        self.strip_radius = strip_radius
+        self.world = make_world(_build_balloons(scenario, substream(seed, "layout")))
+        self.fence = geofence_from_arena(scenario.arena)
+        # Turning faster than the association gate can follow (pixel shift
+        # per frame beyond gate_px) would break tracks mid-turn; cap
+        # commanded yaw rates so the image never slews more than ~40% of
+        # the gate per frame.
+        yaw_rate_cap = min(
+            vp.yaw_rate_max,
+            0.4 * scenario.tracker.gate_px / (scenario.camera.focal_px * dt),
+        )
+        self.ctx = MissionContext(
+            params=mp,
+            focal_px=scenario.camera.focal_px,
+            v_search=vp.v_max,
+            yaw_rate_max=yaw_rate_cap,
+            volume_lo=scenario.arena.effective_min,
+            volume_hi=scenario.arena.effective_max,
+        )
+        # Separation triggers anticipate both the per-tick travel and the
+        # drift-through of the first order velocity lag (~v_max * tau) so
+        # the realized minimum distance stays above min_sep - v_max * dt.
+        lag_reach = vp.v_max * (dt + vp.tau)
+        self.hold_radius = scenario.fleet.min_sep + 2.0 * lag_reach
+        self.strip_radius = scenario.fleet.min_sep + 2.0 * vp.v_max * vp.tau
         # radius + tip_reach per balloon, as check_pop adds them
-        self.reaches = reaches
-        self.world = world
-        self.agents = agents
-        self.pending_failures = pending_failures
-        self.metrics = metrics
+        self.reaches = tuple([b.radius + mp.tip_reach for b in self.world.balloons])
+        # Agents start on an empty path; the start-up plan gives each its own.
+        unplanned = initial_mission_state(SearchPath(
+            waypoints=(), lane_spacing=mp.lane_spacing, altitude=mp.search_altitude
+        ))
+        self.agents = [
+            _AgentRt(
+                id=i,
+                uav=UavState(id=i, position=ap.starts[i], yaw=ap.start_yaw),
+                tracker=Tracker(params=scenario.tracker),
+                mission=unplanned,
+                rng=substream(seed, f"perception.{i}"),
+            )
+            for i in range(ap.count)
+        ]
+        self.pending_failures = list(scenario.fleet.failures)
+        self.metrics = RunMetrics(seed=seed, balloons_total=scenario.balloons.count)
         self.elog = elog
         self.claims = ClaimTable()
         self.cells: list[PartitionCell] = []
@@ -604,62 +626,14 @@ def run_simulation(
 
 def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
     """The run itself: set-up, the tick loop and the metrics."""
-    seed = scenario.seed
-    dt = 1.0 / scenario.sim.tick_rate
-    vp, mp, ap = scenario.vehicle, scenario.mission, scenario.agents
-    world = make_world(_build_balloons(scenario, substream(seed, "layout")))
-    # Turning faster than the association gate can follow (pixel shift per
-    # frame beyond gate_px) would break tracks mid-turn; cap commanded yaw
-    # rates so the image never slews more than ~40% of the gate per frame.
-    yaw_rate_cap = min(
-        vp.yaw_rate_max,
-        0.4 * scenario.tracker.gate_px / (scenario.camera.focal_px * dt),
-    )
-    # Separation triggers anticipate both the per-tick travel and the
-    # drift-through of the first order velocity lag (~v_max * tau) so the
-    # realized minimum distance stays above min_sep - v_max * dt.
-    lag_reach = vp.v_max * (dt + vp.tau)
-    # Agents start on an empty path; the start-up plan gives each its own.
-    unplanned = initial_mission_state(SearchPath(
-        waypoints=(), lane_spacing=mp.lane_spacing, altitude=mp.search_altitude
-    ))
-    run = _Run(
-        scenario=scenario,
-        dt=dt,
-        fence=geofence_from_arena(scenario.arena),
-        ctx=MissionContext(
-            params=mp,
-            focal_px=scenario.camera.focal_px,
-            v_search=vp.v_max,
-            yaw_rate_max=yaw_rate_cap,
-            volume_lo=scenario.arena.effective_min,
-            volume_hi=scenario.arena.effective_max,
-        ),
-        hold_radius=scenario.fleet.min_sep + 2.0 * lag_reach,
-        strip_radius=scenario.fleet.min_sep + 2.0 * vp.v_max * vp.tau,
-        reaches=tuple([b.radius + mp.tip_reach for b in world.balloons]),
-        world=world,
-        agents=[
-            _AgentRt(
-                id=i,
-                uav=UavState(id=i, position=ap.starts[i], yaw=ap.start_yaw),
-                tracker=Tracker(params=scenario.tracker),
-                mission=unplanned,
-                rng=substream(seed, f"perception.{i}"),
-            )
-            for i in range(ap.count)
-        ],
-        pending_failures=list(scenario.fleet.failures),
-        metrics=RunMetrics(seed=seed, balloons_total=scenario.balloons.count),
-        elog=elog,
-    )
+    run = _Run(scenario, elog)
     _plan(run, 0.0)
     streamed = elog.file is not None
 
     frame = 0
     last_time = -1.0
     while True:
-        t = frame * dt
+        t = frame * run.dt
         if t >= scenario.sim.duration_limit or run.world.alive_count == 0:
             break
         if t <= last_time:

@@ -23,6 +23,8 @@ level, so the body-to-vehicle rotation is yaw only.
 import math
 from typing import NamedTuple
 
+from .world import Checked
+
 Vec3 = tuple[float, float, float]
 
 
@@ -51,19 +53,14 @@ class _GeofenceFields(NamedTuple):
     hi: Vec3
 
 
-class Geofence(_GeofenceFields):
+class Geofence(Checked, _GeofenceFields):
     """Axis-aligned box the vehicle must never leave (world frame)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if any(self.lo[i] >= self.hi[i] for i in range(3)):
             raise ValueError("geofence min must be strictly below max")
-        return self
-
-    def _replace(self, **changes):
-        return Geofence(*super()._replace(**changes))
 
     def contains(self, p: Vec3) -> bool:
         lo, hi = self.lo, self.hi

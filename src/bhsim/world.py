@@ -5,9 +5,9 @@ the ground plane.  Balloons are tethered above pole tops and swing as
 planar pendulums with a fixed, per-balloon wind azimuth.
 
 ``Arena`` and ``BalloonParams`` are immutable ``NamedTuple``s; ``Arena``
-checks its fields when it is built or ``_replace``d.  A ``Balloon`` is a
-``__slots__`` record that checks its arguments and works out its sway
-constants once, when it is built.
+is ``Checked``: it checks its fields when it is built or copied.  A
+``Balloon`` is a ``__slots__`` record that checks its arguments and works
+out its sway constants once, when it is built.
 """
 
 import math
@@ -29,13 +29,35 @@ class UnknownBalloon(KeyError):
     """Operation referenced a balloon id that does not exist."""
 
 
+class Checked:
+    """Base of a NamedTuple record that checks its fields with ``_check``.
+
+    Put first among the bases, before the NamedTuple of the fields.  A
+    NamedTuple's own copies (``_replace``, and ``__replace__`` for
+    ``copy.replace`` from Python 3.13) skip ``__new__``; these rebuild
+    through it, so every copy is checked too.  ``_make`` does not check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _replace(self, **changes):
+        return type(self)(*super()._replace(**changes))
+
+    __replace__ = _replace
+
+
 class _ArenaFields(NamedTuple):
     outer_extent: Vec3 = (100.0, 40.0, 20.0)
     effective_extent: Vec3 = (90.0, 30.0, 5.0)
     geofence_margin: float = 1.0
 
 
-class Arena(_ArenaFields):
+class Arena(Checked, _ArenaFields):
     """Axis-aligned arena volume with an inner effective search volume.
 
     The effective volume is centered horizontally inside the outer volume
@@ -44,8 +66,7 @@ class Arena(_ArenaFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         for axis in range(3):
             if self.outer_extent[axis] <= 0 or self.effective_extent[axis] <= 0:
                 raise ValueError("arena extents must be strictly positive")
@@ -53,10 +74,6 @@ class Arena(_ArenaFields):
                 raise ValueError("effective extent must fit inside outer extent")
         if self.geofence_margin < 0:
             raise ValueError("geofence_margin must be non-negative")
-        return self
-
-    def _replace(self, **changes):
-        return Arena(*super()._replace(**changes))
 
     @property
     def effective_min(self) -> Vec3:

@@ -1,13 +1,16 @@
 """Records keep their checks and their immutability.
 
 The configuration records are NamedTuples; ``Arena``, ``NoiseModel``,
-``CameraIntrinsics`` and ``Geofence`` check their fields when built and
-when ``_replace``d.  ``Balloon`` and ``PixelTarget`` are ``__slots__``
-classes that check their arguments when built.
+``CameraIntrinsics`` and ``Geofence`` check their fields when built, when
+``_replace``d and, from Python 3.13, when copied by ``copy.replace``.
+``Balloon`` and ``PixelTarget`` are ``__slots__`` classes that check
+their arguments when built.
 """
 
+import copy
 import math
 import pickle
+import sys
 from dataclasses import fields
 
 import pytest
@@ -50,6 +53,16 @@ def test_checked_records_reject_bad_fields_when_replaced(cls, valid, bad, messag
         record._replace(**bad)
 
 
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is 3.13+")
+@pytest.mark.parametrize("cls, valid, bad, message", INVALID, ids=INVALID_IDS)
+def test_checked_records_reject_bad_fields_when_copy_replaced(
+    cls, valid, bad, message
+):
+    record = cls(**valid)
+    with pytest.raises(ValueError, match=message):
+        copy.replace(record, **bad)
+
+
 @pytest.mark.parametrize("cls", sorted(NAMED_TUPLE_CHECKED, key=lambda c: c.__name__))
 def test_checked_records_replace_builds_their_own_type(cls):
     record = cls(**(FENCE if cls is Geofence else {}))
@@ -57,6 +70,8 @@ def test_checked_records_replace_builds_their_own_type(cls):
     value = getattr(record, name)
     changed = record._replace(**{name: value})
     assert type(changed) is cls and changed == record
+    if sys.version_info >= (3, 13):
+        assert type(copy.replace(record, **{name: value})) is cls
     assert type(pickle.loads(pickle.dumps(record))) is cls
 
 

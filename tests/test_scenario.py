@@ -87,6 +87,23 @@ def test_zero_tick_rate_rejected_naming_key():
             "arena.effective_extent",
             id="no-geofence-width",
         ),
+        pytest.param(
+            "arena.effective_extent = 120, 30, 5\n",
+            "arena.effective_extent",
+            id="effective-wider-than-outer",
+        ),
+        # Worked-out starts at the 4 m search altitude, above a 2 m + 1 m
+        # fence, or 16 of them along a 1e-5 m wide footprint, 6e-7 m apart.
+        pytest.param(
+            "arena.effective_extent = 90, 30, 2\n",
+            "mission.search_altitude",
+            id="default-start-above-fence",
+        ),
+        pytest.param(
+            "agents.count = 16\narena.effective_extent = 1e-5, 30, 5\n",
+            "arena.effective_extent",
+            id="default-starts-coincide",
+        ),
     ],
 )
 def test_values_a_run_cannot_use_are_rejected_naming_key(text, key):
