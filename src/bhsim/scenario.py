@@ -301,6 +301,8 @@ def build_scenario(values: dict[str, object]) -> Scenario:
     if "balloons.anchors" in values:
         values["balloons.count"] = len(values["balloons.anchors"])
     if "agents.starts" in values:
+        if not values["agents.starts"]:
+            raise ValidationError("agents.starts", "lists no start position")
         values.setdefault("agents.count", len(values["agents.starts"]))
     for key, value in values.items():
         spec = SCHEMA[key]

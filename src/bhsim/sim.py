@@ -20,18 +20,19 @@ all randomness flows from named substreams of the scenario seed, so a
 run is a pure function of (scenario, seed).  Stages emit records to the
 event log but never read it back.
 
-A run keeps its records in the compact form of ``events``: a tuple of
-fields for each ``detection`` and ``track`` record, the finished line
-for every other kind.  Without a log path it keeps them all, and
-``RunResult.events`` reads them as record dicts.  Given a log path, a
-run writes its event log while it runs: at the end of each tick that
-leaves ``LOG_CHUNK_RECORDS`` or more records pending, so memory stays
-bounded however long the run.  A run that raises ends that log with one
-``error`` record.
+A run keeps its records in the compact form of ``events``: a row of
+fixed width per record in one byte buffer, and the finished line of
+each record that is neither a ``detection`` nor a ``track``.  Without a
+log path it keeps them all, and ``RunResult.events`` reads them as
+record dicts.  Given a log path, a run writes its event log while it
+runs: at the end of each tick that leaves ``LOG_CHUNK_RECORDS`` or more
+records pending, so memory stays bounded however long the run.  A run
+that raises ends that log with one ``error`` record.
 """
 
 import math
 import os
+import struct
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
@@ -184,13 +185,13 @@ class _EventLog:
 
     Each record is checked as it is emitted: one with a NaN or an
     infinity raises ``NumericalFailure``, and the log is left as it was.
-    ``records`` holds each record in its compact form (see ``events``).
-    Without a file it keeps every record.  With one, it holds the records
-    not yet written, and ``write`` prints them to the file.
+    ``rows`` holds an ``events.ROW`` per record, ``lines`` the finished
+    lines they point to.  Without a file the log keeps every record.
+    With one, it holds those not yet written, and ``write`` prints them.
     """
 
     def __init__(self, file: Optional[BinaryIO] = None) -> None:
-        self.records: list = []
+        self.rows, self.lines = bytearray(), []
         self.written = 0
         self.file = file
         # Time of the tick in progress (0.0 during set-up), for the error
@@ -200,11 +201,12 @@ class _EventLog:
     @property
     def seq(self) -> int:
         """The ``seq`` of the next record."""
-        return self.written + len(self.records)
+        return self.written + len(self.rows) // ev.ROW.size
 
     def emit(self, t: float, agent: Optional[int], kind: str, data: dict) -> None:
-        record = ev.make_event(self.seq, t, agent, kind, data)
-        self.records.append(ev.finite_line(record))
+        line = ev.finite_line(ev.make_event(self.seq, t, agent, kind, data))
+        self.rows += ev.line_row(len(self.lines))
+        self.lines.append(line)
 
     def detection(
         self, t: float, agent: int, cx: float, cy: float, w: float, h: float,
@@ -215,19 +217,26 @@ class _EventLog:
         s = t + cx + cy + w + h + conf
         if s - s != 0.0:
             ev.require_finite("detection", (t, cx, cy, w, h, conf))
-        self.records.append((t, agent, cx, cy, w, h, conf, truth))
+        try:
+            self.rows += ev.detection_row(t, agent, cx, cy, w, h, conf, truth)
+        except struct.error:  # an int the row cannot hold
+            data = ev.detection_data(cx, cy, w, h, conf, truth)
+            self.emit(t, agent, "detection", data)
 
     def track(self, t: float, agent: int, event: str, track_id: int) -> None:
         if t - t != 0.0:
             ev.require_finite("track", (t,))
-        self.records.append((t, agent, event, track_id))
+        try:
+            self.rows += ev.track_row(t, agent, event, track_id)
+        except struct.error:  # an int the row cannot hold
+            self.emit(t, agent, "track", {"event": event, "track_id": track_id})
 
     def write(self) -> None:
-        if self.records:
-            lines = ev.compact_lines(self.written, self.records)
+        if self.rows:
+            lines = ev.compact_lines(self.written, self.rows, self.lines)
             self.file.write(("\n".join(lines) + "\n").encode("utf-8"))
-            self.written += len(self.records)
-        self.records = []
+            self.written += len(lines)
+        self.rows, self.lines = bytearray(), []
 
 
 class _Run:
@@ -373,11 +382,12 @@ def _is_closing(v: Vec3, own: Vec3, other: Vec3) -> bool:
     return v[0] * ux + v[1] * uy + v[2] * uz > 1e-9
 
 
-def _try_claim(run: _Run, agent_id: int, estimate: Vec3, t: float) -> ClaimResult:
-    result = claim_target(
-        run.claims, agent_id, estimate, run.scenario.fleet.claim_radius
-    )
-    run.elog.emit(t, agent_id, "claim", {
+def _try_claim(
+    claims: ClaimTable, elog: _EventLog, radius: float, agent_id: int,
+    estimate: Vec3, t: float,
+) -> ClaimResult:
+    result = claim_target(claims, agent_id, estimate, radius)
+    elog.emit(t, agent_id, "claim", {
         "action": "grant" if result.granted else "deny",
         "claim_id": result.claim_id,
         "conflict_id": result.conflict_id,
@@ -386,9 +396,12 @@ def _try_claim(run: _Run, agent_id: int, estimate: Vec3, t: float) -> ClaimResul
     return result
 
 
-def _release(run: _Run, agent_id: int, claim_id: int, reason: str, t: float) -> None:
-    release_claim(run.claims, claim_id)
-    run.elog.emit(
+def _release(
+    claims: ClaimTable, elog: _EventLog, agent_id: int, claim_id: int, reason: str,
+    t: float,
+) -> None:
+    release_claim(claims, claim_id)
+    elog.emit(
         t, agent_id, "claim",
         {"action": "release", "claim_id": claim_id, "reason": reason},
     )
@@ -406,6 +419,7 @@ def _plan(run: _Run, t: float) -> None:
         return
     run.cells, paths = plan_cells(run.scenario, [a.id for a in run.live])
     radius = run.scenario.mission.lane_spacing / 2.0
+    claim_radius = run.scenario.fleet.claim_radius
     for agent, cell in zip(run.live, run.cells):
         path = _prune_path(paths[agent.id], run.covered, radius)
         agent.mission = agent.mission._replace(
@@ -414,10 +428,11 @@ def _plan(run: _Run, t: float) -> None:
             wp_started_at=t,
             visited=tuple(False for _ in path.waypoints),
         )
+        # Bound to the claims and the log: a run bound here would be a cycle.
         agent.view = FleetView(
-            claim_radius=run.scenario.fleet.claim_radius,
-            try_claim=partial(_try_claim, run, agent.id),
-            release=partial(_release, run, agent.id),
+            claim_radius=claim_radius,
+            try_claim=partial(_try_claim, run.claims, run.elog, claim_radius, agent.id),
+            release=partial(_release, run.claims, run.elog, agent.id),
             cell=cell.polygon,
         )
 
@@ -431,7 +446,7 @@ def _step_fleet(run: _Run, t: float) -> None:
             continue
         agent.failed = failed = True
         if agent.mission.target is not None:
-            _release(run, agent.id, agent.mission.target.claim_id, "abandoned", t)
+            agent.view.release(agent.mission.target.claim_id, "abandoned", t)
         run.elog.emit(t, agent.id, "failure", {"reason": "scripted"})
     if failed:
         _plan(run, t)
@@ -651,7 +666,7 @@ def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
             _act(run, agent, t, _decide(run, agent, t, declared))
         _pop(run, t)
         _audit(run, declared)
-        if streamed and len(elog.records) >= LOG_CHUNK_RECORDS:
+        if streamed and len(elog.rows) >= LOG_CHUNK_RECORDS * ev.ROW.size:
             elog.write()
         frame += 1
 
@@ -664,7 +679,7 @@ def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
     metrics.distance_flown = {a.id: a.distance for a in run.agents}
     return RunResult(
         metrics=metrics,
-        events=ev.EventView([] if streamed else elog.records),
+        events=ev.EventView() if streamed else ev.EventView(elog.rows, elog.lines),
         cells=run.cells,
     )
 

@@ -8,8 +8,9 @@ separators=(",", ":"))``, NaN and Infinity included.  A run prints its
 ``finite_line``; each must print ``emit_line``'s bytes for the record
 ``make_event`` builds, and a run must never print a non-finite float: it
 raises ``NumericalFailure`` when it emits one, in memory or streamed.
-A run keeps its records compact, and ``EventView`` reads them back as
-the dicts ``make_event`` builds.  The golden runs are checked in
+A run keeps its records as packed rows, built here through the run's
+own ``_EventLog``, and ``EventView`` reads them back as the dicts
+``make_event`` builds.  The golden runs are checked in
 ``test_golden.py``; this file covers hand-built records at the edges.
 """
 
@@ -260,53 +261,111 @@ def test_a_non_finite_record_raises_when_emitted(streamed, tmp_path):
         for method, args in bad_records:
             with pytest.raises(NumericalFailure, match="non-finite value"):
                 getattr(log, method)(*args)
-        assert log.seq == 2 and len(log.records) == 2
+        assert log.seq == 2 and len(log.rows) == 2 * events.ROW.size
+        assert log.lines == []
         if streamed:
             log.write()
     if streamed:
         assert len(path.read_text().splitlines()) == 2
 
 
+# (method of ``_EventLog``, its arguments), one record each, in order.
+COMPACT_RECORDS = (
+    ("detection", (0.0, 0, 12.5, -3.25, 40.0, 38.5, 0.912345, 3)),
+    ("detection", (0.0, 1, 1e22, -0.0, 5e-324, 0.1, 1 / 3, None)),
+    ("emit", (0.05, None, "phase", {"from": "search", "to": "align", "track_id": 1})),
+    ("track", (0.05, 0, "born", 4)),
+    ("track", (0.05, 2, "died", 2**63)),
+    ("detection", (0.1, 1, 1.5, 2.5, 3.5, 4.5, 0.5, 2**63)),
+    ("detection", (0.1, 2, 1.5, 2.5, 3.5, 4.5, 0.5, -(2**63) - 1)),
+    ("detection", (0.1, 0, 1.5, 2.5, 3.5, 4.5, 0.5, -(2**63))),
+    ("track", (0.1, 1, "coasted", 2**63 - 1)),
+    ("track", (0.15, 0, "confirmed", 0)),
+    ("detection", (0.15, 0, -1e-7, 1e16, 2.2250738585072014e-308, 1.0, 1.0, 0)),
+    ("emit", (0.15, 1, "claim", {"action": "grant", "estimate": [0.5, -2.0, 1e22]})),
+)
+# The seqs of the records above whose ints the row cannot hold, kept as
+# their finished lines as the two ``emit`` records are.
+LINE_SEQS = {2, 4, 5, 6, 11}
+
+
 def _compact_log():
-    """Compact records of every form, and the dicts they stand for."""
-    phase = make_event(2, 0.05, None, "phase",
-                       {"from": "search", "to": "align", "track_id": 1})
-    records = [
-        (0.0, 0, 12.5, -3.25, 40.0, 38.5, 0.912345, 3),
-        (0.0, 1, 1e22, -0.0, 5e-324, 0.1, 1 / 3, None),
-        events.finite_line(phase),
-        (0.05, 0, "born", 4),
-        (0.05, 2, "died", 2**63),
-    ]
-    dicts = [
-        make_event(0, 0.0, 0, "detection", {"cx": 12.5, "cy": -3.25, "w": 40.0,
-                                            "h": 38.5, "conf": 0.912345, "truth": 3}),
-        make_event(1, 0.0, 1, "detection", {"cx": 1e22, "cy": -0.0, "w": 5e-324,
-                                            "h": 0.1, "conf": 1 / 3, "truth": None}),
-        phase,
-        make_event(3, 0.05, 0, "track", {"event": "born", "track_id": 4}),
-        make_event(4, 0.05, 2, "track", {"event": "died", "track_id": 2**63}),
-    ]
-    return records, dicts
+    """A log of every row form, built through the run's ``_EventLog``,
+    and the dicts its records stand for."""
+    log = sim._EventLog()
+    dicts = []
+    for seq, (method, args) in enumerate(COMPACT_RECORDS):
+        getattr(log, method)(*args)
+        if method == "emit":
+            dicts.append(make_event(seq, *args))
+        elif method == "track":
+            t, agent, event, track_id = args
+            dicts.append(make_event(seq, t, agent, "track",
+                                    {"event": event, "track_id": track_id}))
+        else:
+            t, agent, cx, cy, w, h, conf, truth = args
+            dicts.append(make_event(seq, t, agent, "detection", {
+                "cx": cx, "cy": cy, "w": w, "h": h, "conf": conf, "truth": truth,
+            }))
+    return log, dicts
+
+
+def test_a_log_keeps_one_row_per_record_and_wide_ints_as_lines():
+    log, dicts = _compact_log()
+    assert log.seq == len(dicts) and len(log.rows) == len(dicts) * events.ROW.size
+    forms = [row[0] for row in events.ROW.iter_unpack(log.rows)]
+    assert {seq for seq, form in enumerate(forms) if form == events.LINE} == LINE_SEQS
+    assert log.lines == [emit_line(dicts[seq]) for seq in sorted(LINE_SEQS)]
 
 
 def test_compact_lines_are_emit_lines_of_the_records_dicts():
-    records, dicts = _compact_log()
-    assert events.compact_lines(0, records) == [emit_line(d) for d in dicts]
-    # numbered from ``start``; a line keeps the seq it was emitted with
-    moved = [dict(d, seq=d["seq"] + 1024) for d in dicts]
-    lines = events.compact_lines(1024, records)
-    assert lines[2] == emit_line(dicts[2])
-    assert lines[:2] + lines[3:] == [emit_line(d) for d in moved[:2] + moved[3:]]
+    log, dicts = _compact_log()
+    assert events.compact_lines(0, log.rows, log.lines) == [emit_line(d) for d in dicts]
+    # numbered from ``start``; a finished line keeps the seq it was
+    # emitted with
+    lines = events.compact_lines(1024, log.rows, log.lines)
+    for seq, (line, d) in enumerate(zip(lines, dicts)):
+        moved = d if seq in LINE_SEQS else dict(d, seq=seq + 1024)
+        assert line == emit_line(moved), seq
+
+
+def test_a_logged_record_prints_its_emit_line_at_edge_values():
+    # Each edge value goes through a row (or, for an int the row cannot
+    # hold, a finished line) and back, in the log and in the view.
+    base = (1.35, 0, 12.5, -3.25, 40.0, 38.5, 0.912345, 3)
+    cases = [("detection", base), ("detection", base[:7] + (None,))]
+    for x in FORMATTER_FLOATS:
+        cases += [("detection", base[:i] + (x,) + base[i + 1:])
+                  for i in (0, 2, 3, 4, 5, 6)]
+        cases.append(("track", (x, 1, "born", 4)))
+    for n in FORMATTER_INTS + tuple(-n for n in FORMATTER_INTS):
+        cases += [("detection", base[:1] + (n,) + base[2:]),
+                  ("detection", base[:7] + (n,))]
+        cases += [("track", (1.35, n, "died", 4)), ("track", (1.35, 1, "died", n))]
+    cases += [("track", (1.35, 1, event, 4)) for event in TRACK_EVENTS]
+    for method, args in cases:
+        log = sim._EventLog()
+        getattr(log, method)(*args)
+        if method == "track":
+            t, agent, event, n = args
+            record = make_event(0, t, agent, "track", {"event": event, "track_id": n})
+        else:
+            t, agent, cx, cy, w, h, conf, n = args
+            record = make_event(0, t, agent, "detection", {
+                "cx": cx, "cy": cy, "w": w, "h": h, "conf": conf, "truth": n,
+            })
+        assert events.compact_lines(0, log.rows, log.lines) == [emit_line(record)], args
+        assert EventView(log.rows, log.lines) == [record], args
 
 
 def test_event_view_indexes_slices_and_iterates_in_order():
-    records, dicts = _compact_log()
-    view = EventView(records)
-    assert len(view) == 5
-    assert [view[i] for i in range(5)] == dicts
-    assert [view[i] for i in range(-5, 0)] == dicts
-    for bad in (5, -6):
+    log, dicts = _compact_log()
+    view = EventView(log.rows, log.lines)
+    n = len(dicts)
+    assert len(view) == n
+    assert [view[i] for i in range(n)] == dicts
+    assert [view[i] for i in range(-n, 0)] == dicts
+    for bad in (n, -n - 1):
         with pytest.raises(IndexError):
             view[bad]
     for sl in (slice(1, 4), slice(None, None, -2), slice(-2, None),
@@ -314,20 +373,20 @@ def test_event_view_indexes_slices_and_iterates_in_order():
         got = view[sl]
         assert type(got) is list and got == dicts[sl], sl
     assert list(view) == dicts
-    assert [e["seq"] for e in view] == [0, 1, 2, 3, 4]
+    assert [e["seq"] for e in view] == list(range(n))
     assert dicts[2] in view and list(reversed(view)) == dicts[::-1]
 
 
 def test_event_view_equals_lists_of_the_same_dicts_both_ways():
-    records, dicts = _compact_log()
-    view = EventView(records)
+    log, dicts = _compact_log()
+    view = EventView(log.rows, log.lines)
     assert view == dicts and dicts == view
-    assert view == EventView(list(records))
+    assert view == EventView(bytes(log.rows), list(log.lines))
     assert view != dicts[:-1] and dicts[:-1] != view
     changed = dicts[:3] + [make_event(3, 0.05, 0, "track",
                                       {"event": "coasted", "track_id": 4})] + dicts[4:]
     assert view != changed and changed != view
-    assert EventView([]) == [] and [] == EventView([])
+    assert EventView() == [] and [] == EventView()
 
 
 def test_a_streamed_run_returns_an_empty_view(tmp_path):
@@ -340,8 +399,8 @@ def test_a_streamed_run_returns_an_empty_view(tmp_path):
 
 
 def test_a_dict_read_from_the_view_is_fresh():
-    records, dicts = _compact_log()
-    view = EventView(records)
+    log, dicts = _compact_log()
+    view = EventView(log.rows, log.lines)
     expected = serialize_events(dicts)
     for reads in ([view[i] for i in range(len(view))], view, view[:]):
         for e in reads:
@@ -352,9 +411,10 @@ def test_a_dict_read_from_the_view_is_fresh():
 
 
 def test_an_in_process_run_keeps_its_records_compact():
-    """A fleet3 run, held in its ``RunResult``, retains under 400 bytes
-    per log record under tracemalloc (669 when each record was kept as
-    a record dict and its data dict)."""
+    """A fleet3 run, held in its ``RunResult``, retains under 160 bytes
+    per log record under tracemalloc (123 on Python 3.11; 218 when
+    detection and track records were tuples, 669 when each record was a
+    record dict and its data dict)."""
     s = load_scenario(SCENARIOS / "fleet3.cfg")
     assert s.seed == 0
     tracemalloc.start()
@@ -365,4 +425,4 @@ def test_an_in_process_run_keeps_its_records_compact():
     finally:
         tracemalloc.stop()
     assert len(result.events) > 10_000
-    assert retained / len(result.events) < 400
+    assert retained / len(result.events) < 160

@@ -104,6 +104,13 @@ def test_zero_tick_rate_rejected_naming_key():
             "arena.effective_extent",
             id="default-starts-coincide",
         ),
+        # An empty list of starts is not the absence of the key.
+        pytest.param("agents.starts =\n", "agents.starts", id="empty-starts"),
+        pytest.param(
+            "agents.starts =\nagents.count = 2\n",
+            "agents.starts",
+            id="empty-starts-with-count",
+        ),
     ],
 )
 def test_values_a_run_cannot_use_are_rejected_naming_key(text, key):

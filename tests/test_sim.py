@@ -1,4 +1,5 @@
 import ast
+import gc
 import os
 import re
 import subprocess
@@ -204,6 +205,22 @@ def test_failing_agent_abandons_its_claim_before_it_fails():
     assert mine[0]["data"] == {"action": "release", "reason": "abandoned",
                                "claim_id": grant["data"]["claim_id"]}
     assert mine[1]["seq"] == mine[0]["seq"] + 1
+
+
+@pytest.mark.parametrize("name", ["default.cfg", "fleet3.cfg"])
+def test_a_finished_run_is_freed_without_the_cycle_collector(name):
+    # Nothing a run builds refers back to it (the claim callbacks hold the
+    # claim table and the log, not the run), so reference counting frees
+    # its world, trackers and log as soon as it returns.
+    s = load_scenario(SCENARIOS / name)
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_simulation(s)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert len(result.events) > 0 and found == 0
 
 
 def test_plan_cells_single_survivor_owns_footprint():
