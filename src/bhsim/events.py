@@ -10,25 +10,25 @@ are therefore byte-identical and trivially diffable.  Records are
 totally ordered by the ``seq`` counter (ties in time keep emission
 order).
 
-A run (see ``sim.run_simulation``) keeps each record it emits as one
-fixed-width row of ``ROW`` in a single byte buffer, and ``seq`` is the
-row's index.  A row holds the record's form, ``t``, ``agent``, the five
-floats of a detection and one int: a detection's truth id, a track's
-id, or, for every other kind, the index of the record's finished line
-from ``finite_line`` in the run's list of lines.  A detection whose
-truth is None (a false alarm) has a form of its own, so no id value
-stands for None.  Floats are stored as doubles and read back exactly.
-A record with an int the row cannot hold is kept as a finished line.
-``compact_lines`` prints the two usual kinds (97% of all records)
-straight from their rows with ``detection_line`` and ``track_line``,
-one f-string each; they trust their input (a float field is a finite
-``float``, an int field an ``int``, a track event one of the four
-lifecycle names) and print exactly what ``emit_line`` prints for the
-record ``make_event`` would build.  ``EventView`` reads the rows as
-those dicts, building a fresh one on each read.  No log holds NaN or
-Infinity: a run raises ``NumericalFailure`` when it emits a record with
-a non-finite float, checking detections by their summed floats before
-they are packed, and a streamed log then ends with one ``error`` record.
+A run's ``EventLog`` keeps each record emitted to it as one fixed-width
+row of ``ROW`` in a single byte buffer, and ``seq`` is the row's index.
+A row holds the record's form, ``t``, ``agent``, the five floats of a
+detection and one int: a detection's truth id, a track's id, or, for
+every other kind, the index of the record's finished line from
+``finite_line`` in the log's list of lines.  A false alarm (truth None)
+has a form of its own, so no id value stands for None.  Floats are
+stored as doubles and read back exactly.  A record with an int the row
+cannot hold is kept as a finished line.  ``compact_lines`` prints the
+two usual kinds (97% of all records) straight from their rows with
+``detection_line`` and ``track_line``, one f-string each; they trust
+their input (finite ``float`` and ``int`` fields, a track event one of
+the four lifecycle names) and print exactly what ``emit_line`` prints
+for the record ``make_event`` would build.  ``EventLog.view`` reads the
+rows as those dicts, a fresh one on each read.  A log given a file
+instead writes its rows at the end of each tick that leaves
+``LOG_CHUNK_RECORDS`` or more pending, and its view is empty.  No log
+holds NaN or Infinity: emitting a record with a non-finite float raises
+``NumericalFailure``, detections checked by their summed floats first.
 """
 
 import json
@@ -125,23 +125,6 @@ _TRACK_FORMS = {event: form for form, event in enumerate(TRACK_EVENTS)}
 _pack = ROW.pack
 
 
-def detection_row(
-    t: float, agent: int,
-    cx: float, cy: float, w: float, h: float, conf: float, truth: Optional[int],
-) -> bytes:
-    if truth is None:
-        return _pack(FALSE_ALARM, t, agent, cx, cy, w, h, conf, 0)
-    return _pack(DETECTION, t, agent, cx, cy, w, h, conf, truth)
-
-
-def track_row(t: float, agent: int, event: str, track_id: int) -> bytes:
-    return _pack(_TRACK_FORMS[event], t, agent, 0.0, 0.0, 0.0, 0.0, 0.0, track_id)
-
-
-def line_row(index: int) -> bytes:
-    return _pack(LINE, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, index)
-
-
 def compact_lines(start: int, rows, lines: Sequence[str]) -> list[str]:
     """The log lines of compact rows numbered from ``start``, whose
     finished lines are in ``lines``."""
@@ -220,6 +203,84 @@ class EventView(Sequence):
 
     def __repr__(self) -> str:
         return f"EventView({len(self)} records)"
+
+
+# A log with a file writes its pending records once a tick leaves this many.
+LOG_CHUNK_RECORDS = 1024
+
+
+class EventLog:
+    """A run's records, numbered by ``seq`` in emission order.
+
+    Each record is checked as it is emitted: one with a NaN or an
+    infinity raises ``NumericalFailure``, and the log is left as it was.
+    ``rows`` holds a ``ROW`` per record, ``lines`` the finished lines
+    they point to.  Without a file the log keeps every record.  With
+    one, it holds those not yet written, and ``write`` prints them.
+    """
+
+    def __init__(self, file: Optional[BinaryIO] = None) -> None:
+        self.rows, self.lines = bytearray(), []
+        self.written = 0
+        self.file = file
+        # Time of the tick in progress (0.0 during set-up), for the error
+        # record of a failed run.
+        self.t = 0.0
+
+    @property
+    def seq(self) -> int:
+        """The ``seq`` of the next record."""
+        return self.written + len(self.rows) // ROW.size
+
+    def emit(self, t: float, agent: Optional[int], kind: str, data: dict) -> None:
+        line = finite_line(make_event(self.seq, t, agent, kind, data))
+        self.rows += _pack(LINE, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, len(self.lines))
+        self.lines.append(line)
+
+    def detection(
+        self, t: float, agent: int, cx: float, cy: float, w: float, h: float,
+        conf: float, truth: Optional[int],
+    ) -> None:
+        # The sum of finite floats is finite unless it overflows, which
+        # only the exact check can tell from a NaN or an infinity.
+        s = t + cx + cy + w + h + conf
+        if s - s != 0.0:
+            require_finite("detection", (t, cx, cy, w, h, conf))
+        try:
+            if truth is None:
+                self.rows += _pack(FALSE_ALARM, t, agent, cx, cy, w, h, conf, 0)
+            else:
+                self.rows += _pack(DETECTION, t, agent, cx, cy, w, h, conf, truth)
+        except struct.error:  # an int the row cannot hold
+            data = detection_data(cx, cy, w, h, conf, truth)
+            self.emit(t, agent, "detection", data)
+
+    def track(self, t: float, agent: int, event: str, track_id: int) -> None:
+        if t - t != 0.0:
+            require_finite("track", (t,))
+        form = _TRACK_FORMS[event]
+        try:
+            self.rows += _pack(form, t, agent, 0.0, 0.0, 0.0, 0.0, 0.0, track_id)
+        except struct.error:  # an int the row cannot hold
+            self.emit(t, agent, "track", {"event": event, "track_id": track_id})
+
+    def end_tick(self) -> None:
+        if self.file is not None and len(self.rows) >= LOG_CHUNK_RECORDS * ROW.size:
+            self.write()
+
+    def write(self) -> None:
+        if self.rows:
+            lines = compact_lines(self.written, self.rows, self.lines)
+            self.file.write(("\n".join(lines) + "\n").encode("utf-8"))
+            self.written += len(lines)
+        self.rows, self.lines = bytearray(), []
+
+    def view(self) -> EventView:
+        """Every record, for a log kept in memory; none, for one written
+        to a file."""
+        if self.file is not None:
+            return EventView()
+        return EventView(self.rows, self.lines)
 
 
 def parse_line(line: str) -> dict:

@@ -299,6 +299,8 @@ def build_scenario(values: dict[str, object]) -> Scenario:
     """
     values = dict(values)
     if "balloons.anchors" in values:
+        if not values["balloons.anchors"]:
+            raise ValidationError("balloons.anchors", "lists no anchor")
         values["balloons.count"] = len(values["balloons.anchors"])
     if "agents.starts" in values:
         if not values["agents.starts"]:

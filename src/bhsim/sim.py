@@ -20,24 +20,17 @@ all randomness flows from named substreams of the scenario seed, so a
 run is a pure function of (scenario, seed).  Stages emit records to the
 event log but never read it back.
 
-A run keeps its records in the compact form of ``events``: a row of
-fixed width per record in one byte buffer, and the finished line of
-each record that is neither a ``detection`` nor a ``track``.  Without a
-log path it keeps them all, and ``RunResult.events`` reads them as
-record dicts.  Given a log path, a run writes its event log while it
-runs: at the end of each tick that leaves ``LOG_CHUNK_RECORDS`` or more
-records pending, so memory stays bounded however long the run.  A run
-that raises ends that log with one ``error`` record.
+A run's records go to an ``events.EventLog``, which keeps them in
+memory or, given the run's log path, writes them as the run goes.
 """
 
 import math
 import os
-import struct
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
 from pathlib import Path
-from typing import BinaryIO, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import events as ev
 from .fleet import (
@@ -85,9 +78,6 @@ Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
 
 SPEED_TOLERANCE = 1e-9
-
-# A streamed run writes its pending records once a tick leaves this many.
-LOG_CHUNK_RECORDS = 1024
 
 
 class InvariantViolation(RuntimeError):
@@ -150,9 +140,9 @@ CSV_HEADER = (
 
 
 class RunResult(NamedTuple):
-    """A finished run.  ``events`` is its whole event log, read-only, as an
-    ``events.EventView`` that builds each record dict when it is read; it
-    is empty when the run streamed its log to a file."""
+    """A finished run.  ``events`` is its whole event log, read-only, as
+    ``events.EventLog.view`` gives it: it builds each record dict when it
+    is read, and it is empty when the run streamed its log to a file."""
 
     metrics: RunMetrics
     events: Sequence[dict]
@@ -180,65 +170,6 @@ class _AgentRt:
         self.failed = False
 
 
-class _EventLog:
-    """The run's records, numbered by ``seq`` in emission order.
-
-    Each record is checked as it is emitted: one with a NaN or an
-    infinity raises ``NumericalFailure``, and the log is left as it was.
-    ``rows`` holds an ``events.ROW`` per record, ``lines`` the finished
-    lines they point to.  Without a file the log keeps every record.
-    With one, it holds those not yet written, and ``write`` prints them.
-    """
-
-    def __init__(self, file: Optional[BinaryIO] = None) -> None:
-        self.rows, self.lines = bytearray(), []
-        self.written = 0
-        self.file = file
-        # Time of the tick in progress (0.0 during set-up), for the error
-        # record of a failed run.
-        self.t = 0.0
-
-    @property
-    def seq(self) -> int:
-        """The ``seq`` of the next record."""
-        return self.written + len(self.rows) // ev.ROW.size
-
-    def emit(self, t: float, agent: Optional[int], kind: str, data: dict) -> None:
-        line = ev.finite_line(ev.make_event(self.seq, t, agent, kind, data))
-        self.rows += ev.line_row(len(self.lines))
-        self.lines.append(line)
-
-    def detection(
-        self, t: float, agent: int, cx: float, cy: float, w: float, h: float,
-        conf: float, truth: Optional[int],
-    ) -> None:
-        # The sum of finite floats is finite unless it overflows, which
-        # only the exact check can tell from a NaN or an infinity.
-        s = t + cx + cy + w + h + conf
-        if s - s != 0.0:
-            ev.require_finite("detection", (t, cx, cy, w, h, conf))
-        try:
-            self.rows += ev.detection_row(t, agent, cx, cy, w, h, conf, truth)
-        except struct.error:  # an int the row cannot hold
-            data = ev.detection_data(cx, cy, w, h, conf, truth)
-            self.emit(t, agent, "detection", data)
-
-    def track(self, t: float, agent: int, event: str, track_id: int) -> None:
-        if t - t != 0.0:
-            ev.require_finite("track", (t,))
-        try:
-            self.rows += ev.track_row(t, agent, event, track_id)
-        except struct.error:  # an int the row cannot hold
-            self.emit(t, agent, "track", {"event": event, "track_id": track_id})
-
-    def write(self) -> None:
-        if self.rows:
-            lines = ev.compact_lines(self.written, self.rows, self.lines)
-            self.file.write(("\n".join(lines) + "\n").encode("utf-8"))
-            self.written += len(lines)
-        self.rows, self.lines = bytearray(), []
-
-
 class _Run:
     """Everything one run carries from tick to tick; every stage works on it."""
 
@@ -249,7 +180,7 @@ class _Run:
         "close_pairs",
     )
 
-    def __init__(self, scenario: Scenario, elog: _EventLog) -> None:
+    def __init__(self, scenario: Scenario, elog: ev.EventLog) -> None:
         seed = scenario.seed
         self.dt = dt = 1.0 / scenario.sim.tick_rate
         vp, mp, ap = scenario.vehicle, scenario.mission, scenario.agents
@@ -383,7 +314,7 @@ def _is_closing(v: Vec3, own: Vec3, other: Vec3) -> bool:
 
 
 def _try_claim(
-    claims: ClaimTable, elog: _EventLog, radius: float, agent_id: int,
+    claims: ClaimTable, elog: ev.EventLog, radius: float, agent_id: int,
     estimate: Vec3, t: float,
 ) -> ClaimResult:
     result = claim_target(claims, agent_id, estimate, radius)
@@ -397,7 +328,7 @@ def _try_claim(
 
 
 def _release(
-    claims: ClaimTable, elog: _EventLog, agent_id: int, claim_id: int, reason: str,
+    claims: ClaimTable, elog: ev.EventLog, agent_id: int, claim_id: int, reason: str,
     t: float,
 ) -> None:
     release_claim(claims, claim_id)
@@ -614,7 +545,7 @@ def run_simulation(
     reached, or when no live agents remain.
 
     With ``log_path`` the log is written to that file as the run goes
-    (see the module docstring) and ``RunResult.events`` is empty.  If
+    (see ``events.EventLog``) and ``RunResult.events`` is empty.  If
     the run then raises, set-up included, the file holds every record
     emitted so far and ends with one ``error`` record (agent null, the
     failing tick's ``t``, ``data`` the exception's type name and
@@ -625,9 +556,9 @@ def run_simulation(
             exit path for the CLI).
     """
     if log_path is None:
-        return _simulate(scenario, _EventLog())
+        return _simulate(scenario, ev.EventLog())
     with open(log_path, "wb") as fh:
-        elog = _EventLog(fh)
+        elog = ev.EventLog(fh)
         try:
             result = _simulate(scenario, elog)
         except Exception as exc:
@@ -639,11 +570,10 @@ def run_simulation(
     return result
 
 
-def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
+def _simulate(scenario: Scenario, elog: ev.EventLog) -> RunResult:
     """The run itself: set-up, the tick loop and the metrics."""
     run = _Run(scenario, elog)
     _plan(run, 0.0)
-    streamed = elog.file is not None
 
     frame = 0
     last_time = -1.0
@@ -666,8 +596,7 @@ def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
             _act(run, agent, t, _decide(run, agent, t, declared))
         _pop(run, t)
         _audit(run, declared)
-        if streamed and len(elog.rows) >= LOG_CHUNK_RECORDS * ev.ROW.size:
-            elog.write()
+        elog.end_tick()
         frame += 1
 
     metrics = run.metrics
@@ -679,7 +608,7 @@ def _simulate(scenario: Scenario, elog: _EventLog) -> RunResult:
     metrics.distance_flown = {a.id: a.distance for a in run.agents}
     return RunResult(
         metrics=metrics,
-        events=ev.EventView() if streamed else ev.EventView(elog.rows, elog.lines),
+        events=elog.view(),
         cells=run.cells,
     )
 

@@ -17,9 +17,10 @@ from bhsim.scenario import load_scenario
 ROOT = Path(__file__).resolve().parents[1]
 # check_pop: fused into mission.pops_in_reach; the name stays importable
 # from sim for the tracer but is no longer called by a run.
-# serialize_events, write_event_log: a streamed run prints each record as
-# it emits it (events.detection_line, track_line, finite_line) and writes
-# the lines itself; these two print record dicts for in-process callers.
+# serialize_events, write_event_log: a streamed run's events.EventLog
+# prints its rows when it writes a chunk (compact_lines, through
+# detection_line and track_line) and writes the lines itself; these two
+# print record dicts for in-process callers.
 UNCALLED = {"mission.check_pop", "events.serialize_events", "events.write_event_log"}
 
 

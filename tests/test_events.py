@@ -9,11 +9,12 @@ separators=(",", ":"))``, NaN and Infinity included.  A run prints its
 ``make_event`` builds, and a run must never print a non-finite float: it
 raises ``NumericalFailure`` when it emits one, in memory or streamed.
 A run keeps its records as packed rows, built here through the run's
-own ``_EventLog``, and ``EventView`` reads them back as the dicts
-``make_event`` builds.  The golden runs are checked in
+own ``EventLog``, which writes them in chunks when it has a file, and
+``EventView`` reads them back as the dicts ``make_event`` builds.  The golden runs are checked in
 ``test_golden.py``; this file covers hand-built records at the edges.
 """
 
+import io
 import json
 import tracemalloc
 from collections import OrderedDict, defaultdict
@@ -254,7 +255,7 @@ def test_a_non_finite_record_raises_when_emitted(streamed, tmp_path):
         bad_records.append(("emit", (x, 0, "phase", {"from": "search"})))
         bad_records.append(("emit", (1.0, 0, "claim", {"estimate": [x, 0.0]})))
     with open(path, "wb") as fh:
-        log = sim._EventLog(fh if streamed else None)
+        log = events.EventLog(fh if streamed else None)
         log.detection(*good)
         # finite floats whose sum overflows are not rejected
         log.detection(1.35, 0, 1.7e308, 1.7e308, 40.0, 38.5, 0.9, None)
@@ -269,7 +270,7 @@ def test_a_non_finite_record_raises_when_emitted(streamed, tmp_path):
         assert len(path.read_text().splitlines()) == 2
 
 
-# (method of ``_EventLog``, its arguments), one record each, in order.
+# (method of ``EventLog``, its arguments), one record each, in order.
 COMPACT_RECORDS = (
     ("detection", (0.0, 0, 12.5, -3.25, 40.0, 38.5, 0.912345, 3)),
     ("detection", (0.0, 1, 1e22, -0.0, 5e-324, 0.1, 1 / 3, None)),
@@ -290,9 +291,9 @@ LINE_SEQS = {2, 4, 5, 6, 11}
 
 
 def _compact_log():
-    """A log of every row form, built through the run's ``_EventLog``,
+    """A log of every row form, built through the run's ``EventLog``,
     and the dicts its records stand for."""
-    log = sim._EventLog()
+    log = events.EventLog()
     dicts = []
     for seq, (method, args) in enumerate(COMPACT_RECORDS):
         getattr(log, method)(*args)
@@ -316,6 +317,35 @@ def test_a_log_keeps_one_row_per_record_and_wide_ints_as_lines():
     forms = [row[0] for row in events.ROW.iter_unpack(log.rows)]
     assert {seq for seq, form in enumerate(forms) if form == events.LINE} == LINE_SEQS
     assert log.lines == [emit_line(dicts[seq]) for seq in sorted(LINE_SEQS)]
+
+
+def test_a_log_with_a_file_writes_its_records_once_a_tick_leaves_a_chunk():
+    n = events.LOG_CHUNK_RECORDS
+    records = [COMPACT_RECORDS[i % len(COMPACT_RECORDS)] for i in range(n + 3)]
+    kept = events.EventLog()
+    for method, args in records:
+        getattr(kept, method)(*args)
+    kept.end_tick()  # a log kept in memory is never written
+    assert kept.seq == n + 3 and len(kept.view()) == n + 3
+    lines = [line + "\n" for line in events.compact_lines(0, kept.rows, kept.lines)]
+
+    buf = io.BytesIO()
+    log = events.EventLog(buf)
+    for method, args in records[: n - 1]:
+        getattr(log, method)(*args)
+    log.end_tick()
+    assert buf.getvalue() == b"" and log.written == 0 and log.seq == n - 1
+    getattr(log, records[n - 1][0])(*records[n - 1][1])
+    log.end_tick()
+    assert buf.getvalue() == "".join(lines[:n]).encode()
+    assert log.written == n and log.seq == n and not log.rows and log.lines == []
+    for method, args in records[n:]:
+        getattr(log, method)(*args)
+    log.end_tick()
+    assert log.written == n and log.seq == n + 3
+    assert log.view() == [] and len(log.view()) == 0
+    log.write()
+    assert buf.getvalue() == "".join(lines).encode()
 
 
 def test_compact_lines_are_emit_lines_of_the_records_dicts():
@@ -344,7 +374,7 @@ def test_a_logged_record_prints_its_emit_line_at_edge_values():
         cases += [("track", (1.35, n, "died", 4)), ("track", (1.35, 1, "died", n))]
     cases += [("track", (1.35, 1, event, 4)) for event in TRACK_EVENTS]
     for method, args in cases:
-        log = sim._EventLog()
+        log = events.EventLog()
         getattr(log, method)(*args)
         if method == "track":
             t, agent, event, n = args

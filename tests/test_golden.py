@@ -17,10 +17,12 @@ from pathlib import Path
 import pytest
 
 from bhsim.cli import main as cli_main
-from bhsim.events import read_event_log, serialize_events, write_event_log
+from bhsim.events import (
+    LOG_CHUNK_RECORDS, read_event_log, serialize_events, write_event_log,
+)
 from bhsim.perception import ZERO_NOISE
 from bhsim.scenario import load_scenario
-from bhsim.sim import LOG_CHUNK_RECORDS, run_simulation, sweep
+from bhsim.sim import run_simulation, sweep
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 

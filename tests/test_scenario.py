@@ -111,6 +111,13 @@ def test_zero_tick_rate_rejected_naming_key():
             "agents.starts",
             id="empty-starts-with-count",
         ),
+        # Nor is an empty list of anchors, whatever balloons.count says.
+        pytest.param("balloons.anchors =\n", "balloons.anchors", id="empty-anchors"),
+        pytest.param(
+            "balloons.anchors =\nballoons.count = 3\n",
+            "balloons.anchors",
+            id="empty-anchors-with-count",
+        ),
     ],
 )
 def test_values_a_run_cannot_use_are_rejected_naming_key(text, key):
