@@ -129,14 +129,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_path(args: argparse.Namespace) -> int:
     scenario = _load(args)
     _, paths = plan_cells(scenario, range(scenario.agents.count))
+    mp = scenario.mission
     lines = []
     for agent_id in sorted(paths):
         path = paths[agent_id]
         lines.append(
-            f"path agent={agent_id} altitude={path.altitude} "
-            f"spacing={path.lane_spacing} waypoints={len(path.waypoints)}"
+            f"path agent={agent_id} altitude={mp.search_altitude} "
+            f"spacing={mp.lane_spacing} waypoints={len(path)}"
         )
-        for wp in path.waypoints:
+        for wp in path:
             lines.append(f"{wp[0]:.3f} {wp[1]:.3f} {wp[2]:.3f}")
         lines.append("")
     _write_or_print(args.out, lines)

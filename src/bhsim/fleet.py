@@ -4,7 +4,8 @@ The arena footprint is split among agents into Voronoi cells computed by
 half-plane clipping of the footprint rectangle, so every cell is a convex
 polygon and the cells tile the footprint exactly.  A claim table gives
 each agent an exclusive, radius-guarded reservation on one balloon
-estimate, and a pairwise hold rule keeps agents apart.
+estimate, keyed by its claim id, and a pairwise hold rule keeps agents
+apart.
 """
 
 import math
@@ -142,25 +143,23 @@ def nearest_generator(
     return best_id
 
 
-class ClaimEntry(NamedTuple):
-    claim_id: int
-    agent_id: int
-    estimate: Vec3
-
-
 class ClaimTable:
-    """Radius-guarded, one-per-agent reservations on balloon estimates."""
+    """Radius-guarded, one-per-agent reservations on balloon estimates.
+
+    ``entries`` maps each claim id to ``(agent id, estimate)``.
+    """
 
     __slots__ = ("entries", "next_id")
 
     def __init__(self) -> None:
-        self.entries: dict[int, ClaimEntry] = {}
+        self.entries: dict[int, tuple[int, Vec3]] = {}
         self.next_id = 1
 
-    def claim_of_agent(self, agent_id: int) -> Optional[ClaimEntry]:
-        for entry in self.entries.values():
-            if entry.agent_id == agent_id:
-                return entry
+    def claim_of_agent(self, agent_id: int) -> Optional[int]:
+        """The id of the claim ``agent_id`` holds, or None."""
+        for claim_id, (holder, _) in self.entries.items():
+            if holder == agent_id:
+                return claim_id
         return None
 
 
@@ -184,17 +183,17 @@ def claim_target(
     """
     held = table.claim_of_agent(agent_id)
     if held is not None:
-        return ClaimResult(granted=False, conflict_id=held.claim_id)
+        return ClaimResult(granted=False, conflict_id=held)
     ex, ey, ez = estimate
-    for entry in table.entries.values():
-        dx = entry.estimate[0] - ex
-        dy = entry.estimate[1] - ey
-        dz = entry.estimate[2] - ez
+    for claim_id, (_, (cx, cy, cz)) in table.entries.items():
+        dx = cx - ex
+        dy = cy - ey
+        dz = cz - ez
         if math.sqrt(dx * dx + dy * dy + dz * dz) < claim_radius:
-            return ClaimResult(granted=False, conflict_id=entry.claim_id)
+            return ClaimResult(granted=False, conflict_id=claim_id)
     claim_id = table.next_id
     table.next_id += 1
-    table.entries[claim_id] = ClaimEntry(claim_id, agent_id, estimate)
+    table.entries[claim_id] = (agent_id, estimate)
     return ClaimResult(granted=True, claim_id=claim_id)
 
 

@@ -14,7 +14,9 @@ Each agent runs a small state machine over one assigned cell:
 State is a value: ``step_mission`` consumes a state and returns the next
 one plus a world-frame velocity command and a yaw-rate command.  Its
 records, ``MissionParams`` included, are immutable ``NamedTuple``s,
-copied with ``_replace``.
+copied with ``_replace``.  A ``SearchPath`` is the bare tuple of its
+waypoints; a run plans it at the mission's ``search_altitude`` and
+``lane_spacing``.
 
 Everything an agent knows about the balloon it works on is one ``Target``
 NamedTuple, ``MissionState.target``: track and claim ids, the
@@ -121,10 +123,7 @@ class MissionParams(NamedTuple):
     yaw_gain: float = 1.5
 
 
-class SearchPath(NamedTuple):
-    waypoints: tuple[Vec3, ...]
-    lane_spacing: float
-    altitude: float
+SearchPath = tuple[Vec3, ...]
 
 
 class FleetView(NamedTuple):
@@ -209,7 +208,7 @@ def initial_mission_state(path: SearchPath, t: float = 0.0) -> MissionState:
         entered_at=t,
         path=path,
         wp_index=0,
-        visited=tuple(False for _ in path.waypoints),
+        visited=tuple(False for _ in path),
     )
 
 
@@ -270,9 +269,7 @@ def generate_search_path(
         lane_index += 1
     if not waypoints:
         raise DegenerateCell("no lane intersects the cell")
-    return SearchPath(
-        waypoints=tuple(waypoints), lane_spacing=spacing, altitude=altitude
-    )
+    return tuple(waypoints)
 
 
 def _lane_span(
@@ -406,7 +403,7 @@ def _nearest_unvisited(
 ) -> Optional[int]:
     best = None
     best_d = math.inf
-    for i, wp in enumerate(path.waypoints):
+    for i, wp in enumerate(path):
         if visited[i]:
             continue
         d = _dist3(position, wp)
@@ -471,7 +468,7 @@ def _back_to_search(
     visited = ms.visited
     idx = _nearest_unvisited(ms.path, visited, uav.position)
     if idx is None:
-        visited = tuple(False for _ in ms.path.waypoints)
+        visited = tuple(False for _ in ms.path)
         idx = _nearest_unvisited(ms.path, visited, uav.position) or 0
     return _enter(
         ms, Phase.SEARCH, t, events, detail,
@@ -580,10 +577,10 @@ def _step_search(ms, tracks, uav, view, t, ctx, events):
 
     # Waypoint following.  The state is handed back unchanged (the same
     # ``visited`` tuple) until a waypoint is reached or times out.
-    if not ms.path.waypoints:
+    if not ms.path:
         return ms, _HOVER, 0.0
     wp_index = ms.wp_index
-    wp = ms.path.waypoints[wp_index]
+    wp = ms.path[wp_index]
     reached = _dist3(uav.position, wp) <= mp.wp_tolerance
     timed_out = t - ms.wp_started_at > mp.wp_timeout
     if reached or timed_out:
@@ -602,7 +599,7 @@ def _step_search(ms, tracks, uav, view, t, ctx, events):
             visited = [False] * len(visited)
             nxt = (wp_index + 1) % len(visited) if timed_out else 0
         ms = ms._replace(wp_index=nxt, visited=tuple(visited), wp_started_at=t)
-        wp = ms.path.waypoints[nxt]
+        wp = ms.path[nxt]
 
     dx = wp[0] - uav.position[0]
     dy = wp[1] - uav.position[1]

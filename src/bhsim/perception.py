@@ -51,8 +51,9 @@ class CameraIntrinsics(Checked, _CameraFields):
 class Detection(NamedTuple):
     """One bounding-box observation, centered relative to the principal point.
 
-    ``truth_id`` is the ground-truth balloon id kept for scoring only;
-    the tracker consumes plain box measurements and never sees it.
+    ``truth_id`` is the ground-truth balloon's index in the world, kept
+    for scoring only; the tracker consumes plain box measurements and
+    never sees it.
     """
 
     center_x: float
@@ -151,7 +152,7 @@ def generate_detections(
     width_px, height_px = camera.width_px, camera.height_px
     u0, v0 = camera.principal
     visible: list[tuple] = []
-    for balloon, center in zip(world.balloons, world.centers):
+    for i, center in enumerate(world.centers):
         if center is None:
             continue
         nx = center[0] - x0
@@ -162,16 +163,16 @@ def generate_detections(
         px = focal * (-s * nx + c * ny) / depth
         py = focal * -(center[2] - z0) / depth
         if 0.0 <= u0 + px <= width_px and 0.0 <= v0 + py <= height_px:
-            visible.append((balloon, px, py, depth))
+            visible.append((i, world.balloons[i].diameter, px, py, depth))
     detections: list[Detection] = []
-    for balloon, px, py, depth in visible:
+    for i, diameter, px, py, depth in visible:
         # Occlusion: hidden when the center falls inside the projected
-        # disc of a strictly nearer balloon.
+        # disc of a strictly nearer balloon (never the balloon itself).
         occluded = False
-        for other, ox, oy, od in visible:
-            if od >= depth or other.id == balloon.id:
+        for _, other_diameter, ox, oy, od in visible:
+            if od >= depth:
                 continue
-            disc = focal * other.diameter / (2.0 * od)
+            disc = focal * other_diameter / (2.0 * od)
             if math.hypot(px - ox, py - oy) < disc:
                 occluded = True
                 break
@@ -180,7 +181,7 @@ def generate_detections(
         p_miss = min(1.0, noise.p_miss_base + noise.p_miss_range_scale * depth)
         if rng.random() < p_miss:
             continue
-        size = focal * balloon.diameter / depth
+        size = focal * diameter / depth
         cx = px + noise.center_sigma * rng.standard_normal()
         cy = py + noise.center_sigma * rng.standard_normal()
         factor = max(0.05, 1.0 + noise.size_sigma_frac * rng.standard_normal())
@@ -188,7 +189,7 @@ def generate_detections(
             noise.confidence_floor, 1.0 - depth / CONFIDENCE_RANGE_SCALE_M
         )
         box = size * factor
-        detections.append(Detection(cx, cy, box, box, confidence, balloon.id))
+        detections.append(Detection(cx, cy, box, box, confidence, i))
     if noise.false_alarm_rate > 0.0:
         n_false = int(rng.poisson(noise.false_alarm_rate))
         lo_s, hi_s = FALSE_ALARM_SIZE_PX

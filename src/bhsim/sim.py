@@ -103,7 +103,8 @@ class RunMetrics:
 
     @property
     def success(self) -> bool:
-        return self.error is None and self.balloons_popped == self.balloons_total
+        """No error, and every balloon popped; a run with none fails."""
+        return self.error is None and 0 < self.balloons_popped == self.balloons_total
 
     def csv_row(self) -> str:
         per_agent = ";".join(
@@ -212,9 +213,7 @@ class _Run:
         # radius + tip_reach per balloon, as check_pop adds them
         self.reaches = tuple([b.radius + mp.tip_reach for b in self.world.balloons])
         # Agents start on an empty path; the start-up plan gives each its own.
-        unplanned = initial_mission_state(SearchPath(
-            waypoints=(), lane_spacing=mp.lane_spacing, altitude=mp.search_altitude
-        ))
+        unplanned = initial_mission_state(())
         self.agents = [
             _AgentRt(
                 id=i,
@@ -247,10 +246,7 @@ def _build_balloons(scenario: Scenario, rng: Stream) -> list[Balloon]:
         return sample_balloon_layout(
             rng, scenario.arena, setup.count, setup.min_sep, setup.params
         )
-    return [
-        make_balloon(i, anchor, setup.params, rng)
-        for i, anchor in enumerate(setup.anchors)
-    ]
+    return [make_balloon(anchor, setup.params, rng) for anchor in setup.anchors]
 
 
 def plan_cells(
@@ -259,8 +255,9 @@ def plan_cells(
     """Voronoi cells and full search paths for the given agents.
 
     Each agent's generator is its start position projected onto the
-    search footprint.  Cells come back in ``agent_ids`` order; paths are
-    keyed by agent id.
+    search footprint.  Cells come back in ``agent_ids`` order; paths,
+    each the waypoints of lanes ``mission.lane_spacing`` apart at
+    ``mission.search_altitude``, are keyed by agent id.
     """
     footprint = scenario.arena.footprint
     xmin, ymin, xmax, ymax = footprint
@@ -285,14 +282,11 @@ def _prune_path(
     """Drop waypoints already within ``radius`` of swept coverage points."""
     if not covered:
         return path
-    kept = []
-    for wp in path.waypoints:
-        if any(math.hypot(wp[0] - cx, wp[1] - cy) <= radius for cx, cy in covered):
-            continue
-        kept.append(wp)
-    if not kept:
-        return path
-    return path._replace(waypoints=tuple(kept))
+    kept = tuple([
+        wp for wp in path
+        if not any(math.hypot(wp[0] - cx, wp[1] - cy) <= radius for cx, cy in covered)
+    ])
+    return kept or path
 
 
 def _strip_closing(v: Vec3, own: Vec3, other: Vec3) -> Vec3:
@@ -357,7 +351,7 @@ def _plan(run: _Run, t: float) -> None:
             path=path,
             wp_index=0,
             wp_started_at=t,
-            visited=tuple(False for _ in path.waypoints),
+            visited=tuple(False for _ in path),
         )
         # Bound to the claims and the log: a run bound here would be a cycle.
         agent.view = FleetView(
@@ -441,7 +435,7 @@ def _decide(
     if visited is not prev_visited:
         for idx, was in enumerate(prev_visited):
             if not was and visited[idx]:
-                wp = agent.mission.path.waypoints[idx]
+                wp = agent.mission.path[idx]
                 run.covered.append((wp[0], wp[1]))
     return mstep
 
@@ -486,12 +480,9 @@ def _pop(run: _Run, t: float) -> None:
     before it."""
     for agent in run.live:
         for i in pops_in_reach(agent.uav.position, run.world.centers, run.reaches):
-            balloon_id = run.world.balloons[i].id
-            run.world = pop_balloon(run.world, balloon_id)
-            run.pop_times.append((balloon_id, t))
-            run.elog.emit(
-                t, agent.id, "pop", {"source": "world", "balloon_id": balloon_id}
-            )
+            run.world = pop_balloon(run.world, i)
+            run.pop_times.append((i, t))
+            run.elog.emit(t, agent.id, "pop", {"source": "world", "balloon_id": i})
 
 
 def _audit(run: _Run, declared: Sequence[list[float]]) -> None:

@@ -7,7 +7,9 @@ planar pendulums with a fixed, per-balloon wind azimuth.
 ``Arena`` and ``BalloonParams`` are immutable ``NamedTuple``s; ``Arena``
 is ``Checked``: it checks its fields when it is built or copied.  A
 ``Balloon`` is a ``__slots__`` record that checks its arguments and works
-out its sway constants once, when it is built.
+out its sway constants once, when it is built.  A balloon has no id of
+its own: its number is its index in ``WorldState.balloons``, which is
+layout order.
 """
 
 import math
@@ -26,7 +28,7 @@ class PackingInfeasible(Exception):
 
 
 class UnknownBalloon(KeyError):
-    """Operation referenced a balloon id that does not exist."""
+    """Operation referenced a balloon index outside the world."""
 
 
 class Checked:
@@ -110,7 +112,7 @@ class BalloonParams(NamedTuple):
 
 
 _BALLOON_INIT = (
-    "id", "anchor", "tether_length", "diameter", "sway_amplitude",
+    "anchor", "tether_length", "diameter", "sway_amplitude",
     "sway_frequency", "sway_phase", "sway_azimuth",
 )
 _balloon_key = attrgetter(*_BALLOON_INIT)
@@ -127,7 +129,7 @@ class Balloon:
     __slots__ = _BALLOON_INIT + ("sway_omega", "sway_cos", "sway_sin")
 
     def __init__(
-        self, id: int, anchor: Vec3, tether_length: float = 1.0,
+        self, anchor: Vec3, tether_length: float = 1.0,
         diameter: float = 0.45, sway_amplitude: float = 0.1,
         sway_frequency: float = 0.2, sway_phase: float = 0.0,
         sway_azimuth: float = 0.0,
@@ -140,7 +142,6 @@ class Balloon:
             raise ValueError(
                 f"balloon center would exceed {MAX_BALLOON_HEIGHT_M} m height"
             )
-        self.id = id
         self.anchor = anchor
         self.tether_length = tether_length
         self.diameter = diameter
@@ -167,28 +168,15 @@ class Balloon:
 class WorldState(NamedTuple):
     """Ground truth at one instant.
 
-    ``balloons`` holds every balloon's fixed description; ``centers`` is
-    the one record of which balloons are alive and where: ``centers[i]``
-    is the center of ``balloons[i]`` at ``time``, or None once that
-    balloon is popped.
+    ``balloons`` holds every balloon's fixed description, and a balloon's
+    index there is its number; ``centers`` is the one record of which
+    balloons are alive and where: ``centers[i]`` is the center of
+    ``balloons[i]`` at ``time``, or None once that balloon is popped.
     """
 
     time: float
     balloons: tuple[Balloon, ...]
     centers: tuple[Optional[Vec3], ...]
-
-    def _index(self, balloon_id: int) -> int:
-        for i, b in enumerate(self.balloons):
-            if b.id == balloon_id:
-                return i
-        raise UnknownBalloon(balloon_id)
-
-    def balloon_by_id(self, balloon_id: int) -> Balloon:
-        return self.balloons[self._index(balloon_id)]
-
-    def center_of(self, balloon_id: int) -> Optional[Vec3]:
-        """The balloon's current center, or None if it is popped."""
-        return self.centers[self._index(balloon_id)]
 
     @property
     def alive_count(self) -> int:
@@ -215,15 +203,12 @@ def step_balloon_sway(balloon: Balloon, t: float) -> Vec3:
     )
 
 
-def make_balloon(
-    balloon_id: int, anchor: Vec3, params: BalloonParams, rng: random.Random
-) -> Balloon:
+def make_balloon(anchor: Vec3, params: BalloonParams, rng: random.Random) -> Balloon:
     """Balloon over ``anchor`` with random sway.
 
     Draws two values from ``rng``: the sway phase, then the azimuth.
     """
     return Balloon(
-        id=balloon_id,
         anchor=anchor,
         tether_length=params.tether_length,
         diameter=params.diameter,
@@ -277,9 +262,7 @@ def sample_balloon_layout(
                 )
             continue
         anchors.append((x, y))
-        balloons.append(
-            make_balloon(len(balloons), (x, y, params.pole_height), params, rng)
-        )
+        balloons.append(make_balloon((x, y, params.pole_height), params, rng))
     return balloons
 
 
@@ -302,8 +285,9 @@ def advance_world(world: WorldState, t: float) -> WorldState:
     return WorldState(t, world.balloons, centers)
 
 
-def pop_balloon(world: WorldState, balloon_id: int) -> WorldState:
-    """Mark a balloon dead.  Idempotent on already-dead balloons."""
-    i = world._index(balloon_id)
+def pop_balloon(world: WorldState, i: int) -> WorldState:
+    """Mark balloon ``i`` dead.  Idempotent on already-dead balloons."""
+    if not 0 <= i < len(world.centers):
+        raise UnknownBalloon(i)
     centers = world.centers[:i] + (None,) + world.centers[i + 1:]
     return WorldState(world.time, world.balloons, centers)

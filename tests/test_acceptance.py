@@ -143,7 +143,7 @@ def test_criterion_3_tracker_convergence_and_id_stability():
         single_frames = 0
         total_frames = 300 * 20
         for seed in range(20):
-            balloon = Balloon(id=0, anchor=(15.0, 0.0, 2.0))
+            balloon = Balloon(anchor=(15.0, 0.0, 2.0))
             world = make_world([balloon])
             rng = substream(seed, "id-stability")
             tracker = Tracker(params=params)
@@ -185,7 +185,7 @@ def test_criterion_5_coverage_and_search_speed():
         footprint = ((5.0, 5.0), (95.0, 5.0), (95.0, 35.0), (5.0, 35.0))
         spacing = 15.0
         path = generate_search_path(footprint, 4.0, spacing)
-        assert all(wp[2] == 4.0 for wp in path.waypoints)
+        assert all(wp[2] == 4.0 for wp in path)
 
         def dist_to_segment(p, a, b):
             ax, ay, bx, by = a[0], a[1], b[0], b[1]
@@ -196,7 +196,7 @@ def test_criterion_5_coverage_and_search_speed():
             t = max(0.0, min(1.0, ((p[0] - ax) * abx + (p[1] - ay) * aby) / denom))
             return math.hypot(p[0] - (ax + t * abx), p[1] - (ay + t * aby))
 
-        segments = list(zip(path.waypoints, path.waypoints[1:]))
+        segments = list(zip(path, path[1:]))
         worst = 0.0
         for x in np.arange(5.0, 95.0 + 1e-9, 1.0):
             for y in np.arange(5.0, 35.0 + 1e-9, 1.0):

@@ -95,11 +95,13 @@ def test_claim_lifecycle():
 
     # one claim per agent
     r3 = claim_target(table, 0, (50.0, 20.0, 3.0), 5.0)
-    assert not r3.granted
+    assert not r3.granted and r3.conflict_id == 1
 
     # far-away claim by another agent is fine
     r4 = claim_target(table, 1, (30.0, 10.0, 3.0), 5.0)
     assert r4.granted
+    assert table.claim_of_agent(1) == r4.claim_id
+    assert table.entries[r4.claim_id] == (1, (30.0, 10.0, 3.0))
 
     release_claim(table, r1.claim_id)
     assert table.claim_of_agent(0) is None

@@ -72,6 +72,19 @@ GOLDEN = {
 }
 
 
+# (command, scenario file) -> sha256 of what ``bhsim <command>`` prints
+CLI_GOLDEN = {
+    ("partition", "default.cfg"):
+        "5abfa2036d7cd8e0e4ea747f5d2c6d24360110aa8e8c66971996cde2e2483a97",
+    ("partition", "fleet3.cfg"):
+        "104d5fcf06cbb2cde09d08f6e35f834b6c435040e3f952f3773de2469b09e25a",
+    ("path", "default.cfg"):
+        "a1c3378f8fb4f821e7bec5a8ec4bcc8a946664802e3e8d21a6121c5e22b5bb82",
+    ("path", "fleet3.cfg"):
+        "b496d8e6cfb41fea039170484a67f03d6621225c963d2723334782393564ed01",
+}
+
+
 def _scenario(case: str):
     name, seed = case.rsplit("-", 1)
     if name == "fleet3":
@@ -120,6 +133,12 @@ def test_golden_log_lines_equal_json_dumps_record_by_record(case):
         assert line == json.dumps(
             e, sort_keys=True, separators=(",", ":"), allow_nan=False
         ), e
+
+
+@pytest.mark.parametrize("command, cfg", sorted(CLI_GOLDEN))
+def test_path_and_partition_print_their_pinned_bytes(command, cfg, capsys):
+    assert cli_main([command, "--scenario", str(SCENARIOS / cfg)]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == CLI_GOLDEN[command, cfg]
 
 
 def test_fleet3_log_file_round_trips_every_record(tmp_path):
@@ -258,15 +277,16 @@ def test_golden_digests_and_cli_run_without_numpy():
 
 
 def test_a_cli_run_leaves_numpy_unimported():
+    # ... and the process pool, which only a pooled sweep imports.
     script = (
         "import sys\n"
         "from bhsim.cli import main\n"
         f"code = main(['simulate', '--scenario', {str(SCENARIOS / 'default.cfg')!r}])\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, 'numpy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
     )
     out = _python("-c", script)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "0 False"
+    assert out.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_a_run_and_a_serial_sweep_leave_the_process_pool_unimported():

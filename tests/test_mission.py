@@ -38,11 +38,7 @@ RECT = ((5.0, 5.0), (95.0, 5.0), (95.0, 35.0), (5.0, 35.0))
 
 def _segments(path: SearchPath):
     """Lane segments of a path: consecutive waypoints sharing a lane."""
-    segs = []
-    wps = path.waypoints
-    for a, b in zip(wps, wps[1:]):
-        segs.append((a, b))
-    return segs
+    return list(zip(path, path[1:]))
 
 
 def _dist_point_segment(p, a, b):
@@ -59,24 +55,24 @@ def _dist_point_segment(p, a, b):
 
 def test_single_lane_at_centerline_for_wide_spacing():
     path = generate_search_path(RECT, 4.0, 30.0)
-    ys = {round(wp[1], 6) for wp in path.waypoints}
+    ys = {round(wp[1], 6) for wp in path}
     assert ys == {20.0}
 
 
 def test_two_lanes_at_quarter_offsets():
     path = generate_search_path(RECT, 4.0, 15.0)
-    ys = sorted({round(wp[1], 6) for wp in path.waypoints})
+    ys = sorted({round(wp[1], 6) for wp in path})
     assert ys == [12.5, 27.5]   # offsets 7.5 and 22.5 from the y=5 edge
 
 
 def test_constant_altitude():
     path = generate_search_path(RECT, 4.0, 15.0)
-    assert all(wp[2] == 4.0 for wp in path.waypoints)
+    assert all(wp[2] == 4.0 for wp in path)
 
 
 def test_consecutive_waypoints_differ():
     path = generate_search_path(RECT, 4.0, 15.0)
-    for a, b in zip(path.waypoints, path.waypoints[1:]):
+    for a, b in zip(path, path[1:]):
         assert math.dist(a, b) > 1e-9
 
 
@@ -120,7 +116,7 @@ def test_path_waypoint_count_within_the_checked_bound():
                         generate_search_path(cell, 4.0, spacing, wp_step)
                     continue
                 path = generate_search_path(cell, 4.0, spacing, wp_step)
-                assert len(path.waypoints) <= bound
+                assert len(path) <= bound
                 built += 1
     assert built > 30
 
@@ -128,7 +124,7 @@ def test_path_waypoint_count_within_the_checked_bound():
 def test_search_path_on_triangle_cell_stays_inside():
     tri = ((5.0, 5.0), (55.0, 5.0), (5.0, 35.0))
     path = generate_search_path(tri, 4.0, 10.0)
-    for x, y, z in path.waypoints:
+    for x, y, z in path:
         # Inside the triangle x/50 + y/30 <= ... with tolerance
         assert x >= 5.0 - 1e-6 and y >= 5.0 - 1e-6
         assert (x - 5.0) / 50.0 + (y - 5.0) / 30.0 <= 1.0 + 1e-6
@@ -304,7 +300,7 @@ def test_search_tick_without_waypoint_event_keeps_the_state():
     out = step_mission(ms, [], uav, view, 1.0, _ctx())
     assert out.state is ms and out.state.visited is ms.visited
     # Reaching the waypoint marks it and hands back a new tuple.
-    on_wp = UavState(id=0, position=ms.path.waypoints[0])
+    on_wp = UavState(id=0, position=ms.path[0])
     out = step_mission(ms, [], on_wp, view, 1.0, _ctx())
     assert out.state.visited is not ms.visited
     assert out.state.visited[0] and out.state.wp_index == 1
@@ -432,7 +428,7 @@ def test_refresh_target_changes_only_estimate_heading_and_range():
                 estimate=(55.5, 20.5, 4.0), heading=0.25, range=12.0, retries=2,
                 revisit_point=(49.0, 20.0, 3.0), approach_best=(6.0, 0.5))
     ms = MissionState(phase=Phase.APPROACH, entered_at=0.5, path=path, wp_index=2,
-                      visited=(True,) + (False,) * (len(path.waypoints) - 1),
+                      visited=(True,) + (False,) * (len(path) - 1),
                       target=tg, blacklist=((10.0, 10.0, 2.0),),
                       commit_cooldown_until=0.75, wp_started_at=0.25)
     no_default = object()

@@ -37,9 +37,9 @@ def exact_sphere_radius_px(focal_px: float, radius_m: float, depth_m: float) -> 
     return focal_px * radius_m / math.sqrt(depth_m**2 - radius_m**2)
 
 
-def _balloon(center, diameter=0.45, bid=0):
+def _balloon(center, diameter=0.45):
     # A still balloon on a 1 m tether sits exactly 1 m above its anchor.
-    return Balloon(id=bid, anchor=(center[0], center[1], center[2] - 1.0),
+    return Balloon(anchor=(center[0], center[1], center[2] - 1.0),
                    diameter=diameter, sway_amplitude=0.0)
 
 
@@ -127,7 +127,7 @@ def test_generate_detections_forced_miss():
 
 
 def test_generate_detections_deterministic_zero_noise():
-    world = make_world([_balloon((5.0, 1.0, 3.0)), _balloon((9.0, -2.0, 3.0), bid=1)])
+    world = make_world([_balloon((5.0, 1.0, 3.0)), _balloon((9.0, -2.0, 3.0))])
     a = generate_detections(CAM, _pose(position=(0, 0, 3)), world, ZERO_NOISE,
                             substream(1, "p"))
     b = generate_detections(CAM, _pose(position=(0, 0, 3)), world, ZERO_NOISE,
@@ -135,27 +135,28 @@ def test_generate_detections_deterministic_zero_noise():
     assert a == b
     for d in a:
         proj = project_point(CAM, _pose(position=(0, 0, 3)),
-                             world.center_of(d.truth_id))
+                             world.centers[d.truth_id])
         assert (d.center_x, d.center_y) == pytest.approx(proj[:2], abs=1e-9)
 
 
 def ref_generate_detections(camera, uav, world, noise, rng):
     """Per-balloon reference: ``project_point`` for each alive center,
-    then the same occlusion test, draws and boxes."""
+    then the same occlusion test, draws and boxes.  A balloon's truth id
+    is its index in the world, and it never occludes itself."""
     visible = []
-    for balloon, center in zip(world.balloons, world.centers):
+    for i, (balloon, center) in enumerate(zip(world.balloons, world.centers)):
         if center is None:
             continue
         proj = project_point(camera, uav, center)
         if proj is not None:
-            visible.append((balloon, proj))
+            visible.append((i, balloon, proj))
     detections = []
-    for balloon, (px, py, depth) in visible:
+    for i, balloon, (px, py, depth) in visible:
         if any(
-            od < depth and other.id != balloon.id
+            od < depth and j != i
             and math.hypot(px - ox, py - oy)
             < camera.focal_px * other.diameter / (2.0 * od)
-            for other, (ox, oy, od) in visible
+            for j, other, (ox, oy, od) in visible
         ):
             continue
         p_miss = min(1.0, noise.p_miss_base + noise.p_miss_range_scale * depth)
@@ -167,7 +168,7 @@ def ref_generate_detections(camera, uav, world, noise, rng):
         factor = max(0.05, 1.0 + noise.size_sigma_frac * rng.standard_normal())
         confidence = max(noise.confidence_floor, 1.0 - depth / 50.0)
         detections.append(Detection(cx, cy, size * factor, size * factor,
-                                    confidence, balloon.id))
+                                    confidence, i))
     if noise.false_alarm_rate > 0.0:
         for _ in range(int(rng.poisson(noise.false_alarm_rate))):
             cx = camera.width_px * rng.random() - camera.principal[0]
@@ -189,9 +190,9 @@ def test_generate_detections_equals_per_balloon_reference():
     compared = 0
     for trial in range(300):
         balloons = [
-            make_balloon(i, (float(rng.uniform(0, 40)), float(rng.uniform(-20, 20)),
-                             float(rng.uniform(1.0, 3.0))), BalloonParams(), layout)
-            for i in range(12)
+            make_balloon((float(rng.uniform(0, 40)), float(rng.uniform(-20, 20)),
+                          float(rng.uniform(1.0, 3.0))), BalloonParams(), layout)
+            for _ in range(12)
         ]
         world = make_world(balloons, time=float(rng.uniform(0, 100)))
         for victim in rng.choice(12, size=int(rng.integers(0, 4)), replace=False):
@@ -227,13 +228,13 @@ def test_generate_detections_equals_per_balloon_reference():
                 y += float(rng.uniform(-0.05, 0.05))
                 z += float(rng.uniform(-0.05, 0.05))
         balloons = [
-            _balloon(centers[k], diameter=float(rng.uniform(0.3, 0.9)), bid=i)
-            for i, k in enumerate(rng.permutation(len(centers)))
+            _balloon(centers[k], diameter=float(rng.uniform(0.3, 0.9)))
+            for k in rng.permutation(len(centers))
         ]
         world = make_world(balloons)
         if trial % 2:
-            nearest = min(balloons, key=lambda b: world.center_of(b.id)[0])
-            world = pop_balloon(world, nearest.id)
+            nearest = min(range(len(balloons)), key=lambda i: world.centers[i][0])
+            world = pop_balloon(world, nearest)
         ours, theirs = substream(trial, "s"), substream(trial, "s")
         got = generate_detections(CAM, pose, world, noise, ours)
         want = ref_generate_detections(CAM, pose, world, noise, theirs)
@@ -247,8 +248,8 @@ def test_generate_detections_equals_per_balloon_reference():
 
 
 def test_occlusion_hides_balloon_behind_another():
-    near = _balloon((5.0, 0.0, 3.0), bid=0)
-    far = _balloon((15.0, 0.1, 3.0), bid=1)   # center inside near's disc
+    near = _balloon((5.0, 0.0, 3.0))
+    far = _balloon((15.0, 0.1, 3.0))   # center inside near's disc
     world = make_world([near, far])
     dets = generate_detections(CAM, _pose(position=(0, 0, 3)), world, ZERO_NOISE,
                                substream(0, "p"))

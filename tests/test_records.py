@@ -4,7 +4,9 @@ The configuration records are NamedTuples; ``Arena``, ``NoiseModel``,
 ``CameraIntrinsics`` and ``Geofence`` check their fields when built, when
 ``_replace``d and, from Python 3.13, when copied by ``copy.replace``.
 ``Balloon`` and ``PixelTarget`` are ``__slots__`` classes that check
-their arguments when built.
+their arguments when built.  A ``Balloon`` carries no id (its number is
+its index in the world), so two are equal when all their other
+arguments are.
 """
 
 import copy
@@ -75,7 +77,7 @@ def test_checked_records_replace_builds_their_own_type(cls):
     assert type(pickle.loads(pickle.dumps(record))) is cls
 
 
-BALLOON = {"id": 0, "anchor": (10.0, 10.0, 2.0)}
+BALLOON = {"anchor": (10.0, 10.0, 2.0)}
 
 
 @pytest.mark.parametrize("bad, message", [

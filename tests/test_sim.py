@@ -40,10 +40,13 @@ def _quick_scenario(seed=0, **overrides):
 
 
 def test_zero_balloons_terminates_immediately():
+    # With nothing to intercept the run ends at once, and it is no success.
     s = parse_scenario_text("seed = 0\nballoons.count = 0\n")
     out = run_simulation(s)
     assert out.metrics.balloons_popped == 0
     assert out.metrics.duration == 0.0
+    assert not out.metrics.success
+    assert out.metrics.csv_row().split(",")[3] == "0"
 
 
 def test_run_is_deterministic_byte_identical():
@@ -954,8 +957,8 @@ def test_measured_tracks_are_ranged_and_coasting_tracks_keep_their_range(
 
 
 RUN_RECORDS = [
-    bhsim.fleet.PartitionCell, bhsim.fleet.ClaimEntry, bhsim.fleet.ClaimResult,
-    bhsim.mission.SearchPath, bhsim.mission.FleetView, bhsim.mission.MissionContext,
+    bhsim.fleet.PartitionCell, bhsim.fleet.ClaimResult,
+    bhsim.mission.FleetView, bhsim.mission.MissionContext,
     bhsim.mission.Target, bhsim.mission.MissionState, bhsim.mission.MissionStep,
     bhsim.tracking.Assignment, bhsim.tracking.Tracker, bhsim.tracking.CostMatrix,
     bhsim.vehicle.UavState, bhsim.world.WorldState,

@@ -67,7 +67,6 @@ def test_layout_infeasible_packing_raises():
 
 def _balloon(**kw):
     base = dict(
-        id=0,
         anchor=(10.0, 10.0, 2.0),
         tether_length=1.0,
         sway_amplitude=0.1,
@@ -124,16 +123,19 @@ def test_pop_balloon_kills_and_is_idempotent():
     balloons = sample_balloon_layout(substream(0, "layout"), Arena(), 5, 8.0)
     world = make_world(balloons)
     world = pop_balloon(world, 2)
-    assert world.center_of(2) is None
+    assert world.centers[2] is None
     assert world.alive_count == 4
     again = pop_balloon(world, 2)
     assert again.alive_count == 4
 
 
 def test_pop_unknown_balloon_raises():
+    # A balloon's number is its index: -1 must not pop the last balloon,
+    # nor len(centers) grow the world.
     world = make_world(sample_balloon_layout(substream(0, "layout"), Arena(), 2, 8.0))
-    with pytest.raises(UnknownBalloon):
-        pop_balloon(world, 99)
+    for i in (99, -1, len(world.centers)):
+        with pytest.raises(UnknownBalloon):
+            pop_balloon(world, i)
 
 
 def test_advance_world_requires_monotonic_time():
@@ -148,7 +150,7 @@ def test_dead_balloons_never_resurrect():
     world = pop_balloon(world, 0)
     for t in (1.0, 2.0, 3.0):
         world = advance_world(world, t)
-        assert world.center_of(0) is None
+        assert world.centers[0] is None
 
 
 def _reference_sway(b, t):
@@ -173,7 +175,6 @@ def test_world_centers_equal_sway_exactly_with_pops_partway():
     for _ in range(10):
         balloons = [
             make_balloon(
-                i,
                 (float(rng.uniform(5, 95)), float(rng.uniform(5, 35)),
                  float(rng.uniform(0.5, 3.0))),
                 BalloonParams(
@@ -183,7 +184,7 @@ def test_world_centers_equal_sway_exactly_with_pops_partway():
                 ),
                 rng,
             )
-            for i in range(20)
+            for _ in range(20)
         ]
         world = make_world(balloons)
         popped = set()
@@ -196,9 +197,10 @@ def test_world_centers_equal_sway_exactly_with_pops_partway():
                 world = pop_balloon(world, victim)
                 popped.add(victim)
             assert world.alive_count == 20 - len(popped)
-            for b, c in zip(world.balloons, world.centers):
-                if b.id in popped:
-                    assert c is None and world.center_of(b.id) is None
+            for i, b in enumerate(world.balloons):
+                c = world.centers[i]
+                if i in popped:
+                    assert c is None
                     continue
                 assert c == step_balloon_sway(b, t) == _reference_sway(b, t)
                 checked += 1
@@ -210,6 +212,4 @@ def test_make_world_centers_balloons_at_its_time():
     balloons = sample_balloon_layout(substream(4, "layout"), Arena(), 5, 8.0)
     world = make_world(balloons, time=2.5)
     assert world.centers == tuple(_reference_sway(b, 2.5) for b in balloons)
-    assert world.balloon_by_id(3) is balloons[3]
-    with pytest.raises(UnknownBalloon):
-        world.center_of(99)
+    assert world.balloons[3] is balloons[3]
