@@ -4,11 +4,12 @@ The arena footprint is split among agents into Voronoi cells computed by
 half-plane clipping of the footprint rectangle, so every cell is a convex
 polygon and the cells tile the footprint exactly.  A claim table gives
 each agent an exclusive, radius-guarded reservation on one balloon
-estimate, keyed by its claim id, and a pairwise hold rule keeps agents
-apart.
+estimate, keyed by its claim id, and ``deconflict`` finds the agents
+to hold and the close pairs whose closing motion to strip.
 """
 
 import math
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 Vec2 = tuple[float, float]
@@ -208,23 +209,26 @@ def release_claim(table: ClaimTable, claim_id: int) -> None:
     del table.entries[claim_id]
 
 
-def deconflict(agents: Sequence, min_sep: float) -> dict[int, bool]:
-    """Hold flags for inter-agent separation.
+def deconflict(
+    agents: Sequence[tuple[int, Vec3]], hold_radius: float, strip_radius: float
+) -> tuple[set[int], dict[int, list[Vec3]]]:
+    """Separation holds and close pairs among ``(id, position)`` agents
+    given in ascending id, from one distance per pair.
 
-    For every pair of agents closer than ``min_sep``, the higher agent id
-    is held (zero velocity this tick) while the lower id proceeds.
-    ``agents`` need ids and world positions.
+    For every pair closer than ``hold_radius`` the higher id is held
+    (zero velocity this tick) while the lower id proceeds.  For every
+    pair closer than ``strip_radius`` the lower id's entry in the close
+    map lists the higher id's position, in ascending id.  Returns the
+    held ids and the close map.
     """
-    if min_sep <= 0:
-        raise ValueError("min_sep must be positive")
-    holds = {a.id: False for a in agents}
-    ordered = sorted(agents, key=lambda a: a.id)
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            a, b = ordered[i], ordered[j]
-            dx = a.position[0] - b.position[0]
-            dy = a.position[1] - b.position[1]
-            dz = a.position[2] - b.position[2]
-            if math.sqrt(dx * dx + dy * dy + dz * dz) < min_sep:
-                holds[b.id] = True
-    return holds
+    if hold_radius <= 0:
+        raise ValueError("hold_radius must be positive")
+    held: set[int] = set()
+    close: dict[int, list[Vec3]] = {}
+    for (low, p), (high, q) in combinations(agents, 2):
+        d = math.dist(p, q)
+        if d < hold_radius:
+            held.add(high)
+        if d < strip_radius:
+            close.setdefault(low, []).append(q)
+    return held, close

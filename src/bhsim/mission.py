@@ -16,7 +16,10 @@ one plus a world-frame velocity command and a yaw-rate command.  Its
 records, ``MissionParams`` included, are immutable ``NamedTuple``s,
 copied with ``_replace``.  A ``SearchPath`` is the bare tuple of its
 waypoints; a run plans it at the mission's ``search_altitude`` and
-``lane_spacing``.
+``lane_spacing``, and sets it next to the agent's cell,
+``MissionState.cell``.  The agent reaches the fleet only through the
+calls of its ``MissionContext``: claims, releases and the waypoints it
+sweeps.
 
 Everything an agent knows about the balloon it works on is one ``Target``
 NamedTuple, ``MissionState.target``: track and claim ids, the
@@ -126,28 +129,16 @@ class MissionParams(NamedTuple):
 SearchPath = tuple[Vec3, ...]
 
 
-class FleetView(NamedTuple):
-    """What one agent may see and do through the fleet supervisor.
-
-    ``cell`` is the agent's current responsibility polygon; commits are
-    restricted to estimates inside it.
-    ``try_claim(estimate, t)`` and ``release(claim_id, reason, t)`` take
-    the current time, so one view serves every tick of a plan.
-    """
-
-    claim_radius: float
-    try_claim: Callable[[Vec3, float], ClaimResult]
-    release: Callable[[int, str, float], None]
-    cell: tuple[Vec2, ...]
-
-
 class MissionContext(NamedTuple):
-    """Per-agent constants wired once at run start.
+    """One agent's constants and fleet calls, wired once per run.
 
     ``v_search`` is the cruise speed of SEARCH and REVISIT (the vehicle's
     ``v_max``).  ``volume_lo`` / ``volume_hi`` bound the space balloons
     can occupy; estimates outside it (plus slack) are rejected and
-    revisit waypoints are clamped into it.
+    revisit waypoints are clamped into it.  ``try_claim(estimate, t)``
+    and ``release(claim_id, reason, t)`` reserve and free balloons in the
+    fleet's claim table as this agent, and ``cover(waypoint)`` adds a
+    reached search waypoint to the fleet's swept coverage.
     """
 
     params: MissionParams
@@ -156,6 +147,10 @@ class MissionContext(NamedTuple):
     yaw_rate_max: float
     volume_lo: Vec3
     volume_hi: Vec3
+    claim_radius: float
+    try_claim: Callable[[Vec3, float], ClaimResult]
+    release: Callable[[int, str, float], None]
+    cover: Callable[[Vec3], None]
 
     def estimate_plausible(self, est: Vec3) -> bool:
         s = ESTIMATE_VOLUME_SLACK
@@ -191,6 +186,8 @@ class MissionState(NamedTuple):
     phase: Phase
     entered_at: float
     path: SearchPath
+    # the agent's responsibility polygon; commits stay near it
+    cell: tuple[Vec2, ...] = ()
     wp_index: int = 0
     visited: tuple[bool, ...] = ()
     # the engaged balloon; None exactly in SEARCH
@@ -427,7 +424,6 @@ def step_mission(
     ms: MissionState,
     tracks: Sequence[TrackState],
     uav: UavState,
-    view: FleetView,
     t: float,
     ctx: MissionContext,
 ) -> MissionStep:
@@ -441,7 +437,7 @@ def step_mission(
     and returns ``(state, velocity, yaw_rate)``.
     """
     events: Events = []
-    state, vel, yaw_rate = _HANDLERS[ms.phase](ms, tracks, uav, view, t, ctx, events)
+    state, vel, yaw_rate = _HANDLERS[ms.phase](ms, tracks, uav, t, ctx, events)
     return MissionStep(state, vel, yaw_rate, tuple(events))
 
 
@@ -457,14 +453,14 @@ def _enter(
 
 
 def _back_to_search(
-    ms: MissionState, uav: UavState, view: FleetView, t: float, events: Events,
+    ms: MissionState, uav: UavState, ctx: MissionContext, t: float, events: Events,
     release_reason: Optional[str], detail: Optional[dict] = None,
 ) -> MissionState:
     """Release the claim for ``release_reason`` (None: it is already
     released), drop the target and resume at the nearest unvisited
     waypoint."""
     if release_reason is not None:
-        view.release(ms.target.claim_id, release_reason, t)
+        ctx.release(ms.target.claim_id, release_reason, t)
     visited = ms.visited
     idx = _nearest_unvisited(ms.path, visited, uav.position)
     if idx is None:
@@ -478,12 +474,12 @@ def _back_to_search(
 
 def _engage(
     ms: MissionState, track: TrackState, est: Vec3, uav: UavState,
-    view: FleetView, t: float, events: Events, retries: int = 0,
+    ctx: MissionContext, t: float, events: Events, retries: int = 0,
 ) -> Optional[MissionState]:
     """Claim ``est`` and enter ALIGN on ``track`` with a fresh target, or
     return None when the claim is denied.  The one commit path, from
     SEARCH and from a CONFIRM retry."""
-    result = view.try_claim(est, t)
+    result = ctx.try_claim(est, t)
     if not result.granted:
         return None
     heading = _bearing_to(uav.position, est)
@@ -542,7 +538,7 @@ def _refresh_target(
     ))
 
 
-def _step_search(ms, tracks, uav, view, t, ctx, events):
+def _step_search(ms, tracks, uav, t, ctx, events):
     mp = ctx.params
 
     if t >= ms.commit_cooldown_until:
@@ -564,11 +560,11 @@ def _step_search(ms, tracks, uav, view, t, ctx, events):
             est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
             if not ctx.estimate_plausible(est):
                 continue
-            if not point_in_cell((est[0], est[1]), view.cell, CELL_COMMIT_MARGIN):
+            if not point_in_cell((est[0], est[1]), ms.cell, CELL_COMMIT_MARGIN):
                 continue
-            if _near_blacklist(est, ms.blacklist, view.claim_radius):
+            if _near_blacklist(est, ms.blacklist, ctx.claim_radius):
                 continue
-            engaged = _engage(ms, track, est, uav, view, t, events)
+            engaged = _engage(ms, track, est, uav, ctx, t, events)
             if engaged is not None:
                 return engaged, _HOVER, 0.0
             denied = True
@@ -587,6 +583,7 @@ def _step_search(ms, tracks, uav, view, t, ctx, events):
         visited = list(ms.visited)
         if reached:
             visited[wp_index] = True
+            ctx.cover(wp)
         nxt = next(
             (i for i in range(wp_index + 1, len(visited)) if not visited[i]), None
         )
@@ -614,7 +611,7 @@ def _step_search(ms, tracks, uav, view, t, ctx, events):
     return ms, (dx * k, dy * k, dz * k), yaw_rate
 
 
-def _step_align(ms, tracks, uav, view, t, ctx, events):
+def _step_align(ms, tracks, uav, t, ctx, events):
     mp = ctx.params
     track = _find_track(tracks, ms.target.track_id)
 
@@ -623,7 +620,7 @@ def _step_align(ms, tracks, uav, view, t, ctx, events):
     ms = _refresh_target(ms, track, uav, ctx)
 
     if t - ms.entered_at > mp.align_timeout:
-        ms = _back_to_search(ms, uav, view, t, events, "abandoned",
+        ms = _back_to_search(ms, uav, ctx, t, events, "abandoned",
                              {"reason": "align_timeout"})
         return ms, _HOVER, 0.0
 
@@ -647,7 +644,7 @@ def _lost_target(ms, uav, t, ctx, events):
     return ms, _HOVER, 0.0
 
 
-def _step_approach(ms, tracks, uav, view, t, ctx, events):
+def _step_approach(ms, tracks, uav, t, ctx, events):
     mp = ctx.params
     track = _find_track(tracks, ms.target.track_id)
 
@@ -669,11 +666,11 @@ def _step_approach(ms, tracks, uav, view, t, ctx, events):
     # Claim drift: when the working estimate wanders away from the
     # claimed position, re-reserve it so exclusivity tracks reality;
     # a denial means another agent owns the spot we drifted onto.
-    if _dist3(tg.estimate, tg.claim_estimate) > view.claim_radius / 2.0:
-        view.release(tg.claim_id, "abandoned", t)
-        result = view.try_claim(tg.estimate, t)
+    if _dist3(tg.estimate, tg.claim_estimate) > ctx.claim_radius / 2.0:
+        ctx.release(tg.claim_id, "abandoned", t)
+        result = ctx.try_claim(tg.estimate, t)
         if not result.granted:
-            ms = _back_to_search(ms, uav, view, t, events, None,
+            ms = _back_to_search(ms, uav, ctx, t, events, None,
                                  {"reason": "claim_lost"})
             return ms, _HOVER, 0.0
         tg = tg._replace(claim_id=result.claim_id, claim_estimate=tg.estimate)
@@ -695,7 +692,7 @@ def _step_approach(ms, tracks, uav, view, t, ctx, events):
     return ms, vel, _yaw_cmd_offset_law(track, uav, ctx)
 
 
-def _step_revisit(ms, tracks, uav, view, t, ctx, events):
+def _step_revisit(ms, tracks, uav, t, ctx, events):
     mp = ctx.params
     rp = ms.target.revisit_point
     dist = _dist3(uav.position, rp)
@@ -712,7 +709,7 @@ def _step_revisit(ms, tracks, uav, view, t, ctx, events):
     return ms, vel, yaw_rate
 
 
-def _step_confirm(ms, tracks, uav, view, t, ctx, events):
+def _step_confirm(ms, tracks, uav, t, ctx, events):
     mp = ctx.params
     tg = ms.target
 
@@ -724,27 +721,27 @@ def _step_confirm(ms, tracks, uav, view, t, ctx, events):
         est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
         if not ctx.estimate_plausible(est):
             continue
-        if _dist3(est, tg.estimate) <= view.claim_radius:
+        if _dist3(est, tg.estimate) <= ctx.claim_radius:
             if tg.retries + 1 > mp.retry_limit:
                 events.append((
                     "failure",
                     {"reason": "unreachable_site", "estimate": list(tg.estimate)},
                 ))
-                ms = _back_to_search(ms, uav, view, t, events, "abandoned",
+                ms = _back_to_search(ms, uav, ctx, t, events, "abandoned",
                                      {"reason": "retry_limit"})
                 return ms._replace(blacklist=ms.blacklist + (tg.estimate,)), _HOVER, 0.0
             # Re-claim at the fresh estimate so the retry stays exclusive;
             # a denial means another agent owns this balloon now.
-            view.release(tg.claim_id, "abandoned", t)
-            engaged = _engage(ms, track, est, uav, view, t, events, tg.retries + 1)
+            ctx.release(tg.claim_id, "abandoned", t)
+            engaged = _engage(ms, track, est, uav, ctx, t, events, tg.retries + 1)
             if engaged is None:
-                engaged = _back_to_search(ms, uav, view, t, events, None,
+                engaged = _back_to_search(ms, uav, ctx, t, events, None,
                                           {"reason": "claim_lost"})
             return engaged, _HOVER, 0.0
 
     if t - ms.entered_at >= mp.t_confirm:
         events.append(("pop", {"source": "declared", "estimate": list(tg.estimate)}))
-        return _back_to_search(ms, uav, view, t, events, "popped"), _HOVER, 0.0
+        return _back_to_search(ms, uav, ctx, t, events, "popped"), _HOVER, 0.0
 
     yaw_rate = _yaw_cmd_toward(_bearing_to(uav.position, tg.estimate), uav, ctx)
     return ms, _HOVER, yaw_rate

@@ -1,13 +1,14 @@
 """Deterministic tick loop, seed sweeps, metrics, and run bookkeeping.
 
 A run is a pipeline of stages over one ``_Run`` state, which sets itself
-up from the scenario: world, geofence, mission context, separation radii
-and agents.  ``run_simulation`` builds it, makes the start-up plan
-(``_plan``) and then calls the stages in this order every tick:
+up from the scenario: world, geofence, separation radii, and agents with
+their mission contexts.  ``run_simulation`` builds it, makes the start-up
+plan (``_plan``) and then calls the stages in this order every tick:
 
 1. world: ``advance_world`` sways every alive balloon to time t;
 2. fleet: ``_step_fleet`` applies scripted failures and the replan they
-   force (``_plan`` again), then separation holds and close pairs;
+   force (``_plan`` again), then ``deconflict`` finds the separation
+   holds and close pairs in one pass over the agent pairs;
 3. agent, for every live agent in ascending id: ``_sense`` (camera
    detections), ``_track`` (tracker and ranging), ``_decide`` (mission)
    and ``_act`` (hold, geofence clamp, separation strip, integration);
@@ -15,10 +16,12 @@ and agents.  ``run_simulation`` builds it, makes the start-up plan
 5. audits: ``_audit`` scores the tick against ground truth, given the
    estimates of the pops the agents declared, which ``_decide`` hands it.
 
-Agents interact only through the fleet stage and the claim table, and
-all randomness flows from named substreams of the scenario seed, so a
-run is a pure function of (scenario, seed).  Stages emit records to the
-event log but never read it back.
+Agents interact only through the fleet stage and the calls of their
+``MissionContext``, wired once per agent at set-up: the claim table, and
+the swept coverage each replan prunes the new paths by.  All randomness
+flows from named substreams of the scenario seed, so a run is a pure
+function of (scenario, seed).  Stages emit records to the event log but
+never read it back.
 
 A run's records go to an ``events.EventLog``, which keeps them in
 memory or, given the run's log path, writes them as the run goes.
@@ -43,7 +46,6 @@ from .fleet import (
     voronoi_partition,
 )
 from .mission import (
-    FleetView,
     MissionContext,
     MissionState,
     MissionStep,
@@ -74,7 +76,6 @@ from .world import (
     sample_balloon_layout,
 )
 
-Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
 
 SPEED_TOLERANCE = 1e-9
@@ -151,34 +152,40 @@ class RunResult(NamedTuple):
 
 
 class _AgentRt:
-    """Mutable per-agent runtime.  A failed agent is never stepped again."""
+    """Mutable per-agent runtime.  ``ctx``, the agent's mission constants
+    and fleet calls, is set once per run.  A failed agent is never
+    stepped again."""
 
     __slots__ = (
-        "id", "uav", "tracker", "mission", "rng", "view", "distance", "failed"
+        "id", "uav", "tracker", "mission", "rng", "ctx", "distance", "failed"
     )
 
     def __init__(
         self, id: int, uav: UavState, tracker: Tracker, mission: MissionState,
-        rng: Stream,
+        rng: Stream, ctx: MissionContext,
     ) -> None:
         self.id = id
         self.uav = uav
         self.tracker = tracker
         self.mission = mission
         self.rng = rng
-        self.view: Optional[FleetView] = None
+        self.ctx = ctx
         self.distance = 0.0
         self.failed = False
 
 
 class _Run:
-    """Everything one run carries from tick to tick; every stage works on it."""
+    """Everything one run carries from tick to tick; every stage works on it.
+
+    Set-up wires each agent to the fleet once: its ``MissionContext``
+    holds the run's mission constants and the agent's claim, release and
+    coverage calls.
+    """
 
     __slots__ = (
-        "scenario", "dt", "fence", "ctx", "hold_radius", "strip_radius",
-        "reaches", "world", "agents", "pending_failures", "metrics", "elog",
-        "claims", "cells", "covered", "pop_times", "live", "pairs", "holds",
-        "close_pairs",
+        "scenario", "dt", "fence", "hold_radius", "strip_radius", "reaches",
+        "world", "agents", "pending_failures", "metrics", "elog", "claims",
+        "cells", "covered", "pop_times", "live", "pairs", "held", "close_pairs",
     )
 
     def __init__(self, scenario: Scenario, elog: ev.EventLog) -> None:
@@ -196,14 +203,6 @@ class _Run:
             vp.yaw_rate_max,
             0.4 * scenario.tracker.gate_px / (scenario.camera.focal_px * dt),
         )
-        self.ctx = MissionContext(
-            params=mp,
-            focal_px=scenario.camera.focal_px,
-            v_search=vp.v_max,
-            yaw_rate_max=yaw_rate_cap,
-            volume_lo=scenario.arena.effective_min,
-            volume_hi=scenario.arena.effective_max,
-        )
         # Separation triggers anticipate both the per-tick travel and the
         # drift-through of the first order velocity lag (~v_max * tau) so
         # the realized minimum distance stays above min_sep - v_max * dt.
@@ -212,31 +211,46 @@ class _Run:
         self.strip_radius = scenario.fleet.min_sep + 2.0 * vp.v_max * vp.tau
         # radius + tip_reach per balloon, as check_pop adds them
         self.reaches = tuple([b.radius + mp.tip_reach for b in self.world.balloons])
+        self.elog = elog
+        self.claims = claims = ClaimTable()
+        self.covered: list[Vec3] = []
+        claim_radius = scenario.fleet.claim_radius
         # Agents start on an empty path; the start-up plan gives each its own.
         unplanned = initial_mission_state(())
         self.agents = [
             _AgentRt(
                 id=i,
-                uav=UavState(id=i, position=ap.starts[i], yaw=ap.start_yaw),
+                uav=UavState(position=ap.starts[i], yaw=ap.start_yaw),
                 tracker=Tracker(params=scenario.tracker),
                 mission=unplanned,
                 rng=substream(seed, f"perception.{i}"),
+                # Bound to the claims, the log and the coverage, never to
+                # the run: a run bound here would be a cycle.
+                ctx=MissionContext(
+                    params=mp,
+                    focal_px=scenario.camera.focal_px,
+                    v_search=vp.v_max,
+                    yaw_rate_max=yaw_rate_cap,
+                    volume_lo=scenario.arena.effective_min,
+                    volume_hi=scenario.arena.effective_max,
+                    claim_radius=claim_radius,
+                    try_claim=partial(_try_claim, claims, elog, claim_radius, i),
+                    release=partial(_release, claims, elog, i),
+                    cover=self.covered.append,
+                ),
             )
             for i in range(ap.count)
         ]
         self.pending_failures = list(scenario.fleet.failures)
         self.metrics = RunMetrics(seed=seed, balloons_total=scenario.balloons.count)
-        self.elog = elog
-        self.claims = ClaimTable()
         self.cells: list[PartitionCell] = []
-        self.covered: list[Vec2] = []
         self.pop_times: list[tuple[int, float]] = []
         # Set by each plan: the live agents and their pairs, in ascending ids.
         self.live: list[_AgentRt] = []
         self.pairs: list[tuple[_AgentRt, _AgentRt]] = []
-        # Set by the fleet stage each tick: hold flags, and per agent the
+        # Set by the fleet stage each tick: the held ids, and per agent the
         # tick-start positions of higher-id neighbors within the strip radius.
-        self.holds: dict[int, bool] = {}
+        self.held: set[int] = set()
         self.close_pairs: dict[int, list[Vec3]] = {}
 
 
@@ -276,15 +290,14 @@ def plan_cells(
     return cells, paths
 
 
-def _prune_path(
-    path: SearchPath, covered: Sequence[tuple[float, float]], radius: float
-) -> SearchPath:
-    """Drop waypoints already within ``radius`` of swept coverage points."""
+def _prune_path(path: SearchPath, covered: Sequence[Vec3], radius: float) -> SearchPath:
+    """Drop waypoints already within ``radius`` of swept waypoints,
+    measured across the footprint."""
     if not covered:
         return path
     kept = tuple([
         wp for wp in path
-        if not any(math.hypot(wp[0] - cx, wp[1] - cy) <= radius for cx, cy in covered)
+        if not any(math.hypot(wp[0] - c[0], wp[1] - c[1]) <= radius for c in covered)
     ])
     return kept or path
 
@@ -344,21 +357,14 @@ def _plan(run: _Run, t: float) -> None:
         return
     run.cells, paths = plan_cells(run.scenario, [a.id for a in run.live])
     radius = run.scenario.mission.lane_spacing / 2.0
-    claim_radius = run.scenario.fleet.claim_radius
     for agent, cell in zip(run.live, run.cells):
         path = _prune_path(paths[agent.id], run.covered, radius)
         agent.mission = agent.mission._replace(
             path=path,
+            cell=cell.polygon,
             wp_index=0,
             wp_started_at=t,
             visited=tuple(False for _ in path),
-        )
-        # Bound to the claims and the log: a run bound here would be a cycle.
-        agent.view = FleetView(
-            claim_radius=claim_radius,
-            try_claim=partial(_try_claim, run.claims, run.elog, claim_radius, agent.id),
-            release=partial(_release, run.claims, run.elog, agent.id),
-            cell=cell.polygon,
         )
 
 
@@ -371,18 +377,14 @@ def _step_fleet(run: _Run, t: float) -> None:
             continue
         agent.failed = failed = True
         if agent.mission.target is not None:
-            agent.view.release(agent.mission.target.claim_id, "abandoned", t)
+            agent.ctx.release(agent.mission.target.claim_id, "abandoned", t)
         run.elog.emit(t, agent.id, "failure", {"reason": "scripted"})
     if failed:
         _plan(run, t)
 
-    run.holds = (
-        deconflict([a.uav for a in run.live], run.hold_radius) if run.pairs else {}
-    )
-    run.close_pairs = {}
-    for a, b in run.pairs:
-        if math.dist(a.uav.position, b.uav.position) < run.strip_radius:
-            run.close_pairs.setdefault(a.id, []).append(b.uav.position)
+    run.held, run.close_pairs = deconflict(
+        [(a.id, a.uav.position) for a in run.live], run.hold_radius, run.strip_radius
+    ) if run.pairs else (set(), {})
 
 
 def _sense(run: _Run, agent: _AgentRt, t: float) -> list[BoxMeasurement]:
@@ -419,24 +421,14 @@ def _track(
 def _decide(
     run: _Run, agent: _AgentRt, t: float, declared: list[list[float]]
 ) -> MissionStep:
-    """Step the mission, log its events, collect the estimates of the pops
-    it declares, and add the waypoints it newly visited to the fleet's
-    coverage."""
-    prev_visited = agent.mission.visited
-    mstep = step_mission(
-        agent.mission, agent.tracker.tracks, agent.uav, agent.view, t, run.ctx
-    )
+    """Step the mission, log its events and collect the estimates of the
+    pops it declares."""
+    mstep = step_mission(agent.mission, agent.tracker.tracks, agent.uav, t, agent.ctx)
     agent.mission = mstep.state
     for kind, data in mstep.events:
         run.elog.emit(t, agent.id, kind, data)
         if kind == "pop":  # the mission's pops are all declared ones
             declared.append(data["estimate"])
-    visited = agent.mission.visited
-    if visited is not prev_visited:
-        for idx, was in enumerate(prev_visited):
-            if not was and visited[idx]:
-                wp = agent.mission.path[idx]
-                run.covered.append((wp[0], wp[1]))
     return mstep
 
 
@@ -448,7 +440,7 @@ def _act(run: _Run, agent: _AgentRt, t: float, mstep: MissionStep) -> None:
     own = agent.uav.position
     vel = mstep.velocity_cmd
     neighbors = run.close_pairs.get(agent.id, ())
-    if run.holds.get(agent.id, False):
+    if agent.id in run.held:
         clamped = (0.0, 0.0, 0.0)
     else:
         clamped = clamp_to_geofence(own, vel, run.fence, margin, vp.v_max)
@@ -675,11 +667,12 @@ def sweep(
 
     Runs share nothing; with ``jobs > 1`` and more than one seed they
     execute in a pool of ``min(jobs, len(seeds), usable CPUs)``
-    processes, which starts all its workers at once.  With ``out_dir``, each run streams
-    its log to ``events_seed{N}.jsonl`` there as it goes, in whichever
-    process runs it.  A seed whose run raises gets an error row, and its
-    log holds what the run emitted before it raised, ending in one
-    ``error`` record.  Rows are returned in seed order either way.
+    processes, which starts all its workers at once.  With ``out_dir``,
+    each run streams its log to ``events_seed{N}.jsonl`` there as it
+    goes, in whichever process runs it.  A seed whose run raises gets an
+    error row, and its log holds what the run emitted before it raised,
+    ending in one ``error`` record.  Rows are returned in seed order
+    either way.
     """
     if not seeds:
         raise ValueError("seed range must be non-empty")

@@ -138,10 +138,6 @@ class Tracker(NamedTuple):
     next_id: int = 1
     params: TrackerParams = TrackerParams()
 
-    @property
-    def confirmed(self) -> list[TrackState]:
-        return [t for t in self.tracks if t.status is TrackStatus.CONFIRMED]
-
 
 def new_track(
     track_id: int, z: BoxMeasurement, params: TrackerParams

@@ -37,7 +37,6 @@ class UavParams(NamedTuple):
 
 
 class UavState(NamedTuple):
-    id: int
     position: Vec3
     velocity: Vec3 = (0.0, 0.0, 0.0)
     yaw: float = 0.0
@@ -161,9 +160,7 @@ def step_uav(
     pz = state.position[2] + vz * dt
     rate = max(-params.yaw_rate_max, min(params.yaw_rate_max, cmd_yaw_rate))
     yaw = wrap_angle(state.yaw + rate * dt)
-    return UavState(
-        id=state.id, position=(px, py, pz), velocity=(vx, vy, vz), yaw=yaw
-    )
+    return UavState(position=(px, py, pz), velocity=(vx, vy, vz), yaw=yaw)
 
 
 def clamp_to_geofence(

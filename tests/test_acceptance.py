@@ -139,7 +139,7 @@ def test_criterion_3_tracker_convergence_and_id_stability():
             false_alarm_rate=0.0,
             confidence_floor=0.1,
         )
-        pose = UavState(id=0, position=(0.0, 0.0, 3.0), yaw=0.0)
+        pose = UavState(position=(0.0, 0.0, 3.0), yaw=0.0)
         single_frames = 0
         total_frames = 300 * 20
         for seed in range(20):
@@ -155,7 +155,9 @@ def test_criterion_3_tracker_convergence_and_id_stability():
                     for d in dets
                 ]
                 tracker, _ = step_tracker(tracker, meas)
-                confirmed = tracker.confirmed
+                confirmed = [
+                    t for t in tracker.tracks if t.status is TrackStatus.CONFIRMED
+                ]
                 if len(confirmed) == 1:
                     single_frames += 1
         assert single_frames / total_frames >= 0.95, (

@@ -1,5 +1,4 @@
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -115,32 +114,44 @@ def test_claim_lifecycle():
     assert r5.granted
 
 
-@dataclass
-class _Agent:
-    id: int
-    position: tuple
-
-
 def test_deconflict_priority_rule():
-    agents = [_Agent(0, (0.0, 0.0, 0.0)), _Agent(1, (4.0, 0.0, 0.0))]
-    holds = deconflict(agents, 5.0)
-    assert holds == {0: False, 1: True}
+    agents = [(0, (0.0, 0.0, 0.0)), (1, (4.0, 0.0, 0.0))]
+    held, _ = deconflict(agents, 5.0, 3.0)
+    assert held == {1}
 
 
 def test_deconflict_clear_pair():
-    agents = [_Agent(0, (0.0, 0.0, 0.0)), _Agent(1, (10.0, 0.0, 0.0))]
-    assert deconflict(agents, 5.0) == {0: False, 1: False}
+    agents = [(0, (0.0, 0.0, 0.0)), (1, (10.0, 0.0, 0.0))]
+    assert deconflict(agents, 5.0, 3.0) == (set(), {})
 
 
 def test_deconflict_chain():
     # Oracle: enumerate pairs; with a-b-c each 4 m apart, b and c hold.
-    agents = [
-        _Agent(0, (0.0, 0.0, 0.0)),
-        _Agent(1, (4.0, 0.0, 0.0)),
-        _Agent(2, (8.0, 0.0, 0.0)),
-    ]
-    holds = deconflict(agents, 5.0)
-    assert holds == {0: False, 1: True, 2: True}
+    agents = [(0, (0.0, 0.0, 0.0)), (1, (4.0, 0.0, 0.0)), (2, (8.0, 0.0, 0.0))]
+    held, _ = deconflict(agents, 5.0, 3.0)
+    assert held == {1, 2}
+
+
+def test_deconflict_pair_between_strip_and_hold_radii_only_holds():
+    agents = [(0, (0.0, 0.0, 0.0)), (1, (0.0, 4.0, 0.0))]
+    assert deconflict(agents, 5.0, 3.0) == ({1}, {})
+
+
+def test_deconflict_pair_inside_strip_radius_holds_and_is_close():
+    agents = [(0, (0.0, 0.0, 0.0)), (1, (1.0, 1.0, 1.0))]
+    assert deconflict(agents, 5.0, 3.0) == ({1}, {0: [(1.0, 1.0, 1.0)]})
+
+
+def test_deconflict_chain_lists_each_lower_ids_neighbors_in_ascending_id():
+    # Oracle: enumerate pairs; 0-1 are 2 m apart, 0-2 2.5 m and 1-2 0.5 m.
+    agents = [(0, (0.0, 0.0, 0.0)), (1, (2.0, 0.0, 0.0)), (2, (2.5, 0.0, 0.0))]
+    assert deconflict(agents, 5.0, 3.0) == (
+        {1, 2}, {0: [(2.0, 0.0, 0.0), (2.5, 0.0, 0.0)], 1: [(2.5, 0.0, 0.0)]},
+    )
+
+
+def test_deconflict_lone_agent_is_neither_held_nor_close():
+    assert deconflict([(0, (0.0, 0.0, 0.0))], 5.0, 3.0) == (set(), {})
 
 
 def test_polygon_area_ccw_rect():

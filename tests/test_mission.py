@@ -9,7 +9,6 @@ from bhsim.mission import (
     LEGAL_TRANSITIONS,
     MAX_PATH_WAYPOINTS,
     DegenerateCell,
-    FleetView,
     MissionContext,
     MissionParams,
     MissionState,
@@ -235,20 +234,10 @@ def test_plan_revisit_rejects_zero_standoff():
         plan_revisit((10.0, 10.0, 3.0), 0.0, 0.0)
 
 
-def _ctx(**kw):
-    base = dict(
-        params=MissionParams(),
-        focal_px=600.0,
-        v_search=2.0,
-        yaw_rate_max=1.5,
-        volume_lo=Arena().effective_min,
-        volume_hi=Arena().effective_max,
-    )
-    base.update(kw)
-    return MissionContext(**base)
-
-
-def _view(granted=True, claims=None):
+def _ctx(granted=True, claims=None, covered=None):
+    """A context whose claims are all granted (as claim 7) or all denied,
+    and the list of the releases it is asked for.  Claimed estimates go
+    to ``claims`` and covered waypoints to ``covered``, when given."""
     def try_claim(est, t):
         if claims is not None:
             claims.append(est)
@@ -259,14 +248,24 @@ def _view(granted=True, claims=None):
     def release(cid, reason, t):
         released.append((cid, reason))
 
-    view = FleetView(claim_radius=5.0, try_claim=try_claim, release=release,
-                     cell=RECT)
-    return view, released
+    ctx = MissionContext(
+        params=MissionParams(),
+        focal_px=600.0,
+        v_search=2.0,
+        yaw_rate_max=1.5,
+        volume_lo=Arena().effective_min,
+        volume_hi=Arena().effective_max,
+        claim_radius=5.0,
+        try_claim=try_claim,
+        release=release,
+        cover=(lambda wp: None) if covered is None else covered.append,
+    )
+    return ctx, released
 
 
 def _search_state():
     path = generate_search_path(RECT, 4.0, 15.0)
-    return initial_mission_state(path)
+    return initial_mission_state(path)._replace(cell=RECT)
 
 
 def _engaged(phase, entered_at, **target):
@@ -283,9 +282,9 @@ def _engaged(phase, entered_at, **target):
 
 def test_search_commits_to_claimed_track():
     ms = _search_state()
-    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
-    view, _ = _view(granted=True)
-    out = step_mission(ms, [_track()], uav, view, 1.0, _ctx())
+    uav = UavState(position=(50.0, 20.0, 4.0))
+    ctx, _ = _ctx(granted=True)
+    out = step_mission(ms, [_track()], uav, 1.0, ctx)
     assert out.state.phase is Phase.ALIGN
     assert out.state.target.track_id == 1
     assert out.state.target.claim_id == 7
@@ -295,30 +294,48 @@ def test_search_commits_to_claimed_track():
 
 def test_search_tick_without_waypoint_event_keeps_the_state():
     ms = _search_state()
-    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
-    view, _ = _view()
-    out = step_mission(ms, [], uav, view, 1.0, _ctx())
+    uav = UavState(position=(50.0, 20.0, 4.0))
+    ctx, _ = _ctx()
+    out = step_mission(ms, [], uav, 1.0, ctx)
     assert out.state is ms and out.state.visited is ms.visited
     # Reaching the waypoint marks it and hands back a new tuple.
-    on_wp = UavState(id=0, position=ms.path[0])
-    out = step_mission(ms, [], on_wp, view, 1.0, _ctx())
+    on_wp = UavState(position=ms.path[0])
+    out = step_mission(ms, [], on_wp, 1.0, ctx)
     assert out.state.visited is not ms.visited
     assert out.state.visited[0] and out.state.wp_index == 1
 
 
+def test_search_covers_each_reached_waypoint_the_last_one_too():
+    # A reached waypoint goes to the fleet's coverage, and so does the one
+    # that completes the pattern, though that step resets ``visited``.
+    ms = _search_state()
+    covered = []
+    ctx, _ = _ctx(covered=covered)
+    step_mission(ms, [], UavState(position=(50.0, 20.0, 4.0)), 1.0, ctx)
+    assert covered == []
+    # A waypoint given up on after its timeout is not covered.
+    step_mission(ms, [], UavState(position=(50.0, 20.0, 4.0)), 26.0, ctx)
+    assert covered == []
+    last = len(ms.path) - 1
+    ms = ms._replace(wp_index=last, visited=(True,) * last + (False,))
+    out = step_mission(ms, [], UavState(position=ms.path[last]), 1.0, ctx)
+    assert covered == [ms.path[last]]
+    assert not any(out.state.visited) and out.state.wp_index == 0
+
+
 def test_search_keeps_searching_when_claim_denied():
     ms = _search_state()
-    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
-    view, _ = _view(granted=False)
-    out = step_mission(ms, [_track()], uav, view, 1.0, _ctx())
+    uav = UavState(position=(50.0, 20.0, 4.0))
+    ctx, _ = _ctx(granted=False)
+    out = step_mission(ms, [_track()], uav, 1.0, ctx)
     assert out.state.phase is Phase.SEARCH
 
 
 def test_approach_target_death_goes_to_revisit():
     ms = _engaged(Phase.APPROACH, 5.0)
-    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
-    view, released = _view()
-    out = step_mission(ms, [], uav, view, 6.0, _ctx())
+    uav = UavState(position=(50.0, 20.0, 4.0))
+    ctx, released = _ctx()
+    out = step_mission(ms, [], uav, 6.0, ctx)
     assert out.state.phase is Phase.REVISIT
     assert out.state.target.revisit_point == pytest.approx((49.0, 20.0, 3.0))
     assert out.state.target.track_id is None
@@ -328,9 +345,9 @@ def test_approach_target_death_goes_to_revisit():
 
 def test_confirm_empty_fov_declares_pop_and_resumes_search():
     ms = _engaged(Phase.CONFIRM, 10.0)
-    uav = UavState(id=0, position=(49.0, 20.0, 3.0))
-    view, released = _view()
-    out = step_mission(ms, [], uav, view, 15.1, _ctx())
+    uav = UavState(position=(49.0, 20.0, 3.0))
+    ctx, released = _ctx()
+    out = step_mission(ms, [], uav, 15.1, ctx)
     assert out.state.phase is Phase.SEARCH
     assert ("pop", {"source": "declared", "estimate": [55.0, 20.0, 3.0]}) in out.events
     assert released == [(3, "popped")]
@@ -340,46 +357,46 @@ def test_confirm_empty_fov_declares_pop_and_resumes_search():
 def test_commit_heading_due_plus_x_is_zero_not_the_yaw():
     # The estimate lands exactly due +x of the agent, so the true bearing
     # is 0.0; a falsy-zero slip would store the yaw (0.2478) instead.
-    uav = UavState(id=0, position=(30.0, 20.0, 3.0), yaw=0.2478)
+    uav = UavState(position=(30.0, 20.0, 3.0), yaw=0.2478)
     px, py, depth = project_point(CameraIntrinsics(), uav, (35.16, 20.0, 3.0))
     track = _track(cx=px, cy=py, last_range=depth)
-    view, _ = _view()
-    out = step_mission(_search_state(), [track], uav, view, 1.0, _ctx())
+    ctx, _ = _ctx()
+    out = step_mission(_search_state(), [track], uav, 1.0, ctx)
     assert out.state.phase is Phase.ALIGN
     assert out.state.target.estimate == (35.16, 20.0, 3.0)
     assert out.state.target.heading == 0.0
     # The CONFIRM retry enters ALIGN through the same path.
     ms = _engaged(Phase.CONFIRM, 10.0, estimate=(35.16, 20.0, 3.0))
-    out = step_mission(ms, [track], uav, view, 11.0, _ctx())
+    out = step_mission(ms, [track], uav, 11.0, ctx)
     assert out.state.phase is Phase.ALIGN
     assert out.state.target.heading == 0.0
 
 
 def test_search_claims_nearest_track_first_lower_id_on_tie():
-    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
+    uav = UavState(position=(50.0, 20.0, 4.0))
     claims = []
-    view, _ = _view(claims=claims)
+    ctx, _ = _ctx(claims=claims)
     far, near = _track(track_id=1, last_range=12.0), _track(track_id=2, last_range=8.0)
-    out = step_mission(_search_state(), [far, near], uav, view, 1.0, _ctx())
+    out = step_mission(_search_state(), [far, near], uav, 1.0, ctx)
     assert out.state.target.track_id == 2
     assert len(claims) == 1
     tie = [_track(track_id=5, last_range=8.0), _track(track_id=3, last_range=8.0)]
-    out = step_mission(_search_state(), tie, uav, view, 1.0, _ctx())
+    out = step_mission(_search_state(), tie, uav, 1.0, ctx)
     assert out.state.target.track_id == 3
     # A denied nearer track is followed by the farther one, in order.
     claims.clear()
-    denied, _ = _view(granted=False, claims=claims)
-    step_mission(_search_state(), [far, near], uav, denied, 1.0, _ctx())
+    denied, _ = _ctx(granted=False, claims=claims)
+    step_mission(_search_state(), [far, near], uav, 1.0, denied)
     assert [round(c[0] - uav.position[0], 6) for c in claims] == [8.0, 12.0]
 
 
 def test_align_timeout_releases_the_claim_once_as_abandoned():
     ms = _engaged(Phase.ALIGN, 0.0, track_id=1)
-    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
-    view, released = _view()
+    uav = UavState(position=(50.0, 20.0, 4.0))
+    ctx, released = _ctx()
     # Off-center enough that the agent is still yawing.
     track = _track(track_id=1, cx=200.0, last_range=5.0)
-    out = step_mission(ms, [track], uav, view, 15.5, _ctx())
+    out = step_mission(ms, [track], uav, 15.5, ctx)
     assert out.state.phase is Phase.SEARCH and out.state.target is None
     assert out.events == (
         ("phase", {"from": "align", "to": "search", "reason": "align_timeout"}),
@@ -392,10 +409,10 @@ def test_approach_claim_lost_after_denied_drift_reclaim_releases_once():
     # the 5 m claim radius, so the agent re-claims, and the claim is denied.
     ms = _engaged(Phase.APPROACH, 0.0, track_id=1, claim_estimate=(51.0, 20.0, 4.0),
                   estimate=(55.0, 20.0, 4.0), range=5.0)
-    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
+    uav = UavState(position=(50.0, 20.0, 4.0))
     claims = []
-    view, released = _view(granted=False, claims=claims)
-    out = step_mission(ms, [_track(track_id=1, last_range=5.0)], uav, view, 1.0, _ctx())
+    ctx, released = _ctx(granted=False, claims=claims)
+    out = step_mission(ms, [_track(track_id=1, last_range=5.0)], uav, 1.0, ctx)
     assert out.state.phase is Phase.SEARCH and out.state.target is None
     assert out.events == (
         ("phase", {"from": "approach", "to": "search", "reason": "claim_lost"}),
@@ -407,9 +424,9 @@ def test_approach_claim_lost_after_denied_drift_reclaim_releases_once():
 def test_approach_keeps_approaching_a_centered_track():
     ms = _engaged(Phase.APPROACH, 0.0, track_id=1, claim_estimate=(55.0, 20.0, 4.0),
                   estimate=(55.0, 20.0, 4.0), range=5.0)
-    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
-    view, released = _view()
-    out = step_mission(ms, [_track(track_id=1, last_range=5.0)], uav, view, 1.0, _ctx())
+    uav = UavState(position=(50.0, 20.0, 4.0))
+    ctx, released = _ctx()
+    out = step_mission(ms, [_track(track_id=1, last_range=5.0)], uav, 1.0, ctx)
     assert out.state.phase is Phase.APPROACH and out.events == ()
     assert released == []
     tg = out.state.target
@@ -427,7 +444,8 @@ def test_refresh_target_changes_only_estimate_heading_and_range():
     tg = Target(track_id=1, claim_id=3, claim_estimate=(56.0, 21.0, 4.0),
                 estimate=(55.5, 20.5, 4.0), heading=0.25, range=12.0, retries=2,
                 revisit_point=(49.0, 20.0, 3.0), approach_best=(6.0, 0.5))
-    ms = MissionState(phase=Phase.APPROACH, entered_at=0.5, path=path, wp_index=2,
+    ms = MissionState(phase=Phase.APPROACH, entered_at=0.5, path=path, cell=RECT,
+                      wp_index=2,
                       visited=(True,) + (False,) * (len(path) - 1),
                       target=tg, blacklist=((10.0, 10.0, 2.0),),
                       commit_cooldown_until=0.75, wp_started_at=0.25)
@@ -436,22 +454,22 @@ def test_refresh_target_changes_only_estimate_heading_and_range():
         defaults = record._field_defaults
         for name in record._fields:
             assert getattr(record, name) != defaults.get(name, no_default), name
-    uav = UavState(id=0, position=(50.0, 20.0, 4.0))
+    uav = UavState(position=(50.0, 20.0, 4.0))
     track = _track(track_id=1, cx=12.0, cy=-3.0, last_range=5.0)
     est = estimate_world_position(uav, track, 600.0, 5.0)
     want = ms._replace(target=tg._replace(
         estimate=est, heading=math.atan2(est[1] - 20.0, est[0] - 50.0), range=5.0,
     ))
-    assert _refresh_target(ms, track, uav, _ctx()) == want
+    assert _refresh_target(ms, track, uav, _ctx()[0]) == want
 
 
 def test_confirm_retry_reclaims_and_counts_the_retry():
     ms = _engaged(Phase.CONFIRM, 10.0, retries=1)
-    uav = UavState(id=0, position=(50.0, 20.0, 3.0))
+    uav = UavState(position=(50.0, 20.0, 3.0))
     claims = []
-    view, released = _view(claims=claims)
+    ctx, released = _ctx(claims=claims)
     track = _track(track_id=9, last_range=5.0)   # seen on axis at (55, 20, 3)
-    out = step_mission(ms, [track], uav, view, 11.0, _ctx())
+    out = step_mission(ms, [track], uav, 11.0, ctx)
     assert out.state.phase is Phase.ALIGN
     assert out.events == (
         ("phase", {"from": "confirm", "to": "align", "track_id": 9, "retry": 2}),
@@ -465,10 +483,10 @@ def test_confirm_retry_reclaims_and_counts_the_retry():
 
 def test_confirm_retry_limit_fails_the_site_and_blacklists_it():
     ms = _engaged(Phase.CONFIRM, 10.0, retries=MissionParams().retry_limit)
-    uav = UavState(id=0, position=(50.0, 20.0, 3.0))
+    uav = UavState(position=(50.0, 20.0, 3.0))
     claims = []
-    view, released = _view(claims=claims)
-    out = step_mission(ms, [_track(track_id=9, last_range=5.0)], uav, view, 11.0, _ctx())
+    ctx, released = _ctx(claims=claims)
+    out = step_mission(ms, [_track(track_id=9, last_range=5.0)], uav, 11.0, ctx)
     assert out.state.phase is Phase.SEARCH and out.state.target is None
     assert out.events == (
         ("failure", {"reason": "unreachable_site", "estimate": [55.0, 20.0, 3.0]}),
@@ -482,7 +500,7 @@ def test_estimate_world_position_inverts_projection():
     # Consistency oracle: project a known world point, feed pixel+depth
     # back, and recover the point.
     cam = CameraIntrinsics()
-    uav = UavState(id=0, position=(10.0, 12.0, 4.0), yaw=0.7)
+    uav = UavState(position=(10.0, 12.0, 4.0), yaw=0.7)
     target = (24.0, 19.0, 3.0)
     px, py, depth = project_point(cam, uav, target)
     track = _track(cx=px, cy=py, last_range=depth)
@@ -494,7 +512,7 @@ def test_estimate_world_position_matches_matrix_reference():
     rng = np.random.default_rng(8)
     for _ in range(500):
         pos = tuple(float(c) for c in rng.uniform(0.0, 50.0, size=3))
-        uav = UavState(id=0, position=pos, yaw=float(rng.uniform(-4.0, 4.0)))
+        uav = UavState(position=pos, yaw=float(rng.uniform(-4.0, 4.0)))
         px, py = (float(c) for c in rng.uniform(-600.0, 600.0, size=2))
         depth = float(rng.uniform(0.5, 40.0))
         est = estimate_world_position(uav, _track(cx=px, cy=py), 600.0, depth)
@@ -508,9 +526,8 @@ def test_transition_graph_closed_under_random_stimuli():
     # must stay inside the documented edge set.
     rng = random.Random(1234)
     path = generate_search_path(RECT, 4.0, 15.0)
-    ctx = _ctx()
-    views = [_view(granted=True)[0], _view(granted=False)[0]]
-    ms = initial_mission_state(path)
+    contexts = [_ctx(granted=True)[0], _ctx(granted=False)[0]]
+    ms = initial_mission_state(path)._replace(cell=RECT)
     t = 0.0
     for i in range(100_000):
         t += rng.choice([0.05, 0.5, 3.0, 10.0])
@@ -528,12 +545,11 @@ def test_transition_graph_closed_under_random_stimuli():
                 )
             )
         uav = UavState(
-            id=0,
             position=(rng.uniform(0, 100), rng.uniform(0, 40), rng.uniform(0, 6)),
             yaw=rng.uniform(-math.pi, math.pi),
         )
         before = ms.phase
-        out = step_mission(ms, tracks, uav, views[rng.randrange(2)], t, ctx)
+        out = step_mission(ms, tracks, uav, t, contexts[rng.randrange(2)])
         ms = out.state
         assert (before, ms.phase) in LEGAL_TRANSITIONS, (before, ms.phase)
         # The target record exists exactly outside SEARCH; a revisit has
@@ -544,4 +560,5 @@ def test_transition_graph_closed_under_random_stimuli():
         if ms.phase in (Phase.REVISIT, Phase.CONFIRM):
             assert ms.target.track_id is None
         if rng.random() < 0.001:
-            ms = initial_mission_state(path, t)   # occasional reset
+            # occasional reset
+            ms = initial_mission_state(path, t)._replace(cell=RECT)

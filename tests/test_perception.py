@@ -29,7 +29,7 @@ CAM = CameraIntrinsics(focal_px=600.0, width_px=1280.0, height_px=720.0)
 
 
 def _pose(position=(0.0, 0.0, 0.0), yaw=0.0):
-    return UavState(id=0, position=position, yaw=yaw)
+    return UavState(position=position, yaw=yaw)
 
 
 def exact_sphere_radius_px(focal_px: float, radius_m: float, depth_m: float) -> float:

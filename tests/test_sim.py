@@ -1,5 +1,6 @@
 import ast
 import gc
+import math
 import os
 import re
 import subprocess
@@ -260,6 +261,40 @@ def test_fleet3_final_cells_match_plan_cells():
     s = replace(s, sim=s.sim._replace(duration_limit=125.0))
     out = run_simulation(s)
     assert out.cells == plan_cells(s, [0, 2])[0]
+
+
+def test_fleet3_replan_prunes_by_every_waypoint_reached_before_it(monkeypatch):
+    # Oracle: each search step that reaches its waypoint (starts within
+    # wp_tolerance of it and is still searching after) adds that waypoint
+    # to the coverage the t=120 s replan prunes the survivors' paths by,
+    # and so does a step that completes the pattern and resets
+    # ``visited``.  On seed 2 an agent completes its pattern before then.
+    s = load_scenario(SCENARIOS / "fleet3.cfg")
+    s = replace(s, seed=2, sim=s.sim._replace(duration_limit=121.0))
+    search, tol = bhsim.mission.Phase.SEARCH, s.mission.wp_tolerance
+    reached, completions, at_replan = [], 0, []
+    step_mission, plan = bhsim.sim.step_mission, bhsim.sim._plan
+
+    def recording(ms, tracks, uav, *args):
+        nonlocal completions
+        out = step_mission(ms, tracks, uav, *args)
+        if ms.phase is out.state.phase is search and ms.path:
+            wp = ms.path[ms.wp_index]
+            if math.dist(uav.position, wp) <= tol:
+                reached.append(wp[:2])
+                completions += not any(out.state.visited)
+        return out
+
+    def planning(run, t):
+        if t > 0:
+            at_replan.append([tuple(c[:2]) for c in run.covered])
+        plan(run, t)
+
+    monkeypatch.setattr(bhsim.sim, "step_mission", recording)
+    monkeypatch.setattr(bhsim.sim, "_plan", planning)
+    run_simulation(s)
+    assert completions > 0
+    assert at_replan == [reached]
 
 
 def test_mission_reaches_approach_and_pops_single_balloon():
@@ -611,11 +646,12 @@ def test_audits_count_false_confirms_and_duplicate_pursuit(monkeypatch):
     # confirms and one duplicate-pursuit tick.
     anchor = (50.0, 20.0, 2.0)
     real_step = bhsim.sim.step_mission
+    claim_ids = iter(range(1, 3))   # one per agent
 
-    def engaged_on_the_balloon(ms, tracks, uav, view, t, ctx):
-        out = real_step(ms, tracks, uav, view, t, ctx)
+    def engaged_on_the_balloon(ms, tracks, uav, t, ctx):
+        out = real_step(ms, tracks, uav, t, ctx)
         target = bhsim.mission.Target(
-            track_id=None, claim_id=uav.id + 1, claim_estimate=anchor,
+            track_id=None, claim_id=next(claim_ids), claim_estimate=anchor,
             estimate=anchor, heading=0.0, range=1.0,
         )
         declared = ("pop", {"source": "declared", "estimate": list(anchor)})
@@ -958,8 +994,8 @@ def test_measured_tracks_are_ranged_and_coasting_tracks_keep_their_range(
 
 RUN_RECORDS = [
     bhsim.fleet.PartitionCell, bhsim.fleet.ClaimResult,
-    bhsim.mission.FleetView, bhsim.mission.MissionContext,
-    bhsim.mission.Target, bhsim.mission.MissionState, bhsim.mission.MissionStep,
+    bhsim.mission.MissionContext, bhsim.mission.Target,
+    bhsim.mission.MissionState, bhsim.mission.MissionStep,
     bhsim.tracking.Assignment, bhsim.tracking.Tracker, bhsim.tracking.CostMatrix,
     bhsim.vehicle.UavState, bhsim.world.WorldState,
     bhsim.sim.RunResult, bhsim.sim.SweepResult,

@@ -45,7 +45,7 @@ def _matrix(fn, yaw):
 
 
 def _uav(**kw):
-    base = dict(id=0, position=(0.0, 0.0, 0.0))
+    base = dict(position=(0.0, 0.0, 0.0))
     base.update(kw)
     return UavState(**base)
 
