@@ -19,7 +19,8 @@ waypoints; a run plans it at the mission's ``search_altitude`` and
 ``lane_spacing``, and sets it next to the agent's cell,
 ``MissionState.cell``.  The agent reaches the fleet only through the
 calls of its ``MissionContext``: claims, releases and the waypoints it
-sweeps.
+sweeps.  It ranges its tracks through the context too, when it reads
+them.
 
 Everything an agent knows about the balloon it works on is one ``Target``
 NamedTuple, ``MissionState.target``: track and claim ids, the
@@ -135,7 +136,9 @@ class MissionContext(NamedTuple):
     ``v_search`` is the cruise speed of SEARCH and REVISIT (the vehicle's
     ``v_max``).  ``volume_lo`` / ``volume_hi`` bound the space balloons
     can occupy; estimates outside it (plus slack) are rejected and
-    revisit waypoints are clamped into it.  ``try_claim(estimate, t)``
+    revisit waypoints are clamped into it.  ``range_of(track)`` is the
+    range to the balloon a track's box shows, in meters; a coasting track
+    keeps the range it was last measured at.  ``try_claim(estimate, t)``
     and ``release(claim_id, reason, t)`` reserve and free balloons in the
     fleet's claim table as this agent, and ``cover(waypoint)`` adds a
     reached search waypoint to the fleet's swept coverage.
@@ -148,6 +151,7 @@ class MissionContext(NamedTuple):
     volume_lo: Vec3
     volume_hi: Vec3
     claim_radius: float
+    range_of: Callable[[TrackState], float]
     try_claim: Callable[[Vec3, float], ClaimResult]
     release: Callable[[int, str, float], None]
     cover: Callable[[Vec3], None]
@@ -473,12 +477,12 @@ def _back_to_search(
 
 
 def _engage(
-    ms: MissionState, track: TrackState, est: Vec3, uav: UavState,
+    ms: MissionState, track: TrackState, est: Vec3, range_m: float, uav: UavState,
     ctx: MissionContext, t: float, events: Events, retries: int = 0,
 ) -> Optional[MissionState]:
-    """Claim ``est`` and enter ALIGN on ``track`` with a fresh target, or
-    return None when the claim is denied.  The one commit path, from
-    SEARCH and from a CONFIRM retry."""
+    """Claim ``est``, seen at ``range_m``, and enter ALIGN on ``track``
+    with a fresh target, or return None when the claim is denied.  The
+    one commit path, from SEARCH and from a CONFIRM retry."""
     result = ctx.try_claim(est, t)
     if not result.granted:
         return None
@@ -494,7 +498,7 @@ def _engage(
             claim_estimate=est,
             estimate=est,
             heading=uav.yaw if heading is None else heading,
-            range=track.last_range,
+            range=range_m,
             retries=retries,
         ),
     )
@@ -524,9 +528,10 @@ def _refresh_target(
 ) -> MissionState:
     # Refresh only from tracks matched this frame; a coasting track's
     # extrapolated center drifts and would corrupt the stored estimate.
-    if track.last_range is None or track.misses != 0:
+    if track.misses != 0:
         return ms
-    est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
+    range_m = ctx.range_of(track)
+    est = estimate_world_position(uav, track, ctx.focal_px, range_m)
     if not ctx.estimate_plausible(est):
         return ms
     tg = ms.target
@@ -534,7 +539,7 @@ def _refresh_target(
     return ms._replace(target=tg._replace(
         estimate=est,
         heading=tg.heading if heading is None else heading,
-        range=min(tg.range, track.last_range),
+        range=min(tg.range, range_m),
     ))
 
 
@@ -545,26 +550,22 @@ def _step_search(ms, tracks, uav, t, ctx, events):
         # Commit only inside commit_range_max: close enough that the world
         # estimate is tight and the claim table can deconflict agents.
         # Nearest first; the lower track id wins a tie.
-        candidates = sorted(
-            (
-                tr
-                for tr in tracks
-                if should_commit(tr, mp.m_commit)
-                and tr.last_range is not None
-                and tr.last_range <= mp.commit_range_max
-            ),
-            key=lambda tr: (tr.last_range, tr.id),
-        )
+        ranged = [
+            (ctx.range_of(tr), tr) for tr in tracks if should_commit(tr, mp.m_commit)
+        ]
+        ranged.sort(key=lambda c: (c[0], c[1].id))
         denied = False
-        for track in candidates:
-            est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
+        for range_m, track in ranged:
+            if range_m > mp.commit_range_max:
+                break
+            est = estimate_world_position(uav, track, ctx.focal_px, range_m)
             if not ctx.estimate_plausible(est):
                 continue
             if not point_in_cell((est[0], est[1]), ms.cell, CELL_COMMIT_MARGIN):
                 continue
             if _near_blacklist(est, ms.blacklist, ctx.claim_radius):
                 continue
-            engaged = _engage(ms, track, est, uav, ctx, t, events)
+            engaged = _engage(ms, track, est, range_m, uav, ctx, t, events)
             if engaged is not None:
                 return engaged, _HOVER, 0.0
             denied = True
@@ -605,9 +606,7 @@ def _step_search(ms, tracks, uav, t, ctx, events):
     if dist < 1e-9:
         return ms, _HOVER, 0.0
     k = ctx.v_search / dist
-    yaw_rate = _yaw_cmd_toward(
-        math.atan2(dy, dx) if dx * dx + dy * dy > 1e-12 else None, uav, ctx
-    )
+    yaw_rate = _yaw_cmd_toward(_bearing_to(uav.position, wp), uav, ctx)
     return ms, (dx * k, dy * k, dz * k), yaw_rate
 
 
@@ -656,8 +655,7 @@ def _step_approach(ms, tracks, uav, t, ctx, events):
     best_range = ms.target.range
     if (
         track.misses == 0
-        and track.last_range is not None
-        and track.last_range > best_range + max(3.0, 0.3 * best_range)
+        and ctx.range_of(track) > best_range + max(3.0, 0.3 * best_range)
     ):
         return _lost_target(ms, uav, t, ctx, events)
     ms = _refresh_target(ms, track, uav, ctx)
@@ -716,9 +714,10 @@ def _step_confirm(ms, tracks, uav, t, ctx, events):
     # A surviving balloon tracked near the stored estimate means the
     # attack missed; retry unless the retry budget is spent.
     for track in tracks:
-        if track.status is not TrackStatus.CONFIRMED or track.last_range is None:
+        if track.status is not TrackStatus.CONFIRMED:
             continue
-        est = estimate_world_position(uav, track, ctx.focal_px, track.last_range)
+        range_m = ctx.range_of(track)
+        est = estimate_world_position(uav, track, ctx.focal_px, range_m)
         if not ctx.estimate_plausible(est):
             continue
         if _dist3(est, tg.estimate) <= ctx.claim_radius:
@@ -733,7 +732,9 @@ def _step_confirm(ms, tracks, uav, t, ctx, events):
             # Re-claim at the fresh estimate so the retry stays exclusive;
             # a denial means another agent owns this balloon now.
             ctx.release(tg.claim_id, "abandoned", t)
-            engaged = _engage(ms, track, est, uav, ctx, t, events, tg.retries + 1)
+            engaged = _engage(
+                ms, track, est, range_m, uav, ctx, t, events, tg.retries + 1
+            )
             if engaged is None:
                 engaged = _back_to_search(ms, uav, ctx, t, events, None,
                                           {"reason": "claim_lost"})

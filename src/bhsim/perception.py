@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .rng import Stream
-from .vehicle import UavState, heading, world_to_camera
+from .vehicle import UavState, world_to_camera
 from .world import Checked, WorldState
 
 Vec3 = tuple[float, float, float]
@@ -114,7 +114,7 @@ def project_point(
             point_world[1] - position[1],
             point_world[2] - position[2],
         ),
-        heading(uav.yaw),
+        uav.yaw,
     )
     if cam_z <= 0.0:
         return None
@@ -147,7 +147,7 @@ def generate_detections(
     # the camera read once: the same operations in the same order, so the
     # same floats.
     x0, y0, z0 = uav.position
-    c, s = heading(uav.yaw)
+    c, s = math.cos(uav.yaw), math.sin(uav.yaw)
     focal = camera.focal_px
     width_px, height_px = camera.width_px, camera.height_px
     u0, v0 = camera.principal

@@ -259,7 +259,7 @@ def parse_scenario_text(text: str) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(str(path), f"not UTF-8 text: {exc}") from None
     return parse_scenario_text(text)

@@ -10,8 +10,9 @@ plan (``_plan``) and then calls the stages in this order every tick:
    force (``_plan`` again), then ``deconflict`` finds the separation
    holds and close pairs in one pass over the agent pairs;
 3. agent, for every live agent in ascending id: ``_sense`` (camera
-   detections), ``_track`` (tracker and ranging), ``_decide`` (mission)
-   and ``_act`` (hold, geofence clamp, separation strip, integration);
+   detections), ``_track`` (tracker), ``_decide`` (mission, which ranges
+   its tracks through ``_range``) and ``_act`` (hold, geofence clamp,
+   separation strip, integration);
 4. pops: ``_pop`` checks each agent's tip against the alive balloons;
 5. audits: ``_audit`` scores the tick against ground truth, given the
    estimates of the pops the agents declared, which ``_decide`` hands it.
@@ -59,13 +60,14 @@ from .mission import (
 )
 from .perception import (
     MIN_CIRCLE_RADIUS_PX,
+    CameraIntrinsics,
     estimate_range,
     fit_circle,
     generate_detections,
 )
 from .rng import Stream, substream
 from .scenario import Scenario
-from .tracking import BoxMeasurement, Tracker, step_tracker
+from .tracking import BoxMeasurement, Tracker, TrackState, step_tracker
 from .vehicle import UavState, clamp_to_geofence, geofence_from_arena, step_uav
 from .world import (
     Balloon,
@@ -178,14 +180,14 @@ class _Run:
     """Everything one run carries from tick to tick; every stage works on it.
 
     Set-up wires each agent to the fleet once: its ``MissionContext``
-    holds the run's mission constants and the agent's claim, release and
-    coverage calls.
+    holds the run's mission constants, its ranging and the agent's claim,
+    release and coverage calls.
     """
 
     __slots__ = (
         "scenario", "dt", "fence", "hold_radius", "strip_radius", "reaches",
         "world", "agents", "pending_failures", "metrics", "elog", "claims",
-        "cells", "covered", "pop_times", "live", "pairs", "held", "close_pairs",
+        "cells", "covered", "pop_times", "live", "held", "close_pairs",
     )
 
     def __init__(self, scenario: Scenario, elog: ev.EventLog) -> None:
@@ -215,6 +217,7 @@ class _Run:
         self.claims = claims = ClaimTable()
         self.covered: list[Vec3] = []
         claim_radius = scenario.fleet.claim_radius
+        range_of = partial(_range, scenario.camera, scenario.balloons.params.diameter)
         # Agents start on an empty path; the start-up plan gives each its own.
         unplanned = initial_mission_state(())
         self.agents = [
@@ -234,6 +237,7 @@ class _Run:
                     volume_lo=scenario.arena.effective_min,
                     volume_hi=scenario.arena.effective_max,
                     claim_radius=claim_radius,
+                    range_of=range_of,
                     try_claim=partial(_try_claim, claims, elog, claim_radius, i),
                     release=partial(_release, claims, elog, i),
                     cover=self.covered.append,
@@ -245,9 +249,8 @@ class _Run:
         self.metrics = RunMetrics(seed=seed, balloons_total=scenario.balloons.count)
         self.cells: list[PartitionCell] = []
         self.pop_times: list[tuple[int, float]] = []
-        # Set by each plan: the live agents and their pairs, in ascending ids.
+        # Set by each plan: the live agents, in ascending ids.
         self.live: list[_AgentRt] = []
-        self.pairs: list[tuple[_AgentRt, _AgentRt]] = []
         # Set by the fleet stage each tick: the held ids, and per agent the
         # tick-start positions of higher-id neighbors within the strip radius.
         self.held: set[int] = set()
@@ -352,7 +355,6 @@ def _plan(run: _Run, t: float) -> None:
     after a failure; agents keep their phase and claim.
     """
     run.live = [a for a in run.agents if not a.failed]
-    run.pairs = list(combinations(run.live, 2))
     if not run.live:
         return
     run.cells, paths = plan_cells(run.scenario, [a.id for a in run.live])
@@ -384,7 +386,7 @@ def _step_fleet(run: _Run, t: float) -> None:
 
     run.held, run.close_pairs = deconflict(
         [(a.id, a.uav.position) for a in run.live], run.hold_radius, run.strip_radius
-    ) if run.pairs else (set(), {})
+    ) if len(run.live) > 1 else (set(), {})
 
 
 def _sense(run: _Run, agent: _AgentRt, t: float) -> list[BoxMeasurement]:
@@ -402,20 +404,20 @@ def _sense(run: _Run, agent: _AgentRt, t: float) -> list[BoxMeasurement]:
 def _track(
     run: _Run, agent: _AgentRt, t: float, measurements: list[BoxMeasurement]
 ) -> None:
-    """Advance the tracker and range every track measured this frame."""
-    s = run.scenario
+    """Advance the tracker and log its lifecycle events."""
     agent.tracker, events = step_tracker(agent.tracker, measurements)
     for kind, track_id in events:
         run.elog.track(t, agent.id, kind, track_id)
+
+
+def _range(camera: CameraIntrinsics, diameter: float, track: TrackState) -> float:
+    """Range to a tracked balloon from the track's box, each axis floored
+    at 1 px.  The box is the filter's posterior, whose smoothed size rides
+    out occasional association swaps; a coasting track keeps its size, so
+    it keeps the range of the frame that last measured it."""
     floor = 2 * MIN_CIRCLE_RADIUS_PX
-    for track in agent.tracker.tracks:
-        if track.misses == 0:
-            # Range from the corrected (posterior) box: the smoothed size
-            # rides out occasional association swaps.
-            radius = fit_circle(max(track.x[2], floor), max(track.x[3], floor))
-            track.last_range = estimate_range(
-                radius, s.camera, s.balloons.params.diameter
-            )
+    radius = fit_circle(max(track.x[2], floor), max(track.x[3], floor))
+    return estimate_range(radius, camera, diameter)
 
 
 def _decide(
@@ -512,7 +514,7 @@ def _audit(run: _Run, declared: Sequence[list[float]]) -> None:
     if dup_tick:
         metrics.duplicate_target_ticks += 1
 
-    for a, b in run.pairs:
+    for a, b in combinations(run.live, 2):
         d = math.dist(a.uav.position, b.uav.position)
         best = metrics.min_inter_agent_distance
         if best is None or d < best:

@@ -35,7 +35,9 @@ fresh tracker plus that frame's lifecycle events, as ``(kind,
 track_id)`` pairs, and nothing else.  A ``TrackState`` is a mutable
 ``__slots__`` record: ``step_tracker`` sets fields only on the fresh
 tracks it returns, never on its input.  The tracks measured this frame
-are the ones with ``misses == 0``.
+are the ones with ``misses == 0``.  A track holds only its filter state
+and lifecycle counts, as in SORT; what its box implies, such as the
+range to the balloon, is worked out by whoever reads it.
 Measurements carry only box geometry, so nothing in this module can see
 ground-truth identities.
 """
@@ -44,7 +46,7 @@ import math
 from enum import Enum
 from itertools import chain, compress
 from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 
 class NumericalFailure(RuntimeError):
@@ -84,7 +86,7 @@ Block2 = tuple[float, float, float]
 
 
 _TRACK_FIELDS = (
-    "id", "x", "px", "py", "pw", "ph", "hits", "misses", "status", "last_range",
+    "id", "x", "px", "py", "pw", "ph", "hits", "misses", "status",
 )
 _track_key = attrgetter(*_TRACK_FIELDS)
 
@@ -94,7 +96,8 @@ class TrackState:
 
     ``x`` is ``(cx, cy, w, h, vcx, vcy)``.  The covariance is stored as
     its nonzero blocks: ``px = (var cx, cov cx-vcx, var vcx)``, ``py``
-    the same for y, and the size variances ``pw`` and ``ph``.  Two
+    the same for y, and the size variances ``pw`` and ``ph``.  A
+    coasting track keeps the box size it was last measured at.  Two
     tracks are equal when all their fields are.
     """
 
@@ -104,7 +107,6 @@ class TrackState:
         self, id: int, x: tuple[float, float, float, float, float, float],
         px: Block2, py: Block2, pw: float, ph: float, hits: int = 0,
         misses: int = 0, status: TrackStatus = TrackStatus.TENTATIVE,
-        last_range: Optional[float] = None,
     ) -> None:
         self.id = id
         self.x = x
@@ -115,16 +117,11 @@ class TrackState:
         self.hits = hits
         self.misses = misses
         self.status = status
-        self.last_range = last_range
 
     def __eq__(self, other):
         if type(other) is not TrackState:
             return NotImplemented
         return _track_key(self) == _track_key(other)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x[0], self.x[1])
 
 
 class Assignment(NamedTuple):
@@ -167,8 +164,8 @@ def _predict_block(p: Block2, q_c: float, q_v: float) -> Block2:
 
 
 def kf_predict(t: TrackState, params: TrackerParams = TrackerParams()) -> TrackState:
-    """One-frame constant-velocity prediction; sizes random-walk,
-    covariance grows."""
+    """One-frame constant-velocity prediction; sizes random-walk, so the
+    box keeps its size and only its size variances grow."""
     cx, cy, w, h, vx, vy = t.x
     q = params.q_diag
     return TrackState(
@@ -176,8 +173,7 @@ def kf_predict(t: TrackState, params: TrackerParams = TrackerParams()) -> TrackS
         (cx + vx, cy + vy, w, h, vx, vy),
         _predict_block(t.px, q[0], q[4]),
         _predict_block(t.py, q[1], q[5]),
-        t.pw + q[2], t.ph + q[3],
-        t.hits, t.misses, t.status, t.last_range,
+        t.pw + q[2], t.ph + q[3], t.hits, t.misses, t.status,
     )
 
 
@@ -240,8 +236,7 @@ def kf_update(
     w, pw = _update_scalar(w, t.pw, z.width, r[2])
     h, ph = _update_scalar(h, t.ph, z.height, r[3])
     return TrackState(
-        t.id, (cx, cy, w, h, vx, vy), px, py, pw, ph,
-        t.hits + 1, 0, t.status, t.last_range,
+        t.id, (cx, cy, w, h, vx, vy), px, py, pw, ph, t.hits + 1, 0, t.status
     )
 
 
@@ -268,7 +263,7 @@ def assignment_cost(
     centers = [(d.center_x, d.center_y) for d in detections]
     rows = []
     for t in tracks:
-        cx, cy = t.center
+        cx, cy = t.x[0], t.x[1]
         rows.append([math.hypot(cx - dx, cy - dy) for dx, dy in centers])
     return CostMatrix((len(tracks), len(centers)), rows)
 

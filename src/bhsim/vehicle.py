@@ -109,17 +109,11 @@ def camera_to_world(v_cam: Vec3, yaw: float) -> Vec3:
     return (c * bx - s * by, s * bx + c * by, -bz)
 
 
-def heading(yaw: float) -> tuple[float, float]:
-    """``(cos yaw, sin yaw)``, the form of the heading ``world_to_camera``
-    takes, so many vectors seen from one pose share one evaluation."""
-    return (math.cos(yaw), math.sin(yaw))
-
-
-def world_to_camera(d_world: Vec3, cos_sin: tuple[float, float]) -> Vec3:
-    """Rotate a world-frame vector into the camera frame at the heading
-    ``cos_sin = heading(yaw)`` (inverse of ``camera_to_world``)."""
+def world_to_camera(d_world: Vec3, yaw: float) -> Vec3:
+    """Rotate a world-frame vector into the camera frame (inverse of
+    ``camera_to_world``)."""
     nx, ny, nz = d_world[0], d_world[1], -d_world[2]
-    c, s = cos_sin
+    c, s = math.cos(yaw), math.sin(yaw)
     bx = c * nx + s * ny
     by = -s * nx + c * ny
     return (by, nz, bx)

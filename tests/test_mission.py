@@ -129,12 +129,10 @@ def test_search_path_on_triangle_cell_stays_inside():
         assert (x - 5.0) / 50.0 + (y - 5.0) / 30.0 <= 1.0 + 1e-6
 
 
-def _track(track_id=1, cx=0.0, cy=0.0, hits=3, status=TrackStatus.CONFIRMED,
-           last_range=10.0):
+def _track(track_id=1, cx=0.0, cy=0.0, hits=3, status=TrackStatus.CONFIRMED):
     t = new_track(track_id, BoxMeasurement(cx, cy, 30.0, 30.0), TrackerParams())
     t.hits = hits
     t.status = status
-    t.last_range = last_range
     return t
 
 
@@ -234,10 +232,11 @@ def test_plan_revisit_rejects_zero_standoff():
         plan_revisit((10.0, 10.0, 3.0), 0.0, 0.0)
 
 
-def _ctx(granted=True, claims=None, covered=None):
+def _ctx(granted=True, claims=None, covered=None, ranges=None):
     """A context whose claims are all granted (as claim 7) or all denied,
     and the list of the releases it is asked for.  Claimed estimates go
-    to ``claims`` and covered waypoints to ``covered``, when given."""
+    to ``claims`` and covered waypoints to ``covered``, when given.  A
+    track's range is ``ranges[track.id]``, or 10 m when not given."""
     def try_claim(est, t):
         if claims is not None:
             claims.append(est)
@@ -248,6 +247,9 @@ def _ctx(granted=True, claims=None, covered=None):
     def release(cid, reason, t):
         released.append((cid, reason))
 
+    def range_of(track):
+        return 10.0 if ranges is None else ranges.get(track.id, 10.0)
+
     ctx = MissionContext(
         params=MissionParams(),
         focal_px=600.0,
@@ -256,6 +258,7 @@ def _ctx(granted=True, claims=None, covered=None):
         volume_lo=Arena().effective_min,
         volume_hi=Arena().effective_max,
         claim_radius=5.0,
+        range_of=range_of,
         try_claim=try_claim,
         release=release,
         cover=(lambda wp: None) if covered is None else covered.append,
@@ -359,8 +362,8 @@ def test_commit_heading_due_plus_x_is_zero_not_the_yaw():
     # is 0.0; a falsy-zero slip would store the yaw (0.2478) instead.
     uav = UavState(position=(30.0, 20.0, 3.0), yaw=0.2478)
     px, py, depth = project_point(CameraIntrinsics(), uav, (35.16, 20.0, 3.0))
-    track = _track(cx=px, cy=py, last_range=depth)
-    ctx, _ = _ctx()
+    track = _track(cx=px, cy=py)
+    ctx, _ = _ctx(ranges={1: depth})
     out = step_mission(_search_state(), [track], uav, 1.0, ctx)
     assert out.state.phase is Phase.ALIGN
     assert out.state.target.estimate == (35.16, 20.0, 3.0)
@@ -375,17 +378,18 @@ def test_commit_heading_due_plus_x_is_zero_not_the_yaw():
 def test_search_claims_nearest_track_first_lower_id_on_tie():
     uav = UavState(position=(50.0, 20.0, 4.0))
     claims = []
-    ctx, _ = _ctx(claims=claims)
-    far, near = _track(track_id=1, last_range=12.0), _track(track_id=2, last_range=8.0)
+    ranges = {1: 12.0, 2: 8.0, 5: 8.0, 3: 8.0}
+    ctx, _ = _ctx(claims=claims, ranges=ranges)
+    far, near = _track(track_id=1), _track(track_id=2)
     out = step_mission(_search_state(), [far, near], uav, 1.0, ctx)
     assert out.state.target.track_id == 2
     assert len(claims) == 1
-    tie = [_track(track_id=5, last_range=8.0), _track(track_id=3, last_range=8.0)]
+    tie = [_track(track_id=5), _track(track_id=3)]
     out = step_mission(_search_state(), tie, uav, 1.0, ctx)
     assert out.state.target.track_id == 3
     # A denied nearer track is followed by the farther one, in order.
     claims.clear()
-    denied, _ = _ctx(granted=False, claims=claims)
+    denied, _ = _ctx(granted=False, claims=claims, ranges=ranges)
     step_mission(_search_state(), [far, near], uav, 1.0, denied)
     assert [round(c[0] - uav.position[0], 6) for c in claims] == [8.0, 12.0]
 
@@ -393,9 +397,9 @@ def test_search_claims_nearest_track_first_lower_id_on_tie():
 def test_align_timeout_releases_the_claim_once_as_abandoned():
     ms = _engaged(Phase.ALIGN, 0.0, track_id=1)
     uav = UavState(position=(50.0, 20.0, 4.0))
-    ctx, released = _ctx()
+    ctx, released = _ctx(ranges={1: 5.0})
     # Off-center enough that the agent is still yawing.
-    track = _track(track_id=1, cx=200.0, last_range=5.0)
+    track = _track(track_id=1, cx=200.0)
     out = step_mission(ms, [track], uav, 15.5, ctx)
     assert out.state.phase is Phase.SEARCH and out.state.target is None
     assert out.events == (
@@ -411,8 +415,8 @@ def test_approach_claim_lost_after_denied_drift_reclaim_releases_once():
                   estimate=(55.0, 20.0, 4.0), range=5.0)
     uav = UavState(position=(50.0, 20.0, 4.0))
     claims = []
-    ctx, released = _ctx(granted=False, claims=claims)
-    out = step_mission(ms, [_track(track_id=1, last_range=5.0)], uav, 1.0, ctx)
+    ctx, released = _ctx(granted=False, claims=claims, ranges={1: 5.0})
+    out = step_mission(ms, [_track(track_id=1)], uav, 1.0, ctx)
     assert out.state.phase is Phase.SEARCH and out.state.target is None
     assert out.events == (
         ("phase", {"from": "approach", "to": "search", "reason": "claim_lost"}),
@@ -425,8 +429,8 @@ def test_approach_keeps_approaching_a_centered_track():
     ms = _engaged(Phase.APPROACH, 0.0, track_id=1, claim_estimate=(55.0, 20.0, 4.0),
                   estimate=(55.0, 20.0, 4.0), range=5.0)
     uav = UavState(position=(50.0, 20.0, 4.0))
-    ctx, released = _ctx()
-    out = step_mission(ms, [_track(track_id=1, last_range=5.0)], uav, 1.0, ctx)
+    ctx, released = _ctx(ranges={1: 5.0})
+    out = step_mission(ms, [_track(track_id=1)], uav, 1.0, ctx)
     assert out.state.phase is Phase.APPROACH and out.events == ()
     assert released == []
     tg = out.state.target
@@ -455,20 +459,20 @@ def test_refresh_target_changes_only_estimate_heading_and_range():
         for name in record._fields:
             assert getattr(record, name) != defaults.get(name, no_default), name
     uav = UavState(position=(50.0, 20.0, 4.0))
-    track = _track(track_id=1, cx=12.0, cy=-3.0, last_range=5.0)
+    track = _track(track_id=1, cx=12.0, cy=-3.0)
     est = estimate_world_position(uav, track, 600.0, 5.0)
     want = ms._replace(target=tg._replace(
         estimate=est, heading=math.atan2(est[1] - 20.0, est[0] - 50.0), range=5.0,
     ))
-    assert _refresh_target(ms, track, uav, _ctx()[0]) == want
+    assert _refresh_target(ms, track, uav, _ctx(ranges={1: 5.0})[0]) == want
 
 
 def test_confirm_retry_reclaims_and_counts_the_retry():
     ms = _engaged(Phase.CONFIRM, 10.0, retries=1)
     uav = UavState(position=(50.0, 20.0, 3.0))
     claims = []
-    ctx, released = _ctx(claims=claims)
-    track = _track(track_id=9, last_range=5.0)   # seen on axis at (55, 20, 3)
+    ctx, released = _ctx(claims=claims, ranges={9: 5.0})
+    track = _track(track_id=9)   # seen on axis at (55, 20, 3)
     out = step_mission(ms, [track], uav, 11.0, ctx)
     assert out.state.phase is Phase.ALIGN
     assert out.events == (
@@ -485,8 +489,8 @@ def test_confirm_retry_limit_fails_the_site_and_blacklists_it():
     ms = _engaged(Phase.CONFIRM, 10.0, retries=MissionParams().retry_limit)
     uav = UavState(position=(50.0, 20.0, 3.0))
     claims = []
-    ctx, released = _ctx(claims=claims)
-    out = step_mission(ms, [_track(track_id=9, last_range=5.0)], uav, 11.0, ctx)
+    ctx, released = _ctx(claims=claims, ranges={9: 5.0})
+    out = step_mission(ms, [_track(track_id=9)], uav, 11.0, ctx)
     assert out.state.phase is Phase.SEARCH and out.state.target is None
     assert out.events == (
         ("failure", {"reason": "unreachable_site", "estimate": [55.0, 20.0, 3.0]}),
@@ -503,7 +507,7 @@ def test_estimate_world_position_inverts_projection():
     uav = UavState(position=(10.0, 12.0, 4.0), yaw=0.7)
     target = (24.0, 19.0, 3.0)
     px, py, depth = project_point(cam, uav, target)
-    track = _track(cx=px, cy=py, last_range=depth)
+    track = _track(cx=px, cy=py)
     est = estimate_world_position(uav, track, cam.focal_px, depth)
     assert est == pytest.approx(target, abs=1e-9)
 
@@ -526,12 +530,15 @@ def test_transition_graph_closed_under_random_stimuli():
     # must stay inside the documented edge set.
     rng = random.Random(1234)
     path = generate_search_path(RECT, 4.0, 15.0)
-    contexts = [_ctx(granted=True)[0], _ctx(granted=False)[0]]
+    ranges = {}
+    contexts = [_ctx(granted=True, ranges=ranges)[0],
+                _ctx(granted=False, ranges=ranges)[0]]
     ms = initial_mission_state(path)._replace(cell=RECT)
     t = 0.0
     for i in range(100_000):
         t += rng.choice([0.05, 0.5, 3.0, 10.0])
         tracks = []
+        ranges.clear()
         for k in range(rng.randrange(3)):
             status = rng.choice(list(TrackStatus))
             tracks.append(
@@ -541,9 +548,9 @@ def test_transition_graph_closed_under_random_stimuli():
                     cy=rng.uniform(-360, 360),
                     hits=rng.randrange(6),
                     status=status,
-                    last_range=rng.choice([None, rng.uniform(1.0, 60.0)]),
                 )
             )
+            ranges[tracks[-1].id] = rng.uniform(1.0, 60.0)
         uav = UavState(
             position=(rng.uniform(0, 100), rng.uniform(0, 40), rng.uniform(0, 6)),
             yaw=rng.uniform(-math.pi, math.pi),

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 from collections import Counter
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bhsim.cli import main as cli_main
 from bhsim.events import (
     EVENT_KINDS,
     emit_line,
@@ -35,6 +37,7 @@ from bhsim.scenario import (
     parse_scenario_text,
 )
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 FLOAT_KEYS = [k for k, spec in SCHEMA.items() if spec.parse is _parse_float]
 VECTOR_KEYS = [
     k for k, spec in SCHEMA.items() if spec.parse in (_parse_vec3, _parse_vec3_list)
@@ -190,6 +193,22 @@ def test_load_scenario_file_round_trip(tmp_path):
     s = load_scenario(path)
     assert s.seed == 11
     assert s.tracker.gate_px == 60.0
+
+
+def test_bom_and_crlf_scenario_file_loads_as_the_plain_one(tmp_path, capsysbinary):
+    # Editors that save UTF-8 with a byte-order mark and CRLF line ends
+    # must not change the scenario, nor what the CLI prints for it.
+    plain = SCENARIOS / "fleet3.cfg"
+    raw = plain.read_bytes()
+    assert not raw.startswith(codecs.BOM_UTF8) and b"\r\n" not in raw
+    marked = tmp_path / "fleet3.cfg"
+    marked.write_bytes(codecs.BOM_UTF8 + raw.replace(b"\n", b"\r\n"))
+    assert load_scenario(marked) == load_scenario(plain)
+    printed = []
+    for path in (plain, marked):
+        assert cli_main(["path", "--scenario", str(path)]) == 0
+        printed.append(capsysbinary.readouterr().out)
+    assert printed[0] == printed[1] != b""
 
 
 def test_default_scenario_helper():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from bhsim.fleet import point_in_cell
 from bhsim.perception import ZERO_NOISE, Detection, generate_detections
 from bhsim.scenario import default_scenario, load_scenario, parse_scenario_text
 from bhsim.sim import plan_cells, run_simulation, sweep
-from bhsim.tracking import NumericalFailure
+from bhsim.tracking import BoxMeasurement, NumericalFailure, Tracker, step_tracker
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 FOOTPRINT_AREA = 90.0 * 30.0
@@ -966,16 +967,17 @@ def test_measured_tracks_are_ranged_and_coasting_tracks_keep_their_range(
     # Oracle: the small-angle inverse f * D / (2 r), r half the major axis
     # of the posterior box with the axis floored at 1 px.  A track
     # measured this frame (misses == 0) is ranged from it; a coasting
-    # track keeps the range of the frame that last measured it.
+    # track keeps the range of the frame that last measured it.  The
+    # ranges are the ones the mission's context gives it.
     s = default_scenario(seed=0)
     s = replace(s, sim=s.sim._replace(duration_limit=20.0))
     focal, diameter = s.camera.focal_px, s.balloons.params.diameter
     ticks = []
     original = bhsim.sim.step_mission
 
-    def recording(ms, tracks, *args):
-        ticks.append({t.id: (t.misses, t.x, t.last_range) for t in tracks})
-        return original(ms, tracks, *args)
+    def recording(ms, tracks, uav, t, ctx):
+        ticks.append({tr.id: (tr.misses, tr.x, ctx.range_of(tr)) for tr in tracks})
+        return original(ms, tracks, uav, t, ctx)
 
     monkeypatch.setattr(bhsim.sim, "step_mission", recording)
     run_simulation(s)
@@ -990,6 +992,29 @@ def test_measured_tracks_are_ranged_and_coasting_tracks_keep_their_range(
                 assert last_range == prev[tid][2]
                 coasting += 1
     assert measured > 100 and coasting > 10
+
+
+def test_missed_frames_keep_every_tracks_range():
+    # A prediction carries the box size unchanged, so a track keeps its
+    # range through every miss until it dies; one box is below the 1 px
+    # floor on both axes and ranges as a 1 px box.
+    s = default_scenario(seed=0)
+    focal, diameter = s.camera.focal_px, s.balloons.params.diameter
+    range_of = partial(bhsim.sim._range, s.camera, diameter)
+    boxes = [BoxMeasurement(10.0, -5.0, 24.0, 20.0),
+             BoxMeasurement(-200.0, 40.0, 0.4, 0.7),
+             BoxMeasurement(300.0, 100.0, 3.0, 9.0)]
+    tracker = Tracker(params=s.tracker)
+    for _ in range(3):
+        tracker, _ = step_tracker(tracker, boxes)
+    ranges = {t.id: range_of(t) for t in tracker.tracks}
+    assert len(set(ranges.values())) == 3
+    assert ranges[2] == focal * diameter
+    for misses in range(1, s.tracker.k_delete):
+        tracker, events = step_tracker(tracker, [])
+        assert events == [("coasted", i) for i in ranges]
+        assert all(t.misses == misses for t in tracker.tracks)
+        assert {t.id: range_of(t) for t in tracker.tracks} == ranges
 
 
 RUN_RECORDS = [

@@ -132,7 +132,7 @@ def test_decoupled_filter_equals_matrix_reference_exactly_at_unit_dt():
 def test_predict_zero_velocity_keeps_center_and_grows_covariance():
     t = new_track(1, _meas(), PARAMS)
     out = kf_predict(t, PARAMS)
-    assert out.center == t.center
+    assert out.x[:4] == t.x[:4]
     assert np.trace(_P(out)) > np.trace(_P(t))
 
 

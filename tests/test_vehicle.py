@@ -10,7 +10,6 @@ from bhsim.vehicle import (
     camera_to_world,
     clamp_to_geofence,
     geofence_from_arena,
-    heading,
     step_uav,
     world_to_camera,
     wrap_angle,
@@ -105,7 +104,7 @@ def test_camera_to_world_matches_matrix_reference():
         expected = ref_camera_to_world(yaw) @ np.array(v)
         assert np.allclose(camera_to_world(v, yaw), expected, rtol=0, atol=1e-12)
         back = ref_camera_to_world(yaw).T @ np.array(v)
-        assert np.allclose(world_to_camera(v, heading(yaw)), back, rtol=0, atol=1e-12)
+        assert np.allclose(world_to_camera(v, yaw), back, rtol=0, atol=1e-12)
 
 
 def test_yaw_rotation_identity_and_quarter_turn():
@@ -124,7 +123,7 @@ def test_yaw_rotation_group_property():
     for _ in range(200):
         a, b = (float(x) for x in rng.uniform(-math.pi, math.pi, size=2))
         v = tuple(float(c) for c in rng.uniform(-3, 3, size=3))
-        lhs = camera_to_world(world_to_camera(camera_to_world(v, b), heading(0.0)), a)
+        lhs = camera_to_world(world_to_camera(camera_to_world(v, b), 0.0), a)
         rhs = camera_to_world(v, a + b)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -149,7 +148,7 @@ def test_ned_world_round_trip():
     for _ in range(500):
         v = tuple(float(c) for c in rng.uniform(-5, 5, size=3))
         yaw = float(rng.uniform(-math.pi, math.pi))
-        assert world_to_camera(camera_to_world(v, yaw), heading(yaw)) == pytest.approx(
+        assert world_to_camera(camera_to_world(v, yaw), yaw) == pytest.approx(
             v, abs=1e-12
         )
         assert camera_to_world((0.0, 1.0, 0.0), yaw)[2] == -1.0
