@@ -32,10 +32,6 @@ class PartitionCell(NamedTuple):
     generator: Vec2
     polygon: tuple[Vec2, ...]
 
-    @property
-    def area(self) -> float:
-        return polygon_area(self.polygon)
-
 
 def polygon_area(polygon: Sequence[Vec2]) -> float:
     """Shoelace area; positive for counter-clockwise vertex order."""
@@ -221,8 +217,6 @@ def deconflict(
     map lists the higher id's position, in ascending id.  Returns the
     held ids and the close map.
     """
-    if hold_radius <= 0:
-        raise ValueError("hold_radius must be positive")
     held: set[int] = set()
     close: dict[int, list[Vec3]] = {}
     for (low, p), (high, q) in combinations(agents, 2):

@@ -20,8 +20,6 @@ class PixelTarget:
     __slots__ = ("x_px", "y_px", "focal_px")
 
     def __init__(self, x_px: float, y_px: float, focal_px: float) -> None:
-        if focal_px <= 0:
-            raise ValueError("focal length must be positive")
         self.x_px = x_px
         self.y_px = y_px
         self.focal_px = focal_px
@@ -43,8 +41,6 @@ def velocity_command_camera(t: PixelTarget, speed: float) -> Vec3:
     The component along the optic axis uses the focal length as the third
     coordinate, so the command always lies exactly on the target ray.
     """
-    if speed <= 0:
-        raise ValueError("speed must be positive")
     ux, uy, uz = los_unit_vector(t)
     return (speed * ux, speed * uy, speed * uz)
 
@@ -64,7 +60,5 @@ def yaw_rate_command(
     psi_des: float, psi: float, gain: float, limit: float
 ) -> float:
     """Proportional, saturated yaw rate toward the desired heading."""
-    if gain <= 0:
-        raise ValueError("gain must be positive")
     err = wrap_angle(psi_des - psi)
     return max(-limit, min(limit, gain * err))

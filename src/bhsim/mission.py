@@ -228,8 +228,6 @@ def generate_search_path(
         PathTooDense: if the lanes could need more than
             ``MAX_PATH_WAYPOINTS`` waypoints.
     """
-    if spacing <= 0 or wp_step <= 0:
-        raise ValueError("spacing and wp_step must be positive")
     if len(cell) < 3 or abs(polygon_area(cell)) < 1.0:
         raise DegenerateCell("cell area below 1 m^2")
 
@@ -354,8 +352,6 @@ def plan_revisit(
     last_estimate: Vec3, approach_heading: float, d_standoff: float
 ) -> Vec3:
     """Standoff waypoint behind the estimate, opposite the approach heading."""
-    if d_standoff <= 0:
-        raise ValueError("d_standoff must be positive")
     lo, hi = REVISIT_ALTITUDE_BOUNDS
     return (
         last_estimate[0] - d_standoff * math.cos(approach_heading),

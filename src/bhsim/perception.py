@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from .rng import Stream
 from .vehicle import UavState, world_to_camera
-from .world import Checked, WorldState
+from .world import WorldState
 
 Vec3 = tuple[float, float, float]
 
@@ -27,20 +27,12 @@ class DegenerateCircle(ValueError):
     """Fitted circle too small to range from."""
 
 
-class _CameraFields(NamedTuple):
+class CameraIntrinsics(NamedTuple):
+    """Pinhole camera: focal length and image size in pixels."""
+
     focal_px: float = 600.0
     width_px: float = 1280.0
     height_px: float = 720.0
-
-
-class CameraIntrinsics(Checked, _CameraFields):
-    """Pinhole camera: focal length and image size in pixels."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.focal_px <= 0:
-            raise ValueError("focal length must be positive")
 
     @property
     def principal(self) -> tuple[float, float]:
@@ -64,28 +56,15 @@ class Detection(NamedTuple):
     truth_id: Optional[int] = None
 
 
-class _NoiseFields(NamedTuple):
+class NoiseModel(NamedTuple):
+    """Detector noise: box jitter, miss probability, false alarms, confidence."""
+
     center_sigma: float = 2.0
     size_sigma_frac: float = 0.05
     p_miss_base: float = 0.05
     p_miss_range_scale: float = 0.002
     false_alarm_rate: float = 0.1
     confidence_floor: float = 0.1
-
-
-class NoiseModel(Checked, _NoiseFields):
-    """Detector noise: box jitter, miss probability, false alarms, confidence."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if not 0.0 <= self.p_miss_base <= 1.0:
-            raise ValueError("p_miss_base must be a probability")
-        if not 0.0 <= self.confidence_floor <= 1.0:
-            raise ValueError("confidence_floor must be in [0, 1]")
-        if min(self.center_sigma, self.size_sigma_frac, self.p_miss_range_scale,
-               self.false_alarm_rate) < 0:
-            raise ValueError("noise rates must be non-negative")
 
 
 ZERO_NOISE = NoiseModel(

@@ -295,7 +295,9 @@ def build_scenario(values: dict[str, object]) -> Scenario:
     A list of anchors or starts sets its count.  Every value must lie in
     its key's domain, which also bounds the counts; the ``Scenario``
     defaults fill the missing keys; then the rules between keys and the
-    tick budget are checked.
+    tick budget are checked.  It is the one place a configuration value
+    is checked: the records it builds and the functions a run calls trust
+    the values it hands them.
     """
     values = dict(values)
     if "balloons.anchors" in values:
@@ -329,13 +331,17 @@ def build_scenario(values: dict[str, object]) -> Scenario:
         for section in sections:
             node = node.setdefault(section, {})
         node[name] = v[key]
-    try:
-        arena = tree["arena"] = _fill(_DEFAULTS.arena, tree["arena"])
-        fence = geofence_from_arena(arena)
-    except ValueError as exc:
-        # an extent that does not fit inside the outer one, or is too
-        # small to move its own coordinates (1e-300 at 50 m)
-        raise ValidationError("arena.effective_extent", str(exc)) from None
+    arena = tree["arena"] = _fill(_DEFAULTS.arena, tree["arena"])
+    if any(e > o for e, o in zip(arena.effective_extent, arena.outer_extent)):
+        raise ValidationError(
+            "arena.effective_extent", "effective extent must fit inside outer extent"
+        )
+    fence = geofence_from_arena(arena)
+    if any(lo >= hi for lo, hi in zip(fence.lo, fence.hi)):
+        # an extent too small to move its own coordinates (1e-300 at 50 m)
+        raise ValidationError(
+            "arena.effective_extent", "geofence min must be strictly below max"
+        )
     anchors = v["balloons.anchors"]
     bases = [v["balloons.pole_height"]] if anchors is None else [a[2] for a in anchors]
     if any(z + v["balloons.tether_length"] > MAX_BALLOON_HEIGHT_M for z in bases):
@@ -343,6 +349,12 @@ def build_scenario(values: dict[str, object]) -> Scenario:
             "balloons.tether_length",
             f"balloon centers must stay at most {MAX_BALLOON_HEIGHT_M} m high",
         )
+    (x0, y0, _), (x1, y1, _) = fence
+    for i, a in enumerate(anchors or ()):
+        if not (x0 <= a[0] <= x1 and y0 <= a[1] <= y1):
+            raise ValidationError(
+                "balloons.anchors", f"anchor {i} {a} outside geofence"
+            )
     n_agents = v["agents.count"]
     for agent_id, _ in v["fleet.failures"]:
         if agent_id >= n_agents:

@@ -23,8 +23,6 @@ level, so the body-to-vehicle rotation is yaw only.
 import math
 from typing import NamedTuple
 
-from .world import Checked
-
 Vec3 = tuple[float, float, float]
 
 
@@ -47,19 +45,11 @@ class UavState(NamedTuple):
         return math.sqrt(vx * vx + vy * vy + vz * vz)
 
 
-class _GeofenceFields(NamedTuple):
-    lo: Vec3
-    hi: Vec3
-
-
-class Geofence(Checked, _GeofenceFields):
+class Geofence(NamedTuple):
     """Axis-aligned box the vehicle must never leave (world frame)."""
 
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if any(self.lo[i] >= self.hi[i] for i in range(3)):
-            raise ValueError("geofence min must be strictly below max")
+    lo: Vec3
+    hi: Vec3
 
     def contains(self, p: Vec3) -> bool:
         lo, hi = self.lo, self.hi
@@ -142,8 +132,6 @@ def step_uav(
     position integrates the updated velocity, and yaw integrates the
     rate-limited yaw command.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     cmd = clamp_speed(cmd_velocity, params.v_max)
     alpha = 1.0 - math.exp(-dt / params.tau)
     vx = state.velocity[0] + alpha * (cmd[0] - state.velocity[0])
@@ -171,8 +159,6 @@ def clamp_to_geofence(
     face is zeroed.  Outside the fence entirely, the command is replaced
     by a vector of magnitude ``v_max`` toward the fence center.
     """
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
     if not fence.contains(position):
         cx, cy, cz = fence.center
         dx, dy, dz = cx - position[0], cy - position[1], cz - position[2]

@@ -4,12 +4,13 @@ The world frame is x-north, y-east, z-up with z measured in meters above
 the ground plane.  Balloons are tethered above pole tops and swing as
 planar pendulums with a fixed, per-balloon wind azimuth.
 
-``Arena`` and ``BalloonParams`` are immutable ``NamedTuple``s; ``Arena``
-is ``Checked``: it checks its fields when it is built or copied.  A
-``Balloon`` is a ``__slots__`` record that checks its arguments and works
-out its sway constants once, when it is built.  A balloon has no id of
-its own: its number is its index in ``WorldState.balloons``, which is
-layout order.
+``Arena`` and ``BalloonParams`` are immutable ``NamedTuple``s.  A
+``Balloon`` is a ``__slots__`` record that works out its sway constants
+once, when it is built.  A balloon has no id of its own: its number is
+its index in ``WorldState.balloons``, which is layout order.  None of
+these records checks its values: ``scenario.build_scenario(values)`` is
+the checked constructor of a run's configuration, and the functions here
+trust what it hands them.
 """
 
 import math
@@ -31,51 +32,16 @@ class UnknownBalloon(KeyError):
     """Operation referenced a balloon index outside the world."""
 
 
-class Checked:
-    """Base of a NamedTuple record that checks its fields with ``_check``.
-
-    Put first among the bases, before the NamedTuple of the fields.  A
-    NamedTuple's own copies (``_replace``, and ``__replace__`` for
-    ``copy.replace`` from Python 3.13) skip ``__new__``; these rebuild
-    through it, so every copy is checked too.  ``_make`` does not check.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
-
-    def _replace(self, **changes):
-        return type(self)(*super()._replace(**changes))
-
-    __replace__ = _replace
-
-
-class _ArenaFields(NamedTuple):
-    outer_extent: Vec3 = (100.0, 40.0, 20.0)
-    effective_extent: Vec3 = (90.0, 30.0, 5.0)
-    geofence_margin: float = 1.0
-
-
-class Arena(Checked, _ArenaFields):
+class Arena(NamedTuple):
     """Axis-aligned arena volume with an inner effective search volume.
 
     The effective volume is centered horizontally inside the outer volume
     and sits on the ground (z from 0 to the effective height).
     """
 
-    __slots__ = ()
-
-    def _check(self) -> None:
-        for axis in range(3):
-            if self.outer_extent[axis] <= 0 or self.effective_extent[axis] <= 0:
-                raise ValueError("arena extents must be strictly positive")
-            if self.effective_extent[axis] > self.outer_extent[axis]:
-                raise ValueError("effective extent must fit inside outer extent")
-        if self.geofence_margin < 0:
-            raise ValueError("geofence_margin must be non-negative")
+    outer_extent: Vec3 = (100.0, 40.0, 20.0)
+    effective_extent: Vec3 = (90.0, 30.0, 5.0)
+    geofence_margin: float = 1.0
 
     @property
     def effective_min(self) -> Vec3:
@@ -123,7 +89,9 @@ class Balloon:
 
     Whether the balloon is still alive and where its center is at the
     current time live in ``WorldState.centers``, not here.  Two balloons
-    are equal when their constructor arguments are.
+    are equal when their constructor arguments are.  The arguments are
+    not checked: ``scenario.build_scenario`` bounds the size, sway and
+    height of every balloon a run builds.
     """
 
     __slots__ = _BALLOON_INIT + ("sway_omega", "sway_cos", "sway_sin")
@@ -134,14 +102,6 @@ class Balloon:
         sway_frequency: float = 0.2, sway_phase: float = 0.0,
         sway_azimuth: float = 0.0,
     ) -> None:
-        if diameter <= 0:
-            raise ValueError("balloon diameter must be positive")
-        if not 0.0 <= sway_amplitude < math.pi / 2:
-            raise ValueError("sway_amplitude must be in [0, pi/2)")
-        if anchor[2] + tether_length > MAX_BALLOON_HEIGHT_M:
-            raise ValueError(
-                f"balloon center would exceed {MAX_BALLOON_HEIGHT_M} m height"
-            )
         self.anchor = anchor
         self.tether_length = tether_length
         self.diameter = diameter
@@ -235,11 +195,6 @@ def sample_balloon_layout(
     Raises:
         PackingInfeasible: after LAYOUT_REJECTION_BUDGET rejected draws.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if min_sep < 0:
-        raise ValueError("min_sep must be non-negative")
-
     xmin, ymin, xmax, ymax = arena.footprint
     inset = params.tether_length * math.sin(params.sway_amplitude)
     xmin, xmax = xmin + inset, xmax - inset

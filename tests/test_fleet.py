@@ -24,7 +24,7 @@ AREA = 90.0 * 30.0
 def test_single_generator_owns_whole_footprint():
     cells = voronoi_partition(FOOTPRINT, [(0, (20.0, 20.0))])
     assert len(cells) == 1
-    assert cells[0].area == pytest.approx(AREA)
+    assert polygon_area(cells[0].polygon) == pytest.approx(AREA)
     assert set(cells[0].polygon) == set(rect_polygon(FOOTPRINT))
 
 
@@ -32,7 +32,7 @@ def test_two_symmetric_generators_split_area_evenly():
     gens = [(0, (30.0, 20.0)), (1, (70.0, 20.0))]
     cells = voronoi_partition(FOOTPRINT, gens)
     for cell in cells:
-        assert cell.area == pytest.approx(AREA / 2, rel=1e-9)
+        assert polygon_area(cell.polygon) == pytest.approx(AREA / 2, rel=1e-9)
     # Monte Carlo cross-check of the areas
     rng = np.random.default_rng(0)
     pts = rng.uniform((5, 5), (95, 35), size=(100_000, 2))
@@ -44,7 +44,7 @@ def test_two_symmetric_generators_split_area_evenly():
 def test_cells_tile_footprint():
     gens = [(0, (20.0, 10.0)), (1, (60.0, 30.0)), (2, (80.0, 8.0))]
     cells = voronoi_partition(FOOTPRINT, gens)
-    assert sum(c.area for c in cells) == pytest.approx(AREA, rel=1e-9)
+    assert sum(polygon_area(c.polygon) for c in cells) == pytest.approx(AREA, rel=1e-9)
 
 
 def test_points_land_in_cell_of_nearest_generator():
@@ -68,7 +68,8 @@ def test_partition_correctness_up_to_eight_generators():
         gens = [(i, (float(x), float(y)))
                 for i, (x, y) in enumerate(rng.uniform((6, 6), (94, 34), size=(n, 2)))]
         cells = {c.agent_id: c for c in voronoi_partition(FOOTPRINT, gens)}
-        assert sum(c.area for c in cells.values()) == pytest.approx(AREA, rel=1e-6)
+        total = sum(polygon_area(c.polygon) for c in cells.values())
+        assert total == pytest.approx(AREA, rel=1e-6)
         for _ in range(1000):
             p = (float(rng.uniform(5, 95)), float(rng.uniform(5, 35)))
             dists = sorted(math.dist(p, g) for _, g in gens)

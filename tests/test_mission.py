@@ -27,6 +27,7 @@ from bhsim.mission import (
     step_mission,
 )
 from bhsim.perception import CameraIntrinsics, project_point
+from bhsim.scenario import ValidationError, build_scenario
 from bhsim.tracking import BoxMeasurement, TrackerParams, TrackStatus, new_track
 from bhsim.vehicle import UavState
 from bhsim.world import Arena
@@ -228,8 +229,10 @@ def test_plan_revisit_altitude_clamp():
 
 
 def test_plan_revisit_rejects_zero_standoff():
-    with pytest.raises(ValueError):
-        plan_revisit((10.0, 10.0, 3.0), 0.0, 0.0)
+    # plan_revisit trusts its standoff: the parser keeps it in (0, 1000].
+    with pytest.raises(ValidationError) as err:
+        build_scenario({"mission.d_standoff": 0.0})
+    assert err.value.key == "mission.d_standoff"
 
 
 def _ctx(granted=True, claims=None, covered=None, ranges=None):

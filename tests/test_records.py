@@ -1,12 +1,13 @@
-"""Records keep their checks and their immutability.
+"""Records trust their values; the scenario parser checks them.
 
-The configuration records are NamedTuples; ``Arena``, ``NoiseModel``,
-``CameraIntrinsics`` and ``Geofence`` check their fields when built, when
-``_replace``d and, from Python 3.13, when copied by ``copy.replace``.
-``Balloon`` and ``PixelTarget`` are ``__slots__`` classes that check
-their arguments when built.  A ``Balloon`` carries no id (its number is
-its index in the world), so two are equal when all their other
-arguments are.
+``Arena``, ``NoiseModel``, ``CameraIntrinsics`` and ``Geofence`` are plain
+NamedTuples, and ``Balloon`` and ``PixelTarget`` are ``__slots__``
+classes: none of them checks its fields.  ``build_scenario(values)`` is
+the checked constructor.  Each value a record would hold but a run must
+not is rejected there, with a ``ValidationError`` naming the key that
+would set it, whether the scenario is built from values or from a
+scenario file.  A ``Balloon`` carries no id (its number is its index in
+the world), so two are equal when all their other arguments are.
 """
 
 import copy
@@ -14,58 +15,85 @@ import math
 import pickle
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from bhsim.guidance import PixelTarget
 from bhsim.perception import CameraIntrinsics, NoiseModel
-from bhsim.scenario import SCHEMA, Scenario
+from bhsim.scenario import (
+    SCHEMA,
+    Scenario,
+    ValidationError,
+    build_scenario,
+    parse_scenario_text,
+)
 from bhsim.vehicle import Geofence
 from bhsim.world import Arena, Balloon
 
 FENCE = {"lo": (0.0, 0.0, 0.0), "hi": (10.0, 10.0, 6.0)}
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "scenarios" / "default.cfg"
 
-# (record, valid arguments, bad arguments, message of the ValueError)
+# (record, field, scenario lines that would give the field a bad value,
+# key the ValidationError names)
 INVALID = [
-    (Arena, {}, {"outer_extent": (0.0, 40.0, 20.0)}, "strictly positive"),
-    (Arena, {}, {"effective_extent": (90.0, -1.0, 5.0)}, "strictly positive"),
-    (Arena, {}, {"effective_extent": (120.0, 30.0, 5.0)}, "fit inside"),
-    (Arena, {}, {"geofence_margin": -0.5}, "non-negative"),
-    (NoiseModel, {}, {"p_miss_base": 1.5}, "probability"),
-    (NoiseModel, {}, {"confidence_floor": -0.1}, r"\[0, 1\]"),
-    (NoiseModel, {}, {"center_sigma": -1.0}, "non-negative"),
-    (NoiseModel, {}, {"false_alarm_rate": -0.1}, "non-negative"),
-    (CameraIntrinsics, {}, {"focal_px": 0.0}, "focal length"),
-    (Geofence, FENCE, {"hi": (10.0, 0.0, 6.0)}, "strictly below"),
+    (Arena, "outer_extent", "arena.outer_extent = 0, 40, 20", "arena.outer_extent"),
+    (Arena, "effective_extent", "arena.effective_extent = 90, -1, 5",
+     "arena.effective_extent"),
+    (Arena, "effective_extent", "arena.effective_extent = 120, 30, 5",
+     "arena.effective_extent"),
+    (Arena, "geofence_margin", "arena.geofence_margin = -0.5",
+     "arena.geofence_margin"),
+    (NoiseModel, "p_miss_base", "noise.p_miss_base = 1.5", "noise.p_miss_base"),
+    (NoiseModel, "confidence_floor", "noise.confidence_floor = -0.1",
+     "noise.confidence_floor"),
+    (NoiseModel, "center_sigma", "noise.center_sigma = -1", "noise.center_sigma"),
+    (NoiseModel, "false_alarm_rate", "noise.false_alarm_rate = -0.1",
+     "noise.false_alarm_rate"),
+    (CameraIntrinsics, "focal_px", "camera.focal_px = 0", "camera.focal_px"),
+    # 1e-300 m does not move x = 50 m: the fence's lo and hi would coincide
+    (Geofence, "hi",
+     "arena.effective_extent = 1e-300, 30, 5\narena.geofence_margin = 0",
+     "arena.effective_extent"),
 ]
-INVALID_IDS = [f"{case[0].__name__}.{next(iter(case[2]))}" for case in INVALID]
-NAMED_TUPLE_CHECKED = {Arena, NoiseModel, CameraIntrinsics, Geofence}
+INVALID_IDS = [f"{case[0].__name__}.{case[1]}" for case in INVALID]
+INVALID_LINES = [case[2:] for case in INVALID]
+CONFIG_RECORDS = {Arena, NoiseModel, CameraIntrinsics, Geofence}
 
 
-@pytest.mark.parametrize("cls, valid, bad, message", INVALID, ids=INVALID_IDS)
-def test_checked_records_reject_bad_fields_when_built(cls, valid, bad, message):
-    with pytest.raises(ValueError, match=message):
-        cls(**{**valid, **bad})
+def _values(lines: str) -> dict[str, object]:
+    """Parsed values of ``key = value`` lines, as the parser hands them on."""
+    values = {}
+    for line in lines.splitlines():
+        key, _, raw = line.partition(" = ")
+        values[key] = SCHEMA[key].parse(raw)
+    return values
 
 
-@pytest.mark.parametrize("cls, valid, bad, message", INVALID, ids=INVALID_IDS)
-def test_checked_records_reject_bad_fields_when_replaced(cls, valid, bad, message):
-    record = cls(**valid)
-    with pytest.raises(ValueError, match=message):
-        record._replace(**bad)
+def _rejected_key(lines: str) -> str:
+    with pytest.raises(ValidationError) as err:
+        build_scenario(_values(lines))
+    return err.value.key
 
 
-@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is 3.13+")
-@pytest.mark.parametrize("cls, valid, bad, message", INVALID, ids=INVALID_IDS)
-def test_checked_records_reject_bad_fields_when_copy_replaced(
-    cls, valid, bad, message
-):
-    record = cls(**valid)
-    with pytest.raises(ValueError, match=message):
-        copy.replace(record, **bad)
+@pytest.mark.parametrize("lines, key", INVALID_LINES, ids=INVALID_IDS)
+def test_checked_records_reject_bad_fields_when_built(lines, key):
+    assert _rejected_key(lines) == key
 
 
-@pytest.mark.parametrize("cls", sorted(NAMED_TUPLE_CHECKED, key=lambda c: c.__name__))
+@pytest.mark.parametrize("lines, key", INVALID_LINES, ids=INVALID_IDS)
+def test_checked_records_reject_bad_fields_when_replaced(lines, key):
+    # The same values replace their keys' lines in a whole scenario file.
+    replaced = _values(lines)
+    kept = [
+        line for line in DEFAULT_CFG.read_text(encoding="utf-8").splitlines()
+        if line.split("=", 1)[0].strip() not in replaced
+    ]
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text("\n".join(kept + lines.splitlines()) + "\n")
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize("cls", sorted(CONFIG_RECORDS, key=lambda c: c.__name__))
 def test_checked_records_replace_builds_their_own_type(cls):
     record = cls(**(FENCE if cls is Geofence else {}))
     name = record._fields[-1]
@@ -80,15 +108,23 @@ def test_checked_records_replace_builds_their_own_type(cls):
 BALLOON = {"anchor": (10.0, 10.0, 2.0)}
 
 
-@pytest.mark.parametrize("bad, message", [
-    ({"diameter": 0.0}, "diameter"),
-    ({"sway_amplitude": math.pi / 2}, "sway_amplitude"),
-    ({"sway_amplitude": -0.1}, "sway_amplitude"),
-    ({"anchor": (10.0, 10.0, 4.5)}, "height"),
+@pytest.mark.parametrize("lines, key", [
+    pytest.param("balloons.diameter = 0", "balloons.diameter", id="bad0-diameter"),
+    pytest.param(
+        f"balloons.sway_amplitude = {math.pi / 2!r}", "balloons.sway_amplitude",
+        id="bad1-sway_amplitude",
+    ),
+    pytest.param(
+        "balloons.sway_amplitude = -0.1", "balloons.sway_amplitude",
+        id="bad2-sway_amplitude",
+    ),
+    pytest.param(
+        "balloons.anchors = 10, 10, 4.5", "balloons.tether_length", id="bad3-height"
+    ),
 ])
-def test_balloon_rejects_bad_arguments(bad, message):
-    with pytest.raises(ValueError, match=message):
-        Balloon(**{**BALLOON, **bad})
+def test_balloon_rejects_bad_arguments(lines, key):
+    # A balloon trusts its size, sway and height: the parser bounds them.
+    assert _rejected_key(lines) == key
 
 
 def test_balloon_compares_on_its_arguments_and_works_out_its_sway():
@@ -101,9 +137,10 @@ def test_balloon_compares_on_its_arguments_and_works_out_its_sway():
 
 
 def test_pixel_target_rejects_a_non_positive_focal_length():
-    for focal in (0.0, -600.0):
-        with pytest.raises(ValueError, match="focal length"):
-            PixelTarget(1.0, 2.0, focal)
+    # A pixel target's focal length is the camera's, which the parser
+    # keeps in [1, 10000].
+    for focal in ("0", "-600"):
+        assert _rejected_key(f"camera.focal_px = {focal}") == "camera.focal_px"
 
 
 def _named_tuple_records():

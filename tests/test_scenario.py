@@ -36,6 +36,7 @@ from bhsim.scenario import (
     load_scenario,
     parse_scenario_text,
 )
+from bhsim.sim import run_simulation
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 FLOAT_KEYS = [k for k, spec in SCHEMA.items() if spec.parse is _parse_float]
@@ -129,6 +130,91 @@ def test_values_a_run_cannot_use_are_rejected_naming_key(text, key):
     with pytest.raises(ValidationError) as err:
         parse_scenario_text("seed = 1\n" + text)
     assert str(err.value).startswith(key)
+
+
+# Each value a record or a tick function would take but a run must not.
+# The records and functions trust what the parser hands them, so it is
+# the parser that rejects these: the value's own key, or the named one.
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("arena.outer_extent = 0, 40, 20", None),
+        ("arena.effective_extent = 90, -1, 5", None),
+        ("arena.effective_extent = 120, 30, 5", None),
+        (
+            "arena.effective_extent = 1e-300, 30, 5\narena.geofence_margin = 0",
+            "arena.effective_extent",
+        ),
+        ("arena.geofence_margin = -0.5", None),
+        ("noise.p_miss_base = 1.5", None),
+        ("noise.confidence_floor = -0.1", None),
+        ("noise.center_sigma = -1", None),
+        ("noise.false_alarm_rate = -0.1", None),
+        ("camera.focal_px = 0", None),
+        ("balloons.diameter = 0", None),
+        ("balloons.sway_amplitude = 1.5707963267948966", None),
+        ("balloons.sway_amplitude = -0.1", None),
+        ("balloons.anchors = 10, 10, 4.5", "balloons.tether_length"),
+        ("balloons.count = -1", None),
+        ("balloons.min_sep = -1", None),
+        ("mission.d_standoff = 0", None),
+        ("vehicle.v_approach = 0", None),
+        ("mission.yaw_gain = 0", None),
+        ("mission.lane_spacing = 0", None),
+        ("mission.wp_step = 0", None),
+        ("sim.tick_rate = 0", None),
+        ("fleet.min_sep = 0", None),
+    ],
+)
+def test_the_parser_is_the_one_check_of_each_value(text, key):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text("seed = 1\n" + text + "\n")
+    assert err.value.key == (key or text.split(" = ")[0])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "arena.effective_extent = 120, 30, 5\n",
+            "effective extent must fit inside outer extent",
+        ),
+        (
+            "arena.effective_extent = 1e-300, 30, 5\narena.geofence_margin = 0\n",
+            "geofence min must be strictly below max",
+        ),
+    ],
+)
+def test_arena_rules_between_keys_exit_with_one_configuration_line(
+    text, message, tmp_path, capsys
+):
+    path = tmp_path / "s.cfg"
+    path.write_text("seed = 1\n" + text, encoding="utf-8")
+    assert cli_main(["simulate", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: arena.effective_extent: {message}\n"
+    assert captured.out == ""
+
+
+def test_anchor_outside_the_geofence_is_rejected_naming_it():
+    # The default fence spans x in [4, 96]: no agent may fly to x = 99.
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text("seed = 1\nballoons.anchors = 10, 20, 2; 99, 20, 2\n")
+    assert err.value.key == "balloons.anchors"
+    assert str(err.value).startswith("balloons.anchors: anchor 1 ")
+
+
+def test_anchors_on_the_geofence_and_outside_the_effective_volume_are_accepted():
+    # The fence bounds are inclusive; x = 4.9 is outside the effective
+    # volume (x from 5) but inside the fence, and its balloon is popped.
+    s = parse_scenario_text(
+        "seed = 0\nballoons.anchors = 4, 4, 2; 96, 36, 2; 4, 36, 2; 96, 4, 2\n"
+    )
+    assert s.balloons.count == 4
+    s = parse_scenario_text(
+        "seed = 0\nballoons.anchors = 4.9, 20, 2\nsim.duration_limit = 300\n"
+    )
+    assert run_simulation(s).metrics.balloons_popped == 1
 
 
 def test_balloon_height_limit_is_inclusive():

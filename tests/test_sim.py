@@ -21,7 +21,7 @@ import bhsim.vehicle
 import bhsim.world
 from bhsim.cli import main as cli_main
 from bhsim.events import EVENT_KINDS, read_event_log, serialize_events
-from bhsim.fleet import point_in_cell
+from bhsim.fleet import point_in_cell, polygon_area
 from bhsim.perception import ZERO_NOISE, Detection, generate_detections
 from bhsim.scenario import default_scenario, load_scenario, parse_scenario_text
 from bhsim.sim import plan_cells, run_simulation, sweep
@@ -232,7 +232,7 @@ def test_plan_cells_single_survivor_owns_footprint():
     s = parse_scenario_text("seed = 0\nagents.starts = 30, 20, 4; 70, 20, 4\n")
     cells, paths = plan_cells(s, [0])
     assert [c.agent_id for c in cells] == [0]
-    assert cells[0].area == pytest.approx(FOOTPRINT_AREA)
+    assert polygon_area(cells[0].polygon) == pytest.approx(FOOTPRINT_AREA)
     assert set(paths) == {0}
 
 
@@ -244,7 +244,7 @@ def test_plan_cells_repartition_conserves_area():
     cells, paths = plan_cells(s, [0, 2])
     assert [c.agent_id for c in cells] == [0, 2]
     assert set(paths) == {0, 2}
-    assert sum(c.area for c in cells) == pytest.approx(FOOTPRINT_AREA, rel=1e-9)
+    assert sum(polygon_area(c.polygon) for c in cells) == pytest.approx(FOOTPRINT_AREA, rel=1e-9)
     # Monte Carlo union check
     xmin, ymin, xmax, ymax = s.arena.footprint
     rng = np.random.default_rng(1)

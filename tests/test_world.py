@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bhsim.rng import substream
+from bhsim.scenario import ValidationError, build_scenario
 from bhsim.world import (
     Arena,
     Balloon,
@@ -27,10 +28,14 @@ def test_arena_defaults_and_footprint():
 
 
 def test_arena_rejects_bad_extents():
-    with pytest.raises(ValueError):
-        Arena(effective_extent=(120.0, 30.0, 5.0))
-    with pytest.raises(ValueError):
-        Arena(outer_extent=(0.0, 40.0, 20.0))
+    # An Arena trusts its extents: the parser is what rejects them.
+    for key, extent in [
+        ("arena.effective_extent", (120.0, 30.0, 5.0)),
+        ("arena.outer_extent", (0.0, 40.0, 20.0)),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            build_scenario({key: extent})
+        assert err.value.key == key
 
 
 def test_layout_empty():
@@ -115,8 +120,12 @@ def test_sway_centers_stay_inside_effective_volume():
 
 
 def test_balloon_height_invariant_rejected():
-    with pytest.raises(ValueError):
-        _balloon(anchor=(10.0, 10.0, 4.5), tether_length=1.0)
+    # A balloon over a 4.5 m anchor on a 1 m tether would float at 5.5 m.
+    with pytest.raises(ValidationError) as err:
+        build_scenario({
+            "balloons.anchors": ((10.0, 10.0, 4.5),), "balloons.tether_length": 1.0,
+        })
+    assert err.value.key == "balloons.tether_length"
 
 
 def test_pop_balloon_kills_and_is_idempotent():
