@@ -78,7 +78,7 @@ def voronoi_partition(
     generator as to any other, computed by successively clipping the
     footprint rectangle with perpendicular-bisector half planes.  Points
     exactly on a bisector belong to the lower agent id (the half-plane
-    test is inclusive, and ``nearest_generator`` breaks ties the same way).
+    test is inclusive).
 
     Raises:
         DuplicateGenerators: if two generators coincide.
@@ -124,20 +124,6 @@ def point_in_cell(point: Vec2, polygon: Sequence[Vec2], margin: float = 0.0) -> 
         if cross < -margin * math.hypot(ex, ey):
             return False
     return True
-
-
-def nearest_generator(
-    point: Vec2, generators: Sequence[tuple[int, Vec2]]
-) -> int:
-    """Agent id of the generator nearest to ``point`` (ties: lower id)."""
-    best_id = -1
-    best = math.inf
-    for agent_id, (gx, gy) in sorted(generators):
-        d = (point[0] - gx) ** 2 + (point[1] - gy) ** 2
-        if d < best:
-            best = d
-            best_id = agent_id
-    return best_id
 
 
 class ClaimTable:

@@ -33,6 +33,7 @@ the claim and drops it, so it is None exactly in SEARCH.
 
 import math
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .fleet import ClaimResult, point_in_cell, polygon_area
@@ -158,9 +159,11 @@ class MissionContext(NamedTuple):
 
     def estimate_plausible(self, est: Vec3) -> bool:
         s = ESTIMATE_VOLUME_SLACK
-        return all(
-            self.volume_lo[i] - s <= est[i] <= self.volume_hi[i] + s
-            for i in range(3)
+        lo, hi = self.volume_lo, self.volume_hi
+        return (
+            lo[0] - s <= est[0] <= hi[0] + s
+            and lo[1] - s <= est[1] <= hi[1] + s
+            and lo[2] - s <= est[2] <= hi[2] + s
         )
 
     def clamp_into_volume(self, p: Vec3) -> Vec3:
@@ -308,11 +311,6 @@ def _dist3(p: Vec3, q: Vec3) -> float:
     )
 
 
-def should_commit(track: TrackState, m_commit: int) -> bool:
-    """Commit only to confirmed tracks with enough consecutive hits."""
-    return track.status is TrackStatus.CONFIRMED and track.hits >= m_commit
-
-
 def check_pop(
     tip_position: Vec3, balloon_center: Vec3, balloon_radius: float, tip_reach: float
 ) -> bool:
@@ -411,6 +409,7 @@ def _nearest_unvisited(
 
 
 _HOVER: Vec3 = (0.0, 0.0, 0.0)
+_range_then_id = itemgetter(0, 1)
 
 
 class MissionStep(NamedTuple):
@@ -543,15 +542,18 @@ def _step_search(ms, tracks, uav, t, ctx, events):
     mp = ctx.params
 
     if t >= ms.commit_cooldown_until:
-        # Commit only inside commit_range_max: close enough that the world
-        # estimate is tight and the claim table can deconflict agents.
-        # Nearest first; the lower track id wins a tie.
+        # Commit only to confirmed tracks with m_commit consecutive hits,
+        # inside commit_range_max: close enough that the world estimate is
+        # tight and the claim table can deconflict agents.  Nearest first;
+        # the lower track id wins a tie.
         ranged = [
-            (ctx.range_of(tr), tr) for tr in tracks if should_commit(tr, mp.m_commit)
+            (ctx.range_of(tr), tr.id, tr) for tr in tracks
+            if tr.status is TrackStatus.CONFIRMED and tr.hits >= mp.m_commit
         ]
-        ranged.sort(key=lambda c: (c[0], c[1].id))
+        if len(ranged) > 1:
+            ranged.sort(key=_range_then_id)
         denied = False
-        for range_m, track in ranged:
+        for range_m, _, track in ranged:
             if range_m > mp.commit_range_max:
                 break
             est = estimate_world_position(uav, track, ctx.focal_px, range_m)

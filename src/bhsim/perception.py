@@ -13,10 +13,8 @@ import math
 from typing import NamedTuple, Optional
 
 from .rng import Stream
-from .vehicle import UavState, world_to_camera
+from .vehicle import UavState
 from .world import WorldState
-
-Vec3 = tuple[float, float, float]
 
 MIN_CIRCLE_RADIUS_PX = 0.5
 CONFIDENCE_RANGE_SCALE_M = 50.0
@@ -77,36 +75,6 @@ ZERO_NOISE = NoiseModel(
 )
 
 
-def project_point(
-    camera: CameraIntrinsics, uav: UavState, point_world: Vec3
-) -> Optional[tuple[float, float, float]]:
-    """Project a world point seen from a UAV's forward camera.
-
-    Returns ``(p_x, p_y, depth)`` with pixels measured from the principal
-    point and depth along the optic axis in meters; None if the point is
-    behind the camera or off-image.
-    """
-    position = uav.position
-    cam_x, cam_y, cam_z = world_to_camera(
-        (
-            point_world[0] - position[0],
-            point_world[1] - position[1],
-            point_world[2] - position[2],
-        ),
-        uav.yaw,
-    )
-    if cam_z <= 0.0:
-        return None
-    px = camera.focal_px * cam_x / cam_z
-    py = camera.focal_px * cam_y / cam_z
-    u0, v0 = camera.principal
-    u = u0 + px
-    v = v0 + py
-    if not (0.0 <= u <= camera.width_px and 0.0 <= v <= camera.height_px):
-        return None
-    return (px, py, cam_z)
-
-
 def generate_detections(
     camera: CameraIntrinsics,
     uav: UavState,
@@ -122,9 +90,9 @@ def generate_detections(
     noise around the small-angle width ``f * D / Z``.  False alarms are
     Poisson-distributed, uniform over the image, and carry no truth id.
     """
-    # ``project_point`` for every center, written out with the pose and
-    # the camera read once: the same operations in the same order, so the
-    # same floats.
+    # The pinhole projection of every center, with the pose and the
+    # camera read once; ``tests/oracles.py`` keeps its per-point form,
+    # which gives the same floats.
     x0, y0, z0 = uav.position
     c, s = math.cos(uav.yaw), math.sin(uav.yaw)
     focal = camera.focal_px
@@ -143,6 +111,11 @@ def generate_detections(
         py = focal * -(center[2] - z0) / depth
         if 0.0 <= u0 + px <= width_px and 0.0 <= v0 + py <= height_px:
             visible.append((i, world.balloons[i].diameter, px, py, depth))
+    # The noise fields and the stream's draws, looked up once per frame.
+    p_miss_base, p_miss_scale = noise.p_miss_base, noise.p_miss_range_scale
+    sigma, size_sigma = noise.center_sigma, noise.size_sigma_frac
+    floor = noise.confidence_floor
+    uniform, normal = rng.random, rng.standard_normal
     detections: list[Detection] = []
     for i, diameter, px, py, depth in visible:
         # Occlusion: hidden when the center falls inside the projected
@@ -157,26 +130,23 @@ def generate_detections(
                 break
         if occluded:
             continue
-        p_miss = min(1.0, noise.p_miss_base + noise.p_miss_range_scale * depth)
-        if rng.random() < p_miss:
+        if uniform() < min(1.0, p_miss_base + p_miss_scale * depth):
             continue
         size = focal * diameter / depth
-        cx = px + noise.center_sigma * rng.standard_normal()
-        cy = py + noise.center_sigma * rng.standard_normal()
-        factor = max(0.05, 1.0 + noise.size_sigma_frac * rng.standard_normal())
-        confidence = max(
-            noise.confidence_floor, 1.0 - depth / CONFIDENCE_RANGE_SCALE_M
-        )
+        cx = px + sigma * normal()
+        cy = py + sigma * normal()
+        factor = max(0.05, 1.0 + size_sigma * normal())
+        confidence = max(floor, 1.0 - depth / CONFIDENCE_RANGE_SCALE_M)
         box = size * factor
         detections.append(Detection(cx, cy, box, box, confidence, i))
     if noise.false_alarm_rate > 0.0:
         n_false = int(rng.poisson(noise.false_alarm_rate))
         lo_s, hi_s = FALSE_ALARM_SIZE_PX
         for _ in range(n_false):
-            cx = width_px * rng.random() - u0
-            cy = height_px * rng.random() - v0
-            size = lo_s + (hi_s - lo_s) * rng.random()
-            conf = noise.confidence_floor + (1.0 - noise.confidence_floor) * rng.random()
+            cx = width_px * uniform() - u0
+            cy = height_px * uniform() - v0
+            size = lo_s + (hi_s - lo_s) * uniform()
+            conf = floor + (1.0 - floor) * uniform()
             detections.append(Detection(cx, cy, size, size, conf, None))
     return detections
 

@@ -349,6 +349,18 @@ def build_scenario(values: dict[str, object]) -> Scenario:
             "balloons.tether_length",
             f"balloon centers must stay at most {MAX_BALLOON_HEIGHT_M} m high",
         )
+    # A tip flies no higher than the fence top, so the lowest a center
+    # sways to must lie within pop reach of it.
+    top = fence.hi[2]
+    reach = v["balloons.diameter"] / 2.0 + v["mission.tip_reach"]
+    low = v["balloons.tether_length"] * math.cos(v["balloons.sway_amplitude"])
+    for z in bases:
+        if z + low - top > reach:
+            raise ValidationError(
+                "balloons.pole_height" if anchors is None else "balloons.anchors",
+                f"a balloon center {z + low:g} m high is out of pop reach "
+                f"({reach:g} m) above the geofence top at {top:g} m",
+            )
     (x0, y0, _), (x1, y1, _) = fence
     for i, a in enumerate(anchors or ()):
         if not (x0 <= a[0] <= x1 and y0 <= a[1] <= y1):

@@ -15,7 +15,9 @@ plan (``_plan``) and then calls the stages in this order every tick:
    separation strip, integration);
 4. pops: ``_pop`` checks each agent's tip against the alive balloons;
 5. audits: ``_audit`` scores the tick against ground truth, given the
-   estimates of the pops the agents declared, which ``_decide`` hands it.
+   estimates of the pops the agents declared, which ``_decide`` hands it;
+   with one live agent it counts only the false confirms, since the
+   duplicate-pursuit and distance checks need two.
 
 Agents interact only through the fleet stage and the calls of their
 ``MissionContext``, wired once per agent at set-up: the claim table, and
@@ -384,9 +386,13 @@ def _step_fleet(run: _Run, t: float) -> None:
     if failed:
         _plan(run, t)
 
-    run.held, run.close_pairs = deconflict(
-        [(a.id, a.uav.position) for a in run.live], run.hold_radius, run.strip_radius
-    ) if len(run.live) > 1 else (set(), {})
+    if len(run.live) > 1:
+        run.held, run.close_pairs = deconflict(
+            [(a.id, a.uav.position) for a in run.live], run.hold_radius,
+            run.strip_radius,
+        )
+    elif run.held or run.close_pairs:
+        run.held, run.close_pairs = set(), {}
 
 
 def _sense(run: _Run, agent: _AgentRt, t: float) -> list[BoxMeasurement]:
@@ -490,6 +496,8 @@ def _audit(run: _Run, declared: Sequence[list[float]]) -> None:
     for estimate in declared:
         if any(c is not None and math.dist(c, estimate) <= radius for c in centers):
             metrics.false_confirms += 1
+    if len(run.live) < 2:
+        return  # one agent pursues no duplicate and has no pair
 
     # Duplicate pursuit: resolve each engaged agent's working estimate to
     # the nearest alive balloon and flag ticks where two agents resolve

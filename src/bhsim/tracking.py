@@ -14,6 +14,9 @@ known without it: when each track's nearest detection is a different one
 (tracks <= detections), or each detection's nearest track is a different
 one and nearer by a margin (more tracks), those pairs are the solve's
 answer, ties and rounding included; ``solve_assignment`` argues both.
+A frame with no measurements skips the assignment: every track goes
+unmatched, as the solve of a matrix with no columns says, and a frame
+with neither tracks nor measurements hands its tracker back unchanged.
 
 The filter is the box Kalman filter of SORT (Bewley et al. 2016), run
 decoupled (Bar-Shalom, Li & Kirubarajan 2001, ch. 6).  The process,
@@ -89,6 +92,7 @@ _TRACK_FIELDS = (
     "id", "x", "px", "py", "pw", "ph", "hits", "misses", "status",
 )
 _track_key = attrgetter(*_TRACK_FIELDS)
+_by_id = attrgetter("id")
 
 
 class TrackState:
@@ -177,13 +181,6 @@ def kf_predict(t: TrackState, params: TrackerParams = TrackerParams()) -> TrackS
     )
 
 
-def _inverse(s: float) -> float:
-    """``1 / s`` for one diagonal entry of the innovation covariance."""
-    if s == 0.0:
-        raise NumericalFailure("innovation covariance not invertible")
-    return 1.0 / s
-
-
 def _update_block(
     c: float, v: float, p: Block2, z: float, r: float
 ) -> tuple[float, float, Block2]:
@@ -193,7 +190,10 @@ def _update_block(
     covariance is ``(A P) A^T + (K r) K^T``, then symmetrised.
     """
     pcc, pcv, pvv = p
-    s_inv = _inverse(pcc + r)
+    s = pcc + r
+    if s == 0.0:
+        raise NumericalFailure("innovation covariance not invertible")
+    s_inv = 1.0 / s
     k0, k1 = pcc * s_inv, pcv * s_inv
     innovation = z - c
     g = 1.0 - k0
@@ -212,7 +212,10 @@ def _update_block(
 
 def _update_scalar(s: float, p: float, z: float, r: float) -> tuple[float, float]:
     """Joseph-form correction of one size random walk by ``z``."""
-    k = p * _inverse(p + r)
+    pr = p + r
+    if pr == 0.0:
+        raise NumericalFailure("innovation covariance not invertible")
+    k = p * (1.0 / pr)
     g = 1.0 - k
     return s + k * (z - s), (g * p) * g + (k * r) * k
 
@@ -463,9 +466,14 @@ def step_tracker(
     kind one of born | confirmed | coasted | died.
     """
     params = tracker.params
+    if not measurements and not tracker.tracks:
+        return tracker, []
     predicted = [kf_predict(t, params) for t in tracker.tracks]
-    cost = assignment_cost(predicted, measurements)
-    assign = solve_assignment(cost, params.gate_px)
+    if measurements:
+        cost = assignment_cost(predicted, measurements)
+        assign = solve_assignment(cost, params.gate_px)
+    else:
+        assign = Assignment((), tuple(range(len(predicted))), ())
 
     events: list[tuple[str, int]] = []
     next_tracks: list[TrackState] = []
@@ -496,5 +504,5 @@ def step_tracker(
         events.append(("born", t.id))
         next_tracks.append(t)
 
-    next_tracks.sort(key=lambda t: t.id)
+    next_tracks.sort(key=_by_id)
     return Tracker(tracks=tuple(next_tracks), next_id=next_id, params=params), events

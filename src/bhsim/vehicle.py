@@ -10,9 +10,9 @@ Frames used throughout the package:
   axis.  The camera looks forward, fixed to the body: body =
   (cam z, cam x, cam y).
 
-``camera_to_world`` and ``world_to_camera`` are the only functions that
-know these frames (``perception.generate_detections`` writes out
-``world_to_camera``); they work in plain floats so a run does not depend
+``camera_to_world`` is the one function that knows these frames, and
+``perception.generate_detections`` writes out its inverse for every
+balloon of a frame; both work in plain floats so a run does not depend
 on the BLAS kernel of the host.
 
 The UAV is a point mass that tracks commanded velocity through a first
@@ -99,16 +99,6 @@ def camera_to_world(v_cam: Vec3, yaw: float) -> Vec3:
     return (c * bx - s * by, s * bx + c * by, -bz)
 
 
-def world_to_camera(d_world: Vec3, yaw: float) -> Vec3:
-    """Rotate a world-frame vector into the camera frame (inverse of
-    ``camera_to_world``)."""
-    nx, ny, nz = d_world[0], d_world[1], -d_world[2]
-    c, s = math.cos(yaw), math.sin(yaw)
-    bx = c * nx + s * ny
-    by = -s * nx + c * ny
-    return (by, nz, bx)
-
-
 def clamp_speed(v: Vec3, v_max: float) -> Vec3:
     norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
     if norm <= v_max or norm == 0.0:
@@ -167,10 +157,13 @@ def clamp_to_geofence(
             return (0.0, 0.0, 0.0)
         k = v_max / norm
         return (dx * k, dy * k, dz * k)
-    out = list(velocity_cmd)
-    for i in range(3):
-        if position[i] >= fence.hi[i] - margin and out[i] > 0.0:
-            out[i] = 0.0
-        if position[i] <= fence.lo[i] + margin and out[i] < 0.0:
-            out[i] = 0.0
-    return (out[0], out[1], out[2])
+    x, y, z = position
+    vx, vy, vz = velocity_cmd
+    (lo_x, lo_y, lo_z), (hi_x, hi_y, hi_z) = fence
+    if vx > 0.0 and x >= hi_x - margin or vx < 0.0 and x <= lo_x + margin:
+        vx = 0.0
+    if vy > 0.0 and y >= hi_y - margin or vy < 0.0 and y <= lo_y + margin:
+        vy = 0.0
+    if vz > 0.0 and z >= hi_z - margin or vz < 0.0 and z <= lo_z + margin:
+        vz = 0.0
+    return (vx, vy, vz)

@@ -9,13 +9,13 @@ from bhsim.fleet import (
     UnknownClaim,
     claim_target,
     deconflict,
-    nearest_generator,
     point_in_cell,
     polygon_area,
     rect_polygon,
     release_claim,
     voronoi_partition,
 )
+from oracles import nearest_generator
 
 FOOTPRINT = (5.0, 5.0, 95.0, 35.0)
 AREA = 90.0 * 30.0

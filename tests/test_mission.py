@@ -6,6 +6,7 @@ import pytest
 
 from bhsim.fleet import ClaimResult
 from bhsim.mission import (
+    ESTIMATE_VOLUME_SLACK,
     LEGAL_TRANSITIONS,
     MAX_PATH_WAYPOINTS,
     DegenerateCell,
@@ -23,14 +24,14 @@ from bhsim.mission import (
     initial_mission_state,
     plan_revisit,
     pops_in_reach,
-    should_commit,
     step_mission,
 )
-from bhsim.perception import CameraIntrinsics, project_point
+from bhsim.perception import CameraIntrinsics
 from bhsim.scenario import ValidationError, build_scenario
 from bhsim.tracking import BoxMeasurement, TrackerParams, TrackStatus, new_track
 from bhsim.vehicle import UavState
 from bhsim.world import Arena
+from oracles import project_point, should_commit
 from test_vehicle import ref_camera_to_world
 
 RECT = ((5.0, 5.0), (95.0, 5.0), (95.0, 35.0), (5.0, 35.0))
@@ -395,6 +396,61 @@ def test_search_claims_nearest_track_first_lower_id_on_tie():
     denied, _ = _ctx(granted=False, claims=claims, ranges=ranges)
     step_mission(_search_state(), [far, near], uav, 1.0, denied)
     assert [round(c[0] - uav.position[0], 6) for c in claims] == [8.0, 12.0]
+
+
+def test_commit_scan_order_equals_its_sorted_key_form_on_tied_ranges():
+    # Every claim is denied, so the scan claims each candidate in its
+    # order.  The oracle is the scan as it was written before: filter by
+    # should_commit, then sort on (range, id).  Tracks are told apart by
+    # the estimate they are claimed at.
+    uav = UavState(position=(50.0, 20.0, 4.0))
+    mp = MissionParams()
+    rng = random.Random(28)
+    for _ in range(300):
+        ids = rng.sample(range(1, 30), rng.randint(0, 7))
+        tracks = [
+            _track(track_id=i, cx=10.0 * k, hits=rng.randint(1, 5),
+                   status=rng.choice(list(TrackStatus)))
+            for k, i in enumerate(ids)
+        ]
+        ranges = {i: rng.choice((8.0, 8.0, 12.0, 12.0, 25.0, 30.0)) for i in ids}
+        claims = []
+        ctx, _ = _ctx(granted=False, claims=claims, ranges=ranges)
+        step_mission(_search_state(), tracks, uav, 1.0, ctx)
+        by_estimate = {
+            estimate_world_position(uav, tr, ctx.focal_px, ranges[tr.id]): tr.id
+            for tr in tracks
+        }
+        ranged = [(ranges[tr.id], tr) for tr in tracks if should_commit(tr, mp.m_commit)]
+        ranged.sort(key=lambda c: (c[0], c[1].id))
+        expected = [tr.id for r, tr in ranged if r <= mp.commit_range_max]
+        assert [by_estimate[est] for est in claims] == expected
+
+
+def test_estimate_plausible_equals_its_generator_form_at_the_slack_edges():
+    ctx, _ = _ctx()
+    ctx = ctx._replace(volume_lo=(0.1, 5.0, 0.3), volume_hi=(95.7, 35.0, 5.1))
+
+    def oracle(est):
+        s = ESTIMATE_VOLUME_SLACK
+        return all(
+            ctx.volume_lo[i] - s <= est[i] <= ctx.volume_hi[i] + s for i in range(3)
+        )
+
+    inside = (50.0, 20.0, 3.0)
+    seen = set()
+    for axis in range(3):
+        lo = ctx.volume_lo[axis] - ESTIMATE_VOLUME_SLACK
+        hi = ctx.volume_hi[axis] + ESTIMATE_VOLUME_SLACK
+        for x in (lo, hi, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf),
+                  math.nextafter(hi, -math.inf), math.nextafter(hi, math.inf),
+                  math.nan, math.inf, -math.inf):
+            est = inside[:axis] + (x,) + inside[axis + 1:]
+            assert ctx.estimate_plausible(est) is oracle(est)
+            seen.add(oracle(est))
+        assert ctx.estimate_plausible(inside[:axis] + (lo,) + inside[axis + 1:])
+        assert ctx.estimate_plausible(inside[:axis] + (hi,) + inside[axis + 1:])
+    assert seen == {True, False}
 
 
 def test_align_timeout_releases_the_claim_once_as_abandoned():

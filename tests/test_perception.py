@@ -15,7 +15,6 @@ from bhsim.perception import (
     estimate_range,
     fit_circle,
     generate_detections,
-    project_point,
 )
 from bhsim import sim
 from bhsim.rng import substream
@@ -23,6 +22,7 @@ from bhsim.scenario import load_scenario
 from bhsim.tracking import BoxMeasurement
 from bhsim.vehicle import UavState
 from bhsim.world import Balloon, BalloonParams, make_balloon, make_world, pop_balloon
+from oracles import project_point
 from test_vehicle import ref_camera_to_world
 
 CAM = CameraIntrinsics(focal_px=600.0, width_px=1280.0, height_px=720.0)

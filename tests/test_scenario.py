@@ -222,6 +222,30 @@ def test_balloon_height_limit_is_inclusive():
     assert s.balloons.params.pole_height + s.balloons.params.tether_length == 5.0
 
 
+def test_balloon_out_of_pop_reach_above_the_fence_top_is_rejected():
+    # Fence top 1.5 m; reach is radius 0.25 + tip_reach 0.5 = 0.75 m, so a
+    # center that sways no lower than 2.25 m is the highest a tip can pop.
+    low_fence = (
+        "seed = 0\narena.effective_extent = 90, 30, 1\narena.geofence_margin = 0.5\n"
+        "mission.search_altitude = 1.5\nballoons.diameter = 0.5\n"
+        "mission.tip_reach = 0.5\n"
+    )
+    still = low_fence + "balloons.sway_amplitude = 0\n"
+    s = parse_scenario_text(still + "balloons.pole_height = 1.25\n")
+    assert s.balloons.params.pole_height + s.balloons.params.tether_length == 2.25
+    for extra, key in [
+        ("balloons.pole_height = 1.2500001\n", "balloons.pole_height"),
+        ("balloons.anchors = 10, 20, 1.25; 20, 20, 1.2500001\n", "balloons.anchors"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            parse_scenario_text(still + extra)
+        assert err.value.key == key
+    # The swing lowers a center: 1.5 + 1 * cos(0.8) is within reach.
+    parse_scenario_text(
+        low_fence + "balloons.sway_amplitude = 0.8\nballoons.pole_height = 1.5\n"
+    )
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ParseError):
         parse_scenario_text("seed 7\n")

@@ -1,5 +1,6 @@
 import ast
 import gc
+import itertools
 import math
 import os
 import re
@@ -20,7 +21,7 @@ import bhsim.tracking
 import bhsim.vehicle
 import bhsim.world
 from bhsim.cli import main as cli_main
-from bhsim.events import EVENT_KINDS, read_event_log, serialize_events
+from bhsim.events import EVENT_KINDS, EventLog, read_event_log, serialize_events
 from bhsim.fleet import point_in_cell, polygon_area
 from bhsim.perception import ZERO_NOISE, Detection, generate_detections
 from bhsim.scenario import default_scenario, load_scenario, parse_scenario_text
@@ -210,6 +211,69 @@ def test_failing_agent_abandons_its_claim_before_it_fails():
     assert mine[0]["data"] == {"action": "release", "reason": "abandoned",
                                "claim_id": grant["data"]["claim_id"]}
     assert mine[1]["seq"] == mine[0]["seq"] + 1
+
+
+def _audit_oracle(run, declared):
+    """``sim._audit`` as it was before its one-agent shortcut."""
+    metrics = run.metrics
+    centers = run.world.centers
+    radius = run.scenario.fleet.claim_radius
+    for estimate in declared:
+        if any(c is not None and math.dist(c, estimate) <= radius for c in centers):
+            metrics.false_confirms += 1
+    resolved = []
+    dup_tick = False
+    for agent in run.live:
+        ms = agent.mission
+        if ms.phase not in (bhsim.mission.Phase.ALIGN, bhsim.mission.Phase.APPROACH):
+            continue
+        best, best_d = None, radius
+        for i, c in enumerate(centers):
+            if c is None:
+                continue
+            d = math.dist(c, ms.target.estimate)
+            if d <= best_d:
+                best, best_d = i, d
+        if best is not None:
+            if best in resolved:
+                dup_tick = True
+            resolved.append(best)
+    if dup_tick:
+        metrics.duplicate_target_ticks += 1
+    for a, b in itertools.combinations(run.live, 2):
+        d = math.dist(a.uav.position, b.uav.position)
+        best = metrics.min_inter_agent_distance
+        if best is None or d < best:
+            metrics.min_inter_agent_distance = d
+
+
+@pytest.mark.parametrize("agents", [1, 2])
+def test_audit_equals_its_oracle_and_counts_false_confirms_of_one_agent(agents):
+    # Each agent engages the first balloon; the ticks declare no pop, a
+    # pop at a live balloon (a false confirm), one far from every balloon,
+    # and two.  One agent pursues no duplicate and has no pair to measure.
+    s = parse_scenario_text(f"seed = 0\nagents.count = {agents}\n")
+    run = bhsim.sim._Run(s, EventLog())
+    bhsim.sim._plan(run, 0.0)
+    first, second = [c for c in run.world.centers if c is not None][:2]
+    target = bhsim.mission.Target(1, 1, first, first, 0.0, 5.0)
+    for agent in run.live:
+        agent.mission = agent.mission._replace(
+            phase=bhsim.mission.Phase.ALIGN, target=target
+        )
+    start = run.metrics
+    counted = []
+    for declared in ([], [list(first)], [[500.0, 500.0, 3.0]], [first, second]):
+        run.metrics = replace(start)
+        _audit_oracle(run, declared)
+        expected = run.metrics
+        run.metrics = replace(start)
+        bhsim.sim._audit(run, declared)
+        assert run.metrics == expected
+        counted.append(run.metrics.false_confirms)
+    assert counted == [0, 1, 0, 2]
+    assert run.metrics.duplicate_target_ticks == agents - 1
+    assert (run.metrics.min_inter_agent_distance is None) == (agents == 1)
 
 
 @pytest.mark.parametrize("name", ["default.cfg", "fleet3.cfg"])

@@ -582,3 +582,73 @@ def test_step_tracker_leaves_input_tracks_unchanged():
     for old, t in zip(before, tracker.tracks):
         assert t == old
     assert not any(t is o for t in out.tracks for o in tracker.tracks)
+
+
+def _step_tracker_oracle(tracker, measurements):
+    """``step_tracker`` as it was before frames with no measurements
+    skipped the assignment: every frame is costed and solved."""
+    params = tracker.params
+    predicted = [kf_predict(t, params) for t in tracker.tracks]
+    cost = assignment_cost(predicted, measurements)
+    assign = solve_assignment(cost, params.gate_px)
+    events = []
+    next_tracks = []
+    for ti, di in assign.matches:
+        t = kf_update(predicted[ti], measurements[di], params)
+        if t.status is TrackStatus.TENTATIVE and t.hits >= params.m_confirm:
+            t.status = TrackStatus.CONFIRMED
+            events.append(("confirmed", t.id))
+        next_tracks.append(t)
+    for ti in assign.unmatched_tracks:
+        t = predicted[ti]
+        t.misses += 1
+        t.hits = 0
+        if t.misses >= params.k_delete:
+            events.append(("died", t.id))
+            continue
+        events.append(("coasted", t.id))
+        next_tracks.append(t)
+    next_id = tracker.next_id
+    for di in assign.unmatched_detections:
+        t = new_track(next_id, measurements[di], params)
+        next_id += 1
+        events.append(("born", t.id))
+        next_tracks.append(t)
+    next_tracks.sort(key=lambda t: t.id)
+    return Tracker(tracks=tuple(next_tracks), next_id=next_id, params=params), events
+
+
+def test_step_tracker_equals_its_oracle_on_random_frames():
+    # Balloons drift across the image and flicker in and out, so frames
+    # run through (0, 0), (n, 0), (0, m) and (n, m) tracks and
+    # measurements, with births, confirms, coasts and deaths.
+    rng = random.Random(28)
+    shapes, kinds = set(), set()
+    for params in (PARAMS, TrackerParams(m_confirm=1, k_delete=1, gate_px=20.0)):
+        tracker = Tracker(params=params)
+        for frame in range(600):
+            if frame % 100 < 20:
+                boxes = []
+            else:
+                n = rng.choice((0, 0, 0, 1, 2))
+                boxes = [
+                    _meas(cx=rng.uniform(-600, 600), cy=rng.uniform(-300, 300),
+                          w=rng.uniform(2, 80), h=rng.uniform(2, 80))
+                    for _ in range(n)
+                ]
+                if tracker.tracks and rng.random() < 0.7:
+                    boxes += [
+                        _meas(cx=t.x[0] + rng.gauss(0, 3), cy=t.x[1] + rng.gauss(0, 3),
+                              w=t.x[2], h=t.x[3])
+                        for t in tracker.tracks if rng.random() < 0.8
+                    ]
+            shapes.add((min(len(tracker.tracks), 1), min(len(boxes), 1)))
+            expected, expected_events = _step_tracker_oracle(tracker, boxes)
+            tracker, events = step_tracker(tracker, boxes)
+            assert tracker.tracks == expected.tracks
+            assert tracker.next_id == expected.next_id
+            assert tracker.params == expected.params
+            assert events == expected_events
+            kinds.update(kind for kind, _ in events)
+    assert shapes == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert kinds == {"born", "confirmed", "coasted", "died"}

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from bhsim.vehicle import (
     clamp_to_geofence,
     geofence_from_arena,
     step_uav,
-    world_to_camera,
     wrap_angle,
 )
 from bhsim.world import Arena
+from oracles import world_to_camera
 
 # Reference matrix form of the camera geometry: forward mount
 # (camera -> body), heading (body -> NED), z flip (NED -> world).
@@ -201,6 +202,50 @@ def test_clamp_outside_points_toward_center_at_v_max():
     expected = 2.0 * direction / np.linalg.norm(direction)
     assert np.allclose(out, expected, atol=1e-12)
     assert math.hypot(*out) == pytest.approx(2.0)
+
+
+def _clamp_oracle(position, velocity_cmd, fence, margin, v_max):
+    """``clamp_to_geofence`` in its loop form, before it was unrolled."""
+    if not fence.contains(position):
+        cx, cy, cz = fence.center
+        dx, dy, dz = cx - position[0], cy - position[1], cz - position[2]
+        norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if norm == 0.0:
+            return (0.0, 0.0, 0.0)
+        k = v_max / norm
+        return (dx * k, dy * k, dz * k)
+    out = list(velocity_cmd)
+    for i in range(3):
+        if position[i] >= fence.hi[i] - margin and out[i] > 0.0:
+            out[i] = 0.0
+        if position[i] <= fence.lo[i] + margin and out[i] < 0.0:
+            out[i] = 0.0
+    return (out[0], out[1], out[2])
+
+
+def test_clamp_equals_its_loop_form_on_random_and_boundary_inputs():
+    # Positions on each face of the soft band (hi - margin, lo + margin),
+    # on the fence itself, inside it and outside it; commands of +-0.0
+    # and of either sign.  repr tells -0.0 from 0.0.
+    fence = geofence_from_arena(Arena())
+    rng = random.Random(28)
+    cmds = [0.0, -0.0, 1.5, -1.5, 1e-300, -1e-300]
+    for margin in (0.0, 1.0, 0.3):
+        marks = [
+            [lo, lo + margin, hi - margin, hi, (lo + hi) / 2, lo - 0.5, hi + 0.5]
+            for lo, hi in zip(fence.lo, fence.hi)
+        ]
+        for _ in range(20000):
+            pos = tuple(
+                rng.choice(m) if rng.random() < 0.7 else rng.uniform(m[0] - 1, m[3] + 1)
+                for m in marks
+            )
+            cmd = tuple(
+                rng.choice(cmds) if rng.random() < 0.5 else rng.uniform(-3, 3)
+                for _ in range(3)
+            )
+            expected = _clamp_oracle(pos, cmd, fence, margin, 2.0)
+            assert repr(clamp_to_geofence(pos, cmd, fence, margin, 2.0)) == repr(expected)
 
 
 def test_geofence_from_arena_soft_band_is_effective_volume():
