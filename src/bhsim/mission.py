@@ -217,7 +217,7 @@ def initial_mission_state(path: SearchPath, t: float = 0.0) -> MissionState:
 
 
 def generate_search_path(
-    cell: Sequence[Vec2], altitude: float, spacing: float, wp_step: float = 15.0
+    cell: Sequence[Vec2], altitude: float, spacing: float, wp_step: float
 ) -> SearchPath:
     """Boustrophedon lanes over a convex cell at constant altitude.
 
@@ -321,28 +321,28 @@ def check_pop(
 
 
 def pops_in_reach(
-    tip_position: Vec3,
-    centers: Sequence[Optional[Vec3]],
-    reaches: Sequence[float],
+    tip_position: Vec3, centers: Sequence[Optional[Vec3]], reach: float
 ) -> list[int]:
     """Indices ``i`` whose balloon ``check_pop`` would pop, in one pass.
 
-    ``centers[i]`` is None for a popped balloon and ``reaches[i]`` is
-    ``radius + tip_reach``; the comparison is the one ``check_pop`` makes.
-    A balloon whose x offset alone exceeds ``reach * (1 + 1e-12) + 1e-150``
-    is rejected before the distance is computed.  The relative margin is
-    far above the rounding error of ``_dist3``.  The absolute one keeps a
+    ``centers[i]`` is None for a popped balloon, and ``reach`` is the one
+    ``radius + tip_reach`` every balloon of the run shares; the comparison
+    is the one ``check_pop`` makes.  A balloon whose x offset alone
+    exceeds ``reach * (1 + 1e-12) + 1e-150``, worked out once per call, is
+    rejected before the distance is computed.  The relative margin is far
+    above the rounding error of ``_dist3``.  The absolute one keeps a
     rejected offset's square above the float underflow: with a legal reach
     below ~1e-154, an offset well past it squares to 0 in ``_dist3`` and
     ``check_pop`` pops.
     """
     tip_x = tip_position[0]
+    x_bound = reach * (1.0 + 1e-12) + 1e-150
     return [
         i
         for i, c in enumerate(centers)
         if c is not None
-        and abs(tip_x - c[0]) <= reaches[i] * (1.0 + 1e-12) + 1e-150
-        and _dist3(tip_position, c) <= reaches[i]
+        and abs(tip_x - c[0]) <= x_bound
+        and _dist3(tip_position, c) <= reach
     ]
 
 

@@ -3,7 +3,7 @@
 Stands in for the onboard balloon detector.  Balloons are projected
 through an ideal pinhole camera; a parameterized noise model corrupts
 centers and sizes, drops detections, and injects false alarms.  Bounding
-boxes are circle-fit along their major axis and ranged from the known
+boxes are circle-fit along their major axis and ranged from the run's one
 balloon diameter via the small-angle width ``f * D / Z``.  Range
 estimation inverts the same small-angle model, so generation and
 inversion are exactly consistent.
@@ -87,7 +87,8 @@ def generate_detections(
     Each alive balloon whose center projects into the image is detected
     with probability ``1 - min(1, p_miss_base + p_miss_range_scale * Z)``;
     detected boxes get Gaussian center noise and multiplicative size
-    noise around the small-angle width ``f * D / Z``.  False alarms are
+    noise around the small-angle width ``f * D / Z``, with ``D`` the
+    ``world.params.diameter`` every balloon shares.  False alarms are
     Poisson-distributed, uniform over the image, and carry no truth id.
     """
     # The pinhole projection of every center, with the pose and the
@@ -98,6 +99,8 @@ def generate_detections(
     focal = camera.focal_px
     width_px, height_px = camera.width_px, camera.height_px
     u0, v0 = camera.principal
+    # f * D: every balloon's pixel width at unit depth.
+    span = focal * world.params.diameter
     visible: list[tuple] = []
     for i, center in enumerate(world.centers):
         if center is None:
@@ -110,21 +113,21 @@ def generate_detections(
         px = focal * (-s * nx + c * ny) / depth
         py = focal * -(center[2] - z0) / depth
         if 0.0 <= u0 + px <= width_px and 0.0 <= v0 + py <= height_px:
-            visible.append((i, world.balloons[i].diameter, px, py, depth))
+            visible.append((i, px, py, depth))
     # The noise fields and the stream's draws, looked up once per frame.
     p_miss_base, p_miss_scale = noise.p_miss_base, noise.p_miss_range_scale
     sigma, size_sigma = noise.center_sigma, noise.size_sigma_frac
     floor = noise.confidence_floor
     uniform, normal = rng.random, rng.standard_normal
     detections: list[Detection] = []
-    for i, diameter, px, py, depth in visible:
+    for i, px, py, depth in visible:
         # Occlusion: hidden when the center falls inside the projected
         # disc of a strictly nearer balloon (never the balloon itself).
         occluded = False
-        for _, other_diameter, ox, oy, od in visible:
+        for _, ox, oy, od in visible:
             if od >= depth:
                 continue
-            disc = focal * other_diameter / (2.0 * od)
+            disc = span / (2.0 * od)
             if math.hypot(px - ox, py - oy) < disc:
                 occluded = True
                 break
@@ -132,7 +135,7 @@ def generate_detections(
             continue
         if uniform() < min(1.0, p_miss_base + p_miss_scale * depth):
             continue
-        size = focal * diameter / depth
+        size = span / depth
         cx = px + sigma * normal()
         cy = py + sigma * normal()
         factor = max(0.05, 1.0 + size_sigma * normal())

@@ -115,7 +115,7 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_int(raw: str) -> int:
-    return int(raw, 0)
+    return int(raw)
 
 
 def _parse_vec3(raw: str) -> Vec3:
@@ -139,7 +139,7 @@ def _parse_failures(raw: str) -> tuple[tuple[int, float], ...]:
         agent_s, _, time_s = chunk.partition(":")
         if not time_s:
             raise ValueError(f"expected agent:time, got {chunk!r}")
-        out.append((int(agent_s), _parse_float(time_s)))
+        out.append((_parse_int(agent_s), _parse_float(time_s)))
     return tuple(sorted(out, key=lambda p: p[1]))
 
 

@@ -187,7 +187,7 @@ class _Run:
     """
 
     __slots__ = (
-        "scenario", "dt", "fence", "hold_radius", "strip_radius", "reaches",
+        "scenario", "dt", "fence", "hold_radius", "strip_radius", "reach",
         "world", "agents", "pending_failures", "metrics", "elog", "claims",
         "cells", "covered", "pop_times", "live", "held", "close_pairs",
     )
@@ -197,7 +197,8 @@ class _Run:
         self.dt = dt = 1.0 / scenario.sim.tick_rate
         vp, mp, ap = scenario.vehicle, scenario.mission, scenario.agents
         self.scenario = scenario
-        self.world = make_world(_build_balloons(scenario, substream(seed, "layout")))
+        balloons = _build_balloons(scenario, substream(seed, "layout"))
+        self.world = make_world(scenario.balloons.params, balloons)
         self.fence = geofence_from_arena(scenario.arena)
         # Turning faster than the association gate can follow (pixel shift
         # per frame beyond gate_px) would break tracks mid-turn; cap
@@ -213,8 +214,8 @@ class _Run:
         lag_reach = vp.v_max * (dt + vp.tau)
         self.hold_radius = scenario.fleet.min_sep + 2.0 * lag_reach
         self.strip_radius = scenario.fleet.min_sep + 2.0 * vp.v_max * vp.tau
-        # radius + tip_reach per balloon, as check_pop adds them
-        self.reaches = tuple([b.radius + mp.tip_reach for b in self.world.balloons])
+        # radius + tip_reach, as check_pop adds them
+        self.reach = scenario.balloons.params.diameter / 2.0 + mp.tip_reach
         self.elog = elog
         self.claims = claims = ClaimTable()
         self.covered: list[Vec3] = []
@@ -265,7 +266,7 @@ def _build_balloons(scenario: Scenario, rng: Stream) -> list[Balloon]:
         return sample_balloon_layout(
             rng, scenario.arena, setup.count, setup.min_sep, setup.params
         )
-    return [make_balloon(anchor, setup.params, rng) for anchor in setup.anchors]
+    return [make_balloon(anchor, rng) for anchor in setup.anchors]
 
 
 def plan_cells(
@@ -479,7 +480,7 @@ def _pop(run: _Run, t: float) -> None:
     """Each agent's tip against the balloons still alive after the agents
     before it."""
     for agent in run.live:
-        for i in pops_in_reach(agent.uav.position, run.world.centers, run.reaches):
+        for i in pops_in_reach(agent.uav.position, run.world.centers, run.reach):
             run.world = pop_balloon(run.world, i)
             run.pop_times.append((i, t))
             run.elog.emit(t, agent.id, "pop", {"source": "world", "balloon_id": i})

@@ -4,18 +4,19 @@ The world frame is x-north, y-east, z-up with z measured in meters above
 the ground plane.  Balloons are tethered above pole tops and swing as
 planar pendulums with a fixed, per-balloon wind azimuth.
 
-``Arena`` and ``BalloonParams`` are immutable ``NamedTuple``s.  A
-``Balloon`` is a ``__slots__`` record that works out its sway constants
-once, when it is built.  A balloon has no id of its own: its number is
-its index in ``WorldState.balloons``, which is layout order.  None of
-these records checks its values: ``scenario.build_scenario(values)`` is
-the checked constructor of a run's configuration, and the functions here
-trust what it hands them.
+``Arena``, ``BalloonParams``, ``Balloon`` and ``WorldState`` are
+immutable ``NamedTuple``s.  Every balloon of a run is the same kind of
+balloon: ``WorldState.params`` holds its size, tether and sway law once,
+and a ``Balloon`` holds only its anchor, sway phase and swing plane.  A
+balloon has no id of its own: its number is its index in
+``WorldState.balloons``, which is layout order.  None of these records
+checks its values: ``scenario.build_scenario(values)`` is the checked
+constructor of a run's configuration, and the functions here trust what
+it hands them.
 """
 
 import math
 import random
-from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 Vec3 = tuple[float, float, float]
@@ -68,7 +69,7 @@ class Arena(NamedTuple):
 
 
 class BalloonParams(NamedTuple):
-    """Physical and sway parameters shared by all sampled balloons."""
+    """Physical and sway parameters shared by every balloon of a run."""
 
     pole_height: float = 2.0
     tether_length: float = 1.0
@@ -77,64 +78,34 @@ class BalloonParams(NamedTuple):
     sway_frequency: float = 0.2
 
 
-_BALLOON_INIT = (
-    "anchor", "tether_length", "diameter", "sway_amplitude",
-    "sway_frequency", "sway_phase", "sway_azimuth",
-)
-_balloon_key = attrgetter(*_BALLOON_INIT)
+class Balloon(NamedTuple):
+    """What sets one balloon apart from the others: its tether anchor,
+    its sway phase and the direction cosines of its swing plane.
 
-
-class Balloon:
-    """A balloon's fixed description: tether anchor, size and sway.
-
-    Whether the balloon is still alive and where its center is at the
-    current time live in ``WorldState.centers``, not here.  Two balloons
-    are equal when their constructor arguments are.  The arguments are
-    not checked: ``scenario.build_scenario`` bounds the size, sway and
-    height of every balloon a run builds.
+    Size, tether and sway law are the run's ``BalloonParams``, held once
+    in ``WorldState.params``.  Whether the balloon is still alive and
+    where its center is at the current time live in
+    ``WorldState.centers``, not here.
     """
 
-    __slots__ = _BALLOON_INIT + ("sway_omega", "sway_cos", "sway_sin")
-
-    def __init__(
-        self, anchor: Vec3, tether_length: float = 1.0,
-        diameter: float = 0.45, sway_amplitude: float = 0.1,
-        sway_frequency: float = 0.2, sway_phase: float = 0.0,
-        sway_azimuth: float = 0.0,
-    ) -> None:
-        self.anchor = anchor
-        self.tether_length = tether_length
-        self.diameter = diameter
-        self.sway_amplitude = sway_amplitude
-        self.sway_frequency = sway_frequency
-        self.sway_phase = sway_phase
-        self.sway_azimuth = sway_azimuth
-        # Sway constants, computed once per balloon: the angular frequency
-        # (2 pi) * frequency and the direction cosines of the swing plane.
-        self.sway_omega = 2.0 * math.pi * sway_frequency
-        self.sway_cos = math.cos(sway_azimuth)
-        self.sway_sin = math.sin(sway_azimuth)
-
-    def __eq__(self, other):
-        if type(other) is not Balloon:
-            return NotImplemented
-        return _balloon_key(self) == _balloon_key(other)
-
-    @property
-    def radius(self) -> float:
-        return self.diameter / 2.0
+    anchor: Vec3
+    sway_phase: float
+    sway_cos: float
+    sway_sin: float
 
 
 class WorldState(NamedTuple):
     """Ground truth at one instant.
 
-    ``balloons`` holds every balloon's fixed description, and a balloon's
-    index there is its number; ``centers`` is the one record of which
-    balloons are alive and where: ``centers[i]`` is the center of
-    ``balloons[i]`` at ``time``, or None once that balloon is popped.
+    ``params`` is the one balloon model every balloon of the run shares;
+    ``balloons`` holds what differs between them, and a balloon's index
+    there is its number; ``centers`` is the one record of which balloons
+    are alive and where: ``centers[i]`` is the center of ``balloons[i]``
+    at ``time``, or None once that balloon is popped.
     """
 
     time: float
+    params: BalloonParams
     balloons: tuple[Balloon, ...]
     centers: tuple[Optional[Vec3], ...]
 
@@ -143,40 +114,15 @@ class WorldState(NamedTuple):
         return len(self.centers) - self.centers.count(None)
 
 
-def step_balloon_sway(balloon: Balloon, t: float) -> Vec3:
-    """Balloon center at time ``t`` under the planar pendulum sway model.
-
-    The tether hangs from the anchor and the balloon floats tether_length
-    above it at rest; the pendulum angle is
-    ``theta(t) = amplitude * sin(2*pi*frequency*t + phase)`` and the swing
-    plane is fixed by the balloon's wind azimuth.
-    """
-    theta = balloon.sway_amplitude * math.sin(
-        balloon.sway_omega * t + balloon.sway_phase
-    )
-    horizontal = balloon.tether_length * math.sin(theta)
-    ax, ay, az = balloon.anchor
-    return (
-        ax + horizontal * balloon.sway_cos,
-        ay + horizontal * balloon.sway_sin,
-        az + balloon.tether_length * math.cos(theta),
-    )
-
-
-def make_balloon(anchor: Vec3, params: BalloonParams, rng: random.Random) -> Balloon:
+def make_balloon(anchor: Vec3, rng: random.Random) -> Balloon:
     """Balloon over ``anchor`` with random sway.
 
-    Draws two values from ``rng``: the sway phase, then the azimuth.
+    Draws two values from ``rng``: the sway phase, then the azimuth of
+    the swing plane.
     """
-    return Balloon(
-        anchor=anchor,
-        tether_length=params.tether_length,
-        diameter=params.diameter,
-        sway_amplitude=params.sway_amplitude,
-        sway_frequency=params.sway_frequency,
-        sway_phase=2.0 * math.pi * rng.random(),
-        sway_azimuth=2.0 * math.pi * rng.random(),
-    )
+    phase = 2.0 * math.pi * rng.random()
+    azimuth = 2.0 * math.pi * rng.random()
+    return Balloon(anchor, phase, math.cos(azimuth), math.sin(azimuth))
 
 
 def sample_balloon_layout(
@@ -217,27 +163,56 @@ def sample_balloon_layout(
                 )
             continue
         anchors.append((x, y))
-        balloons.append(make_balloon((x, y, params.pole_height), params, rng))
+        balloons.append(make_balloon((x, y, params.pole_height), rng))
     return balloons
 
 
-def make_world(balloons: Sequence[Balloon], time: float = 0.0) -> WorldState:
+def make_world(
+    params: BalloonParams, balloons: Sequence[Balloon], time: float = 0.0
+) -> WorldState:
     """Every balloon alive, centered where it sways at ``time``."""
     balloons = tuple(balloons)
-    return WorldState(
-        time, balloons, tuple([step_balloon_sway(b, time) for b in balloons])
-    )
+    # Every balloon is alive: any entry that is not None will do.
+    return WorldState(time, params, balloons, _sway(params, balloons, balloons, time))
 
 
 def advance_world(world: WorldState, t: float) -> WorldState:
     """World state at time ``t``: recompute sway centers of alive balloons."""
     if t < world.time:
         raise ValueError("world time must be non-decreasing")
-    centers = tuple([
-        None if c is None else step_balloon_sway(b, t)
-        for b, c in zip(world.balloons, world.centers)
-    ])
-    return WorldState(t, world.balloons, centers)
+    params, balloons = world.params, world.balloons
+    return WorldState(t, params, balloons, _sway(params, balloons, world.centers, t))
+
+
+def _sway(
+    params: BalloonParams, balloons: tuple[Balloon, ...],
+    alive: Sequence[Optional[object]], t: float,
+) -> tuple[Optional[Vec3], ...]:
+    """Balloon centers at time ``t`` under the planar pendulum sway model,
+    None where ``alive`` holds None.
+
+    The tether hangs from the anchor and the balloon floats tether_length
+    above it at rest; the pendulum angle is
+    ``theta(t) = amplitude * sin(2*pi*frequency*t + phase)`` and the swing
+    plane is fixed by the balloon's wind azimuth.
+    """
+    amplitude, tether = params.sway_amplitude, params.tether_length
+    omega = 2.0 * math.pi * params.sway_frequency
+    sin, cos = math.sin, math.cos
+    centers: list[Optional[Vec3]] = []
+    for b, c in zip(balloons, alive):
+        if c is None:
+            centers.append(None)
+            continue
+        theta = amplitude * sin(omega * t + b.sway_phase)
+        horizontal = tether * sin(theta)
+        ax, ay, az = b.anchor
+        centers.append((
+            ax + horizontal * b.sway_cos,
+            ay + horizontal * b.sway_sin,
+            az + tether * cos(theta),
+        ))
+    return tuple(centers)
 
 
 def pop_balloon(world: WorldState, i: int) -> WorldState:
@@ -245,4 +220,4 @@ def pop_balloon(world: WorldState, i: int) -> WorldState:
     if not 0 <= i < len(world.centers):
         raise UnknownBalloon(i)
     centers = world.centers[:i] + (None,) + world.centers[i + 1:]
-    return WorldState(world.time, world.balloons, centers)
+    return world._replace(centers=centers)

@@ -15,7 +15,7 @@ import pytest
 from bhsim.events import serialize_events
 from bhsim.fleet import point_in_cell
 from bhsim.guidance import PixelTarget, velocity_command_camera
-from bhsim.mission import generate_search_path
+from bhsim.mission import MissionParams, generate_search_path
 from bhsim.perception import (
     ZERO_NOISE,
     CameraIntrinsics,
@@ -36,7 +36,7 @@ from bhsim.tracking import (
     step_tracker,
 )
 from bhsim.vehicle import UavState, camera_to_world
-from bhsim.world import Balloon, advance_world, make_world
+from bhsim.world import Balloon, BalloonParams, advance_world, make_world
 
 
 class _criterion:
@@ -143,8 +143,8 @@ def test_criterion_3_tracker_convergence_and_id_stability():
         single_frames = 0
         total_frames = 300 * 20
         for seed in range(20):
-            balloon = Balloon(anchor=(15.0, 0.0, 2.0))
-            world = make_world([balloon])
+            balloon = Balloon((15.0, 0.0, 2.0), 0.0, 1.0, 0.0)  # phase, cos, sin
+            world = make_world(BalloonParams(), [balloon])
             rng = substream(seed, "id-stability")
             tracker = Tracker(params=params)
             for frame in range(300):
@@ -186,7 +186,7 @@ def test_criterion_5_coverage_and_search_speed():
     with _criterion(5, "search-coverage"):
         footprint = ((5.0, 5.0), (95.0, 5.0), (95.0, 35.0), (5.0, 35.0))
         spacing = 15.0
-        path = generate_search_path(footprint, 4.0, spacing)
+        path = generate_search_path(footprint, 4.0, spacing, MissionParams().wp_step)
         assert all(wp[2] == 4.0 for wp in path)
 
         def dist_to_segment(p, a, b):

@@ -35,6 +35,7 @@ from oracles import project_point, should_commit
 from test_vehicle import ref_camera_to_world
 
 RECT = ((5.0, 5.0), (95.0, 5.0), (95.0, 35.0), (5.0, 35.0))
+WP_STEP = MissionParams().wp_step
 
 
 def _segments(path: SearchPath):
@@ -55,24 +56,24 @@ def _dist_point_segment(p, a, b):
 
 
 def test_single_lane_at_centerline_for_wide_spacing():
-    path = generate_search_path(RECT, 4.0, 30.0)
+    path = generate_search_path(RECT, 4.0, 30.0, WP_STEP)
     ys = {round(wp[1], 6) for wp in path}
     assert ys == {20.0}
 
 
 def test_two_lanes_at_quarter_offsets():
-    path = generate_search_path(RECT, 4.0, 15.0)
+    path = generate_search_path(RECT, 4.0, 15.0, WP_STEP)
     ys = sorted({round(wp[1], 6) for wp in path})
     assert ys == [12.5, 27.5]   # offsets 7.5 and 22.5 from the y=5 edge
 
 
 def test_constant_altitude():
-    path = generate_search_path(RECT, 4.0, 15.0)
+    path = generate_search_path(RECT, 4.0, 15.0, WP_STEP)
     assert all(wp[2] == 4.0 for wp in path)
 
 
 def test_consecutive_waypoints_differ():
-    path = generate_search_path(RECT, 4.0, 15.0)
+    path = generate_search_path(RECT, 4.0, 15.0, WP_STEP)
     for a, b in zip(path, path[1:]):
         assert math.dist(a, b) > 1e-9
 
@@ -81,7 +82,7 @@ def test_coverage_every_grid_point_within_half_spacing():
     # Oracle: sample a 1 m grid over the footprint; every sample must lie
     # within spacing/2 of some lane segment.
     spacing = 15.0
-    path = generate_search_path(RECT, 4.0, spacing)
+    path = generate_search_path(RECT, 4.0, spacing, WP_STEP)
     segs = _segments(path)
     for x in np.arange(5.0, 95.0 + 1e-9, 1.0):
         for y in np.arange(5.0, 35.0 + 1e-9, 1.0):
@@ -92,7 +93,7 @@ def test_coverage_every_grid_point_within_half_spacing():
 def test_degenerate_cell_raises():
     tiny = ((0.0, 0.0), (0.5, 0.0), (0.5, 0.5))
     with pytest.raises(DegenerateCell):
-        generate_search_path(tiny, 4.0, 15.0)
+        generate_search_path(tiny, 4.0, 15.0, WP_STEP)
 
 
 @pytest.mark.parametrize("spacing, wp_step", [(1e-9, 15.0), (15.0, 1e-9), (5e-324, 15.0)])
@@ -124,7 +125,7 @@ def test_path_waypoint_count_within_the_checked_bound():
 
 def test_search_path_on_triangle_cell_stays_inside():
     tri = ((5.0, 5.0), (55.0, 5.0), (5.0, 35.0))
-    path = generate_search_path(tri, 4.0, 10.0)
+    path = generate_search_path(tri, 4.0, 10.0, WP_STEP)
     for x, y, z in path:
         # Inside the triangle x/50 + y/30 <= ... with tolerance
         assert x >= 5.0 - 1e-6 and y >= 5.0 - 1e-6
@@ -156,16 +157,17 @@ def test_check_pop_boundary_convention():
 
 
 def test_pops_in_reach_agrees_with_check_pop_including_the_boundary():
-    # Random tips against 8 balloons (some popped), with a share of the
-    # pairs placed exactly at radius + tip_reach.
+    # Random tips against 8 balloons of one random radius per draw (some
+    # popped), with a share of the pairs placed exactly at radius + tip_reach.
     rng = np.random.default_rng(9)
     at_boundary = 0
     for _ in range(3000):
         tip = tuple(float(c) for c in rng.uniform(0.0, 4.0, size=3))
         tip_reach = float(rng.uniform(0.0, 1.0))
-        radii = [float(r) for r in rng.uniform(0.05, 0.5, size=8)]
+        r = float(rng.uniform(0.05, 0.5))
+        reach = r + tip_reach
         centers = []
-        for r in radii:
+        for _ in range(8):
             if rng.random() < 0.2:
                 centers.append(None)
                 continue
@@ -174,21 +176,19 @@ def test_pops_in_reach_agrees_with_check_pop_including_the_boundary():
                 # Put the tip on the sphere of radius r + reach: move the
                 # center along x so the distance rounds to that sum.
                 d = math.hypot(c[1] - tip[1], c[2] - tip[2])
-                target = r + tip_reach
-                if d < target:
-                    c = (tip[0] + math.sqrt(target**2 - d**2), c[1], c[2])
+                if d < reach:
+                    c = (tip[0] + math.sqrt(reach**2 - d**2), c[1], c[2])
             centers.append(c)
-        reaches = [r + tip_reach for r in radii]
         expected = [
             i for i, c in enumerate(centers)
-            if c is not None and check_pop(tip, c, radii[i], tip_reach)
+            if c is not None and check_pop(tip, c, r, tip_reach)
         ]
-        assert pops_in_reach(tip, centers, reaches) == expected
+        assert pops_in_reach(tip, centers, reach) == expected
         at_boundary += sum(
-            1 for i, c in enumerate(centers)
+            1 for c in centers
             if c is not None and math.sqrt(
                 (tip[0] - c[0]) ** 2 + (tip[1] - c[1]) ** 2 + (tip[2] - c[2]) ** 2
-            ) == reaches[i]
+            ) == reach
         )
     assert at_boundary > 300
 
@@ -213,7 +213,7 @@ def test_pops_in_reach_x_only_offsets_at_the_reach_and_its_neighbours():
             for d in offsets:
                 for tip in ((cx + d, 1.5, 2.0), (cx - d, 1.5, 2.0)):
                     hit = check_pop(tip, center, radius, tip_reach)
-                    assert pops_in_reach(tip, [center], [reach]) == ([0] if hit else [])
+                    assert pops_in_reach(tip, [center], reach) == ([0] if hit else [])
                     popped += hit
                     kept += not hit
                     underflowed += hit and abs(tip[0] - cx) > reach * (1.0 + 1e-12)
@@ -271,7 +271,7 @@ def _ctx(granted=True, claims=None, covered=None, ranges=None):
 
 
 def _search_state():
-    path = generate_search_path(RECT, 4.0, 15.0)
+    path = generate_search_path(RECT, 4.0, 15.0, WP_STEP)
     return initial_mission_state(path)._replace(cell=RECT)
 
 
@@ -503,7 +503,7 @@ def test_approach_keeps_approaching_a_centered_track():
 def test_refresh_target_changes_only_estimate_heading_and_range():
     # Every field of both records off its default, so a field the
     # refresh failed to pass through would show.
-    path = generate_search_path(RECT, 4.0, 15.0)
+    path = generate_search_path(RECT, 4.0, 15.0, WP_STEP)
     tg = Target(track_id=1, claim_id=3, claim_estimate=(56.0, 21.0, 4.0),
                 estimate=(55.5, 20.5, 4.0), heading=0.25, range=12.0, retries=2,
                 revisit_point=(49.0, 20.0, 3.0), approach_best=(6.0, 0.5))
@@ -588,7 +588,7 @@ def test_transition_graph_closed_under_random_stimuli():
     # Drive the state machine with 100k random stimuli; every transition
     # must stay inside the documented edge set.
     rng = random.Random(1234)
-    path = generate_search_path(RECT, 4.0, 15.0)
+    path = generate_search_path(RECT, 4.0, 15.0, WP_STEP)
     ranges = {}
     contexts = [_ctx(granted=True, ranges=ranges)[0],
                 _ctx(granted=False, ranges=ranges)[0]]

@@ -37,10 +37,12 @@ def exact_sphere_radius_px(focal_px: float, radius_m: float, depth_m: float) -> 
     return focal_px * radius_m / math.sqrt(depth_m**2 - radius_m**2)
 
 
-def _balloon(center, diameter=0.45):
+def _still_world(*centers, diameter=0.45):
     # A still balloon on a 1 m tether sits exactly 1 m above its anchor.
-    return Balloon(anchor=(center[0], center[1], center[2] - 1.0),
-                   diameter=diameter, sway_amplitude=0.0)
+    return make_world(
+        BalloonParams(diameter=diameter, sway_amplitude=0.0),
+        [Balloon((x, y, z - 1.0), 0.0, 1.0, 0.0) for x, y, z in centers],
+    )
 
 
 def test_project_point_on_axis():
@@ -99,7 +101,7 @@ def test_project_point_outside_image_is_none():
 
 
 def test_generate_detections_empty_when_behind():
-    world = make_world([_balloon((-10.0, 0.0, 3.0))])
+    world = _still_world((-10.0, 0.0, 3.0))
     dets = generate_detections(CAM, _pose(position=(0, 0, 3)), world, ZERO_NOISE,
                                substream(0, "p"))
     assert dets == []
@@ -107,7 +109,7 @@ def test_generate_detections_empty_when_behind():
 
 def test_generate_detections_zero_noise_size_oracle():
     # Oracle: small-angle width f * D / Z = 600 * 0.45 / 5 = 54 px.
-    world = make_world([_balloon((5.0, 0.0, 3.0))])
+    world = _still_world((5.0, 0.0, 3.0))
     dets = generate_detections(CAM, _pose(position=(0, 0, 3)), world, ZERO_NOISE,
                                substream(0, "p"))
     assert len(dets) == 1
@@ -120,14 +122,14 @@ def test_generate_detections_zero_noise_size_oracle():
 
 def test_generate_detections_forced_miss():
     noise = NoiseModel(p_miss_base=1.0, false_alarm_rate=0.0)
-    world = make_world([_balloon((5.0, 0.0, 3.0))])
+    world = _still_world((5.0, 0.0, 3.0))
     dets = generate_detections(CAM, _pose(position=(0, 0, 3)), world, noise,
                                substream(0, "p"))
     assert dets == []
 
 
 def test_generate_detections_deterministic_zero_noise():
-    world = make_world([_balloon((5.0, 1.0, 3.0)), _balloon((9.0, -2.0, 3.0))])
+    world = _still_world((5.0, 1.0, 3.0), (9.0, -2.0, 3.0))
     a = generate_detections(CAM, _pose(position=(0, 0, 3)), world, ZERO_NOISE,
                             substream(1, "p"))
     b = generate_detections(CAM, _pose(position=(0, 0, 3)), world, ZERO_NOISE,
@@ -144,25 +146,26 @@ def ref_generate_detections(camera, uav, world, noise, rng):
     then the same occlusion test, draws and boxes.  A balloon's truth id
     is its index in the world, and it never occludes itself."""
     visible = []
-    for i, (balloon, center) in enumerate(zip(world.balloons, world.centers)):
+    diameter = world.params.diameter
+    for i, center in enumerate(world.centers):
         if center is None:
             continue
         proj = project_point(camera, uav, center)
         if proj is not None:
-            visible.append((i, balloon, proj))
+            visible.append((i, proj))
     detections = []
-    for i, balloon, (px, py, depth) in visible:
+    for i, (px, py, depth) in visible:
         if any(
             od < depth and j != i
             and math.hypot(px - ox, py - oy)
-            < camera.focal_px * other.diameter / (2.0 * od)
-            for j, other, (ox, oy, od) in visible
+            < camera.focal_px * diameter / (2.0 * od)
+            for j, (ox, oy, od) in visible
         ):
             continue
         p_miss = min(1.0, noise.p_miss_base + noise.p_miss_range_scale * depth)
         if rng.random() < p_miss:
             continue
-        size = camera.focal_px * balloon.diameter / depth
+        size = camera.focal_px * diameter / depth
         cx = px + noise.center_sigma * rng.standard_normal()
         cy = py + noise.center_sigma * rng.standard_normal()
         factor = max(0.05, 1.0 + noise.size_sigma_frac * rng.standard_normal())
@@ -181,20 +184,21 @@ def ref_generate_detections(camera, uav, world, noise, rng):
 
 
 def test_generate_detections_equals_per_balloon_reference():
-    # Random poses looking over 12 balloons, some popped, with noise on:
-    # the same detections and the same stream state, spare normal
+    # Random poses looking over 12 balloons of one random diameter per
+    # world, some popped, with noise on: the same detections and the same stream state, spare normal
     # included, as the reference.
     noise = NoiseModel(false_alarm_rate=0.5, p_miss_range_scale=0.01)
     rng = np.random.default_rng(31)
     layout = substream(0, "layout")
     compared = 0
     for trial in range(300):
+        params = BalloonParams(diameter=float(rng.uniform(0.3, 0.9)))
         balloons = [
             make_balloon((float(rng.uniform(0, 40)), float(rng.uniform(-20, 20)),
-                          float(rng.uniform(1.0, 3.0))), BalloonParams(), layout)
+                          float(rng.uniform(1.0, 3.0))), layout)
             for _ in range(12)
         ]
-        world = make_world(balloons, time=float(rng.uniform(0, 100)))
+        world = make_world(params, balloons, time=float(rng.uniform(0, 100)))
         for victim in rng.choice(12, size=int(rng.integers(0, 4)), replace=False):
             world = pop_balloon(world, int(victim))
         pose = _pose(position=(float(rng.uniform(-5, 10)), float(rng.uniform(-10, 10)),
@@ -227,13 +231,12 @@ def test_generate_detections_equals_per_balloon_reference():
                 x += step
                 y += float(rng.uniform(-0.05, 0.05))
                 z += float(rng.uniform(-0.05, 0.05))
-        balloons = [
-            _balloon(centers[k], diameter=float(rng.uniform(0.3, 0.9)))
-            for k in rng.permutation(len(centers))
-        ]
-        world = make_world(balloons)
+        world = _still_world(
+            *[centers[k] for k in rng.permutation(len(centers))],
+            diameter=float(rng.uniform(0.3, 0.9)),
+        )
         if trial % 2:
-            nearest = min(range(len(balloons)), key=lambda i: world.centers[i][0])
+            nearest = min(range(len(centers)), key=lambda i: world.centers[i][0])
             world = pop_balloon(world, nearest)
         ours, theirs = substream(trial, "s"), substream(trial, "s")
         got = generate_detections(CAM, pose, world, noise, ours)
@@ -248,9 +251,8 @@ def test_generate_detections_equals_per_balloon_reference():
 
 
 def test_occlusion_hides_balloon_behind_another():
-    near = _balloon((5.0, 0.0, 3.0))
-    far = _balloon((15.0, 0.1, 3.0))   # center inside near's disc
-    world = make_world([near, far])
+    # The far center lies inside the near balloon's disc.
+    world = _still_world((5.0, 0.0, 3.0), (15.0, 0.1, 3.0))
     dets = generate_detections(CAM, _pose(position=(0, 0, 3)), world, ZERO_NOISE,
                                substream(0, "p"))
     assert [d.truth_id for d in dets] == [0]
@@ -258,7 +260,7 @@ def test_occlusion_hides_balloon_behind_another():
 
 def test_false_alarms_poisson_rate():
     noise = NoiseModel(p_miss_base=1.0, false_alarm_rate=0.5)
-    world = make_world([_balloon((5.0, 0.0, 3.0))])
+    world = _still_world((5.0, 0.0, 3.0))
     rng = substream(0, "p")
     total = sum(
         len(generate_detections(CAM, _pose(position=(0, 0, 3)), world, noise, rng))

@@ -1,24 +1,27 @@
 """Records trust their values; the scenario parser checks them.
 
-``Arena``, ``NoiseModel``, ``CameraIntrinsics`` and ``Geofence`` are plain
-NamedTuples, and ``Balloon`` and ``PixelTarget`` are ``__slots__``
-classes: none of them checks its fields.  ``build_scenario(values)`` is
+``Arena``, ``NoiseModel``, ``CameraIntrinsics``, ``Geofence`` and
+``Balloon`` are plain NamedTuples, and ``PixelTarget`` is a ``__slots__``
+class: none of them checks its fields.  ``build_scenario(values)`` is
 the checked constructor.  Each value a record would hold but a run must
 not is rejected there, with a ``ValidationError`` naming the key that
 would set it, whether the scenario is built from values or from a
 scenario file.  A ``Balloon`` carries no id (its number is its index in
-the world), so two are equal when all their other arguments are.
+the world) and none of the balloon model every balloon of a run shares
+(``WorldState.params``): it holds its anchor and sway phase and plane.
 """
 
 import copy
 import math
 import pickle
+import random
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from bhsim.events import EventLog
 from bhsim.perception import CameraIntrinsics, NoiseModel
 from bhsim.scenario import (
     SCHEMA,
@@ -27,8 +30,9 @@ from bhsim.scenario import (
     build_scenario,
     parse_scenario_text,
 )
+from bhsim.sim import _Run
 from bhsim.vehicle import Geofence
-from bhsim.world import Arena, Balloon
+from bhsim.world import Arena, Balloon, make_balloon
 
 FENCE = {"lo": (0.0, 0.0, 0.0), "hi": (10.0, 10.0, 6.0)}
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "scenarios" / "default.cfg"
@@ -105,9 +109,6 @@ def test_checked_records_replace_builds_their_own_type(cls):
     assert type(pickle.loads(pickle.dumps(record))) is cls
 
 
-BALLOON = {"anchor": (10.0, 10.0, 2.0)}
-
-
 @pytest.mark.parametrize("lines, key", [
     pytest.param("balloons.diameter = 0", "balloons.diameter", id="bad0-diameter"),
     pytest.param(
@@ -128,12 +129,23 @@ def test_balloon_rejects_bad_arguments(lines, key):
 
 
 def test_balloon_compares_on_its_arguments_and_works_out_its_sway():
-    b = Balloon(**BALLOON, sway_frequency=0.5, sway_azimuth=0.3)
-    assert b == Balloon(**BALLOON, sway_frequency=0.5, sway_azimuth=0.3)
-    assert b != Balloon(**BALLOON, sway_frequency=0.5, sway_azimuth=0.4)
-    assert (b.sway_omega, b.sway_cos, b.sway_sin) == (
-        2.0 * math.pi * 0.5, math.cos(0.3), math.sin(0.3)
-    )
+    # make_balloon draws the phase, then the azimuth, and keeps the
+    # azimuth as the swing plane's direction cosines.
+    anchor = (10.0, 10.0, 2.0)
+    b = make_balloon(anchor, random.Random(7))
+    draws = random.Random(7)
+    phase, azimuth = 2.0 * math.pi * draws.random(), 2.0 * math.pi * draws.random()
+    assert b == Balloon(anchor, phase, math.cos(azimuth), math.sin(azimuth))
+    assert b != Balloon(anchor, phase, math.cos(0.4), math.sin(0.4))
+    assert (b.sway_cos, b.sway_sin) == (math.cos(azimuth), math.sin(azimuth))
+
+
+def test_a_run_holds_one_balloon_model_and_balloons_only_their_own_fields():
+    scenario = parse_scenario_text(DEFAULT_CFG.read_text(encoding="utf-8"))
+    world = _Run(scenario, EventLog()).world
+    assert world.params is scenario.balloons.params
+    assert Balloon._fields == ("anchor", "sway_phase", "sway_cos", "sway_sin")
+    assert len(world.balloons) == scenario.balloons.count
 
 
 def test_pixel_target_rejects_a_non_positive_focal_length():

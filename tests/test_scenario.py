@@ -284,6 +284,26 @@ def test_failures_unknown_agent_rejected():
         parse_scenario_text("seed = 1\nfleet.failures = 5:100\n")
 
 
+def test_integers_are_decimal_in_every_key():
+    # Integer keys and a failure script's agent ids take one syntax:
+    # decimal digits, leading zeros allowed.
+    s = parse_scenario_text("seed = 007\nagents.count = 03\nfleet.failures = 02:10\n")
+    assert (s.seed, s.agents.count, s.fleet.failures) == (7, 3, ((2, 10.0),))
+
+
+@pytest.mark.parametrize("text, key", [
+    pytest.param("agents.count = 0x3\n", "agents.count", id="hex-count"),
+    pytest.param("agents.count = 3\nfleet.failures = 0x2:10\n", "fleet.failures",
+                 id="hex-failure-id"),
+    pytest.param("seed = 0o7\n", "seed", id="octal-seed"),
+    pytest.param("seed = 0b1\n", "seed", id="binary-seed"),
+])
+def test_integer_prefixes_rejected(text, key):
+    with pytest.raises(ParseError) as err:
+        parse_scenario_text(text)
+    assert key in str(err.value)
+
+
 def test_start_outside_geofence_rejected():
     with pytest.raises(ValidationError) as err:
         parse_scenario_text("seed = 1\nagents.starts = 200, 20, 4\n")
