@@ -10,6 +10,7 @@ its event log (``--out``).
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .fleet import DuplicateGenerators
@@ -18,6 +19,7 @@ from .scenario import (
     ParseError,
     Scenario,
     ValidationError,
+    _parse_int,
     default_scenario,
     load_scenario,
 )
@@ -49,22 +51,22 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _load(args: argparse.Namespace) -> Scenario:
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
-    else:
-        scenario = default_scenario()
+    scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
     if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
-
         scenario = replace(scenario, seed=args.seed)
     return scenario
+
+
+def integer(text: str) -> int:
+    """A flag's integer, as a scenario's: an optional sign, then ASCII digits."""
+    return _parse_int(text)
 
 
 def _parse_seed_range(text: str) -> list[int]:
     """Seeds ``A..B`` (both ends included, ``A <= B``) or one seed ``A``."""
     lo, sep, hi = text.partition("..")
     try:
-        seeds = list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
+        seeds = list(range(_parse_int(lo), _parse_int(hi) + 1)) if sep else [_parse_int(text)]
     except ValueError:
         seeds = []
     if not seeds:
@@ -177,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim_p = sub.add_parser("simulate", help="run one scenario")
     sim_p.add_argument("--scenario", help="scenario file (defaults when omitted)")
-    sim_p.add_argument("--seed", type=int, help="override the scenario seed")
+    sim_p.add_argument("--seed", type=integer, help="override the scenario seed")
     sim_p.add_argument("--out", help="directory for events.jsonl and metrics.csv")
     sim_p.set_defaults(func=_cmd_simulate)
 
     sweep_p = sub.add_parser("sweep", help="run a seed range")
     sweep_p.add_argument("--scenario", help="scenario file (defaults when omitted)")
     sweep_p.add_argument("--seeds", required=True, help="range A..B or single seed")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    sweep_p.add_argument("--jobs", type=integer, default=1, help="parallel runs")
     sweep_p.add_argument("--out", help="directory for per-seed logs and metrics.csv")
     sweep_p.set_defaults(func=_cmd_sweep)
 

@@ -13,6 +13,7 @@ its section records.
 """
 
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import reduce
 from pathlib import Path
@@ -107,7 +108,15 @@ class Scenario:
 _DEFAULTS = Scenario()
 
 
+# Numbers are plain ASCII decimals; int() and float() alone also take
+# underscores ("1_000") and any Unicode digit ("\u0663").
+_INT = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def _parse_float(raw: str) -> float:
+    if not _FLOAT.fullmatch(raw.strip()):
+        raise ValueError("not a decimal number")
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("must be finite")
@@ -115,6 +124,8 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_int(raw: str) -> int:
+    if not _INT.fullmatch(raw.strip()):
+        raise ValueError("not an integer")
     return int(raw)
 
 
@@ -364,9 +375,7 @@ def build_scenario(values: dict[str, object]) -> Scenario:
     (x0, y0, _), (x1, y1, _) = fence
     for i, a in enumerate(anchors or ()):
         if not (x0 <= a[0] <= x1 and y0 <= a[1] <= y1):
-            raise ValidationError(
-                "balloons.anchors", f"anchor {i} {a} outside geofence"
-            )
+            raise ValidationError("balloons.anchors", f"anchor {i} {a} outside geofence")
     n_agents = v["agents.count"]
     for agent_id, _ in v["fleet.failures"]:
         if agent_id >= n_agents:

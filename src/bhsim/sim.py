@@ -540,10 +540,11 @@ def run_simulation(
 
     With ``log_path`` the log is written to that file as the run goes
     (see ``events.EventLog``) and ``RunResult.events`` is empty.  If
-    the run then raises, set-up included, the file holds every record
-    emitted so far and ends with one ``error`` record (agent null, the
-    failing tick's ``t``, ``data`` the exception's type name and
-    message) before the exception propagates.
+    the run then raises, set-up included, or is interrupted
+    (``KeyboardInterrupt`` or any other ``BaseException``), the file
+    holds every record emitted so far and ends with one ``error`` record
+    (agent null, the failing tick's ``t``, ``data`` the exception's type
+    name and message) before the exception propagates.
 
     Raises:
         InvariantViolation: on an internal consistency breach (nonzero
@@ -555,7 +556,7 @@ def run_simulation(
         elog = ev.EventLog(fh)
         try:
             result = _simulate(scenario, elog)
-        except Exception as exc:
+        except BaseException as exc:
             error = {"type": type(exc).__name__, "message": str(exc)}
             elog.emit(elog.t, None, "error", error)
             elog.write()

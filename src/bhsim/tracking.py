@@ -246,17 +246,12 @@ def kf_update(
 class CostMatrix(NamedTuple):
     """A cost matrix as rows of floats.
 
-    ``shape`` and ``tolist()`` read as on a 2-D array, so
-    ``solve_assignment`` takes either; ``shape`` keeps the width of a
-    matrix with no rows.  ``tolist()`` returns the rows themselves, not
-    a copy.
+    ``shape`` is ``(rows, columns)`` and keeps the width of a matrix
+    with no rows.
     """
 
     shape: tuple[int, int]
     rows: list[list[float]]
-
-    def tolist(self) -> list[list[float]]:
-        return self.rows
 
 
 def assignment_cost(
@@ -347,10 +342,7 @@ def _gated(
 
 
 def solve_assignment(cost: CostMatrix, gate: float) -> Assignment:
-    """Minimum-total-cost matching on a rectangular matrix, then gating.
-
-    ``cost`` is anything with ``shape`` and ``tolist()``: a
-    ``CostMatrix`` or a 2-D float array.
+    """Minimum-total-cost matching on ``cost.rows``, then gating.
 
     The answer is the one ``_solve_square`` gives on the matrix padded
     square with a sentinel cost ``S = max + 1e6``: padded pairs are
@@ -411,12 +403,8 @@ def solve_assignment(cost: CostMatrix, gate: float) -> Assignment:
     """
     n_tracks, n_dets = cost.shape
     if n_tracks == 0 or n_dets == 0:
-        return Assignment(
-            matches=(),
-            unmatched_tracks=tuple(range(n_tracks)),
-            unmatched_detections=tuple(range(n_dets)),
-        )
-    rows = cost.tolist()
+        return Assignment((), tuple(range(n_tracks)), tuple(range(n_dets)))
+    rows = cost.rows
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise NumericalFailure("assignment cost is not finite")
     if n_tracks <= n_dets:

@@ -4,13 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
-import itertools
 import math
+import random
 import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
+from oracles import brute_force_min_cost
 
 from bhsim.events import serialize_events
 from bhsim.fleet import point_in_cell
@@ -31,6 +31,7 @@ from bhsim.tracking import (
     Tracker,
     TrackerParams,
     TrackStatus,
+    CostMatrix,
     kf_predict,
     solve_assignment,
     step_tracker,
@@ -53,34 +54,21 @@ class _criterion:
         return False
 
 
-def _brute_force_min_cost(cost: np.ndarray) -> float:
-    n, m = cost.shape
-    if n <= m:
-        return min(
-            sum(cost[i, p[i]] for i in range(n))
-            for p in itertools.permutations(range(m), n)
-        )
-    return min(
-        sum(cost[p[j], j] for j in range(m))
-        for p in itertools.permutations(range(n), m)
-    )
-
-
 def test_criterion_1_assignment_oracle():
     """Solver total equals the exhaustive-permutation minimum, 1000 cases."""
     with _criterion(1, "assignment-oracle"):
-        rng = np.random.default_rng(2024)
+        rng = random.Random(2024)
         start = time.monotonic()
         for case in range(1000):
-            n = int(rng.integers(1, 8))
-            m = int(rng.integers(1, 8))
+            n = rng.randrange(1, 8)
+            m = rng.randrange(1, 8)
             if case % 2:
-                cost = rng.integers(0, 1000, size=(n, m)).astype(float)
+                rows = [[float(rng.randrange(1000)) for _ in range(m)] for _ in range(n)]
             else:
-                cost = rng.uniform(0.0, 100.0, size=(n, m))
-            out = solve_assignment(cost, gate=math.inf)
-            total = sum(cost[i, j] for i, j in out.matches)
-            oracle = _brute_force_min_cost(cost)
+                rows = [[rng.uniform(0.0, 100.0) for _ in range(m)] for _ in range(n)]
+            out = solve_assignment(CostMatrix((n, m), rows), gate=math.inf)
+            total = sum(rows[i][j] for i, j in out.matches)
+            oracle = brute_force_min_cost(rows)
             assert len(out.matches) == min(n, m)
             if case % 2:
                 assert total == oracle          # integer costs: exact
@@ -94,19 +82,19 @@ def test_criterion_2_guidance_fidelity():
     """Camera command on the line of sight (1e-9); frame transport
     preserves the norm (1e-12); 100k random cases."""
     with _criterion(2, "guidance-fidelity"):
-        rng = np.random.default_rng(77)
+        rng = random.Random(77)
         for _ in range(100_000):
-            px = float(rng.uniform(-2000, 2000))
-            py = float(rng.uniform(-2000, 2000))
-            f = float(rng.uniform(1.0, 3000.0))
-            speed = float(rng.uniform(0.05, 10.0))
+            px = rng.uniform(-2000, 2000)
+            py = rng.uniform(-2000, 2000)
+            f = rng.uniform(1.0, 3000.0)
+            speed = rng.uniform(0.05, 10.0)
             cmd = velocity_command_camera(PixelTarget(px, py, f), speed)
             norm = math.sqrt(px * px + py * py + f * f)
             expected = (speed * px / norm, speed * py / norm, speed * f / norm)
             assert abs(cmd[0] - expected[0]) < 1e-9
             assert abs(cmd[1] - expected[1]) < 1e-9
             assert abs(cmd[2] - expected[2]) < 1e-9
-            out = camera_to_world(cmd, float(rng.uniform(-math.pi, math.pi)))
+            out = camera_to_world(cmd, rng.uniform(-math.pi, math.pi))
             assert abs(
                 math.sqrt(sum(c * c for c in out)) - speed
             ) < 1e-12 * max(1.0, speed)
@@ -172,7 +160,7 @@ def test_criterion_4_range_inversion():
         camera = CameraIntrinsics(focal_px=600.0)
         diameter = 0.45
         radius_m = diameter / 2.0
-        for depth in np.arange(2.0, 40.0 + 1e-9, 0.25):
+        for depth in (2.0 + k * 0.25 for k in range(153)):
             exact_px = camera.focal_px * radius_m / math.sqrt(
                 depth**2 - radius_m**2
             )
@@ -200,9 +188,9 @@ def test_criterion_5_coverage_and_search_speed():
 
         segments = list(zip(path, path[1:]))
         worst = 0.0
-        for x in np.arange(5.0, 95.0 + 1e-9, 1.0):
-            for y in np.arange(5.0, 35.0 + 1e-9, 1.0):
-                d = min(dist_to_segment((x, y), a, b) for a, b in segments)
+        for x in range(5, 96):
+            for y in range(5, 36):
+                d = min(dist_to_segment((float(x), float(y)), a, b) for a, b in segments)
                 worst = max(worst, d)
         assert worst <= spacing / 2.0 + 1e-9, f"coverage gap {worst:.2f} m"
 
@@ -255,7 +243,7 @@ def test_criterion_7_fleet_properties():
         scenario = parse_scenario_text(FLEET_SCENARIO_TEXT)
         dt = 1.0 / scenario.sim.tick_rate
         sep_bound = scenario.fleet.min_sep - scenario.vehicle.v_max * dt
-        rng = np.random.default_rng(99)
+        rng = random.Random(99)
         xmin, ymin, xmax, ymax = scenario.arena.footprint
 
         for seed in range(50):
@@ -273,11 +261,11 @@ def test_criterion_7_fleet_properties():
             # post-failure cell union covers the footprint (Monte Carlo 1%)
             polys = [c.polygon for c in out.cells]
             assert {c.agent_id for c in out.cells} == {0, 2}
-            samples = rng.uniform((xmin, ymin), (xmax, ymax), size=(10_000, 2))
+            samples = [(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
+                       for _ in range(10_000)]
             covered = sum(
-                1 for x, y in samples
-                if any(point_in_cell((float(x), float(y)), poly, margin=1e-9)
-                       for poly in polys)
+                1 for p in samples
+                if any(point_in_cell(p, poly, margin=1e-9) for poly in polys)
             )
             assert covered / 10_000 >= 0.99, f"seed {seed}: coverage {covered}"
 

@@ -1,6 +1,6 @@
 import math
+import random
 
-import numpy as np
 import pytest
 
 from bhsim.fleet import (
@@ -34,10 +34,9 @@ def test_two_symmetric_generators_split_area_evenly():
     for cell in cells:
         assert polygon_area(cell.polygon) == pytest.approx(AREA / 2, rel=1e-9)
     # Monte Carlo cross-check of the areas
-    rng = np.random.default_rng(0)
-    pts = rng.uniform((5, 5), (95, 35), size=(100_000, 2))
-    frac = np.mean([nearest_generator((float(x), float(y)), gens) == 0
-                    for x, y in pts])
+    rng = random.Random(0)
+    pts = [(rng.uniform(5, 95), rng.uniform(5, 35)) for _ in range(100_000)]
+    frac = sum(nearest_generator(p, gens) == 0 for p in pts) / len(pts)
     assert frac == pytest.approx(0.5, abs=0.01)
 
 
@@ -49,12 +48,11 @@ def test_cells_tile_footprint():
 
 def test_points_land_in_cell_of_nearest_generator():
     # Oracle: brute-force nearest-generator assignment for random points.
-    rng = np.random.default_rng(42)
-    gens = [(i, (float(x), float(y)))
-            for i, (x, y) in enumerate(rng.uniform((6, 6), (94, 34), size=(3, 2)))]
+    rng = random.Random(42)
+    gens = [(i, (rng.uniform(6, 94), rng.uniform(6, 34))) for i in range(3)]
     cells = {c.agent_id: c for c in voronoi_partition(FOOTPRINT, gens)}
     for _ in range(10_000):
-        p = (float(rng.uniform(5, 95)), float(rng.uniform(5, 35)))
+        p = (rng.uniform(5, 95), rng.uniform(5, 35))
         dists = sorted(math.dist(p, g) for _, g in gens)
         if dists[1] - dists[0] < 1e-6:
             continue   # bisector ties are owned by the lower id
@@ -63,15 +61,14 @@ def test_points_land_in_cell_of_nearest_generator():
 
 
 def test_partition_correctness_up_to_eight_generators():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for n in range(2, 9):
-        gens = [(i, (float(x), float(y)))
-                for i, (x, y) in enumerate(rng.uniform((6, 6), (94, 34), size=(n, 2)))]
+        gens = [(i, (rng.uniform(6, 94), rng.uniform(6, 34))) for i in range(n)]
         cells = {c.agent_id: c for c in voronoi_partition(FOOTPRINT, gens)}
         total = sum(polygon_area(c.polygon) for c in cells.values())
         assert total == pytest.approx(AREA, rel=1e-6)
         for _ in range(1000):
-            p = (float(rng.uniform(5, 95)), float(rng.uniform(5, 35)))
+            p = (rng.uniform(5, 95), rng.uniform(5, 35))
             dists = sorted(math.dist(p, g) for _, g in gens)
             if dists[1] - dists[0] < 1e-6:
                 continue

@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from bhsim.fleet import ClaimResult
@@ -31,8 +30,7 @@ from bhsim.scenario import ValidationError, build_scenario
 from bhsim.tracking import BoxMeasurement, TrackerParams, TrackStatus, new_track
 from bhsim.vehicle import UavState
 from bhsim.world import Arena
-from oracles import project_point, should_commit
-from test_vehicle import ref_camera_to_world
+from oracles import allclose, mat_vec, project_point, ref_camera_to_world, should_commit
 
 RECT = ((5.0, 5.0), (95.0, 5.0), (95.0, 35.0), (5.0, 35.0))
 WP_STEP = MissionParams().wp_step
@@ -84,9 +82,9 @@ def test_coverage_every_grid_point_within_half_spacing():
     spacing = 15.0
     path = generate_search_path(RECT, 4.0, spacing, WP_STEP)
     segs = _segments(path)
-    for x in np.arange(5.0, 95.0 + 1e-9, 1.0):
-        for y in np.arange(5.0, 35.0 + 1e-9, 1.0):
-            d = min(_dist_point_segment((x, y), a, b) for a, b in segs)
+    for x in range(5, 96):
+        for y in range(5, 36):
+            d = min(_dist_point_segment((float(x), float(y)), a, b) for a, b in segs)
             assert d <= spacing / 2.0 + 1e-9
 
 
@@ -159,19 +157,19 @@ def test_check_pop_boundary_convention():
 def test_pops_in_reach_agrees_with_check_pop_including_the_boundary():
     # Random tips against 8 balloons of one random radius per draw (some
     # popped), with a share of the pairs placed exactly at radius + tip_reach.
-    rng = np.random.default_rng(9)
+    rng = random.Random(9)
     at_boundary = 0
     for _ in range(3000):
-        tip = tuple(float(c) for c in rng.uniform(0.0, 4.0, size=3))
-        tip_reach = float(rng.uniform(0.0, 1.0))
-        r = float(rng.uniform(0.05, 0.5))
+        tip = tuple(rng.uniform(0.0, 4.0) for _ in range(3))
+        tip_reach = rng.uniform(0.0, 1.0)
+        r = rng.uniform(0.05, 0.5)
         reach = r + tip_reach
         centers = []
         for _ in range(8):
             if rng.random() < 0.2:
                 centers.append(None)
                 continue
-            c = tuple(float(x) for x in rng.uniform(0.0, 4.0, size=3))
+            c = tuple(rng.uniform(0.0, 4.0) for _ in range(3))
             if rng.random() < 0.4:
                 # Put the tip on the sphere of radius r + reach: move the
                 # center along x so the distance rounds to that sum.
@@ -200,7 +198,10 @@ def test_pops_in_reach_x_only_offsets_at_the_reach_and_its_neighbours():
     # and elsewhere.  Reaches run from 1e-3 to 5 and, with a tip reach of
     # 0, down to the least subnormal, where ``_dist3`` of an offset well
     # past the reach underflows to 0 and ``check_pop`` pops.
-    sizes = [(0.3 * float(r), float(r) - 0.3 * float(r)) for r in np.geomspace(1e-3, 5.0, 41)]
+    # 41 reaches spaced evenly in log from 1e-3 to 5
+    lo, step = math.log10(1e-3), (math.log10(5.0) - math.log10(1e-3)) / 40
+    reaches = [1e-3] + [10.0 ** (k * step + lo) for k in range(1, 40)] + [5.0]
+    sizes = [(0.3 * r, r - 0.3 * r) for r in reaches]
     sizes += [(r, 0.0) for r in (1e-160, 1e-170, 1e-200, 1e-300, 5e-324)]
     popped = kept = underflowed = 0
     for radius, tip_reach in sizes:
@@ -572,16 +573,17 @@ def test_estimate_world_position_inverts_projection():
 
 
 def test_estimate_world_position_matches_matrix_reference():
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     for _ in range(500):
-        pos = tuple(float(c) for c in rng.uniform(0.0, 50.0, size=3))
-        uav = UavState(position=pos, yaw=float(rng.uniform(-4.0, 4.0)))
-        px, py = (float(c) for c in rng.uniform(-600.0, 600.0, size=2))
-        depth = float(rng.uniform(0.5, 40.0))
+        pos = tuple(rng.uniform(0.0, 50.0) for _ in range(3))
+        uav = UavState(position=pos, yaw=rng.uniform(-4.0, 4.0))
+        px, py = rng.uniform(-600.0, 600.0), rng.uniform(-600.0, 600.0)
+        depth = rng.uniform(0.5, 40.0)
         est = estimate_world_position(uav, _track(cx=px, cy=py), 600.0, depth)
-        ray = np.array([px / 600.0 * depth, py / 600.0 * depth, depth])
-        expected = np.array(pos) + ref_camera_to_world(uav.yaw) @ ray
-        assert np.allclose(est, expected, rtol=0, atol=1e-12)
+        ray = [px / 600.0 * depth, py / 600.0 * depth, depth]
+        offset = mat_vec(ref_camera_to_world(uav.yaw), ray)
+        expected = [p + d for p, d in zip(pos, offset)]
+        assert allclose(est, expected, rtol=0, atol=1e-12)
 
 
 def test_transition_graph_closed_under_random_stimuli():

@@ -1,9 +1,9 @@
 import dataclasses
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from bhsim.perception import (
@@ -22,8 +22,7 @@ from bhsim.scenario import load_scenario
 from bhsim.tracking import BoxMeasurement
 from bhsim.vehicle import UavState
 from bhsim.world import Balloon, BalloonParams, make_balloon, make_world, pop_balloon
-from oracles import project_point
-from test_vehicle import ref_camera_to_world
+from oracles import mat_vec, project_point, ref_camera_to_world, transpose
 
 CAM = CameraIntrinsics(focal_px=600.0, width_px=1280.0, height_px=720.0)
 
@@ -71,13 +70,14 @@ def test_project_point_direct_pinhole_value():
 
 
 def test_project_point_matches_matrix_reference():
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     checked = 0
     for _ in range(2000):
-        pos = tuple(float(c) for c in rng.uniform(0.0, 20.0, size=3))
-        yaw = float(rng.uniform(-4.0, 4.0))
-        point = tuple(float(c) for c in rng.uniform(0.0, 20.0, size=3))
-        cam = ref_camera_to_world(yaw).T @ (np.array(point) - np.array(pos))
+        pos = tuple(rng.uniform(0.0, 20.0) for _ in range(3))
+        yaw = rng.uniform(-4.0, 4.0)
+        point = tuple(rng.uniform(0.0, 20.0) for _ in range(3))
+        cam = mat_vec(transpose(ref_camera_to_world(yaw)),
+                      [p - q for p, q in zip(point, pos)])
         out = project_point(CAM, _pose(position=pos, yaw=yaw), point)
         if cam[2] <= 1e-6:
             assert out is None
@@ -188,22 +188,22 @@ def test_generate_detections_equals_per_balloon_reference():
     # world, some popped, with noise on: the same detections and the same stream state, spare normal
     # included, as the reference.
     noise = NoiseModel(false_alarm_rate=0.5, p_miss_range_scale=0.01)
-    rng = np.random.default_rng(31)
+    rng = random.Random(31)
     layout = substream(0, "layout")
     compared = 0
     for trial in range(300):
-        params = BalloonParams(diameter=float(rng.uniform(0.3, 0.9)))
+        params = BalloonParams(diameter=rng.uniform(0.3, 0.9))
         balloons = [
-            make_balloon((float(rng.uniform(0, 40)), float(rng.uniform(-20, 20)),
-                          float(rng.uniform(1.0, 3.0))), layout)
+            make_balloon((rng.uniform(0, 40), rng.uniform(-20, 20),
+                          rng.uniform(1.0, 3.0)), layout)
             for _ in range(12)
         ]
-        world = make_world(params, balloons, time=float(rng.uniform(0, 100)))
-        for victim in rng.choice(12, size=int(rng.integers(0, 4)), replace=False):
-            world = pop_balloon(world, int(victim))
-        pose = _pose(position=(float(rng.uniform(-5, 10)), float(rng.uniform(-10, 10)),
-                               float(rng.uniform(1, 5))),
-                     yaw=float(rng.uniform(-4, 4)))
+        world = make_world(params, balloons, time=rng.uniform(0, 100))
+        for victim in rng.sample(range(12), rng.randrange(0, 4)):
+            world = pop_balloon(world, victim)
+        pose = _pose(position=(rng.uniform(-5, 10), rng.uniform(-10, 10),
+                               rng.uniform(1, 5)),
+                     yaw=rng.uniform(-4, 4))
         ours, theirs = substream(trial, "p"), substream(trial, "p")
         got = generate_detections(CAM, pose, world, noise, ours)
         want = ref_generate_detections(CAM, pose, world, noise, theirs)
@@ -221,19 +221,18 @@ def test_generate_detections_equals_per_balloon_reference():
     hidden = equal_depth = 0
     for trial in range(300):
         centers = []
-        for _ in range(int(rng.integers(2, 4))):
-            x, y, z = (float(rng.uniform(3.0, 12.0)), float(rng.uniform(-2.0, 2.0)),
-                       float(rng.uniform(2.0, 4.0)))
-            step = float(rng.choice([0.0, 0.5, 1.0]))
+        for _ in range(rng.randrange(2, 4)):
+            x, y, z = rng.uniform(3.0, 12.0), rng.uniform(-2.0, 2.0), rng.uniform(2.0, 4.0)
+            step = rng.choice([0.0, 0.5, 1.0])
             equal_depth += step == 0.0
-            for _ in range(int(rng.integers(3, 6))):
+            for _ in range(rng.randrange(3, 6)):
                 centers.append((x, y, z))
                 x += step
-                y += float(rng.uniform(-0.05, 0.05))
-                z += float(rng.uniform(-0.05, 0.05))
+                y += rng.uniform(-0.05, 0.05)
+                z += rng.uniform(-0.05, 0.05)
         world = _still_world(
-            *[centers[k] for k in rng.permutation(len(centers))],
-            diameter=float(rng.uniform(0.3, 0.9)),
+            *rng.sample(centers, len(centers)),
+            diameter=rng.uniform(0.3, 0.9),
         )
         if trial % 2:
             nearest = min(range(len(centers)), key=lambda i: world.centers[i][0])
@@ -297,7 +296,7 @@ def test_range_inversion_against_exact_sphere_oracle():
     # Generate the box from the exact perspective sphere contour and
     # recover depth with the small-angle inverse: error stays under 2%.
     radius_m = 0.225
-    for depth in np.linspace(2.0, 40.0, 39):
+    for depth in range(2, 41):
         r_px = exact_sphere_radius_px(600.0, radius_m, float(depth))
         est = estimate_range(r_px, CAM, 0.45)
         assert abs(est - depth) / depth < 0.02

@@ -304,6 +304,49 @@ def test_integer_prefixes_rejected(text, key):
     assert key in str(err.value)
 
 
+@pytest.mark.parametrize("line, key", [
+    pytest.param("seed = 1_000", "seed", id="underscore-seed"),
+    pytest.param("vehicle.v_max = 1_0", "vehicle.v_max", id="underscore-float"),
+    pytest.param("fleet.failures = 1:1_0", "fleet.failures", id="underscore-failure-time"),
+    pytest.param("seed = \u0663", "seed", id="arabic-indic-seed"),
+    pytest.param("vehicle.v_max = \u0661.5", "vehicle.v_max", id="arabic-indic-float"),
+])
+def test_numbers_are_plain_ascii_decimals(line, key):
+    # int() and float() alone take underscores and any Unicode digit.
+    with pytest.raises(ParseError) as err:
+        parse_scenario_text(f"agents.count = 2\n{line}\n")
+    assert err.value.key == key
+
+
+def test_plain_decimal_forms_still_parse():
+    s = parse_scenario_text("seed = +5\nagents.count = 02\nfleet.failures = 1:1.\n")
+    assert (s.seed, s.agents.count, s.fleet.failures) == (5, 2, ((1, 1.0),))
+    assert parse_scenario_text("seed = -12\n").seed == -12
+    for text, value in [(".5", 0.5), ("1.", 1.0), ("1e0", 1.0), ("1e-05", 1e-05),
+                        ("1e+300", 1e300), ("-2.5E+3", -2500.0)]:
+        assert parse_scenario_text(f"agents.start_yaw = {text}\n").agents.start_yaw == value
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "\u0663"],
+    ["simulate", "--seed", "1_0"],
+    ["sweep", "--seeds", "1_0..1_2"],
+    ["sweep", "--seeds", "\u0663"],
+    ["sweep", "--seeds", "0..1", "--jobs", "1_0"],
+], ids=["seed-arabic-indic", "seed-underscore", "seeds-underscore", "seeds-arabic-indic",
+        "jobs-underscore"])
+def test_cli_integers_are_plain_ascii_decimals(argv, capsys, monkeypatch):
+    # Rejected before any run starts: a run would fail this test.
+    monkeypatch.setattr("bhsim.cli.sweep", None)
+    monkeypatch.setattr("bhsim.cli.run_simulation", None)
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:  # argparse rejects a flag's type itself
+        code = exc.code
+    assert code == 1
+    assert argv[-1] in capsys.readouterr().err
+
+
 def test_start_outside_geofence_rejected():
     with pytest.raises(ValidationError) as err:
         parse_scenario_text("seed = 1\nagents.starts = 200, 20, 4\n")

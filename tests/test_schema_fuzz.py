@@ -12,10 +12,10 @@ configuration error (exit 1), an ``InvariantViolation`` or a
 """
 
 import math
+import random
 import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from bhsim.cli import CONFIG_ERRORS
@@ -61,65 +61,61 @@ def _boundary_numbers(key: str) -> list:
     return out
 
 
-def _plain_number(rng: np.random.Generator, key: str, default: float):
+def _plain_number(rng: random.Random, key: str, default: float):
     """A value in the domain near the default (the default itself if the
     draw falls outside)."""
     if SCHEMA[key].parse is _parse_int:
-        x = int(default) + int(rng.integers(-2, 3))
+        x = int(default) + rng.randrange(-2, 3)
     elif default == 0.0:
-        x = float(rng.uniform(0.0, 1.0))
+        x = rng.uniform(0.0, 1.0)
     else:
         x = default * 10.0 ** rng.uniform(-0.5, 0.5)
     return x if SCHEMA[key].accepts(x) else default
-
-
-def _pick(rng: np.random.Generator, items: list):
-    return items[int(rng.integers(len(items)))]
 
 
 def _fmt(x) -> str:
     return str(x) if isinstance(x, int) else repr(float(x))
 
 
-def _point(rng: np.random.Generator, hi: tuple[float, float, float]) -> tuple:
-    return tuple(float(rng.uniform(0.0, h)) for h in hi)
+def _point(rng: random.Random, hi: tuple[float, float, float]) -> tuple:
+    return tuple(rng.uniform(0.0, h) for h in hi)
 
 
-def _points(rng: np.random.Generator, key: str, boundary: bool) -> str:
+def _points(rng: random.Random, key: str, boundary: bool) -> str:
     # Anchors sit under the 5 m limit, starts inside the default fence.
     hi = (100.0, 40.0, 4.0) if key == "balloons.anchors" else (96.0, 36.0, 6.0)
     most = MAX_BALLOONS if key == "balloons.anchors" else MAX_AGENTS
-    n = _pick(rng, [most, most + 1]) if boundary else int(rng.integers(1, 5))
+    n = rng.choice([most, most + 1]) if boundary else rng.randrange(1, 5)
     points = [list(_point(rng, hi)) for _ in range(n)]
     if boundary and rng.random() < 0.5:
-        points[0][int(rng.integers(0, 3))] = _pick(rng, _boundary_numbers(key))
+        points[0][rng.randrange(3)] = rng.choice(_boundary_numbers(key))
     return "; ".join(", ".join(_fmt(c) for c in p) for p in points)
 
 
-def _draw_value(rng: np.random.Generator, key: str) -> str:
+def _draw_value(rng: random.Random, key: str) -> str:
     spec = SCHEMA[key]
     boundary = rng.random() < BOUNDARY_PROBABILITY
     if spec.parse in (_parse_int, _parse_float):
         if boundary:
-            return _fmt(_pick(rng, _boundary_numbers(key)))
+            return _fmt(rng.choice(_boundary_numbers(key)))
         return _fmt(_plain_number(rng, key, default_of(key)))
     if spec.parse is _parse_vec3:
         vec = [_plain_number(rng, key, d) for d in default_of(key)]
         if boundary:
-            vec[int(rng.integers(0, 3))] = _pick(rng, _boundary_numbers(key))
+            vec[rng.randrange(3)] = rng.choice(_boundary_numbers(key))
         return ", ".join(_fmt(c) for c in vec)
     if spec.parse is _parse_vec3_list:
         return _points(rng, key, boundary)
     if spec.parse is _parse_failures:
-        times = _boundary_numbers(key) if boundary else [float(rng.uniform(0.0, 12.0))]
+        times = _boundary_numbers(key) if boundary else [rng.uniform(0.0, 12.0)]
         return "; ".join(
-            f"{int(rng.integers(-1, 4))}:{_fmt(_pick(rng, times))}"
-            for _ in range(int(rng.integers(1, 3)))
+            f"{rng.randrange(-1, 4)}:{_fmt(rng.choice(times))}"
+            for _ in range(rng.randrange(1, 3))
         )
     raise AssertionError(f"no generator for {key} ({spec.parse.__name__})")
 
 
-def _draw_scenario(rng: np.random.Generator) -> str:
+def _draw_scenario(rng: random.Random) -> str:
     values = {
         key: _draw_value(rng, key)
         for key in SCHEMA
@@ -141,14 +137,14 @@ def _cut(scenario):
 
 
 def test_every_generator_covers_its_key():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for key in SCHEMA:
         for _ in range(20):
             SCHEMA[key].parse(_draw_value(rng, key))
 
 
 def test_fuzzed_scenarios_finish_or_fail_typed():
-    rng = np.random.default_rng(20240601)
+    rng = random.Random(20240601)
     outcomes = {"finished": 0}
     for case in range(CASES):
         text = _draw_scenario(rng)

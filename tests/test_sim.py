@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +12,6 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import bhsim.fleet
@@ -311,10 +311,10 @@ def test_plan_cells_repartition_conserves_area():
     assert sum(polygon_area(c.polygon) for c in cells) == pytest.approx(FOOTPRINT_AREA, rel=1e-9)
     # Monte Carlo union check
     xmin, ymin, xmax, ymax = s.arena.footprint
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     hits = 0
     for _ in range(20_000):
-        p = (float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax)))
+        p = (rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
         if any(point_in_cell(p, c.polygon, margin=1e-9) for c in cells):
             hits += 1
     assert hits / 20_000 == pytest.approx(1.0, abs=0.01)
@@ -858,6 +858,36 @@ def test_cli_simulate_failed_run_leaves_no_earlier_outputs(
     assert "invariant violation: injected" in capsys.readouterr().err
     assert sorted(p.name for p in out_dir.iterdir()) == ["events.jsonl"]
     _assert_prefix_log(out_dir / "events.jsonl", full)
+
+
+def test_an_interrupted_streamed_run_keeps_its_records_and_ends_in_error(
+    tmp_path, monkeypatch
+):
+    # KeyboardInterrupt is a BaseException, not an Exception: the records
+    # pending in the log's chunk and one error record must still reach
+    # the file before the interrupt reaches the caller.
+    s = load_scenario(SCENARIOS / "fleet3.cfg")
+    in_memory = list(run_simulation(s).events)
+    real = bhsim.sim._pop
+
+    def interrupted(run, t):
+        if t >= 30.0:
+            raise KeyboardInterrupt
+        real(run, t)
+
+    monkeypatch.setattr(bhsim.sim, "_pop", interrupted)
+    path = tmp_path / "events.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        run_simulation(s, path)
+    records = read_event_log(path)
+    n = len(records)
+    assert [e["seq"] for e in records] == list(range(n))
+    error = records[-1]
+    assert error["kind"] == "error" and error["agent"] is None
+    assert error["data"] == {"type": "KeyboardInterrupt", "message": ""}
+    assert 30.0 <= error["t"] < 30.1
+    assert records[:-1] == in_memory[: n - 1]
+    assert in_memory[n - 2]["t"] <= error["t"] < in_memory[n - 1]["t"]
 
 
 def test_cli_sweep_log_that_cannot_be_opened_is_io_error(tmp_path, capsys):

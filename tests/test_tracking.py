@@ -1,10 +1,22 @@
 import copy
-import itertools
 import math
 import random
 
-import numpy as np
 import pytest
+from oracles import (
+    allclose,
+    brute_force_min_cost,
+    diag,
+    identity,
+    mat_add,
+    mat_inv,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    mat_vec,
+    sym_eigenvalues,
+    transpose,
+)
 from test_golden import GOLDEN, _scenario
 
 from bhsim import tracking
@@ -34,80 +46,83 @@ def _meas(cx=100.0, cy=50.0, w=30.0, h=30.0):
     return BoxMeasurement(cx, cy, w, h)
 
 
-def _P(t: TrackState) -> np.ndarray:
+def _P(t: TrackState) -> list[list[float]]:
     """The full 6x6 covariance assembled from a track's nonzero blocks."""
-    P = np.zeros((6, 6))
+    P = [[0.0] * 6 for _ in range(6)]
     for (i, j), (pcc, pcv, pvv) in (((0, 4), t.px), ((1, 5), t.py)):
-        P[i, i], P[i, j], P[j, i], P[j, j] = pcc, pcv, pcv, pvv
-    P[2, 2], P[3, 3] = t.pw, t.ph
+        P[i][i], P[i][j], P[j][i], P[j][j] = pcc, pcv, pcv, pvv
+    P[2][2], P[3][3] = t.pw, t.ph
     return P
 
 
-def brute_force_min_cost(cost: np.ndarray) -> float:
-    """Test oracle: exhaustive assignment over all row/column injections."""
-    n, m = cost.shape
-    k = min(n, m)
-    best = math.inf
-    rows = range(n)
-    for row_subset in itertools.permutations(rows, k):
-        for col_subset in itertools.permutations(range(m), k):
-            total = sum(cost[r, c] for r, c in zip(row_subset, col_subset))
-            best = min(best, total)
-    return best
+def _asymmetry(P) -> float:
+    return max(abs(P[i][j] - P[j][i]) for i in range(6) for j in range(6))
 
 
-# Reference: the full 6x6 Kalman filter in numpy matrix form, as the
-# decoupled float filter in bhsim.tracking must reproduce it.
-_H = np.zeros((4, 6))
-_H[0, 0] = _H[1, 1] = _H[2, 2] = _H[3, 3] = 1.0
-_I6 = np.eye(6)
+def _matrix(rows, width=None) -> CostMatrix:
+    """A cost matrix literal; ``width`` only for a matrix with no rows."""
+    return CostMatrix((len(rows), len(rows[0]) if rows else width), rows)
+
+
+# Reference: the full 6x6 Kalman filter in matrix form, as the decoupled
+# float filter in bhsim.tracking must reproduce it, with its products in
+# the order the module docstring states: predict F P F^T + Q, gain
+# P H^T S^-1, Joseph-form update, then symmetrisation.
+_H = identity(6)[:4]
+_I6 = identity(6)
+_F = identity(6)
+_F[0][4] = _F[1][5] = 1.0
+
+
+def _symmetrised(P):
+    return mat_scale(mat_add(P, transpose(P)), 0.5)
 
 
 def ref_predict(x, P, params):
-    F = np.eye(6)
-    F[0, 4] = 1.0
-    F[1, 5] = 1.0
-    x = F @ x
-    P = F @ P @ F.T + np.diag(params.q_diag)
-    return x, (P + P.T) / 2.0
+    x = mat_vec(_F, x)
+    P = mat_add(mat_mul(mat_mul(_F, P), transpose(_F)), diag(params.q_diag))
+    return x, _symmetrised(P)
 
 
 def ref_update(x, P, z, params):
-    R = np.diag(params.r_diag)
-    S_inv = np.linalg.inv(P[:4, :4] + R)
-    K = P[:, :4] @ S_inv
-    innovation = np.array([z.center_x, z.center_y, z.width, z.height]) - x[:4]
-    x = x + K @ innovation
-    I_KH = _I6 - K @ _H
-    P = I_KH @ P @ I_KH.T + K @ R @ K.T
-    return x, (P + P.T) / 2.0
+    R = diag(params.r_diag)
+    S = mat_add(mat_mul(mat_mul(_H, P), transpose(_H)), R)
+    K = mat_mul(mat_mul(P, transpose(_H)), mat_inv(S))
+    innovation = [a - b for a, b in zip((z.center_x, z.center_y, z.width, z.height), x[:4])]
+    x = [a + b for a, b in zip(x, mat_vec(K, innovation))]
+    I_KH = mat_sub(_I6, mat_mul(K, _H))
+    P = mat_add(mat_mul(mat_mul(I_KH, P), transpose(I_KH)),
+                mat_mul(mat_mul(K, R), transpose(K)))
+    return x, _symmetrised(P)
 
 
 def _filter_against_reference(n_tracks=200, n_cycles=40, seed=7):
     """Yield (track, reference x, reference P) after every predict/update."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for tid in range(n_tracks):
         params = PARAMS._replace(
-            q_diag=tuple(rng.uniform(0.01, 5.0, 6).tolist()),
-            r_diag=tuple(rng.uniform(0.5, 20.0, 4).tolist()),
-            p0_diag=tuple(rng.uniform(1.0, 200.0, 6).tolist()),
+            q_diag=tuple(rng.uniform(0.01, 5.0) for _ in range(6)),
+            r_diag=tuple(rng.uniform(0.5, 20.0) for _ in range(4)),
+            p0_diag=tuple(rng.uniform(1.0, 200.0) for _ in range(6)),
         )
         z = _meas(
-            *rng.uniform(-300.0, 300.0, 2).tolist(),
-            *rng.uniform(5.0, 60.0, 2).tolist(),
+            rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0),
+            rng.uniform(5.0, 60.0), rng.uniform(5.0, 60.0),
         )
         t = new_track(tid, z, params)
-        x = np.array([z.center_x, z.center_y, z.width, z.height, 0.0, 0.0])
-        P = np.diag(params.p0_diag)
-        v = rng.normal(0.0, 3.0, 2)
+        x = [z.center_x, z.center_y, z.width, z.height, 0.0, 0.0]
+        P = diag(params.p0_diag)
+        v = (rng.gauss(0.0, 3.0), rng.gauss(0.0, 3.0))
         for k in range(n_cycles):
             t = kf_predict(t, params)
             x, P = ref_predict(x, P, params)
             yield t, x, P
             if rng.random() < 0.8:
                 z = _meas(
-                    *(x[:2] + v + rng.normal(0.0, 2.0, 2)).tolist(),
-                    *(x[2:4] + rng.normal(0.0, 1.0, 2)).tolist(),
+                    x[0] + v[0] + rng.gauss(0.0, 2.0),
+                    x[1] + v[1] + rng.gauss(0.0, 2.0),
+                    x[2] + rng.gauss(0.0, 1.0),
+                    x[3] + rng.gauss(0.0, 1.0),
                 )
                 t = kf_update(t, z, params)
                 x, P = ref_update(x, P, z, params)
@@ -115,14 +130,14 @@ def _filter_against_reference(n_tracks=200, n_cycles=40, seed=7):
 
 
 def test_decoupled_filter_equals_matrix_reference_exactly_at_unit_dt():
-    # Oracle: the 6x6 numpy filter.  The filter steps one frame, so
+    # Oracle: the 6x6 matrix filter.  The filter steps one frame, so
     # every product with the frame step is exact and the float filter
     # must give the very same floats.
     steps = 0
     for t, x, P in _filter_against_reference():
         assert all(type(v) is float for v in t.x)
-        assert (np.array(t.x) == x).all()
-        assert (_P(t) == P).all()
+        assert list(t.x) == x
+        assert _P(t) == P
         steps += 1
     assert steps > 200 * 40
 
@@ -133,7 +148,7 @@ def test_predict_zero_velocity_keeps_center_and_grows_covariance():
     t = new_track(1, _meas(), PARAMS)
     out = kf_predict(t, PARAMS)
     assert out.x[:4] == t.x[:4]
-    assert np.trace(_P(out)) > np.trace(_P(t))
+    assert sum(_P(out)[i][i] for i in range(6)) > sum(_P(t)[i][i] for i in range(6))
 
 
 def test_predict_shifts_center_by_velocity():
@@ -146,7 +161,7 @@ def test_predict_shifts_center_by_velocity():
 def test_update_zero_innovation_keeps_mean():
     t = new_track(1, _meas(), PARAMS)
     out = kf_update(t, _meas(), PARAMS)
-    assert np.allclose(out.x[:4], t.x[:4], atol=1e-12)
+    assert allclose(out.x[:4], t.x[:4], atol=1e-12)
     assert out.hits == t.hits + 1 and out.misses == 0
 
 
@@ -156,7 +171,7 @@ def test_update_scalar_gain_half():
     params = TrackerParams(r_diag=(4.0, 4.0, 8.0, 8.0))
     t = new_track(1, _meas(cx=0.0), params)
     t.px, t.py, t.pw, t.ph = (4.0, 0.0, 100.0), (4.0, 0.0, 100.0), 8.0, 8.0
-    assert (_P(t) == np.diag([4.0, 4.0, 8.0, 8.0, 100.0, 100.0])).all()
+    assert _P(t) == diag([4.0, 4.0, 8.0, 8.0, 100.0, 100.0])
     out = kf_update(t, _meas(cx=10.0), params)
     assert out.x[0] == pytest.approx(5.0, abs=1e-12)
 
@@ -182,17 +197,17 @@ def test_update_raises_on_singular_innovation():
 
 def test_covariance_stays_symmetric_psd_over_many_cycles():
     t = new_track(1, _meas(), PARAMS)
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for i in range(100_000):
         t = kf_predict(t, PARAMS)
         if i % 3:
-            z = _meas(cx=100 + rng.normal(0, 2), cy=50 + rng.normal(0, 2))
+            z = _meas(cx=100 + rng.gauss(0, 2), cy=50 + rng.gauss(0, 2))
             t = kf_update(t, z, PARAMS)
         if i % 10_000 == 0:
-            assert np.max(np.abs(_P(t) - _P(t).T)) < 1e-9
-            assert np.min(np.linalg.eigvalsh(_P(t))) > -1e-9
-    assert np.max(np.abs(_P(t) - _P(t).T)) < 1e-9
-    assert np.min(np.linalg.eigvalsh(_P(t))) > -1e-9
+            assert _asymmetry(_P(t)) < 1e-9
+            assert min(sym_eigenvalues(_P(t))) > -1e-9
+    assert _asymmetry(_P(t)) < 1e-9
+    assert min(sym_eigenvalues(_P(t))) > -1e-9
 
 
 # --- assignment -------------------------------------------------------------
@@ -200,7 +215,7 @@ def test_covariance_stays_symmetric_psd_over_many_cycles():
 def test_cost_matrix_345_triangle():
     t = new_track(1, _meas(cx=0.0, cy=0.0), PARAMS)
     cost = assignment_cost([t], [_meas(cx=3.0, cy=4.0)])
-    assert cost.tolist()[0][0] == pytest.approx(5.0)
+    assert cost.rows[0][0] == pytest.approx(5.0)
 
 
 def test_cost_matrix_shape_and_zero():
@@ -208,59 +223,43 @@ def test_cost_matrix_shape_and_zero():
     dets = [_meas(cx=0.0), _meas(cx=1.0)]
     cost = assignment_cost(tracks, dets)
     assert cost.shape == (3, 2)
-    assert cost.tolist()[1][1] == pytest.approx(0.0)
+    assert cost.rows[1][1] == pytest.approx(0.0)
 
 
 def test_cost_matrix_of_no_tracks_keeps_its_width():
     cost = assignment_cost([], [_meas(), _meas(cx=0.0)])
     assert cost.shape == (0, 2)
-    assert cost.tolist() == []
+    assert cost.rows == []
     out = solve_assignment(cost, gate=80.0)
     assert out.unmatched_detections == (0, 1)
 
 
-def test_cost_matrix_solves_as_the_same_array():
-    # The tracker hands solve_assignment rows of floats; an ndarray of
-    # the very same values must give the very same assignment.
-    rng = random.Random(5)
-    for _ in range(200):
-        tracks = [new_track(i, _meas(cx=rng.uniform(0, 200), cy=rng.uniform(0, 200)), PARAMS)
-                  for i in range(rng.randrange(0, 6))]
-        dets = [_meas(cx=rng.uniform(0, 200), cy=rng.uniform(0, 200))
-                for _ in range(rng.randrange(0, 6))]
-        cost = assignment_cost(tracks, dets)
-        array = np.array(cost.tolist()).reshape(cost.shape)
-        assert array.tolist() == cost.tolist()
-        assert solve_assignment(cost, 80.0) == solve_assignment(array, 80.0)
-
-
 def test_solve_assignment_zero_diagonal():
-    out = solve_assignment(np.array([[0.0, 1.0], [1.0, 0.0]]), gate=80.0)
+    out = solve_assignment(_matrix([[0.0, 1.0], [1.0, 0.0]]), gate=80.0)
     assert set(out.matches) == {(0, 0), (1, 1)}
 
 
 def test_solve_assignment_prefers_global_optimum():
     # Oracle: brute force over both permutations gives total 3 via the
     # anti-diagonal.
-    cost = np.array([[4.0, 1.0], [2.0, 3.0]])
-    out = solve_assignment(cost, gate=80.0)
+    rows = [[4.0, 1.0], [2.0, 3.0]]
+    out = solve_assignment(_matrix(rows), gate=80.0)
     assert set(out.matches) == {(0, 1), (1, 0)}
-    total = sum(cost[i, j] for i, j in out.matches)
-    assert total == pytest.approx(brute_force_min_cost(cost))
+    total = sum(rows[i][j] for i, j in out.matches)
+    assert total == pytest.approx(brute_force_min_cost(rows))
 
 
 def test_solve_assignment_gate_demotes_both_sides():
-    out = solve_assignment(np.array([[200.0]]), gate=80.0)
+    out = solve_assignment(_matrix([[200.0]]), gate=80.0)
     assert out.matches == ()
     assert out.unmatched_tracks == (0,)
     assert out.unmatched_detections == (0,)
 
 
 def test_solve_assignment_rectangular_and_empty():
-    out = solve_assignment(np.zeros((0, 3)), gate=80.0)
+    out = solve_assignment(_matrix([], width=3), gate=80.0)
     assert out.unmatched_detections == (0, 1, 2)
-    cost = np.array([[1.0, 9.0, 9.0], [9.0, 1.0, 9.0]])
-    out = solve_assignment(cost, gate=80.0)
+    out = solve_assignment(_matrix([[1.0, 9.0, 9.0], [9.0, 1.0, 9.0]]), gate=80.0)
     assert set(out.matches) == {(0, 0), (1, 1)}
     assert out.unmatched_detections == (2,)
 
@@ -286,7 +285,7 @@ def test_solve_assignment_rectangular_and_empty():
 )
 def test_solve_assignment_rejects_non_finite_cost(cost):
     with pytest.raises(NumericalFailure):
-        solve_assignment(np.array(cost), gate=80.0)
+        solve_assignment(_matrix(cost), gate=80.0)
 
 
 def ref_padded_assignment(rows, gate):
@@ -320,7 +319,7 @@ def test_one_row_and_one_column_equal_the_padded_solver_pair_for_pair():
         for _ in range(300):
             rows = [[float(rng.choice((0, 1, 2, 3, 3, 5))) for _ in range(n_dets)]
                     for _ in range(n_tracks)]
-            out = solve_assignment(np.array(rows), gate)
+            out = solve_assignment(_matrix(rows), gate)
             want = ref_padded_assignment(rows, gate)
             assert (out.matches, out.unmatched_tracks, out.unmatched_detections) == want
             flat = [c for row in rows for c in row]
@@ -343,7 +342,7 @@ def test_long_row_and_column_equal_the_padded_solver_pair_for_pair(n_tracks, n_d
         floor = (0.0, 3.0, 5.0)[trial % 3]
         rows = [[floor + rng.choice((0, 0, 1, 2)) for _ in range(n_dets)]
                 for _ in range(n_tracks)]
-        out = solve_assignment(np.array(rows), gate)
+        out = solve_assignment(_matrix(rows), gate)
         assert (out.matches, out.unmatched_tracks, out.unmatched_detections) == \
             ref_padded_assignment(rows, gate)
         flat = [c for row in rows for c in row]
@@ -365,7 +364,7 @@ def _count_padded_solves(monkeypatch) -> list[int]:
 
 
 def _assignment(rows, gate):
-    out = solve_assignment(CostMatrix((len(rows), len(rows[0])), rows), gate)
+    out = solve_assignment(_matrix(rows), gate)
     return out.matches, out.unmatched_tracks, out.unmatched_detections
 
 
@@ -453,7 +452,7 @@ def test_every_golden_cost_matrix_equals_the_padded_solver(monkeypatch, case):
         out = solve(cost, gate)
         n_tracks, n_dets = cost.shape
         if n_tracks and n_dets:
-            rows = cost.tolist()
+            rows = cost.rows
             assert (out.matches, out.unmatched_tracks, out.unmatched_detections) \
                 == ref_padded_assignment(rows, gate), rows
             seen.append((n_tracks, n_dets))
@@ -465,14 +464,14 @@ def test_every_golden_cost_matrix_equals_the_padded_solver(monkeypatch, case):
 
 
 def test_solver_equals_brute_force_on_random_matrices():
-    rng = np.random.default_rng(123)
+    rng = random.Random(123)
     for _ in range(150):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        cost = rng.uniform(0.0, 100.0, size=(n, m))
-        out = solve_assignment(cost, gate=math.inf)
-        total = sum(cost[i, j] for i, j in out.matches)
-        assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
+        n = rng.randrange(1, 6)
+        m = rng.randrange(1, 6)
+        rows = [[rng.uniform(0.0, 100.0) for _ in range(m)] for _ in range(n)]
+        out = solve_assignment(_matrix(rows), gate=math.inf)
+        total = sum(rows[i][j] for i, j in out.matches)
+        assert total == pytest.approx(brute_force_min_cost(rows), abs=1e-9)
         assert len(out.matches) == min(n, m)
 
 

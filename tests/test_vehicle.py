@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from bhsim.vehicle import (
@@ -15,33 +14,24 @@ from bhsim.vehicle import (
     wrap_angle,
 )
 from bhsim.world import Arena
-from oracles import world_to_camera
-
-# Reference matrix form of the camera geometry: forward mount
-# (camera -> body), heading (body -> NED), z flip (NED -> world).
-R_CAM_TO_BODY = np.array(
-    [
-        [0.0, 0.0, 1.0],
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-    ]
+from oracles import (
+    NED_TO_WORLD,
+    allclose,
+    det3,
+    identity,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+    ref_camera_to_world,
+    transpose,
+    world_to_camera,
 )
-NED_TO_WORLD = np.diag([1.0, 1.0, -1.0])
-
-
-def ref_body_to_vehicle(yaw):
-    c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def ref_camera_to_world(yaw):
-    return NED_TO_WORLD @ ref_body_to_vehicle(yaw) @ R_CAM_TO_BODY
 
 
 def _matrix(fn, yaw):
     """Columns are the images of the unit vectors under ``fn``."""
     basis = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    return np.array([fn(e, yaw) for e in basis]).T
+    return transpose([list(fn(e, yaw)) for e in basis])
 
 
 def _uav(**kw):
@@ -78,10 +68,10 @@ def test_yaw_rate_clamped():
 def test_speed_never_exceeds_v_max():
     params = UavParams(v_max=2.0)
     state = _uav()
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(2000):
-        cmd = tuple(rng.uniform(-10, 10, size=3))
-        state = step_uav(state, cmd, float(rng.uniform(-3, 3)), 0.05, params)
+        cmd = tuple(rng.uniform(-10, 10) for _ in range(3))
+        state = step_uav(state, cmd, rng.uniform(-3, 3), 0.05, params)
         assert state.speed <= 2.0 + 1e-9
 
 
@@ -92,63 +82,64 @@ def test_camera_mount_permutation():
     assert camera_to_world((1.0, 0.0, 0.0), 0.0) == (0.0, 1.0, 0.0)
     assert camera_to_world((0.0, 1.0, 0.0), 0.0) == (0.0, 0.0, -1.0)
     # Camera -> NED (undo the world z flip) is a proper rotation.
-    m = NED_TO_WORLD @ _matrix(camera_to_world, 0.0)
-    assert np.allclose(m.T @ m, np.eye(3), atol=1e-12)
-    assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
+    m = mat_mul(NED_TO_WORLD, _matrix(camera_to_world, 0.0))
+    assert allclose(mat_mul(transpose(m), m), identity(3), atol=1e-12)
+    assert det3(m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_camera_to_world_matches_matrix_reference():
-    rng = np.random.default_rng(21)
+    rng = random.Random(21)
     for _ in range(2000):
-        v = tuple(float(c) for c in rng.uniform(-5, 5, size=3))
-        yaw = float(rng.uniform(-4.0, 4.0))
-        expected = ref_camera_to_world(yaw) @ np.array(v)
-        assert np.allclose(camera_to_world(v, yaw), expected, rtol=0, atol=1e-12)
-        back = ref_camera_to_world(yaw).T @ np.array(v)
-        assert np.allclose(world_to_camera(v, yaw), back, rtol=0, atol=1e-12)
+        v = tuple(rng.uniform(-5, 5) for _ in range(3))
+        yaw = rng.uniform(-4.0, 4.0)
+        expected = mat_vec(ref_camera_to_world(yaw), v)
+        assert allclose(camera_to_world(v, yaw), expected, rtol=0, atol=1e-12)
+        back = mat_vec(transpose(ref_camera_to_world(yaw)), v)
+        assert allclose(world_to_camera(v, yaw), back, rtol=0, atol=1e-12)
 
 
 def test_yaw_rotation_identity_and_quarter_turn():
-    assert np.allclose(_matrix(camera_to_world, 0.0), ref_camera_to_world(0.0),
-                       atol=1e-15)
+    assert allclose(_matrix(camera_to_world, 0.0), ref_camera_to_world(0.0),
+                    atol=1e-15)
     out = camera_to_world((0.0, 0.0, 1.0), math.pi / 2)
-    assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-12)
+    assert allclose(out, [0.0, 1.0, 0.0], atol=1e-12)
     out = camera_to_world((1.0, 0.0, 0.0), math.pi / 2)
-    assert np.allclose(out, [-1.0, 0.0, 0.0], atol=1e-12)
+    assert allclose(out, [-1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_yaw_rotation_group_property():
     # Back to the camera at yaw 0, then out at yaw a, equals one
     # rotation by a + b.
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(200):
-        a, b = (float(x) for x in rng.uniform(-math.pi, math.pi, size=2))
-        v = tuple(float(c) for c in rng.uniform(-3, 3, size=3))
+        a, b = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
+        v = tuple(rng.uniform(-3, 3) for _ in range(3))
         lhs = camera_to_world(world_to_camera(camera_to_world(v, b), 0.0), a)
         rhs = camera_to_world(v, a + b)
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        assert allclose(lhs, rhs, atol=1e-12)
 
 
 def test_rotation_products_stay_orthonormal_over_many_compositions():
     # Composing a million small yaw rotations must not drift off the
     # rotation group by more than 1e-9.
-    rng = np.random.default_rng(11)
-    acc = np.eye(3)
-    step_angles = rng.uniform(-0.1, 0.1, size=1_000_000)
-    for a in step_angles:
+    rng = random.Random(11)
+    acc = identity(3)
+    for _ in range(1_000_000):
+        a = rng.uniform(-0.1, 0.1)
         c, s = math.cos(a), math.sin(a)
-        acc = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ acc
-    assert np.max(np.abs(acc.T @ acc - np.eye(3))) < 1e-9
-    assert np.linalg.det(acc) == pytest.approx(1.0, abs=1e-9)
+        acc = mat_mul([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], acc)
+    drift = mat_sub(mat_mul(transpose(acc), acc), identity(3))
+    assert max(abs(x) for row in drift for x in row) < 1e-9
+    assert det3(acc) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ned_world_round_trip():
     # world_to_camera inverts camera_to_world; the z flip sends the
     # camera's down axis to world -z at every heading.
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     for _ in range(500):
-        v = tuple(float(c) for c in rng.uniform(-5, 5, size=3))
-        yaw = float(rng.uniform(-math.pi, math.pi))
+        v = tuple(rng.uniform(-5, 5) for _ in range(3))
+        yaw = rng.uniform(-math.pi, math.pi)
         assert world_to_camera(camera_to_world(v, yaw), yaw) == pytest.approx(
             v, abs=1e-12
         )
@@ -198,9 +189,9 @@ def test_clamp_outside_points_toward_center_at_v_max():
     pos = (11.0, 5.0, 3.0)
     out = clamp_to_geofence(pos, (5.0, 5.0, 5.0), FENCE, 1.0, 2.0)
     center = FENCE.center
-    direction = np.array(center) - np.array(pos)
-    expected = 2.0 * direction / np.linalg.norm(direction)
-    assert np.allclose(out, expected, atol=1e-12)
+    direction = [c - p for c, p in zip(center, pos)]
+    expected = [2.0 * d / math.hypot(*direction) for d in direction]
+    assert allclose(out, expected, atol=1e-12)
     assert math.hypot(*out) == pytest.approx(2.0)
 
 
@@ -261,9 +252,9 @@ def test_geofence_invariant_under_clamped_random_walk():
     fence = geofence_from_arena(Arena())
     params = UavParams()
     state = _uav(position=(50.0, 20.0, 3.0))
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for _ in range(5000):
-        cmd = tuple(rng.uniform(-4, 4, size=3))
+        cmd = tuple(rng.uniform(-4, 4) for _ in range(3))
         cmd = clamp_to_geofence(state.position, cmd, fence, 1.0, params.v_max)
         state = step_uav(state, cmd, 0.0, 0.05, params)
         assert fence.contains(state.position)

@@ -1,6 +1,6 @@
 import math
+import random
 
-import numpy as np
 import pytest
 
 from bhsim.rng import substream
@@ -38,7 +38,7 @@ def test_arena_rejects_bad_extents():
 
 
 def test_layout_empty():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     assert sample_balloon_layout(rng, Arena(), 0, 8.0) == []
 
 
@@ -65,7 +65,7 @@ def test_layout_min_separation_brute_force():
 
 
 def test_layout_infeasible_packing_raises():
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     with pytest.raises(PackingInfeasible):
         sample_balloon_layout(rng, Arena(), 60, 20.0)
 
@@ -114,8 +114,8 @@ def test_sway_centers_stay_inside_effective_volume():
     for seed in range(5):
         balloons = sample_balloon_layout(substream(seed, "layout"), arena, 5, 8.0)
         world = make_world(BalloonParams(), balloons)
-        for t in np.linspace(0.0, 600.0, 1201):
-            world = advance_world(world, float(t))
+        for k in range(1201):
+            world = advance_world(world, k * 0.5)
             for x, y, z in world.centers:
                 assert lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]
                 assert 0.0 < z <= 5.0
@@ -189,18 +189,17 @@ def test_world_centers_equal_sway_exactly_with_pops_partway():
     # 10 worlds x 20 balloons with random sway, one balloon model drawn
     # per world, 50 increasing times; a few balloons are popped at random
     # times along the way.
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     checked = 0
     for _ in range(10):
         params = BalloonParams(
-            tether_length=float(rng.uniform(0.1, 2.0)),
-            sway_amplitude=float(rng.uniform(0.0, 1.5)),
-            sway_frequency=float(rng.uniform(-1.0, 3.0)),
+            tether_length=rng.uniform(0.1, 2.0),
+            sway_amplitude=rng.uniform(0.0, 1.5),
+            sway_frequency=rng.uniform(-1.0, 3.0),
         )
         balloons = [
             make_balloon(
-                (float(rng.uniform(5, 95)), float(rng.uniform(5, 35)),
-                 float(rng.uniform(0.5, 3.0))),
+                (rng.uniform(5, 95), rng.uniform(5, 35), rng.uniform(0.5, 3.0)),
                 rng,
             )
             for _ in range(20)
@@ -209,10 +208,10 @@ def test_world_centers_equal_sway_exactly_with_pops_partway():
         popped = set()
         t = 0.0
         for _ in range(50):
-            t += float(rng.exponential(0.7))
+            t += rng.expovariate(1 / 0.7)
             world = advance_world(world, t)
             if rng.random() < 0.3:
-                victim = int(rng.integers(0, 20))
+                victim = rng.randrange(0, 20)
                 world = pop_balloon(world, victim)
                 popped.add(victim)
             assert world.alive_count == 20 - len(popped)
