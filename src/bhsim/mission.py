@@ -221,10 +221,11 @@ def generate_search_path(
 ) -> SearchPath:
     """Boustrophedon lanes over a convex cell at constant altitude.
 
-    Lanes run parallel to the longer bounding-box axis, offset across the
-    shorter axis so every point of the cell lies within ``spacing / 2``
-    of a lane.  Waypoints are placed every ``wp_step`` meters along each
-    lane so search progress tracks swept area.
+    Lanes run parallel to the longer bounding-box axis, along x for a
+    square, offset across the shorter axis so every point of the cell
+    lies within ``spacing / 2`` of a lane.  Waypoints are placed every
+    ``wp_step`` meters along each lane so search progress tracks swept
+    area.
 
     Raises:
         DegenerateCell: if the cell area is below 1 square meter.
@@ -519,13 +520,13 @@ def _yaw_cmd_offset_law(
 
 
 def _refresh_target(
-    ms: MissionState, track: TrackState, uav: UavState, ctx: MissionContext
+    ms: MissionState, track: TrackState, range_m: float, uav: UavState,
+    ctx: MissionContext,
 ) -> MissionState:
-    # Refresh only from tracks matched this frame; a coasting track's
-    # extrapolated center drifts and would corrupt the stored estimate.
-    if track.misses != 0:
-        return ms
-    range_m = ctx.range_of(track)
+    """Re-estimate the target from ``track``, matched this frame and
+    ranged at ``range_m``; callers pass only matched tracks, because a
+    coasting track's extrapolated center drifts and would corrupt the
+    stored estimate."""
     est = estimate_world_position(uav, track, ctx.focal_px, range_m)
     if not ctx.estimate_plausible(est):
         return ms
@@ -614,7 +615,8 @@ def _step_align(ms, tracks, uav, t, ctx, events):
 
     if track is None:
         return _lost_target(ms, uav, t, ctx, events)
-    ms = _refresh_target(ms, track, uav, ctx)
+    if track.misses == 0:
+        ms = _refresh_target(ms, track, ctx.range_of(track), uav, ctx)
 
     if t - ms.entered_at > mp.align_timeout:
         ms = _back_to_search(ms, uav, ctx, t, events, "abandoned",
@@ -650,13 +652,12 @@ def _step_approach(ms, tracks, uav, t, ctx, events):
 
     # A sudden range jump means the pursued object vanished (popped) and
     # a farther one took over its track; confirm through a revisit.
-    best_range = ms.target.range
-    if (
-        track.misses == 0
-        and ctx.range_of(track) > best_range + max(3.0, 0.3 * best_range)
-    ):
-        return _lost_target(ms, uav, t, ctx, events)
-    ms = _refresh_target(ms, track, uav, ctx)
+    if track.misses == 0:
+        range_m = ctx.range_of(track)
+        best_range = ms.target.range
+        if range_m > best_range + max(3.0, 0.3 * best_range):
+            return _lost_target(ms, uav, t, ctx, events)
+        ms = _refresh_target(ms, track, range_m, uav, ctx)
     tg = ms.target
 
     # Claim drift: when the working estimate wanders away from the

@@ -8,12 +8,13 @@ Euclidean center distance, gated at a pixel radius, and managed through a
 tentative / confirmed lifecycle driven by consecutive hit and miss
 counts; a track that misses too many frames in a row is dropped.
 
-The assignment is defined as the Hungarian solve (Kuhn's method) of the
-cost matrix padded square with a sentinel.  Most frames' answers are
-known without it: when each track's nearest detection is a different one
-(tracks <= detections), or each detection's nearest track is a different
-one and nearer by a margin (more tracks), those pairs are the solve's
-answer, ties and rounding included; ``solve_assignment`` argues both.
+The assignment is the Hungarian solve (Kuhn's method, as a shortest
+augmenting path) over the smaller side of the cost matrix, with no
+padding: a frame with more tracks than detections is solved as its
+transpose.  Most frames' answers are known without the search: when
+each row of that oriented matrix has a different nearest column, those
+pairs are the search's answer, ties and rounding included;
+``solve_assignment`` argues it.
 A frame with no measurements skips the assignment: every track goes
 unmatched, as the solve of a matrix with no columns says, and a frame
 with neither tracks nor measurements hands its tracker back unchanged.
@@ -266,30 +267,32 @@ def assignment_cost(
     return CostMatrix((len(tracks), len(centers)), rows)
 
 
-def _solve_square(cost: list[list[float]], n: int) -> list[int]:
-    """Minimum-cost perfect matching on an n x n matrix.
+def _solve_rect(cost: Sequence[Sequence[float]], n: int, m: int) -> list[int]:
+    """Minimum-cost matching of each row of an n x m matrix, n <= m, to
+    its own column.
 
-    Shortest augmenting path formulation of the Hungarian method with row
-    and column potentials, O(n^3).  Returns ``assign`` with
+    Shortest augmenting path form of the Hungarian method with row and
+    column potentials, one search per row over the m columns, O(n^2 m)
+    (Bourgeois and Lassalle 1971; Crouse 2016).  Returns ``assign`` with
     ``assign[row] = column``.
     """
     INF = math.inf
     u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match_col = [0] * (n + 1)   # match_col[j] = row matched to column j (1-based)
-    way = [0] * (n + 1)
+    v = [0.0] * (m + 1)
+    match_col = [0] * (m + 1)   # match_col[j] = row matched to column j (1-based)
+    way = [0] * (m + 1)
     for i in range(1, n + 1):
         match_col[0] = i
         j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        minv = [INF] * (m + 1)
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = match_col[j0]
             delta = INF
             j1 = -1
             row = cost[i0 - 1]
-            for j in range(1, n + 1):
+            for j in range(1, m + 1):
                 if used[j]:
                     continue
                 cur = row[j - 1] - u[i0] - v[j]
@@ -299,7 +302,7 @@ def _solve_square(cost: list[list[float]], n: int) -> list[int]:
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
+            for j in range(m + 1):
                 if used[j]:
                     u[match_col[j]] += delta
                     v[j] -= delta
@@ -313,16 +316,10 @@ def _solve_square(cost: list[list[float]], n: int) -> list[int]:
             match_col[j0] = match_col[j1]
             j0 = j1
     assign = [-1] * n
-    for j in range(1, n + 1):
+    for j in range(1, m + 1):
         if match_col[j] > 0:
             assign[match_col[j] - 1] = j - 1
     return assign
-
-
-def _tall_margin(n: int, sentinel: float) -> float:
-    """How much each column's minimum must undercut the rest of its
-    column for the tall rule of ``solve_assignment`` on n tracks."""
-    return 16 * n * n * math.ulp(sentinel)
 
 
 def _gated(
@@ -344,59 +341,20 @@ def _gated(
 def solve_assignment(cost: CostMatrix, gate: float) -> Assignment:
     """Minimum-total-cost matching on ``cost.rows``, then gating.
 
-    The answer is the one ``_solve_square`` gives on the matrix padded
-    square with a sentinel cost ``S = max + 1e6``: padded pairs are
-    discarded and any surviving pair costlier than ``gate`` is demoted
-    to unmatched on both sides.  Two kinds of matrix skip the padding
-    and the solver, because their padded answer is known in advance:
-
-    * **Wide** (tracks <= detections) when every row's first minimal
-      column, ``row.index(min(row))``, is a different column: the answer
-      is those pairs.  Proof, along the code path with floats and ties:
-      the real rows are searched first.  In each one's first step all
-      column potentials are still 0.0 and its row potential is 0.0, so
-      it reads its costs exactly, picks its first minimal column (the
-      strict ``<`` keeps the first of equal minima, ``-0.0`` and ``0.0``
-      included) and, that column being free, stops; only its own row
-      potential and the unused ``v[0]`` move.  Then each sentinel row
-      reads ``S`` everywhere, steps to column 1 and walks on in column
-      order to the first free column, because every reduced cost
-      ``c - u`` it reads on a real row is >= 0 = ``minv``; so it never
-      reroutes a real row.  This covers the one-row matrix.
-    * **Tall** (tracks > detections), on costs >= 0, when each column's
-      minimal row is a different row and is cheaper than every other
-      entry of its column by more than ``eps = 16 n^2 ulp(S)``, with
-      ``n`` the number of tracks: the answer is each column with its
-      minimal row.  Why: every full assignment of the padded matrix
-      gives each of the m real columns one row and the other rows to
-      sentinel columns, at exactly ``(n - m) S``.  So this pairing is
-      the unique cheapest, and an assignment that differs from it in k
-      real columns costs more than ``k eps`` more.  The solve ends with
-      potentials ``u, v``, and its answer is exactly cheapest for the
-      matrix that moves each entry by its slack's float error (a
-      matched slack to 0, a negative one to 0), at most ``eta``, where
-      the slack is ``c_ij - u_i - v_j``.  Two assignments that differ in
-      k real columns differ in at most 2k rows, so the solve's answer
-      costs at most ``4 k eta`` more than the cheapest; with
-      ``eps >= 4 eta`` it is the cheapest.  The bound on ``eta``: with
-      costs in ``[0, S]``, row potentials stay in ``[0, S]`` and column
-      ones in ``[-S, 0]``, so every value formed lies within about
-      ``2S`` and each rounding errs by at most ``ulp(S)``.  A slack is
-      read with two roundings, and each of a search's at most n steps
-      moves it by at most three (its row potential, its column
-      potential, its running minimum); over n searches
-      ``eta <= (3n + 2) n ulp(S) <= 4 n^2 ulp(S)``.  This counts each
-      rounding once, where it is made, and does not follow an error
-      carried into a later step length, so the margin is kept far above
-      what is seen: on planted matrices of 2 to 200 rows the solve
-      missed the cheapest answer at gaps up to 1.5 ulp(S) and never at
-      2 ulp(S) or more.  Real frames have gaps of 1e-3 px and more;
-      ``eps`` is below 1e-4 px at 200 tracks.  A matrix below the
-      margin, with a tie for a column's minimum, or with a negative cost
-      goes to the padded solve.  One column needs the margin too: the
-      solve compares ``S - c`` across rows, which rounds away
-      differences below ulp(S), so on ``[[1 + 1e-12], [1]]`` it keeps
-      row 0, not the cheaper row 1.
+    The answer is the one ``_solve_rect`` gives on the tracks x
+    detections matrix, or on its transpose when there are more tracks
+    than detections, so that it always matches every entry of the
+    smaller side; any pair costlier than ``gate`` is then demoted to
+    unmatched on both sides.  When every row of the oriented matrix has
+    a different first minimal column, ``row.index(min(row))``, those
+    pairs are the answer and the search is skipped.  Proof, along the
+    search with floats and ties: in each row's first step all column
+    potentials are still 0.0 and its row potential is 0.0, so it reads
+    its costs exactly, picks its first minimal column (the strict ``<``
+    keeps the first of equal minima, ``-0.0`` and ``0.0`` included)
+    and, that column being free, stops; only its own row potential and
+    the unused ``v[0]`` move.  This covers the one-row and one-column
+    matrices.
 
     Raises:
         NumericalFailure: if any cost is NaN or infinite.
@@ -407,36 +365,15 @@ def solve_assignment(cost: CostMatrix, gate: float) -> Assignment:
     rows = cost.rows
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise NumericalFailure("assignment cost is not finite")
-    if n_tracks <= n_dets:
-        picks = [row.index(min(row)) for row in rows]
-        if len(set(picks)) == n_tracks:
-            return _gated(rows, enumerate(picks), n_tracks, n_dets, gate)
-    else:
-        pairs = []
-        low = gap = math.inf
-        top = -math.inf
-        for j, col in enumerate(zip(*rows)):
-            ranked = sorted(col)
-            first = ranked[0]
-            pairs.append((col.index(first), j))
-            if first < low:
-                low = first
-            if ranked[1] - first < gap:
-                gap = ranked[1] - first
-            if ranked[-1] > top:
-                top = ranked[-1]
-        if low >= 0.0 and gap > _tall_margin(n_tracks, top + 1.0e6):
-            pairs.sort()
-            if len({i for i, _ in pairs}) == n_dets:
-                return _gated(rows, pairs, n_tracks, n_dets, gate)
-    # Sentinel padding only needs to dominate every real cost; padded
-    # pairs are discarded by index below, and gating is a post-filter.
-    n = max(n_tracks, n_dets)
-    sentinel = max(map(max, rows)) + 1.0e6
-    padded = [row + [sentinel] * (n - n_dets) for row in rows]
-    padded += [[sentinel] * n for _ in range(n - n_tracks)]
-    assign = _solve_square(padded, n)
-    pairs = [(i, j) for i, j in enumerate(assign[:n_tracks]) if j < n_dets]
+    tall = n_tracks > n_dets
+    side = list(zip(*rows)) if tall else rows
+    n, m = (n_dets, n_tracks) if tall else (n_tracks, n_dets)
+    picks = [row.index(min(row)) for row in side]
+    if len(set(picks)) < n:
+        picks = _solve_rect(side, n, m)
+    pairs = enumerate(picks)
+    if tall:
+        pairs = sorted((i, j) for j, i in pairs)
     return _gated(rows, pairs, n_tracks, n_dets, gate)
 
 

@@ -6,7 +6,9 @@ whole frame; ``nearest_generator`` is the definition of the Voronoi
 cells ``fleet.voronoi_partition`` clips; ``should_commit`` is the track
 filter of the commit scan in ``mission._step_search``;
 ``brute_force_min_cost`` is the definition of the assignment
-``tracking.solve_assignment`` solves.
+``tracking.solve_assignment`` solves, and ``solve_square`` is the padded
+Hungarian solve it was defined by before it searched the smaller side
+of the matrix unpadded.
 
 The rest is small dense linear algebra in plain floats, for the matrix
 forms of the camera geometry and of the Kalman filter.  A matrix is a
@@ -91,17 +93,71 @@ def should_commit(track: TrackState, m_commit: int) -> bool:
 
 def brute_force_min_cost(rows: Matrix) -> float:
     """Least total cost over every injection of the shorter side of a
-    non-empty matrix into the longer."""
+    non-empty matrix into the longer, each total summed exactly
+    (``math.fsum``)."""
     n, m = len(rows), len(rows[0])
     if n <= m:
         return min(
-            sum(rows[i][p[i]] for i in range(n))
+            math.fsum(rows[i][p[i]] for i in range(n))
             for p in itertools.permutations(range(m), n)
         )
     return min(
-        sum(rows[p[j]][j] for j in range(m))
+        math.fsum(rows[p[j]][j] for j in range(m))
         for p in itertools.permutations(range(n), m)
     )
+
+
+def solve_square(cost: list[list[float]], n: int) -> list[int]:
+    """Minimum-cost perfect matching on an n x n matrix.
+
+    Shortest augmenting path formulation of the Hungarian method with row
+    and column potentials, O(n^3).  Returns ``assign`` with
+    ``assign[row] = column``.
+    """
+    INF = math.inf
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    match_col = [0] * (n + 1)   # match_col[j] = row matched to column j (1-based)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match_col[0] = i
+        j0 = 0
+        minv = [INF] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match_col[j0]
+            delta = INF
+            j1 = -1
+            row = cost[i0 - 1]
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match_col[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match_col[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match_col[j0] = match_col[j1]
+            j0 = j1
+    assign = [-1] * n
+    for j in range(1, n + 1):
+        if match_col[j] > 0:
+            assign[match_col[j] - 1] = j - 1
+    return assign
 
 
 # --- plain-float linear algebra ---------------------------------------------

@@ -112,6 +112,16 @@ def test_claim_lifecycle():
     assert r5.granted
 
 
+def test_claim_at_exactly_the_claim_radius_is_granted():
+    # Claims closer than the radius conflict; one at exactly the radius
+    # does not.  Each point lies at an exactly representable distance.
+    for other, granted in (((3.0, 4.0, 0.0), True), ((0.0, 0.0, -5.0), True),
+                           ((3.0, 3.9, 0.0), False), ((4.9, 0.0, 0.0), False)):
+        table = ClaimTable()
+        assert claim_target(table, 0, (0.0, 0.0, 0.0), 5.0).granted
+        assert claim_target(table, 1, other, 5.0).granted is granted, other
+
+
 def test_deconflict_priority_rule():
     agents = [(0, (0.0, 0.0, 0.0)), (1, (4.0, 0.0, 0.0))]
     held, _ = deconflict(agents, 5.0, 3.0)

@@ -65,6 +65,17 @@ def test_two_lanes_at_quarter_offsets():
     assert ys == [12.5, 27.5]   # offsets 7.5 and 22.5 from the y=5 edge
 
 
+def test_square_cell_lanes_run_along_x():
+    # Neither axis of a square is the longer one: its lanes run along x.
+    square = ((10.0, 0.0), (50.0, 0.0), (50.0, 40.0), (10.0, 40.0))
+    path = generate_search_path(square, 4.0, 15.0, WP_STEP)
+    ys = sorted({wp[1] for wp in path})
+    assert len(ys) == 3 and len(path) > 2 * len(ys)
+    for y in ys:
+        xs = sorted(wp[0] for wp in path if wp[1] == y)
+        assert (xs[0], xs[-1]) == (10.0, 50.0)
+
+
 def test_constant_altitude():
     path = generate_search_path(RECT, 4.0, 15.0, WP_STEP)
     assert all(wp[2] == 4.0 for wp in path)
@@ -501,6 +512,24 @@ def test_approach_keeps_approaching_a_centered_track():
     assert out.yaw_rate_cmd == 0.0
 
 
+@pytest.mark.parametrize("phase", [Phase.ALIGN, Phase.APPROACH])
+def test_a_coasting_target_track_is_neither_ranged_nor_refreshed(phase):
+    # A coasting track's extrapolated center drifts: the engaged phases
+    # keep their estimate, heading and range and never range the track,
+    # even at a range that would read as a jump.
+    ms = _engaged(phase, 0.0, track_id=1, claim_estimate=(55.0, 20.0, 4.0),
+                  estimate=(55.0, 20.0, 4.0), range=5.0)
+    ranged = []
+    ctx, released = _ctx(ranges={1: 50.0})
+    ctx = ctx._replace(range_of=lambda track: ranged.append(track.id) or 50.0)
+    track = _track(track_id=1, cx=200.0)   # off-center: align keeps yawing
+    track.misses = 1
+    out = step_mission(ms, [track], UavState(position=(50.0, 20.0, 4.0)), 1.0, ctx)
+    assert out.state.phase is phase and released == [] and ranged == []
+    tg = out.state.target
+    assert (tg.estimate, tg.heading, tg.range) == ((55.0, 20.0, 4.0), 0.0, 5.0)
+
+
 def test_refresh_target_changes_only_estimate_heading_and_range():
     # Every field of both records off its default, so a field the
     # refresh failed to pass through would show.
@@ -524,7 +553,7 @@ def test_refresh_target_changes_only_estimate_heading_and_range():
     want = ms._replace(target=tg._replace(
         estimate=est, heading=math.atan2(est[1] - 20.0, est[0] - 50.0), range=5.0,
     ))
-    assert _refresh_target(ms, track, uav, _ctx(ranges={1: 5.0})[0]) == want
+    assert _refresh_target(ms, track, 5.0, uav, _ctx(ranges={1: 5.0})[0]) == want
 
 
 def test_confirm_retry_reclaims_and_counts_the_retry():

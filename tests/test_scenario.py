@@ -389,6 +389,22 @@ def test_default_scenario_helper():
     assert s.seed == 5 and s.balloons.count == 5
 
 
+@pytest.mark.parametrize("line, key, message", [
+    pytest.param("vehicle.v_max = 1e400", "vehicle.v_max", "must be finite",
+                 id="overflowing-float"),
+    pytest.param("arena.effective_extent = 90, 30", "arena.effective_extent",
+                 "expected 3 numbers, got 2", id="two-number-vector"),
+    pytest.param("fleet.failures = 1 0.5", "fleet.failures",
+                 "expected agent:time, got '1 0.5'", id="failure-without-colon"),
+])
+def test_malformed_values_are_rejected_naming_key(line, key, message):
+    # An overflowing float, a short vector and a failure with no time.
+    with pytest.raises(ParseError) as err:
+        parse_scenario_text(f"agents.count = 2\n{line}\n")
+    assert err.value.key == key
+    assert message in str(err.value)
+
+
 @pytest.mark.parametrize(
     "line", ["camera.mount = forward", "mission.yaw_mode = horizontal_offset"]
 )

@@ -196,6 +196,31 @@ def test_failure_at_time_zero_flies_nothing():
     assert out.metrics.distance_flown[0] > 0.0
 
 
+def test_the_fleet_falling_to_one_agent_clears_its_hold_tables(monkeypatch):
+    # Two agents start 1 m apart, so agent 1 is held and agent 0 strips
+    # what closes on it, until agent 1 fails at t = 0.5.  From then on the
+    # survivor flies alone: no hold and no strip toward where the dead
+    # agent stood.
+    act = bhsim.sim._act
+    tables = {1: [], 2: []}
+
+    def checked(run, agent, t, mstep):
+        tables[len(run.live)].append(bool(run.held or run.close_pairs))
+        act(run, agent, t, mstep)
+
+    monkeypatch.setattr(bhsim.sim, "_act", checked)
+    out = run_simulation(parse_scenario_text(
+        "agents.count = 2\n"
+        "agents.starts = 50, 20, 4; 51, 20, 4\n"
+        "fleet.failures = 1:0.5\n"
+        "sim.duration_limit = 60\n"
+    ))
+    assert [e["t"] for e in _failures(out)] == [0.5]
+    assert tables[2] and all(tables[2])
+    assert tables[1] and not any(tables[1])
+    assert out.metrics.balloons_popped == 2
+
+
 def test_failing_agent_abandons_its_claim_before_it_fails():
     # Fail the first agent to win a claim half a tick (20 Hz) after the
     # grant: the run is identical up to then, so the agent still holds it.

@@ -14,6 +14,7 @@ from oracles import (
     mat_scale,
     mat_sub,
     mat_vec,
+    solve_square,
     sym_eigenvalues,
     transpose,
 )
@@ -29,8 +30,7 @@ from bhsim.tracking import (
     TrackerParams,
     TrackState,
     TrackStatus,
-    _solve_square,
-    _tall_margin,
+    _solve_rect,
     assignment_cost,
     kf_predict,
     kf_update,
@@ -288,24 +288,29 @@ def test_solve_assignment_rejects_non_finite_cost(cost):
         solve_assignment(_matrix(cost), gate=80.0)
 
 
+def _gated_pairs(rows, pairs, gate):
+    """``(matches, unmatched tracks, unmatched detections)`` of full
+    ``(track, detection)`` pairs, each kept only at cost <= ``gate``."""
+    matches = tuple((i, j) for i, j in pairs if rows[i][j] <= gate)
+    return (
+        matches,
+        tuple(i for i in range(len(rows)) if i not in {m[0] for m in matches}),
+        tuple(j for j in range(len(rows[0])) if j not in {m[1] for m in matches}),
+    )
+
+
 def ref_padded_assignment(rows, gate):
-    """The general path of ``solve_assignment``: ``_solve_square`` on the
-    sentinel-padded matrix, padded pairs dropped, then gated."""
+    """The padded reference: ``solve_square`` on the matrix padded square
+    with the sentinel ``S = max + 1e6``, padded pairs dropped, then
+    gated."""
     n_tracks, n_dets = len(rows), len(rows[0])
     n = max(n_tracks, n_dets)
     sentinel = max(map(max, rows)) + 1.0e6
     padded = [row + [sentinel] * (n - n_dets) for row in rows]
     padded += [[sentinel] * n for _ in range(n - n_tracks)]
-    assign = _solve_square(padded, n)
-    matches = tuple(
-        (i, assign[i]) for i in range(n_tracks)
-        if assign[i] < n_dets and rows[i][assign[i]] <= gate
-    )
-    return (
-        matches,
-        tuple(i for i in range(n_tracks) if i not in {m[0] for m in matches}),
-        tuple(j for j in range(n_dets) if j not in {m[1] for m in matches}),
-    )
+    assign = solve_square(padded, n)
+    return _gated_pairs(
+        rows, [(i, j) for i, j in enumerate(assign[:n_tracks]) if j < n_dets], gate)
 
 
 def test_one_row_and_one_column_equal_the_padded_solver_pair_for_pair():
@@ -351,15 +356,15 @@ def test_long_row_and_column_equal_the_padded_solver_pair_for_pair(n_tracks, n_d
     assert {0.0, 3.0, 5.0} <= set(floors)
 
 
-def _count_padded_solves(monkeypatch) -> list[int]:
-    """Count the calls ``solve_assignment`` makes to the padded solver."""
+def _count_searches(monkeypatch) -> list[int]:
+    """Count the calls ``solve_assignment`` makes to the full search."""
     calls = [0]
 
-    def counted(cost, n):
+    def counted(cost, n, m):
         calls[0] += 1
-        return _solve_square(cost, n)
+        return _solve_rect(cost, n, m)
 
-    monkeypatch.setattr(tracking, "_solve_square", counted)
+    monkeypatch.setattr(tracking, "_solve_rect", counted)
     return calls
 
 
@@ -373,8 +378,8 @@ def test_wide_rule_equals_the_padded_solver_pair_for_pair(monkeypatch):
     # small set of integer costs with -0.0 beside 0.0, so ties are
     # common.  Half the matrices plant a distinct cheap column per row,
     # which the first-minimum rule then often answers; ties with an
-    # earlier column still send some of those to the padded solve.
-    calls = _count_padded_solves(monkeypatch)
+    # earlier column still send some of those to the full search.
+    calls = _count_searches(monkeypatch)
     rng = random.Random(23)
     gate = 3.0
     answered = total = 0
@@ -390,11 +395,15 @@ def test_wide_rule_equals_the_padded_solver_pair_for_pair(monkeypatch):
                 assert _assignment(rows, gate) == ref_padded_assignment(rows, gate)
                 total += 1
                 answered += calls[0] == before
-    print(f"wide rule: {answered} answered, {total - answered} fell back")
+    print(f"wide rule: {answered} answered, {total - answered} searched")
     assert min(answered, total - answered) > 0.2 * total
 
 
-# gap multiples of the margin, below, at and above it
+def _total(rows, matches) -> float:
+    return math.fsum(rows[i][j] for i, j in matches)
+
+
+# gap multiples of the padded solve's margin, below, at and above it
 _GAP_STEPS = (0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0, 10.0, 100.0)
 
 
@@ -405,42 +414,57 @@ _GAP_STEPS = (0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0, 10.0, 100.0)
 def test_tall_rule_equals_the_padded_solver_pair_for_pair(
         monkeypatch, n_tracks, n_dets, trials):
     # Each column's minimum is planted on its own row, undercutting the
-    # rest of the column by a gap swept from 0 to 100 margins.  Every
-    # matrix the rule answers must be the padded solver's answer; the
-    # rule answers at 2 margins and more and never at half a margin.
-    # Costs lie in [1, 100] and the gate at 50, so some pairs are gated.
-    calls = _count_padded_solves(monkeypatch)
+    # rest of the column by a gap swept from 0 to 100 margins, where the
+    # margin ``16 n^2 ulp(S)`` bounds the padded solve's rounding with n
+    # tracks and sentinel S.  A tall matrix is its transpose's wide
+    # one: the first-minimum rule answers the planted matrices with a
+    # gap and the search the tied ones, each as ``_solve_rect`` on the
+    # transpose.  The answer is never costlier than the padded one, is
+    # the padded one at 2 margins and more, and is a true minimum where
+    # brute force can tell.  Costs lie in [1, 100] and the gate at 50,
+    # so some pairs are gated.
+    calls = _count_searches(monkeypatch)
     rng = random.Random(n_tracks * 1000 + n_dets)
     gate = 50.0
-    answered = fell_back = 0
+    answered = searched = 0
     for _ in range(trials):
         for step in _GAP_STEPS:
             rows = [[rng.uniform(1.0, 100.0) for _ in range(n_dets)]
                     for _ in range(n_tracks)]
-            eps = _tall_margin(n_tracks, max(map(max, rows)) + 1.0e6)
+            eps = 16 * n_tracks * n_tracks * math.ulp(max(map(max, rows)) + 1.0e6)
             for j, i in enumerate(rng.sample(range(n_tracks), n_dets)):
                 rest = min(row[j] for k, row in enumerate(rows) if k != i)
                 rows[i][j] = rest - step * eps
             before = calls[0]
-            assert _assignment(rows, gate) == ref_padded_assignment(rows, gate), step
+            got = _assignment(rows, gate)
             if calls[0] == before:
                 answered += 1
-                assert step > 0.5
             else:
-                fell_back += 1
-                assert step < 2.0
-    print(f"tall rule {n_tracks}x{n_dets}: {answered} answered, {fell_back} fell back")
-    assert answered and fell_back
+                assert step == 0.0
+                searched += 1
+            pairs = sorted((i, j) for j, i in enumerate(
+                _solve_rect(transpose(rows), n_dets, n_tracks)))
+            assert got == _gated_pairs(rows, pairs, gate), step
+            padded = ref_padded_assignment(rows, math.inf)[0]
+            assert _total(rows, pairs) <= _total(rows, padded), step
+            if step >= 2.0:
+                assert got == _gated_pairs(rows, padded, gate), step
+            if n_tracks <= 8:
+                assert _total(rows, pairs) == brute_force_min_cost(rows), step
+    print(f"tall {n_tracks}x{n_dets}: {answered} answered, {searched} searched")
+    # One column is one row of its transpose, which the rule always answers.
+    assert answered and (searched or n_dets == 1)
 
 
-def test_one_column_near_tie_equals_the_padded_solver():
-    # The padded solve compares S - c across rows, and S - c rounds away
-    # differences below ulp(S): it keeps row 0 here although row 1 is
-    # cheaper by 1e-12.  The first minimal entry would answer row 1.
-    for rows in ([[1.0 + 1e-12], [1.0]], [[5.0], [1.0 + 1e-12], [1.0]],
-                 [[1.0 + 3e-11], [1.0]]):
-        assert _assignment(rows, 80.0) == ref_padded_assignment(rows, 80.0)
-    assert _assignment([[1.0 + 1e-12], [1.0]], 80.0)[0] == ((0, 0),)
+def test_one_column_near_tie_goes_to_the_cheaper_row():
+    # One column is one row of its transpose, read exactly: the cheaper
+    # row wins however small the difference.  The padded solve compared
+    # S - c across rows, which rounds away differences below ulp(S), and
+    # kept the costlier row in the first three.
+    for rows, row in (([[1.0 + 1e-12], [1.0]], 1), ([[5.0], [1.0 + 1e-12], [1.0]], 2),
+                      ([[1.0 + 3e-11], [1.0]], 1), ([[1.0], [1.0 + 1e-12]], 0)):
+        assert _assignment(rows, 80.0)[0] == ((row, 0),)
+    assert ref_padded_assignment([[1.0 + 1e-12], [1.0]], 80.0)[0] == ((0, 0),)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
