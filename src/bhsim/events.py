@@ -5,35 +5,37 @@ One record per line, each line ending in a newline.  A line is
 sorted at both levels, no spaces, floats in Python's shortest
 round-trip form (``float.__repr__``), ``null`` for None.  ``emit_line``
 is that canonical form, and ``serialize_events`` and ``write_event_log``
-print any iterable of record dicts with it.  Logs from identical runs
-are therefore byte-identical and trivially diffable.  Records are
-totally ordered by the ``seq`` counter (ties in time keep emission
-order).
+print any iterable of record dicts with it.  No log holds NaN or
+Infinity: where ``json.dumps`` would print one, ``emit_line`` raises
+``NumericalFailure``, so no writer prints such a line.  Logs from
+identical runs are therefore byte-identical and trivially diffable.
+Records are totally ordered by the ``seq`` counter (ties in time keep
+emission order).
 
 A run's ``EventLog`` keeps each record emitted to it as one fixed-width
 row of ``ROW`` in a single byte buffer, and ``seq`` is the row's index.
 A row holds the record's form, ``t``, ``agent``, the five floats of a
 detection and one int: a detection's truth id, a track's id, or, for
 every other kind, the index of the record's finished line from
-``finite_line`` in the log's list of lines.  A false alarm (truth None)
+``emit_line`` in the log's list of lines.  A false alarm (truth None)
 has a form of its own, so no id value stands for None.  Floats are
-stored as doubles and read back exactly.  A record with an int the row
-cannot hold is kept as a finished line.  ``compact_lines`` prints the
-two usual kinds (97% of all records) straight from their rows with
+stored as doubles and read back exactly; every id a run hands the log
+is far inside the row's int64.  ``compact_lines`` prints the two usual
+kinds (97% of all records) straight from their rows with
 ``detection_line`` and ``track_line``, one f-string each; they trust
 their input (finite ``float`` and ``int`` fields, a track event one of
 the four lifecycle names) and print exactly what ``emit_line`` prints
 for the record ``make_event`` would build.  ``EventLog.view`` reads the
 rows as those dicts, a fresh one on each read.  A log given a file
 instead writes its rows at the end of each tick that leaves
-``LOG_CHUNK_RECORDS`` or more pending, and its view is empty.  No log
-holds NaN or Infinity: emitting a record with a non-finite float raises
-``NumericalFailure``, detections checked by their summed floats first.
+``LOG_CHUNK_RECORDS`` or more pending, and its view is empty.  Emitting
+a record with a non-finite float raises ``NumericalFailure``,
+detections checked by their summed floats first, and leaves the log as
+it was.
 """
 
 import json
 import math
-import os
 import struct
 from collections.abc import Sequence
 from itertools import count, repeat
@@ -72,24 +74,19 @@ def make_event(
     }
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_encode_finite = json.JSONEncoder(
+_encode = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), allow_nan=False
 ).encode
 
 
 def emit_line(event: dict) -> str:
-    return _encode(event)
-
-
-def finite_line(event: dict) -> str:
-    """``emit_line(event)``, or ``NumericalFailure`` where that would
-    print NaN or Infinity."""
+    """The canonical line of ``event``, or ``NumericalFailure`` where
+    ``json.dumps`` would print NaN or Infinity."""
     try:
-        return _encode_finite(event)
+        return _encode(event)
     except ValueError as exc:
         raise NumericalFailure(
-            f"non-finite value in a {event['kind']} record"
+            f"non-finite value in a {event.get('kind')} record"
         ) from exc
 
 
@@ -142,12 +139,6 @@ def compact_lines(start: int, rows, lines: Sequence[str]) -> list[str]:
     return out
 
 
-def detection_data(
-    cx: float, cy: float, w: float, h: float, conf: float, truth: Optional[int]
-) -> dict:
-    return {"cx": cx, "cy": cy, "w": w, "h": h, "conf": conf, "truth": truth}
-
-
 def compact_event(seq: int, row: tuple, lines: Sequence[str]) -> dict:
     """The dict ``make_event`` builds for the unpacked row numbered
     ``seq``."""
@@ -157,10 +148,9 @@ def compact_event(seq: int, row: tuple, lines: Sequence[str]) -> dict:
     if form < DETECTION:
         data = {"event": TRACK_EVENTS[form], "track_id": n}
         return make_event(seq, t, agent, "track", data)
-    truth = n if form == DETECTION else None
-    return make_event(
-        seq, t, agent, "detection", detection_data(cx, cy, w, h, conf, truth)
-    )
+    data = {"cx": cx, "cy": cy, "w": w, "h": h, "conf": conf,
+            "truth": n if form == DETECTION else None}
+    return make_event(seq, t, agent, "detection", data)
 
 
 class EventView(Sequence):
@@ -213,7 +203,9 @@ class EventLog:
     """A run's records, numbered by ``seq`` in emission order.
 
     Each record is checked as it is emitted: one with a NaN or an
-    infinity raises ``NumericalFailure``, and the log is left as it was.
+    infinity raises ``NumericalFailure``, and one with an id outside the
+    row's int64 raises from ``ROW.pack``; either way the log is left as
+    it was.
     ``rows`` holds a ``ROW`` per record, ``lines`` the finished lines
     they point to.  Without a file the log keeps every record.  With
     one, it holds those not yet written, and ``write`` prints them.
@@ -233,7 +225,7 @@ class EventLog:
         return self.written + len(self.rows) // ROW.size
 
     def emit(self, t: float, agent: Optional[int], kind: str, data: dict) -> None:
-        line = finite_line(make_event(self.seq, t, agent, kind, data))
+        line = emit_line(make_event(self.seq, t, agent, kind, data))
         self.rows += _pack(LINE, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, len(self.lines))
         self.lines.append(line)
 
@@ -246,23 +238,16 @@ class EventLog:
         s = t + cx + cy + w + h + conf
         if s - s != 0.0:
             require_finite("detection", (t, cx, cy, w, h, conf))
-        try:
-            if truth is None:
-                self.rows += _pack(FALSE_ALARM, t, agent, cx, cy, w, h, conf, 0)
-            else:
-                self.rows += _pack(DETECTION, t, agent, cx, cy, w, h, conf, truth)
-        except struct.error:  # an int the row cannot hold
-            data = detection_data(cx, cy, w, h, conf, truth)
-            self.emit(t, agent, "detection", data)
+        if truth is None:
+            self.rows += _pack(FALSE_ALARM, t, agent, cx, cy, w, h, conf, 0)
+        else:
+            self.rows += _pack(DETECTION, t, agent, cx, cy, w, h, conf, truth)
 
     def track(self, t: float, agent: int, event: str, track_id: int) -> None:
         if t - t != 0.0:
             require_finite("track", (t,))
         form = _TRACK_FORMS[event]
-        try:
-            self.rows += _pack(form, t, agent, 0.0, 0.0, 0.0, 0.0, 0.0, track_id)
-        except struct.error:  # an int the row cannot hold
-            self.emit(t, agent, "track", {"event": event, "track_id": track_id})
+        self.rows += _pack(form, t, agent, 0.0, 0.0, 0.0, 0.0, 0.0, track_id)
 
     def end_tick(self) -> None:
         if self.file is not None and len(self.rows) >= LOG_CHUNK_RECORDS * ROW.size:
@@ -283,8 +268,27 @@ class EventLog:
         return EventView(self.rows, self.lines)
 
 
+def _finite_float(text: str) -> float:
+    """The float a JSON number or constant spells, unless it is NaN or
+    infinite (``NaN``, ``Infinity``, or a literal such as ``1e400``)."""
+    x = float(text)
+    if x - x != 0.0:
+        raise ValueError(f"non-finite number {text} in an event log line")
+    return x
+
+
+_decode = json.JSONDecoder(
+    parse_float=_finite_float, parse_constant=_finite_float
+).decode
+
+
 def parse_line(line: str) -> dict:
-    event = json.loads(line)
+    """The record of one log line; ``ValueError`` for a line that is not
+    a JSON object of this schema version, or that holds NaN or
+    Infinity."""
+    event = _decode(line)
+    if not isinstance(event, dict):
+        raise ValueError(f"event log line is not a JSON object: {line!r}")
     if event.get("v") != SCHEMA_VERSION:
         raise ValueError(f"unsupported event schema version {event.get('v')!r}")
     return event
@@ -294,14 +298,9 @@ def serialize_events(events: Iterable[dict]) -> bytes:
     return "".join([emit_line(e) + "\n" for e in events]).encode("utf-8")
 
 
-def write_event_log(dest: str | Path | BinaryIO, events: Iterable[dict]) -> None:
-    """Write ``events`` as log lines: replace the file at a path, or
-    append to an open binary file."""
-    data = serialize_events(events)
-    if isinstance(dest, (str, os.PathLike)):
-        Path(dest).write_bytes(data)
-    else:
-        dest.write(data)
+def write_event_log(path: str | Path, events: Iterable[dict]) -> None:
+    """Replace the file at ``path`` with ``events`` as log lines."""
+    Path(path).write_bytes(serialize_events(events))
 
 
 def read_event_log(path: str | Path) -> list[dict]:

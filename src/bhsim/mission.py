@@ -37,12 +37,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .fleet import ClaimResult, point_in_cell, polygon_area
-from .guidance import (
-    PixelTarget,
-    desired_yaw,
-    velocity_command_camera,
-    yaw_rate_command,
-)
+from .guidance import desired_yaw, velocity_command_camera, yaw_rate_command
 from .tracking import TrackState, TrackStatus
 from .vehicle import UavState, camera_to_world, wrap_angle
 
@@ -458,17 +453,14 @@ def _back_to_search(
 ) -> MissionState:
     """Release the claim for ``release_reason`` (None: it is already
     released), drop the target and resume at the nearest unvisited
-    waypoint."""
+    waypoint.  There always is one: ``_step_search`` never leaves every
+    waypoint visited, and no other phase changes ``visited``."""
     if release_reason is not None:
         ctx.release(ms.target.claim_id, release_reason, t)
-    visited = ms.visited
-    idx = _nearest_unvisited(ms.path, visited, uav.position)
-    if idx is None:
-        visited = tuple(False for _ in ms.path)
-        idx = _nearest_unvisited(ms.path, visited, uav.position) or 0
+    idx = _nearest_unvisited(ms.path, ms.visited, uav.position)
     return _enter(
         ms, Phase.SEARCH, t, events, detail,
-        wp_index=idx, wp_started_at=t, visited=visited, target=None,
+        wp_index=idx, wp_started_at=t, target=None,
     )
 
 
@@ -513,7 +505,7 @@ def _yaw_cmd_toward(
 def _yaw_cmd_offset_law(
     track: TrackState, uav: UavState, ctx: MissionContext
 ) -> float:
-    offset = desired_yaw(PixelTarget(track.x[0], track.x[1], ctx.focal_px))
+    offset = desired_yaw(track.x[0], ctx.focal_px)
     if offset is None:
         return 0.0
     return _yaw_cmd_toward(wrap_angle(uav.yaw + offset), uav, ctx)
@@ -684,8 +676,8 @@ def _step_approach(ms, tracks, uav, t, ctx, events):
     elif t - tg.approach_best[1] > mp.approach_stall_timeout:
         return _lost_target(ms, uav, t, ctx, events)
 
-    target = PixelTarget(track.x[0], track.x[1], ctx.focal_px)
-    vel = camera_to_world(velocity_command_camera(target, mp.v_approach), uav.yaw)
+    cmd = velocity_command_camera(track.x[0], track.x[1], ctx.focal_px, mp.v_approach)
+    vel = camera_to_world(cmd, uav.yaw)
     return ms, vel, _yaw_cmd_offset_law(track, uav, ctx)
 
 

@@ -14,7 +14,7 @@ from oracles import brute_force_min_cost
 
 from bhsim.events import serialize_events
 from bhsim.fleet import point_in_cell
-from bhsim.guidance import PixelTarget, velocity_command_camera
+from bhsim.guidance import velocity_command_camera
 from bhsim.mission import MissionParams, generate_search_path
 from bhsim.perception import (
     ZERO_NOISE,
@@ -88,7 +88,7 @@ def test_criterion_2_guidance_fidelity():
             py = rng.uniform(-2000, 2000)
             f = rng.uniform(1.0, 3000.0)
             speed = rng.uniform(0.05, 10.0)
-            cmd = velocity_command_camera(PixelTarget(px, py, f), speed)
+            cmd = velocity_command_camera(px, py, f, speed)
             norm = math.sqrt(px * px + py * py + f * f)
             expected = (speed * px / norm, speed * py / norm, speed * f / norm)
             assert abs(cmd[0] - expected[0]) < 1e-9
@@ -278,9 +278,13 @@ def test_criterion_7_fleet_properties():
                 d = e["data"]
                 if d["action"] == "grant":
                     est = tuple(d["estimate"])
-                    for other in live.values():
+                    ex, ey, ez = est
+                    # the distance as claim_target computes it
+                    for cx, cy, cz in live.values():
+                        dx, dy, dz = cx - ex, cy - ey, cz - ez
                         assert (
-                            math.dist(est, other) >= scenario.fleet.claim_radius
+                            math.sqrt(dx * dx + dy * dy + dz * dz)
+                            >= scenario.fleet.claim_radius
                         ), f"seed {seed}: overlapping claims at t={e['t']}"
                     live[d["claim_id"]] = est
                 elif d["action"] == "release":

@@ -2,20 +2,26 @@
 
 ``serialize_events`` prints any record dicts through ``emit_line``; every
 line it writes must equal ``json.dumps(record, sort_keys=True,
-separators=(",", ":"))``, NaN and Infinity included.  A run prints its
-``detection`` and ``track`` records with ``detection_line`` and
-``track_line``, which trust their input, and every other kind with
-``finite_line``; each must print ``emit_line``'s bytes for the record
-``make_event`` builds, and a run must never print a non-finite float: it
-raises ``NumericalFailure`` when it emits one, in memory or streamed.
-A run keeps its records as packed rows, built here through the run's
-own ``EventLog``, which writes them in chunks when it has a file, and
-``EventView`` reads them back as the dicts ``make_event`` builds.  The golden runs are checked in
-``test_golden.py``; this file covers hand-built records at the edges.
+separators=(",", ":"))``.  A record that holds NaN or Infinity has no
+such line: ``emit_line`` raises ``NumericalFailure``, so
+``serialize_events`` raises and ``write_event_log`` writes no file.  A
+run prints its ``detection`` and ``track`` records with
+``detection_line`` and ``track_line``, which trust their input, and
+every other kind with ``emit_line``; each must print ``emit_line``'s
+bytes for the record ``make_event`` builds, and a run must never print a
+non-finite float: it raises ``NumericalFailure`` when it emits one, in
+memory or streamed.  A run keeps its records as packed rows, built here
+through the run's own ``EventLog``, which writes them in chunks when it
+has a file; an id outside the row's int64 raises as it is emitted.
+``EventView`` reads the rows back as the dicts ``make_event`` builds.
+The golden runs are checked in ``test_golden.py``; this file covers
+hand-built records at the edges.
 """
 
 import io
 import json
+import math
+import struct
 import tracemalloc
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
@@ -144,13 +150,28 @@ def _edge_records():
     out.append(_with(_detection(), data=_renamed_w()))
     out.append(_with(_track(), data=[["event", "born"], ["track_id", 1]]))
     out.append(_with(_track(), data=None))
+    # a non-finite record without the key the error message names
+    out.append(_without(_detection(cx=NAN), "kind"))
     # every other kind goes straight to the canonical form
     for kind in events.EVENT_KINDS:
         out.append(make_event(10, 2.5, 2, kind, {"estimate": [0.5, -2.0, 1e22]}))
+        out.append(make_event(10, 2.5, 2, kind, {"estimate": [0.5, -INF, 1e22]}))
     return out
 
 
+def _holds_non_finite(x) -> bool:
+    if isinstance(x, float):
+        return not math.isfinite(x)
+    if isinstance(x, dict):
+        return any(map(_holds_non_finite, x.values()))
+    if isinstance(x, list):
+        return any(map(_holds_non_finite, x))
+    return False
+
+
 EDGE_RECORDS = _edge_records()
+FINITE_RECORDS = [e for e in EDGE_RECORDS if not _holds_non_finite(e)]
+NON_FINITE_RECORDS = [e for e in EDGE_RECORDS if _holds_non_finite(e)]
 
 
 def test_serialize_empty_log_is_empty():
@@ -158,24 +179,44 @@ def test_serialize_empty_log_is_empty():
 
 
 def test_writer_equals_json_dumps_on_each_edge_record():
-    for e in EDGE_RECORDS:
+    for e in FINITE_RECORDS:
         assert serialize_events([e]) == _canonical([e]), e
+    for e in NON_FINITE_RECORDS:
+        with pytest.raises(NumericalFailure, match="non-finite value"):
+            serialize_events([e])
 
 
 def test_writer_equals_json_dumps_on_all_edge_records_at_once():
-    assert serialize_events(EDGE_RECORDS) == _canonical(EDGE_RECORDS)
+    assert len(FINITE_RECORDS) > 250 and len(NON_FINITE_RECORDS) > 30
+    assert serialize_events(FINITE_RECORDS) == _canonical(FINITE_RECORDS)
+    with pytest.raises(NumericalFailure):
+        serialize_events(EDGE_RECORDS)
 
 
-def test_writer_prints_nan_and_infinity_as_json_dumps_does():
-    line = serialize_events([_detection(cx=NAN, cy=INF, w=-INF)])
-    assert b'"cx":NaN' in line and b'"cy":Infinity' in line and b'"w":-Infinity' in line
+def test_writer_refuses_nan_and_infinity(tmp_path):
+    # Each record is one json.dumps would print with NaN or Infinity in
+    # it; none is written, and a file already at the path is kept.
+    assert any("Float64(nan)" in repr(e) for e in NON_FINITE_RECORDS)
+    kept = tmp_path / "kept.jsonl"
+    kept.write_bytes(b"kept\n")
+    for i, e in enumerate(NON_FINITE_RECORDS):
+        assert b"NaN" in _canonical([e]) or b"Infinity" in _canonical([e]), e
+        path = tmp_path / f"{i}.jsonl"
+        with pytest.raises(NumericalFailure, match="non-finite value"):
+            events.write_event_log(path, FINITE_RECORDS[:2] + [e])
+        assert not path.exists(), e
+        with pytest.raises(NumericalFailure):
+            events.write_event_log(kept, [e])
+    assert kept.read_bytes() == b"kept\n"
 
 
 def test_writer_does_not_change_the_records():
-    records = [_detection(), _track(), _detection(cx=NAN)]
-    records.append(_with(_detection(), data=_renamed_w()))
+    records = [_detection(), _track(), _with(_detection(), data=_renamed_w())]
+    records.append(_detection(cx=NAN))
     before = json.dumps(records, sort_keys=True)
-    serialize_events(records)
+    serialize_events(records[:-1])
+    with pytest.raises(NumericalFailure):
+        serialize_events(records)
     assert json.dumps(records, sort_keys=True) == before
 
 
@@ -187,17 +228,12 @@ def test_writer_rejects_what_json_rejects(bad):
         serialize_events([_track(track_id=bad)])
 
 
-def test_write_event_log_appends_to_a_file_and_replaces_a_path(tmp_path):
-    # Chunks appended to an open file add up to the whole log; a path is
-    # replaced, as str or Path.
+def test_write_event_log_replaces_a_path_given_as_str_or_path(tmp_path):
     path = tmp_path / "events.jsonl"
-    with open(path, "wb") as fh:
-        for i in range(0, len(EDGE_RECORDS), 3):
-            events.write_event_log(fh, EDGE_RECORDS[i:i + 3])
-        events.write_event_log(fh, [])
-    assert path.read_bytes() == _canonical(EDGE_RECORDS)
-    events.write_event_log(str(path), EDGE_RECORDS[:2])
-    assert path.read_bytes() == _canonical(EDGE_RECORDS[:2])
+    events.write_event_log(path, FINITE_RECORDS)
+    assert path.read_bytes() == _canonical(FINITE_RECORDS)
+    events.write_event_log(str(path), FINITE_RECORDS[:2])
+    assert path.read_bytes() == _canonical(FINITE_RECORDS[:2])
     events.write_event_log(path, [])
     assert path.read_bytes() == b""
 
@@ -207,6 +243,10 @@ FORMATTER_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                     1e-7, 1e16, 1e22, -1e22, 0.1, 1 / 3, 9007199254740993.0,
                     1.7976931348623157e308)
 FORMATTER_INTS = (0, 1, 7, 2**31, 2**63, 2**64 + 1, 10**40)
+# The ints a row holds, to the edges of its int64.
+ROW_INTS = (0, 1, 7, 2**31, 2**63 - 1, -1, -7, -(2**31), -(2**63))
+# Ints just outside it and far outside.
+WIDE_INTS = (2**63, -(2**63) - 1, 2**64 + 1, 10**40, -(10**40))
 TRACK_EVENTS = ("born", "confirmed", "coasted", "died")
 
 
@@ -238,15 +278,17 @@ def test_track_line_equals_emit_line_at_edge_values():
         assert events.track_line(**c) == emit_line(record), c
 
 
-def test_finite_line_is_emit_line_or_a_numerical_failure():
+def test_emit_line_is_json_dumps_or_a_numerical_failure():
     for kind in events.EVENT_KINDS:
         e = make_event(10, 2.5, 2, kind, {"estimate": [0.5, -2.0, 1e22]})
-        assert events.finite_line(e) == emit_line(e)
-        for x in NON_FINITE:
+        assert emit_line(e) == _canonical([e]).decode()[:-1]
+        for x in NON_FINITE + (Float64(NAN),):
             with pytest.raises(NumericalFailure, match=f"in a {kind} record"):
-                events.finite_line(make_event(10, 2.5, 2, kind, {"estimate": [0.5, x]}))
+                emit_line(make_event(10, 2.5, 2, kind, {"estimate": [0.5, x]}))
     with pytest.raises(NumericalFailure):
-        events.finite_line(make_event(10, NAN, 2, "phase", {}))
+        emit_line(make_event(10, NAN, 2, "phase", {}))
+    with pytest.raises(NumericalFailure, match="non-finite value"):
+        emit_line({"t": INF})
 
 
 @pytest.mark.parametrize("streamed", [False, True])
@@ -285,18 +327,17 @@ COMPACT_RECORDS = (
     ("detection", (0.0, 1, 1e22, -0.0, 5e-324, 0.1, 1 / 3, None)),
     ("emit", (0.05, None, "phase", {"from": "search", "to": "align", "track_id": 1})),
     ("track", (0.05, 0, "born", 4)),
-    ("track", (0.05, 2, "died", 2**63)),
-    ("detection", (0.1, 1, 1.5, 2.5, 3.5, 4.5, 0.5, 2**63)),
-    ("detection", (0.1, 2, 1.5, 2.5, 3.5, 4.5, 0.5, -(2**63) - 1)),
+    ("track", (0.05, 2, "died", 2**63 - 1)),
+    ("detection", (0.1, 1, 1.5, 2.5, 3.5, 4.5, 0.5, 2**63 - 1)),
+    ("detection", (0.1, 2, 1.5, 2.5, 3.5, 4.5, 0.5, -(2**63))),
     ("detection", (0.1, 0, 1.5, 2.5, 3.5, 4.5, 0.5, -(2**63))),
     ("track", (0.1, 1, "coasted", 2**63 - 1)),
     ("track", (0.15, 0, "confirmed", 0)),
     ("detection", (0.15, 0, -1e-7, 1e16, 2.2250738585072014e-308, 1.0, 1.0, 0)),
     ("emit", (0.15, 1, "claim", {"action": "grant", "estimate": [0.5, -2.0, 1e22]})),
 )
-# The seqs of the records above whose ints the row cannot hold, kept as
-# their finished lines as the two ``emit`` records are.
-LINE_SEQS = {2, 4, 5, 6, 11}
+# The seqs of the two ``emit`` records above, kept as finished lines.
+LINE_SEQS = {2, 11}
 
 
 def _compact_log():
@@ -320,12 +361,31 @@ def _compact_log():
     return log, dicts
 
 
-def test_a_log_keeps_one_row_per_record_and_wide_ints_as_lines():
+def test_a_log_keeps_one_row_per_record_and_rare_kinds_as_lines():
     log, dicts = _compact_log()
     assert log.seq == len(dicts) and len(log.rows) == len(dicts) * events.ROW.size
     forms = [row[0] for row in events.ROW.iter_unpack(log.rows)]
     assert {seq for seq, form in enumerate(forms) if form == events.LINE} == LINE_SEQS
     assert log.lines == [emit_line(dicts[seq]) for seq in sorted(LINE_SEQS)]
+
+
+def test_an_int_outside_int64_raises_as_it_is_emitted():
+    # Agent, truth and track ids come from the run, far inside int64; a
+    # wider one is refused before the row is appended.
+    log, _ = _compact_log()
+    rows, lines = bytes(log.rows), list(log.lines)
+    base = (1.35, 0, 12.5, -3.25, 40.0, 38.5, 0.912345, 3)
+    for n in WIDE_INTS:
+        for method, args in (
+            ("detection", base[:1] + (n,) + base[2:]),
+            ("detection", base[:7] + (n,)),
+            ("track", (1.35, n, "born", 4)),
+            ("track", (1.35, 1, "born", n)),
+        ):
+            with pytest.raises(struct.error):
+                getattr(log, method)(*args)
+            assert log.rows == rows and log.lines == lines, (method, args)
+    assert log.seq == len(COMPACT_RECORDS)
 
 
 def test_a_log_with_a_file_writes_its_records_once_a_tick_leaves_a_chunk():
@@ -369,15 +429,15 @@ def test_compact_lines_are_emit_lines_of_the_records_dicts():
 
 
 def test_a_logged_record_prints_its_emit_line_at_edge_values():
-    # Each edge value goes through a row (or, for an int the row cannot
-    # hold, a finished line) and back, in the log and in the view.
+    # Each edge value goes through a row and back, in the log and in the
+    # view.
     base = (1.35, 0, 12.5, -3.25, 40.0, 38.5, 0.912345, 3)
     cases = [("detection", base), ("detection", base[:7] + (None,))]
     for x in FORMATTER_FLOATS:
         cases += [("detection", base[:i] + (x,) + base[i + 1:])
                   for i in (0, 2, 3, 4, 5, 6)]
         cases.append(("track", (x, 1, "born", 4)))
-    for n in FORMATTER_INTS + tuple(-n for n in FORMATTER_INTS):
+    for n in ROW_INTS:
         cases += [("detection", base[:1] + (n,) + base[2:]),
                   ("detection", base[:7] + (n,))]
         cases += [("track", (1.35, n, "died", 4)), ("track", (1.35, 1, "died", n))]

@@ -3,13 +3,7 @@ import random
 
 import pytest
 
-from bhsim.guidance import (
-    PixelTarget,
-    desired_yaw,
-    los_unit_vector,
-    velocity_command_camera,
-    yaw_rate_command,
-)
+from bhsim.guidance import desired_yaw, velocity_command_camera, yaw_rate_command
 from bhsim.vehicle import camera_to_world
 from oracles import R_CAM_TO_BODY, allclose, mat_vec, ref_body_to_vehicle
 
@@ -21,18 +15,18 @@ def to_vehicle_frame(v_camera, yaw):
 
 
 def test_los_centered_target():
-    assert los_unit_vector(PixelTarget(0.0, 0.0, 600.0)) == pytest.approx((0, 0, 1))
+    assert velocity_command_camera(0.0, 0.0, 600.0, 1.0) == pytest.approx((0, 0, 1))
 
 
 def test_los_45_degree_symmetry():
-    out = los_unit_vector(PixelTarget(600.0, 0.0, 600.0))
+    out = velocity_command_camera(600.0, 0.0, 600.0, 1.0)
     s = 1 / math.sqrt(2)
     assert out == pytest.approx((s, 0.0, s), abs=1e-12)
 
 
 def test_los_3_4_12_13_quadruple():
     # Oracle: direct evaluation with the 3-4-12-13 Pythagorean quadruple.
-    out = los_unit_vector(PixelTarget(300.0, 400.0, 1200.0))
+    out = velocity_command_camera(300.0, 400.0, 1200.0, 1.0)
     assert out == pytest.approx((3 / 13, 4 / 13, 12 / 13), abs=1e-12)
     assert out == pytest.approx((0.230769, 0.307692, 0.923077), abs=1e-6)
 
@@ -42,7 +36,7 @@ def test_los_unit_norm():
     for _ in range(1000):
         px, py = rng.uniform(-2000, 2000), rng.uniform(-2000, 2000)
         f = rng.uniform(1.0, 3000.0)
-        out = los_unit_vector(PixelTarget(px, py, f))
+        out = velocity_command_camera(px, py, f, 1.0)
         assert math.sqrt(sum(c * c for c in out)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -52,18 +46,18 @@ def test_los_scale_invariance():
         px, py = rng.uniform(-500, 500), rng.uniform(-500, 500)
         f = rng.uniform(100.0, 2000.0)
         k = rng.uniform(0.01, 100.0)
-        a = los_unit_vector(PixelTarget(px, py, f))
-        b = los_unit_vector(PixelTarget(k * px, k * py, k * f))
+        a = velocity_command_camera(px, py, f, 1.0)
+        b = velocity_command_camera(k * px, k * py, k * f, 1.0)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_velocity_command_centered_forward_only():
-    out = velocity_command_camera(PixelTarget(0.0, 0.0, 600.0), 2.0)
+    out = velocity_command_camera(0.0, 0.0, 600.0, 2.0)
     assert out == pytest.approx((0.0, 0.0, 2.0), abs=1e-12)
 
 
 def test_velocity_command_derived_scaling():
-    out = velocity_command_camera(PixelTarget(300.0, 400.0, 1200.0), 1.3)
+    out = velocity_command_camera(300.0, 400.0, 1200.0, 1.3)
     assert out == pytest.approx((0.3, 0.4, 1.2), abs=1e-9)
 
 
@@ -73,13 +67,13 @@ def test_velocity_command_norm_equals_speed():
         px, py = rng.uniform(-1000, 1000), rng.uniform(-1000, 1000)
         f = rng.uniform(10.0, 2000.0)
         speed = rng.uniform(0.1, 5.0)
-        out = velocity_command_camera(PixelTarget(px, py, f), speed)
+        out = velocity_command_camera(px, py, f, speed)
         assert math.sqrt(sum(c * c for c in out)) == pytest.approx(speed, abs=1e-9)
 
 
 def test_desired_yaw_horizontal_offset_mode():
-    assert desired_yaw(PixelTarget(600.0, 0.0, 600.0)) == pytest.approx(math.pi / 4)
-    assert desired_yaw(PixelTarget(0.0, 120.0, 600.0)) is None
+    assert desired_yaw(600.0, 600.0) == pytest.approx(math.pi / 4)
+    assert desired_yaw(0.0, 600.0) is None
 
 
 def test_to_vehicle_frame_identity():
@@ -130,6 +124,6 @@ def test_yaw_rate_command_wraps_error():
 
 
 def test_guidance_is_memoryless():
-    t = PixelTarget(123.4, -56.7, 640.0)
-    assert velocity_command_camera(t, 1.5) == velocity_command_camera(t, 1.5)
-    assert los_unit_vector(t) == los_unit_vector(t)
+    t = (123.4, -56.7, 640.0)
+    assert velocity_command_camera(*t, 1.5) == velocity_command_camera(*t, 1.5)
+    assert velocity_command_camera(*t, 1.0) == velocity_command_camera(*t, 1.0)

@@ -373,6 +373,18 @@ def test_confirm_empty_fov_declares_pop_and_resumes_search():
     assert out.state.target is None
 
 
+def test_revisit_at_exactly_wp_tolerance_enters_confirm():
+    # The revisit point lies exactly wp_tolerance away (a 3-4-5 triangle,
+    # exact in floats), well before the revisit timeout: the agent has
+    # arrived.
+    ms = _engaged(Phase.REVISIT, 10.0, revisit_point=(3.0, 4.0, 3.0))
+    ctx, released = _ctx()
+    ctx = ctx._replace(params=MissionParams(wp_tolerance=5.0))
+    out = step_mission(ms, [], UavState(position=(0.0, 0.0, 3.0)), 11.0, ctx)
+    assert out.state.phase is Phase.CONFIRM
+    assert out.velocity_cmd == (0.0, 0.0, 0.0) and released == []
+
+
 def test_commit_heading_due_plus_x_is_zero_not_the_yaw():
     # The estimate lands exactly due +x of the agent, so the true bearing
     # is 0.0; a falsy-zero slip would store the yaw (0.2478) instead.

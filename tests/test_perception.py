@@ -107,6 +107,19 @@ def test_generate_detections_empty_when_behind():
     assert dets == []
 
 
+def test_a_balloon_at_depth_exactly_zero_is_not_detected():
+    # Due +y of a camera looking along +x: the depth is exactly 0.0, and
+    # the balloon is not in front of the camera.
+    world = make_world(
+        BalloonParams(tether_length=0.0, sway_amplitude=0.0),
+        [Balloon((10.0, 25.0, 4.0), 0.0, 1.0, 0.0)],
+    )
+    assert world.centers == ((10.0, 25.0, 4.0),)
+    dets = generate_detections(CAM, _pose(position=(10.0, 20.0, 4.0)), world,
+                               ZERO_NOISE, substream(0, "p"))
+    assert dets == []
+
+
 def test_generate_detections_zero_noise_size_oracle():
     # Oracle: small-angle width f * D / Z = 600 * 0.45 / 5 = 54 px.
     world = _still_world((5.0, 0.0, 3.0))

@@ -1,14 +1,14 @@
 """Records trust their values; the scenario parser checks them.
 
 ``Arena``, ``NoiseModel``, ``CameraIntrinsics``, ``Geofence`` and
-``Balloon`` are plain NamedTuples, and ``PixelTarget`` is a ``__slots__``
-class: none of them checks its fields.  ``build_scenario(values)`` is
-the checked constructor.  Each value a record would hold but a run must
-not is rejected there, with a ``ValidationError`` naming the key that
-would set it, whether the scenario is built from values or from a
-scenario file.  A ``Balloon`` carries no id (its number is its index in
-the world) and none of the balloon model every balloon of a run shares
-(``WorldState.params``): it holds its anchor and sway phase and plane.
+``Balloon`` are plain NamedTuples: none of them checks its fields.
+``build_scenario(values)`` is the checked constructor.  Each value a
+record would hold but a run must not is rejected there, with a
+``ValidationError`` naming the key that would set it, whether the
+scenario is built from values or from a scenario file.  A ``Balloon``
+carries no id (its number is its index in the world) and none of the
+balloon model every balloon of a run shares (``WorldState.params``): it
+holds its anchor and sway phase and plane.
 """
 
 import copy

@@ -584,6 +584,26 @@ def test_event_schema_version_checked():
         parse_line(json.dumps(bad))
 
 
+@pytest.mark.parametrize("line, what", [
+    ("[1]", "not a JSON object"),
+    ("1", "not a JSON object"),
+    ("null", "not a JSON object"),
+    ('"x"', "not a JSON object"),
+    ('{"v":1,"t":NaN}', "non-finite number NaN"),
+    ('{"v":1,"t":Infinity}', "non-finite number Infinity"),
+    ('{"v":1,"t":-Infinity}', "non-finite number -Infinity"),
+    ('{"v":1,"t":0.5,"data":{"estimate":[1e400]}}', "non-finite number 1e400"),
+])
+def test_a_line_that_is_not_a_finite_record_is_a_value_error(line, what, tmp_path):
+    with pytest.raises(ValueError, match=what):
+        parse_line(line)
+    path = tmp_path / "events.jsonl"
+    good = emit_line(make_event(0, 0.0, None, "pop", {}))
+    path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=what):
+        read_event_log(path)
+
+
 def test_event_log_file_round_trip(tmp_path):
     events = [
         make_event(i, i * 0.05, i % 2, "track", {"event": "born", "track_id": i})

@@ -387,6 +387,29 @@ def test_fleet3_replan_prunes_by_every_waypoint_reached_before_it(monkeypatch):
     assert at_replan == [reached]
 
 
+def test_every_mission_state_of_the_golden_runs_leaves_a_waypoint_unvisited(
+    monkeypatch,
+):
+    # ``mission._back_to_search`` resumes at the nearest unvisited
+    # waypoint and counts on there being one: every path is non-empty
+    # and ``_step_search`` resets ``visited`` before it fills.
+    from test_golden import GOLDEN, _scenario
+
+    step_mission, states = bhsim.sim.step_mission, 0
+
+    def checking(*args):
+        nonlocal states
+        out = step_mission(*args)
+        assert False in out.state.visited, (out.state.phase, args[3])
+        states += 1
+        return out
+
+    monkeypatch.setattr(bhsim.sim, "step_mission", checking)
+    for case in sorted(GOLDEN):
+        run_simulation(_scenario(case))
+    assert states > 0
+
+
 def test_mission_reaches_approach_and_pops_single_balloon():
     # One balloon dead ahead of the start: with zero noise the agent must
     # commit quickly and pop it well inside the time bounds.
