@@ -81,10 +81,14 @@ _encode = json.JSONEncoder(
 
 def emit_line(event: dict) -> str:
     """The canonical line of ``event``, or ``NumericalFailure`` where
-    ``json.dumps`` would print NaN or Infinity."""
+    ``json.dumps`` would print NaN or Infinity.  Any other ``ValueError``
+    of the encoder, such as a record that contains itself, propagates."""
     try:
         return _encode(event)
     except ValueError as exc:
+        # 3.12 and later append the value to the message
+        if not str(exc).startswith("Out of range float values"):
+            raise
         raise NumericalFailure(
             f"non-finite value in a {event.get('kind')} record"
         ) from exc

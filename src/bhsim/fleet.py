@@ -110,7 +110,7 @@ def voronoi_partition(
     return cells
 
 
-def point_in_cell(point: Vec2, polygon: Sequence[Vec2], margin: float = 0.0) -> bool:
+def point_in_cell(point: Vec2, polygon: Sequence[Vec2], margin: float) -> bool:
     """True if a point lies inside a convex CCW polygon, inflated by margin."""
     n = len(polygon)
     if n < 3:

@@ -35,8 +35,9 @@ MAX_TICKS = 36_000
 MAX_AGENTS = 16
 MAX_BALLOONS = 200
 # Expected false alarms per frame.  Each spawns a tentative track that
-# lives for up to tracker.k_delete frames, and the assignment solver is
-# cubic in the track count.  Far below 745, where exp(-rate) underflows.
+# lives for up to tracker.k_delete frames, and the assignment solve is
+# O(n^2 m) over the smaller side n of tracks and measurements.  Far
+# below 745, where exp(-rate) underflows.
 MAX_FALSE_ALARM_RATE = 5
 
 

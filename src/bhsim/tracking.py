@@ -21,16 +21,21 @@ with neither tracks nor measurements hands its tracker back unchanged.
 
 The filter is the box Kalman filter of SORT (Bewley et al. 2016), run
 decoupled (Bar-Shalom, Li & Kirubarajan 2001, ch. 6).  The process,
-measurement and prior covariances are diagonal, the measurement observes
-states 0-3 directly and the transition couples only cx with vcx and cy
-with vcy, so the covariance stays block-diagonal in {cx, vcx},
-{cy, vcy}, {w} and {h} forever.  The 6-state filter is therefore exactly
-two 2-state constant-velocity filters plus two scalar random walks,
-which run here in plain floats with no matrix inverse.  Their operations
-follow the order of the 6x6 matrix products (predict ``F P F^T + Q``,
-gain ``P H^T S^-1``, Joseph-form update, then symmetrisation), so the
-results are the same floats the full matrix form gives: the filter
-steps exactly one frame, so every product with the frame step is exact.
+measurement and prior covariances are diagonal module constants, the
+measurement observes states 0-3 directly and the transition couples only
+cx with vcx and cy with vcy, so the covariance stays block-diagonal in
+{cx, vcx}, {cy, vcy}, {w} and {h} forever.  The 6-state filter is
+therefore exactly two 2-state constant-velocity filters plus two scalar
+random walks, which run here in plain floats with no matrix inverse.
+Both axes start from the same prior and see the same noise, so the two
+center blocks are equal, as are the two size variances, whatever the
+measurements: a track keeps one of each.  Their operations follow the
+order of the 6x6 matrix products (predict ``F P F^T + Q``, gain
+``P H^T S^-1``, Joseph-form update, then symmetrisation), so the results
+are the same floats the full matrix form gives: the filter steps exactly
+one frame, so every product with the frame step is exact.  The
+innovation variance is a variance plus a positive measurement noise, so
+it is never zero.
 
 The tracker is a value, a ``Tracker`` NamedTuple, as are
 ``TrackerParams``, ``Assignment`` and ``CostMatrix``: ``step_tracker``
@@ -54,9 +59,8 @@ from typing import NamedTuple, Sequence
 
 
 class NumericalFailure(RuntimeError):
-    """A run met numbers it cannot work with: an innovation covariance
-    that is not invertible, a non-finite cost, or a non-finite value in
-    an event record (``events``)."""
+    """A run met numbers it cannot work with: a non-finite cost, or a
+    non-finite value in an event record (``events``)."""
 
 
 class TrackStatus(Enum):
@@ -74,51 +78,46 @@ class BoxMeasurement(NamedTuple):
 
 
 class TrackerParams(NamedTuple):
-    """Association gate, lifecycle counts and diagonal filter covariances."""
+    """Association gate and lifecycle counts."""
 
     gate_px: float = 80.0
     m_confirm: int = 3
     k_delete: int = 5
-    q_diag: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0, 0.5, 0.5)
-    r_diag: tuple[float, ...] = (4.0, 4.0, 8.0, 8.0)
-    p0_diag: tuple[float, ...] = (10.0, 10.0, 10.0, 10.0, 100.0, 100.0)
 
 
-# One symmetric 2x2 (center, velocity) covariance block as
-# (var center, cov center-velocity, var velocity).
-Block2 = tuple[float, float, float]
+# The diagonal filter covariances, the same on both image axes: process
+# noise Q, measurement noise R and the prior P0 of a new track.
+Q_CENTER, Q_SIZE, Q_VELOCITY = 1.0, 1.0, 0.5
+R_CENTER, R_SIZE = 4.0, 8.0
+P0_CENTER, P0_SIZE, P0_VELOCITY = 10.0, 10.0, 100.0
 
-
-_TRACK_FIELDS = (
-    "id", "x", "px", "py", "pw", "ph", "hits", "misses", "status",
-)
+_TRACK_FIELDS = ("id", "x", "pc", "ps", "hits", "misses", "status")
 _track_key = attrgetter(*_TRACK_FIELDS)
 _by_id = attrgetter("id")
 
 
 class TrackState:
-    """One track: filter state, covariance blocks and lifecycle counts.
+    """One track: filter state, covariance and lifecycle counts.
 
     ``x`` is ``(cx, cy, w, h, vcx, vcy)``.  The covariance is stored as
-    its nonzero blocks: ``px = (var cx, cov cx-vcx, var vcx)``, ``py``
-    the same for y, and the size variances ``pw`` and ``ph``.  A
-    coasting track keeps the box size it was last measured at.  Two
-    tracks are equal when all their fields are.
+    its nonzero blocks, which are the same on both axes: ``pc = (var c,
+    cov c-vc, var vc)`` for the (cx, vcx) and (cy, vcy) blocks, and
+    ``ps`` the variance of ``w`` and of ``h``.  A coasting track keeps
+    the box size it was last measured at.  Two tracks are equal when
+    all their fields are.
     """
 
     __slots__ = _TRACK_FIELDS
 
     def __init__(
         self, id: int, x: tuple[float, float, float, float, float, float],
-        px: Block2, py: Block2, pw: float, ph: float, hits: int = 0,
+        pc: tuple[float, float, float], ps: float, hits: int = 0,
         misses: int = 0, status: TrackStatus = TrackStatus.TENTATIVE,
     ) -> None:
         self.id = id
         self.x = x
-        self.px = px
-        self.py = py
-        self.pw = pw
-        self.ph = ph
+        self.pc = pc
+        self.ps = ps
         self.hits = hits
         self.misses = misses
         self.status = status
@@ -141,106 +140,65 @@ class Tracker(NamedTuple):
     params: TrackerParams = TrackerParams()
 
 
-def new_track(
-    track_id: int, z: BoxMeasurement, params: TrackerParams
-) -> TrackState:
+def new_track(track_id: int, z: BoxMeasurement) -> TrackState:
     """Seed a tentative track from an unmatched measurement.
 
     Velocities start at zero with large variance (unbiased prior).
     """
-    p0 = params.p0_diag
     return TrackState(
         track_id,
         (float(z.center_x), float(z.center_y), float(z.width), float(z.height),
          0.0, 0.0),
-        (float(p0[0]), 0.0, float(p0[4])),
-        (float(p0[1]), 0.0, float(p0[5])),
-        float(p0[2]), float(p0[3]),
-        hits=1, misses=0,
+        (P0_CENTER, 0.0, P0_VELOCITY), P0_SIZE, hits=1, misses=0,
     )
 
 
-def _predict_block(p: Block2, q_c: float, q_v: float) -> Block2:
-    """``F P F^T + Q`` for one (center, velocity) block, ``F = [[1, 1], [0, 1]]``."""
-    pcc, pcv, pvv = p
-    f0 = pcc + pcv
-    f1 = pcv + pvv
-    return (f0 + f1 + q_c, f1, pvv + q_v)
-
-
-def kf_predict(t: TrackState, params: TrackerParams = TrackerParams()) -> TrackState:
-    """One-frame constant-velocity prediction; sizes random-walk, so the
-    box keeps its size and only its size variances grow."""
+def kf_predict(t: TrackState) -> TrackState:
+    """One-frame constant-velocity prediction, ``F P F^T + Q`` with
+    ``F = [[1, 1], [0, 1]]`` on each center block; sizes random-walk, so
+    the box keeps its size and only its size variance grows."""
     cx, cy, w, h, vx, vy = t.x
-    q = params.q_diag
+    pcc, pcv, pvv = t.pc
+    f1 = pcv + pvv
     return TrackState(
         t.id,
         (cx + vx, cy + vy, w, h, vx, vy),
-        _predict_block(t.px, q[0], q[4]),
-        _predict_block(t.py, q[1], q[5]),
-        t.pw + q[2], t.ph + q[3], t.hits, t.misses, t.status,
+        ((pcc + pcv) + f1 + Q_CENTER, f1, pvv + Q_VELOCITY),
+        t.ps + Q_SIZE, t.hits, t.misses, t.status,
     )
 
 
-def _update_block(
-    c: float, v: float, p: Block2, z: float, r: float
-) -> tuple[float, float, Block2]:
-    """Joseph-form correction of one (center, velocity) block by ``z``.
+def kf_update(t: TrackState, z: BoxMeasurement) -> TrackState:
+    """Linear Kalman correction with the associated box measurement.
 
-    With gain ``(k0, k1)`` and ``A = I - K H = [[g, 0], [m, 1]]``, the
-    covariance is ``(A P) A^T + (K r) K^T``, then symmetrised.
+    Uses the Joseph-form covariance update to keep the covariance
+    symmetric positive semi-definite over long runs.  For a center
+    block, with gain ``(k0, k1)``, ``A = I - K H = [[g, 0], [m, 1]]`` and
+    ``r = R_CENTER``, it is ``(A P) A^T + (K r) K^T``, then symmetrised.
+    Both axes share the gain and the covariance, so each is worked out
+    once.  Hits increment, misses reset.
     """
-    pcc, pcv, pvv = p
-    s = pcc + r
-    if s == 0.0:
-        raise NumericalFailure("innovation covariance not invertible")
-    s_inv = 1.0 / s
+    cx, cy, w, h, vx, vy = t.x
+    pcc, pcv, pvv = t.pc
+    s_inv = 1.0 / (pcc + R_CENTER)
     k0, k1 = pcc * s_inv, pcv * s_inv
-    innovation = z - c
     g = 1.0 - k0
     m = 0.0 - k1    # as ``I - K H`` computes it: +0.0, not -0.0, when k1 is 0
     a00, a01 = g * pcc, g * pcv
     a10, a11 = m * pcc + pcv, m * pcv + pvv
-    kr0, kr1 = k0 * r, k1 * r
+    kr0, kr1 = k0 * R_CENTER, k1 * R_CENTER
     n01 = (a00 * m + a01) + kr0 * k1
     n10 = a10 * g + kr1 * k0
-    return (
-        c + k0 * innovation,
-        v + k1 * innovation,
-        (a00 * g + kr0 * k0, (n01 + n10) / 2.0, (a10 * m + a11) + kr1 * k1),
-    )
-
-
-def _update_scalar(s: float, p: float, z: float, r: float) -> tuple[float, float]:
-    """Joseph-form correction of one size random walk by ``z``."""
-    pr = p + r
-    if pr == 0.0:
-        raise NumericalFailure("innovation covariance not invertible")
-    k = p * (1.0 / pr)
-    g = 1.0 - k
-    return s + k * (z - s), (g * p) * g + (k * r) * k
-
-
-def kf_update(
-    t: TrackState, z: BoxMeasurement, params: TrackerParams = TrackerParams()
-) -> TrackState:
-    """Linear Kalman correction with the associated box measurement.
-
-    Uses the Joseph-form covariance update to keep the covariance
-    symmetric positive semi-definite over long runs.  Hits increment,
-    misses reset.
-
-    Raises:
-        NumericalFailure: if the innovation covariance cannot be inverted.
-    """
-    r = params.r_diag
-    cx, cy, w, h, vx, vy = t.x
-    cx, vx, px = _update_block(cx, vx, t.px, z.center_x, r[0])
-    cy, vy, py = _update_block(cy, vy, t.py, z.center_y, r[1])
-    w, pw = _update_scalar(w, t.pw, z.width, r[2])
-    h, ph = _update_scalar(h, t.ph, z.height, r[3])
+    ps = t.ps
+    k = ps * (1.0 / (ps + R_SIZE))
+    gs = 1.0 - k
+    ix, iy = z.center_x - cx, z.center_y - cy
     return TrackState(
-        t.id, (cx, cy, w, h, vx, vy), px, py, pw, ph, t.hits + 1, 0, t.status
+        t.id,
+        (cx + k0 * ix, cy + k0 * iy, w + k * (z.width - w), h + k * (z.height - h),
+         vx + k1 * ix, vy + k1 * iy),
+        (a00 * g + kr0 * k0, (n01 + n10) / 2.0, (a10 * m + a11) + kr1 * k1),
+        (gs * ps) * gs + (k * R_SIZE) * k, t.hits + 1, 0, t.status,
     )
 
 
@@ -393,7 +351,7 @@ def step_tracker(
     params = tracker.params
     if not measurements and not tracker.tracks:
         return tracker, []
-    predicted = [kf_predict(t, params) for t in tracker.tracks]
+    predicted = [kf_predict(t) for t in tracker.tracks]
     if measurements:
         cost = assignment_cost(predicted, measurements)
         assign = solve_assignment(cost, params.gate_px)
@@ -406,7 +364,7 @@ def step_tracker(
     # predict and update return fresh objects, so the lifecycle fields
     # are set on them in place; the input tracker is never touched.
     for ti, di in assign.matches:
-        t = kf_update(predicted[ti], measurements[di], params)
+        t = kf_update(predicted[ti], measurements[di])
         if t.status is TrackStatus.TENTATIVE and t.hits >= params.m_confirm:
             t.status = TrackStatus.CONFIRMED
             events.append(("confirmed", t.id))
@@ -424,7 +382,7 @@ def step_tracker(
 
     next_id = tracker.next_id
     for di in assign.unmatched_detections:
-        t = new_track(next_id, measurements[di], params)
+        t = new_track(next_id, measurements[di])
         next_id += 1
         events.append(("born", t.id))
         next_tracks.append(t)

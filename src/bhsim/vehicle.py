@@ -112,7 +112,7 @@ def step_uav(
     cmd_velocity: Vec3,
     cmd_yaw_rate: float,
     dt: float,
-    params: UavParams = UavParams(),
+    params: UavParams,
 ) -> UavState:
     """Advance the UAV one step under a velocity and yaw-rate command.
 

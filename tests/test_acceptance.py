@@ -29,7 +29,6 @@ from bhsim.sim import run_simulation, sweep
 from bhsim.tracking import (
     BoxMeasurement,
     Tracker,
-    TrackerParams,
     TrackStatus,
     CostMatrix,
     kf_predict,
@@ -103,10 +102,8 @@ def test_criterion_2_guidance_fidelity():
 def test_criterion_3_tracker_convergence_and_id_stability():
     """Zero-noise pixel-velocity convergence; single-balloon id stability."""
     with _criterion(3, "tracker-convergence"):
-        params = TrackerParams()
-
         # (a) constant pixel velocity, zero noise: < 1 px after 10 frames
-        tracker = Tracker(params=params)
+        tracker = Tracker()
         v = 2.0
         for frame in range(10):
             tracker, _ = step_tracker(
@@ -114,7 +111,7 @@ def test_criterion_3_tracker_convergence_and_id_stability():
             )
         track = tracker.tracks[0]
         assert track.status is TrackStatus.CONFIRMED
-        predicted = kf_predict(track, params)
+        predicted = kf_predict(track)
         assert abs(predicted.x[0] - v * 10) < 1.0
 
         # (b) id stability: 1 balloon, p_miss 0.2, 300 frames, 20 seeds
@@ -134,7 +131,7 @@ def test_criterion_3_tracker_convergence_and_id_stability():
             balloon = Balloon((15.0, 0.0, 2.0), 0.0, 1.0, 0.0)  # phase, cos, sin
             world = make_world(BalloonParams(), [balloon])
             rng = substream(seed, "id-stability")
-            tracker = Tracker(params=params)
+            tracker = Tracker()
             for frame in range(300):
                 world = advance_world(world, frame * 0.05)
                 dets = generate_detections(camera, pose, world, noise, rng)

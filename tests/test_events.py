@@ -291,6 +291,32 @@ def test_emit_line_is_json_dumps_or_a_numerical_failure():
         emit_line({"t": INF})
 
 
+@pytest.mark.parametrize("x", NON_FINITE)
+@pytest.mark.parametrize("suffix", [False, True], ids=["3.10-3.11", "3.12-3.13"])
+def test_each_encoder_message_for_a_non_finite_float_is_a_numerical_failure(
+        monkeypatch, x, suffix):
+    # The encoder's message as Python 3.10-3.11 words it and as 3.12-3.13
+    # do, with the value, whichever interpreter runs the test.
+    record = make_event(10, 2.5, 2, "phase", {"estimate": [x]})
+    message = "Out of range float values are not JSON compliant"
+    if suffix:
+        message += f": {x!r}"
+
+    def encode(event):
+        raise ValueError(message)
+
+    monkeypatch.setattr(events, "_encode", encode)
+    with pytest.raises(NumericalFailure, match="non-finite value in a phase record"):
+        emit_line(record)
+
+
+def test_a_record_that_contains_itself_raises_the_encoders_value_error():
+    record = make_event(10, 2.5, 2, "phase", {"from": "search"})
+    record["data"]["record"] = record
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        emit_line(record)
+
+
 @pytest.mark.parametrize("streamed", [False, True])
 def test_a_non_finite_record_raises_when_emitted(streamed, tmp_path):
     # On both of a run's paths, and for each way a record is emitted; the

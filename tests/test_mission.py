@@ -27,7 +27,7 @@ from bhsim.mission import (
 )
 from bhsim.perception import CameraIntrinsics
 from bhsim.scenario import ValidationError, build_scenario
-from bhsim.tracking import BoxMeasurement, TrackerParams, TrackStatus, new_track
+from bhsim.tracking import BoxMeasurement, TrackStatus, new_track
 from bhsim.vehicle import UavState
 from bhsim.world import Arena
 from oracles import allclose, mat_vec, project_point, ref_camera_to_world, should_commit
@@ -142,7 +142,7 @@ def test_search_path_on_triangle_cell_stays_inside():
 
 
 def _track(track_id=1, cx=0.0, cy=0.0, hits=3, status=TrackStatus.CONFIRMED):
-    t = new_track(track_id, BoxMeasurement(cx, cy, 30.0, 30.0), TrackerParams())
+    t = new_track(track_id, BoxMeasurement(cx, cy, 30.0, 30.0))
     t.hits = hits
     t.status = status
     return t

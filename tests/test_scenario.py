@@ -552,15 +552,12 @@ def _leaf_fields(config, prefix=""):
 
 
 def test_every_config_field_is_filled_by_exactly_one_key():
-    # A field no key fills is a knob no scenario can set.  The filter
-    # noise is the one exception: tests/test_tracking.py varies it to
-    # check the decoupled filter against the matrix form.
-    unkeyed = {"tracker.q_diag", "tracker.r_diag", "tracker.p0_diag"}
+    # A field no key fills is a knob no scenario can set, so there is
+    # none: the filter noise is made of constants in bhsim.tracking.
     filled = Counter(spec.field for spec in SCHEMA.values())
     leaves = set(_leaf_fields(Scenario()))
     assert [f for f, n in filled.items() if n > 1] == []
-    assert set(filled) <= leaves
-    assert leaves - set(filled) == unkeyed
+    assert set(filled) == leaves
 
 
 # --- event log ---------------------------------------------------------------

@@ -23,6 +23,14 @@ from test_golden import GOLDEN, _scenario
 from bhsim import tracking
 from bhsim.sim import run_simulation
 from bhsim.tracking import (
+    P0_CENTER,
+    P0_SIZE,
+    P0_VELOCITY,
+    Q_CENTER,
+    Q_SIZE,
+    Q_VELOCITY,
+    R_CENTER,
+    R_SIZE,
     BoxMeasurement,
     CostMatrix,
     NumericalFailure,
@@ -49,9 +57,10 @@ def _meas(cx=100.0, cy=50.0, w=30.0, h=30.0):
 def _P(t: TrackState) -> list[list[float]]:
     """The full 6x6 covariance assembled from a track's nonzero blocks."""
     P = [[0.0] * 6 for _ in range(6)]
-    for (i, j), (pcc, pcv, pvv) in (((0, 4), t.px), ((1, 5), t.py)):
+    pcc, pcv, pvv = t.pc
+    for i, j in ((0, 4), (1, 5)):
         P[i][i], P[i][j], P[j][i], P[j][j] = pcc, pcv, pcv, pvv
-    P[2][2], P[3][3] = t.pw, t.ph
+    P[2][2] = P[3][3] = t.ps
     return P
 
 
@@ -67,7 +76,11 @@ def _matrix(rows, width=None) -> CostMatrix:
 # Reference: the full 6x6 Kalman filter in matrix form, as the decoupled
 # float filter in bhsim.tracking must reproduce it, with its products in
 # the order the module docstring states: predict F P F^T + Q, gain
-# P H^T S^-1, Joseph-form update, then symmetrisation.
+# P H^T S^-1, Joseph-form update, then symmetrisation.  It runs at the
+# filter's constants and evolves the x and y blocks separately.
+_Q = diag([Q_CENTER, Q_CENTER, Q_SIZE, Q_SIZE, Q_VELOCITY, Q_VELOCITY])
+_R = diag([R_CENTER, R_CENTER, R_SIZE, R_SIZE])
+_P0 = diag([P0_CENTER, P0_CENTER, P0_SIZE, P0_SIZE, P0_VELOCITY, P0_VELOCITY])
 _H = identity(6)[:4]
 _I6 = identity(6)
 _F = identity(6)
@@ -78,21 +91,20 @@ def _symmetrised(P):
     return mat_scale(mat_add(P, transpose(P)), 0.5)
 
 
-def ref_predict(x, P, params):
+def ref_predict(x, P):
     x = mat_vec(_F, x)
-    P = mat_add(mat_mul(mat_mul(_F, P), transpose(_F)), diag(params.q_diag))
+    P = mat_add(mat_mul(mat_mul(_F, P), transpose(_F)), _Q)
     return x, _symmetrised(P)
 
 
-def ref_update(x, P, z, params):
-    R = diag(params.r_diag)
-    S = mat_add(mat_mul(mat_mul(_H, P), transpose(_H)), R)
+def ref_update(x, P, z):
+    S = mat_add(mat_mul(mat_mul(_H, P), transpose(_H)), _R)
     K = mat_mul(mat_mul(P, transpose(_H)), mat_inv(S))
     innovation = [a - b for a, b in zip((z.center_x, z.center_y, z.width, z.height), x[:4])]
     x = [a + b for a, b in zip(x, mat_vec(K, innovation))]
     I_KH = mat_sub(_I6, mat_mul(K, _H))
     P = mat_add(mat_mul(mat_mul(I_KH, P), transpose(I_KH)),
-                mat_mul(mat_mul(K, R), transpose(K)))
+                mat_mul(mat_mul(K, _R), transpose(K)))
     return x, _symmetrised(P)
 
 
@@ -100,22 +112,17 @@ def _filter_against_reference(n_tracks=200, n_cycles=40, seed=7):
     """Yield (track, reference x, reference P) after every predict/update."""
     rng = random.Random(seed)
     for tid in range(n_tracks):
-        params = PARAMS._replace(
-            q_diag=tuple(rng.uniform(0.01, 5.0) for _ in range(6)),
-            r_diag=tuple(rng.uniform(0.5, 20.0) for _ in range(4)),
-            p0_diag=tuple(rng.uniform(1.0, 200.0) for _ in range(6)),
-        )
         z = _meas(
             rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0),
             rng.uniform(5.0, 60.0), rng.uniform(5.0, 60.0),
         )
-        t = new_track(tid, z, params)
+        t = new_track(tid, z)
         x = [z.center_x, z.center_y, z.width, z.height, 0.0, 0.0]
-        P = diag(params.p0_diag)
+        P = _P0
         v = (rng.gauss(0.0, 3.0), rng.gauss(0.0, 3.0))
         for k in range(n_cycles):
-            t = kf_predict(t, params)
-            x, P = ref_predict(x, P, params)
+            t = kf_predict(t)
+            x, P = ref_predict(x, P)
             yield t, x, P
             if rng.random() < 0.8:
                 z = _meas(
@@ -124,15 +131,16 @@ def _filter_against_reference(n_tracks=200, n_cycles=40, seed=7):
                     x[2] + rng.gauss(0.0, 1.0),
                     x[3] + rng.gauss(0.0, 1.0),
                 )
-                t = kf_update(t, z, params)
-                x, P = ref_update(x, P, z, params)
+                t = kf_update(t, z)
+                x, P = ref_update(x, P, z)
                 yield t, x, P
 
 
 def test_decoupled_filter_equals_matrix_reference_exactly_at_unit_dt():
     # Oracle: the 6x6 matrix filter.  The filter steps one frame, so
     # every product with the frame step is exact and the float filter
-    # must give the very same floats.
+    # must give the very same floats.  The reference keeps the x and y
+    # blocks apart, so this also shows that they stay equal.
     steps = 0
     for t, x, P in _filter_against_reference():
         assert all(type(v) is float for v in t.x)
@@ -145,22 +153,22 @@ def test_decoupled_filter_equals_matrix_reference_exactly_at_unit_dt():
 # --- Kalman filter ----------------------------------------------------------
 
 def test_predict_zero_velocity_keeps_center_and_grows_covariance():
-    t = new_track(1, _meas(), PARAMS)
-    out = kf_predict(t, PARAMS)
+    t = new_track(1, _meas())
+    out = kf_predict(t)
     assert out.x[:4] == t.x[:4]
     assert sum(_P(out)[i][i] for i in range(6)) > sum(_P(t)[i][i] for i in range(6))
 
 
 def test_predict_shifts_center_by_velocity():
-    t = new_track(1, _meas(cx=10.0), PARAMS)
+    t = new_track(1, _meas(cx=10.0))
     t.x = (10.0, 50.0, 30.0, 30.0, 2.0, 0.0)
-    out = kf_predict(t, PARAMS)
+    out = kf_predict(t)
     assert out.x[0] == pytest.approx(12.0)
 
 
 def test_update_zero_innovation_keeps_mean():
-    t = new_track(1, _meas(), PARAMS)
-    out = kf_update(t, _meas(), PARAMS)
+    t = new_track(1, _meas())
+    out = kf_update(t, _meas())
     assert allclose(out.x[:4], t.x[:4], atol=1e-12)
     assert out.hits == t.hits + 1 and out.misses == 0
 
@@ -168,41 +176,34 @@ def test_update_zero_innovation_keeps_mean():
 def test_update_scalar_gain_half():
     # Oracle: hand-computed scalar Kalman update, prior var 4 and R 4
     # give gain 0.5, so the posterior mean lands halfway.
-    params = TrackerParams(r_diag=(4.0, 4.0, 8.0, 8.0))
-    t = new_track(1, _meas(cx=0.0), params)
-    t.px, t.py, t.pw, t.ph = (4.0, 0.0, 100.0), (4.0, 0.0, 100.0), 8.0, 8.0
+    assert R_CENTER == 4.0
+    t = new_track(1, _meas(cx=0.0))
+    t.pc, t.ps = (4.0, 0.0, 100.0), 8.0
     assert _P(t) == diag([4.0, 4.0, 8.0, 8.0, 100.0, 100.0])
-    out = kf_update(t, _meas(cx=10.0), params)
+    out = kf_update(t, _meas(cx=10.0))
     assert out.x[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_repeated_updates_converge_to_measurement():
     # Oracle: fixed-point iteration; within 0.1 px in at most 20 rounds.
-    t = new_track(1, _meas(cx=0.0, cy=0.0), PARAMS)
+    t = new_track(1, _meas(cx=0.0, cy=0.0))
     z = _meas(cx=40.0, cy=-25.0)
     for i in range(20):
-        t = kf_update(kf_predict(t, PARAMS), z, PARAMS)
+        t = kf_update(kf_predict(t), z)
         if abs(t.x[0] - 40.0) < 0.1 and abs(t.x[1] + 25.0) < 0.1:
             break
     assert abs(t.x[0] - 40.0) < 0.1
     assert abs(t.x[1] + 25.0) < 0.1
 
 
-def test_update_raises_on_singular_innovation():
-    bad = TrackerParams(r_diag=(0.0, 0.0, 0.0, 0.0), p0_diag=(0.0,) * 6)
-    t = new_track(1, _meas(), bad)
-    with pytest.raises(NumericalFailure):
-        kf_update(t, _meas(), bad)
-
-
 def test_covariance_stays_symmetric_psd_over_many_cycles():
-    t = new_track(1, _meas(), PARAMS)
+    t = new_track(1, _meas())
     rng = random.Random(0)
     for i in range(100_000):
-        t = kf_predict(t, PARAMS)
+        t = kf_predict(t)
         if i % 3:
             z = _meas(cx=100 + rng.gauss(0, 2), cy=50 + rng.gauss(0, 2))
-            t = kf_update(t, z, PARAMS)
+            t = kf_update(t, z)
         if i % 10_000 == 0:
             assert _asymmetry(_P(t)) < 1e-9
             assert min(sym_eigenvalues(_P(t))) > -1e-9
@@ -213,13 +214,13 @@ def test_covariance_stays_symmetric_psd_over_many_cycles():
 # --- assignment -------------------------------------------------------------
 
 def test_cost_matrix_345_triangle():
-    t = new_track(1, _meas(cx=0.0, cy=0.0), PARAMS)
+    t = new_track(1, _meas(cx=0.0, cy=0.0))
     cost = assignment_cost([t], [_meas(cx=3.0, cy=4.0)])
     assert cost.rows[0][0] == pytest.approx(5.0)
 
 
 def test_cost_matrix_shape_and_zero():
-    tracks = [new_track(i, _meas(cx=float(i)), PARAMS) for i in range(3)]
+    tracks = [new_track(i, _meas(cx=float(i))) for i in range(3)]
     dets = [_meas(cx=0.0), _meas(cx=1.0)]
     cost = assignment_cost(tracks, dets)
     assert cost.shape == (3, 2)
@@ -579,7 +580,7 @@ def test_zero_noise_constant_velocity_prediction_error():
     v = 2.0
     for frame in range(10):
         tracker, _ = step_tracker(tracker, [_meas(cx=v * frame, cy=0.0)])
-    predicted = kf_predict(tracker.tracks[0], PARAMS)
+    predicted = kf_predict(tracker.tracks[0])
     truth = v * 10
     assert abs(predicted.x[0] - truth) < 1.0
     assert tracker.tracks[0].status is TrackStatus.CONFIRMED
@@ -611,13 +612,13 @@ def _step_tracker_oracle(tracker, measurements):
     """``step_tracker`` as it was before frames with no measurements
     skipped the assignment: every frame is costed and solved."""
     params = tracker.params
-    predicted = [kf_predict(t, params) for t in tracker.tracks]
+    predicted = [kf_predict(t) for t in tracker.tracks]
     cost = assignment_cost(predicted, measurements)
     assign = solve_assignment(cost, params.gate_px)
     events = []
     next_tracks = []
     for ti, di in assign.matches:
-        t = kf_update(predicted[ti], measurements[di], params)
+        t = kf_update(predicted[ti], measurements[di])
         if t.status is TrackStatus.TENTATIVE and t.hits >= params.m_confirm:
             t.status = TrackStatus.CONFIRMED
             events.append(("confirmed", t.id))
@@ -633,7 +634,7 @@ def _step_tracker_oracle(tracker, measurements):
         next_tracks.append(t)
     next_id = tracker.next_id
     for di in assign.unmatched_detections:
-        t = new_track(next_id, measurements[di], params)
+        t = new_track(next_id, measurements[di])
         next_id += 1
         events.append(("born", t.id))
         next_tracks.append(t)

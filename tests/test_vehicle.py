@@ -41,7 +41,7 @@ def _uav(**kw):
 
 
 def test_step_zero_command_from_rest_holds_position():
-    out = step_uav(_uav(), (0.0, 0.0, 0.0), 0.0, 0.05)
+    out = step_uav(_uav(), (0.0, 0.0, 0.0), 0.0, 0.05, UavParams())
     assert out.position == (0.0, 0.0, 0.0)
     assert out.velocity == (0.0, 0.0, 0.0)
 
@@ -56,7 +56,7 @@ def test_first_order_lag_matches_exact_discretization():
 
 
 def test_yaw_pure_integration():
-    out = step_uav(_uav(), (0.0, 0.0, 0.0), 0.5, 1.0)
+    out = step_uav(_uav(), (0.0, 0.0, 0.0), 0.5, 1.0, UavParams())
     assert out.yaw == pytest.approx(0.5)
 
 
