@@ -23,15 +23,15 @@ stored as doubles and read back exactly; every id a run hands the log
 is far inside the row's int64.  ``compact_lines`` prints the two usual
 kinds (97% of all records) straight from their rows with
 ``detection_line`` and ``track_line``, one f-string each; they trust
-their input (finite ``float`` and ``int`` fields, a track event one of
-the four lifecycle names) and print exactly what ``emit_line`` prints
-for the record ``make_event`` would build.  ``EventLog.view`` reads the
-rows as those dicts, a fresh one on each read.  A log given a file
-instead writes its rows at the end of each tick that leaves
-``LOG_CHUNK_RECORDS`` or more pending, and its view is empty.  Emitting
-a record with a non-finite float raises ``NumericalFailure``,
-detections checked by their summed floats first, and leaves the log as
-it was.
+their input (finite floats or their reprs, ints, a track event one of
+the four lifecycle names) and print what ``emit_line`` prints for the
+record ``make_event`` would build; each tick's ``t`` is printed once.
+``EventLog.view`` reads the rows as those dicts, a fresh one on each
+read.  A log given a file writes its rows at the end of each tick that
+leaves ``LOG_CHUNK_RECORDS`` or more pending, and its view is empty.
+Emitting a record with a non-finite float raises ``NumericalFailure``
+(detections checked by their summed floats first) and leaves the log
+as it was.
 """
 
 import json
@@ -104,16 +104,16 @@ def detection_line(
     cx: float, cy: float, w: float, h: float, conf: float, truth: Optional[int],
 ) -> str:
     return (
-        f'{{"agent":{agent},"data":{{"conf":{conf!r},"cx":{cx!r},"cy":{cy!r},'
-        f'"h":{h!r},"truth":{"null" if truth is None else truth},"w":{w!r}}},'
-        f'"kind":"detection","seq":{seq},"t":{t!r},"v":{SCHEMA_VERSION}}}'
+        f'{{"agent":{agent},"data":{{"conf":{conf},"cx":{cx},"cy":{cy},'
+        f'"h":{h},"truth":{"null" if truth is None else truth},"w":{w}}},'
+        f'"kind":"detection","seq":{seq},"t":{t},"v":{SCHEMA_VERSION}}}'
     )
 
 
 def track_line(seq: int, t: float, agent: int, event: str, track_id: int) -> str:
     return (
         f'{{"agent":{agent},"data":{{"event":"{event}","track_id":{track_id}}},'
-        f'"kind":"track","seq":{seq},"t":{t!r},"v":{SCHEMA_VERSION}}}'
+        f'"kind":"track","seq":{seq},"t":{t},"v":{SCHEMA_VERSION}}}'
     )
 
 
@@ -130,16 +130,22 @@ def compact_lines(start: int, rows, lines: Sequence[str]) -> list[str]:
     """The log lines of compact rows numbered from ``start``, whose
     finished lines are in ``lines``."""
     out = []
+    t_prev = None
     for seq, (form, t, agent, cx, cy, w, h, conf, n) in enumerate(
         ROW.iter_unpack(rows), start
     ):
+        if t != t_prev or not t:  # reuse only an equal nonzero: -0.0 == 0.0
+            t_prev, t_text = t, repr(t)
         if form < DETECTION:
-            out.append(track_line(seq, t, agent, TRACK_EVENTS[form], n))
+            out.append(track_line(seq, t_text, agent, TRACK_EVENTS[form], n))
         elif form == LINE:
             out.append(lines[n])
         else:
+            w_text = repr(w)
+            h_text = w_text if h == w and h else repr(h)
             truth = n if form == DETECTION else None
-            out.append(detection_line(seq, t, agent, cx, cy, w, h, conf, truth))
+            out.append(detection_line(seq, t_text, agent, repr(cx), repr(cy),
+                                      w_text, h_text, repr(conf), truth))
     return out
 
 

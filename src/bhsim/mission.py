@@ -405,6 +405,7 @@ def _nearest_unvisited(
 
 
 _HOVER: Vec3 = (0.0, 0.0, 0.0)
+_CONFIRMED = TrackStatus.CONFIRMED
 _range_then_id = itemgetter(0, 1)
 
 
@@ -432,7 +433,7 @@ def step_mission(
     and returns ``(state, velocity, yaw_rate)``.
     """
     events: Events = []
-    state, vel, yaw_rate = _HANDLERS[ms.phase](ms, tracks, uav, t, ctx, events)
+    state, vel, yaw_rate = _HANDLERS[ms.phase._value_](ms, tracks, uav, t, ctx, events)
     return MissionStep(state, vel, yaw_rate, tuple(events))
 
 
@@ -541,7 +542,7 @@ def _step_search(ms, tracks, uav, t, ctx, events):
         # the lower track id wins a tie.
         ranged = [
             (ctx.range_of(tr), tr.id, tr) for tr in tracks
-            if tr.status is TrackStatus.CONFIRMED and tr.hits >= mp.m_commit
+            if tr.status is _CONFIRMED and tr.hits >= mp.m_commit
         ]
         if len(ranged) > 1:
             ranged.sort(key=_range_then_id)
@@ -705,7 +706,7 @@ def _step_confirm(ms, tracks, uav, t, ctx, events):
     # A surviving balloon tracked near the stored estimate means the
     # attack missed; retry unless the retry budget is spent.
     for track in tracks:
-        if track.status is not TrackStatus.CONFIRMED:
+        if track.status is not _CONFIRMED:
             continue
         range_m = ctx.range_of(track)
         est = estimate_world_position(uav, track, ctx.focal_px, range_m)
@@ -739,10 +740,11 @@ def _step_confirm(ms, tracks, uav, t, ctx, events):
     return ms, _HOVER, yaw_rate
 
 
+# Keyed on the phases' values: a str hashes in C, an Enum member in Python.
 _HANDLERS = {
-    Phase.SEARCH: _step_search,
-    Phase.ALIGN: _step_align,
-    Phase.APPROACH: _step_approach,
-    Phase.REVISIT: _step_revisit,
-    Phase.CONFIRM: _step_confirm,
+    Phase.SEARCH.value: _step_search,
+    Phase.ALIGN.value: _step_align,
+    Phase.APPROACH.value: _step_approach,
+    Phase.REVISIT.value: _step_revisit,
+    Phase.CONFIRM.value: _step_confirm,
 }

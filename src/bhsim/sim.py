@@ -83,6 +83,7 @@ from .world import (
 Vec3 = tuple[float, float, float]
 
 SPEED_TOLERANCE = 1e-9
+_ENGAGED = (Phase.ALIGN, Phase.APPROACH)  # the phases that pursue a balloon
 
 
 class InvariantViolation(RuntimeError):
@@ -507,7 +508,7 @@ def _audit(run: _Run, declared: Sequence[list[float]]) -> None:
     dup_tick = False
     for agent in run.live:
         ms = agent.mission
-        if ms.phase not in (Phase.ALIGN, Phase.APPROACH):
+        if ms.phase not in _ENGAGED:
             continue
         best, best_d = None, radius
         for i, c in enumerate(centers):

@@ -14,10 +14,11 @@ padding: a frame with more tracks than detections is solved as its
 transpose.  Most frames' answers are known without the search: when
 each row of that oriented matrix has a different nearest column, those
 pairs are the search's answer, ties and rounding included;
-``solve_assignment`` argues it.
-A frame with no measurements skips the assignment: every track goes
-unmatched, as the solve of a matrix with no columns says, and a frame
-with neither tracks nor measurements hands its tracker back unchanged.
+``solve_assignment`` argues it.  One pass over the pairs then gates
+them and builds both unmatched sides.  A frame with no measurements
+skips the assignment: every track goes unmatched, as the solve of a
+matrix with no columns says, and a frame with neither tracks nor
+measurements hands its tracker back unchanged.
 
 The filter is the box Kalman filter of SORT (Bewley et al. 2016), run
 decoupled (Bar-Shalom, Li & Kirubarajan 2001, ch. 6).  The process,
@@ -53,7 +54,7 @@ ground-truth identities.
 
 import math
 from enum import Enum
-from itertools import chain, compress
+from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
@@ -94,6 +95,8 @@ P0_CENTER, P0_SIZE, P0_VELOCITY = 10.0, 10.0, 100.0
 _TRACK_FIELDS = ("id", "x", "pc", "ps", "hits", "misses", "status")
 _track_key = attrgetter(*_TRACK_FIELDS)
 _by_id = attrgetter("id")
+# Bound once: EnumType's __getattr__ slows every member lookup on the class.
+_TENTATIVE, _CONFIRMED = TrackStatus.TENTATIVE, TrackStatus.CONFIRMED
 
 
 class TrackState:
@@ -280,46 +283,28 @@ def _solve_rect(cost: Sequence[Sequence[float]], n: int, m: int) -> list[int]:
     return assign
 
 
-def _gated(
-    rows: list[list[float]], pairs, n_tracks: int, n_dets: int, gate: float
-) -> Assignment:
-    """The ``Assignment`` of ``(track, detection)`` pairs in track order,
-    each kept only if its cost is at most ``gate``."""
-    matches = tuple([(i, j) for i, j in pairs if rows[i][j] <= gate])
-    free_t = [True] * n_tracks
-    free_d = [True] * n_dets
-    for i, j in matches:
-        free_t[i] = free_d[j] = False
-    return Assignment(
-        matches, tuple(compress(range(n_tracks), free_t)),
-        tuple(compress(range(n_dets), free_d)),
-    )
-
-
 def solve_assignment(cost: CostMatrix, gate: float) -> Assignment:
     """Minimum-total-cost matching on ``cost.rows``, then gating.
 
     The answer is the one ``_solve_rect`` gives on the tracks x
     detections matrix, or on its transpose when there are more tracks
     than detections, so that it always matches every entry of the
-    smaller side; any pair costlier than ``gate`` is then demoted to
-    unmatched on both sides.  When every row of the oriented matrix has
-    a different first minimal column, ``row.index(min(row))``, those
-    pairs are the answer and the search is skipped.  Proof, along the
-    search with floats and ties: in each row's first step all column
-    potentials are still 0.0 and its row potential is 0.0, so it reads
-    its costs exactly, picks its first minimal column (the strict ``<``
-    keeps the first of equal minima, ``-0.0`` and ``0.0`` included)
-    and, that column being free, stops; only its own row potential and
-    the unused ``v[0]`` move.  This covers the one-row and one-column
-    matrices.
+    smaller side; one pass over those pairs leaves any costlier than
+    ``gate`` unmatched on both sides, and a matrix with an empty side
+    matches nothing.  When every row of the oriented matrix has a
+    different first minimal column, ``row.index(min(row))``, those pairs
+    are the answer and the search is skipped.  Proof, along the search
+    with floats and ties: in each row's first step all column potentials
+    are still 0.0 and its row potential is 0.0, so it reads its costs
+    exactly, picks its first minimal column (the strict ``<`` keeps the
+    first of equal minima, ``-0.0`` and ``0.0`` included) and, that
+    column being free, stops; only its own row potential and the unused
+    ``v[0]`` move.  This covers the one-row and one-column matrices.
 
     Raises:
         NumericalFailure: if any cost is NaN or infinite.
     """
     n_tracks, n_dets = cost.shape
-    if n_tracks == 0 or n_dets == 0:
-        return Assignment((), tuple(range(n_tracks)), tuple(range(n_dets)))
     rows = cost.rows
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise NumericalFailure("assignment cost is not finite")
@@ -329,10 +314,17 @@ def solve_assignment(cost: CostMatrix, gate: float) -> Assignment:
     picks = [row.index(min(row)) for row in side]
     if len(set(picks)) < n:
         picks = _solve_rect(side, n, m)
-    pairs = enumerate(picks)
+    matches, lone, free = [], [], list(range(m))
+    for i, j in enumerate(picks):
+        if side[i][j] <= gate:
+            matches.append((j, i) if tall else (i, j))
+            free.remove(j)
+        else:
+            lone.append(i)
     if tall:
-        pairs = sorted((i, j) for j, i in pairs)
-    return _gated(rows, pairs, n_tracks, n_dets, gate)
+        matches.sort()  # into track order
+        return Assignment(tuple(matches), tuple(free), tuple(lone))
+    return Assignment(tuple(matches), tuple(lone), tuple(free))
 
 
 def step_tracker(
@@ -365,8 +357,8 @@ def step_tracker(
     # are set on them in place; the input tracker is never touched.
     for ti, di in assign.matches:
         t = kf_update(predicted[ti], measurements[di])
-        if t.status is TrackStatus.TENTATIVE and t.hits >= params.m_confirm:
-            t.status = TrackStatus.CONFIRMED
+        if t.status is _TENTATIVE and t.hits >= params.m_confirm:
+            t.status = _CONFIRMED
             events.append(("confirmed", t.id))
         next_tracks.append(t)
 
@@ -387,5 +379,6 @@ def step_tracker(
         events.append(("born", t.id))
         next_tracks.append(t)
 
-    next_tracks.sort(key=_by_id)
-    return Tracker(tracks=tuple(next_tracks), next_id=next_id, params=params), events
+    if len(next_tracks) > 1:
+        next_tracks.sort(key=_by_id)
+    return Tracker(tuple(next_tracks), next_id, params), events

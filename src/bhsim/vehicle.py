@@ -122,17 +122,15 @@ def step_uav(
     position integrates the updated velocity, and yaw integrates the
     rate-limited yaw command.
     """
-    cmd = clamp_speed(cmd_velocity, params.v_max)
+    (px, py, pz), (vx, vy, vz), yaw = state
+    cx, cy, cz = clamp_speed(cmd_velocity, params.v_max)
     alpha = 1.0 - math.exp(-dt / params.tau)
-    vx = state.velocity[0] + alpha * (cmd[0] - state.velocity[0])
-    vy = state.velocity[1] + alpha * (cmd[1] - state.velocity[1])
-    vz = state.velocity[2] + alpha * (cmd[2] - state.velocity[2])
-    px = state.position[0] + vx * dt
-    py = state.position[1] + vy * dt
-    pz = state.position[2] + vz * dt
+    vx += alpha * (cx - vx)
+    vy += alpha * (cy - vy)
+    vz += alpha * (cz - vz)
     rate = max(-params.yaw_rate_max, min(params.yaw_rate_max, cmd_yaw_rate))
-    yaw = wrap_angle(state.yaw + rate * dt)
-    return UavState(position=(px, py, pz), velocity=(vx, vy, vz), yaw=yaw)
+    position = (px + vx * dt, py + vy * dt, pz + vz * dt)
+    return UavState(position, (vx, vy, vz), wrap_angle(yaw + rate * dt))
 
 
 def clamp_to_geofence(

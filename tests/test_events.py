@@ -366,12 +366,12 @@ COMPACT_RECORDS = (
 LINE_SEQS = {2, 11}
 
 
-def _compact_log():
-    """A log of every row form, built through the run's ``EventLog``,
-    and the dicts its records stand for."""
+def _compact_log(records=COMPACT_RECORDS):
+    """A log of ``records`` (by default every row form), built through
+    the run's ``EventLog``, and the dicts its records stand for."""
     log = events.EventLog()
     dicts = []
-    for seq, (method, args) in enumerate(COMPACT_RECORDS):
+    for seq, (method, args) in enumerate(records):
         getattr(log, method)(*args)
         if method == "emit":
             dicts.append(make_event(seq, *args))
@@ -452,6 +452,33 @@ def test_compact_lines_are_emit_lines_of_the_records_dicts():
     for seq, (line, d) in enumerate(zip(lines, dicts)):
         moved = d if seq in LINE_SEQS else dict(d, seq=seq + 1024)
         assert line == emit_line(moved), seq
+
+
+# Rows whose floats equal those of the row before, or a detection's
+# ``h`` its ``w``, and may or may not print the same.
+_T_UP = math.nextafter(1.35, 2.0)
+REUSE_RECORDS = (
+    ("detection", (1.35, 0, 12.5, -3.25, 40.0, 40.0, 0.912345, 3)),
+    ("track", (1.35, 0, "coasted", 4)),
+    ("detection", (1.35, 1, 12.5, -3.25, 0.0, -0.0, 0.5, None)),
+    ("track", (_T_UP, 0, "born", 5)),
+    ("detection", (_T_UP, 0, 1.0, 2.0, -0.0, 0.0, 0.5, 2)),
+    ("track", (1.35, 0, "died", 4)),
+    ("track", (0.0, 0, "died", 5)),
+    ("detection", (0.0, 0, 1.0, 2.0, 0.0, 0.0, 0.5, 2)),
+    ("track", (-0.0, 1, "born", 6)),
+    ("detection", (-0.0, 1, 1.0, 2.0, -0.0, -0.0, 0.5, 2)),
+    ("track", (0.0, 1, "coasted", 6)),
+)
+
+
+def test_a_multi_row_log_prints_each_rows_emit_line_past_reused_reprs():
+    # ``compact_lines`` prints a tick's ``t`` once for its rows and a
+    # detection's ``h`` from ``w``'s text: rows of one tick, ticks one bit
+    # apart, ``w == h``, and zeros of either sign after one another.
+    assert _T_UP != 1.35 and repr(_T_UP) != repr(1.35)
+    log, dicts = _compact_log(REUSE_RECORDS)
+    assert events.compact_lines(0, log.rows, log.lines) == [emit_line(d) for d in dicts]
 
 
 def test_a_logged_record_prints_its_emit_line_at_edge_values():

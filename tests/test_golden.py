@@ -249,9 +249,9 @@ _CLI_COMMANDS = (
 )
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, **env_vars: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300,
@@ -274,6 +274,33 @@ def test_golden_digests_and_cli_run_without_numpy():
     for command in _CLI_COMMANDS:
         out = _python("-c", _CLI_SCRIPT, *command)
         assert out.returncode == 0, (command, out.stderr)
+
+
+def test_a_log_does_not_depend_on_the_hash_seed():
+    """``str`` hashes, and so the order of sets of strings, change with
+    ``PYTHONHASHSEED``; no run output may.  The fleet3 case prints its
+    pinned digests under three seeds."""
+    tests_dir = str(Path(__file__).resolve().parent)
+    for hash_seed in ("0", "1", "987654"):
+        out = _python("-c", _DIGEST_SCRIPT, tests_dir, "fleet3-0",
+                      PYTHONHASHSEED=hash_seed)
+        assert out.returncode == 0, out.stderr
+        assert tuple(json.loads(out.stdout)["fleet3-0"]) == GOLDEN["fleet3-0"], hash_seed
+
+
+@pytest.mark.parametrize("cfg", ["default.cfg", "fleet3.cfg"])
+def test_a_cut_run_logs_a_byte_prefix_of_the_longer_run(cfg):
+    """A run's records up to a time do not depend on how long it runs."""
+    s = load_scenario(SCENARIOS / cfg)
+
+    def log(duration: float) -> bytes:
+        cut = replace(s, sim=s.sim._replace(duration_limit=duration))
+        return serialize_events(run_simulation(cut).events)
+
+    full = log(60.0)
+    for duration in (18.0, 42.0):
+        part = log(duration)
+        assert 0 < len(part) < len(full) and full.startswith(part), duration
 
 
 def test_a_cli_run_leaves_numpy_unimported():
